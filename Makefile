@@ -145,9 +145,11 @@ bench-scale-full:
 
 # bench-scale-smoke is the CI-sized correctness twin of bench-scale
 # (n=500, m=1e4): every surrogate family's streamed shortlist winner must
-# equal the materialized argmax, with and without approximate pruning, and
-# the parallel Select must reproduce the serial shortlist bit for bit at
-# 1, 2, 4, and GOMAXPROCS worker lanes (the worker-invariance pins).
+# equal the materialized argmax, with and without approximate pruning, the
+# parallel Select must reproduce the serial shortlist bit for bit at 1, 2,
+# 4, and GOMAXPROCS worker lanes (the worker-invariance pins), and the
+# per-candidate prune bounds must match the full scan bitwise across
+# appends, removals, refits, and treed re-splits.
 bench-scale-smoke:
-	$(GO) test -count=1 -run 'TestScaleSmoke|TestStreamSelectWorkerCountInvariant|TestStreamedReplayWorkerCountInvariant' \
+	$(GO) test -count=1 -run 'TestScaleSmoke|TestStreamSelectWorkerCountInvariant|TestStreamedReplayWorkerCountInvariant|TestStreamPerCandidateBoundsExact|TestStreamTreedResplitResetsBounds|TestStreamRefitResetsBounds' \
 		./internal/engine

@@ -117,7 +117,6 @@ func (e *replayEnv) Absorb(pick int, ex Execution, refit bool) error {
 		if err := appendAndRefit(e.gpMem, xNew, logM); err != nil {
 			return fmt.Errorf("engine: memory refit after %d selections: %w", e.tr.Iterations(), err)
 		}
-		e.scorer.invalidate()
 		return nil
 	}
 	if err := e.gpCost.Append(xNew, logC); err != nil {
@@ -161,7 +160,6 @@ func (e *replayEnv) Refit() error {
 	if err := e.gpMem.Refit(); err != nil {
 		return fmt.Errorf("engine: memory refit after %d selections: %w", e.tr.Iterations(), err)
 	}
-	e.scorer.invalidate()
 	return nil
 }
 

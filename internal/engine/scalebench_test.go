@@ -18,10 +18,13 @@ import (
 // measure the exact family too.
 var benchFull = flag.Bool("full", false, "include the slow exact-model scale benchmark cases")
 
-// The scale benchmark suite measures one full pool-scoring pass — the
+// The scale benchmark suite measures one pool-scoring pass — the
 // per-iteration cost of an AL campaign's selection step — across surrogate
 // families (exact where feasible, sparse, treed), training-set sizes, pool
 // sizes, and pool layouts (materialized vs streamed vs streamed+pruning).
+// A streamed op is one Select after one absorbed pick, as in a campaign:
+// the previous winner is removed and appended to both models (untimed), so
+// the pruned pass re-scores a moved posterior, not an unchanged one.
 // `make bench-scale` records it into BENCH_al.json; `make bench-scale-smoke`
 // runs the TestScaleSmoke correctness twin in CI.
 
@@ -154,20 +157,42 @@ func BenchmarkScaleScoring(b *testing.B) {
 						b.Run(fmt.Sprintf("%s/pool=%s/workers=%d", name, mode.tag, wc), func(b *testing.B) {
 							prev := mat.SetWorkers(wc)
 							defer mat.SetWorkers(prev)
+							// Absorbing picks mutates the models: each case
+							// fits its own copies.
+							cost, mem := fitScaleModels(b, model, n)
 							st := NewStreamState(src, cost, mem, StreamConfig{
 								ShardSize: 4096, TopK: 64, Approx: mode.approx, Rank: rank,
 							})
-							st.Select() // steady state: bounds primed before timing
+							_, ids := st.Select() // steady state: bounds primed before timing
+							row := mat.NewDense(1, scaleDim, nil)
 							b.ReportAllocs()
 							b.ResetTimer()
 							for i := 0; i < b.N; i++ {
-								st.Select()
+								b.StopTimer()
+								absorbPick(b, st, src, cost, mem, ids[0], row)
+								b.StartTimer()
+								_, ids = st.Select()
 							}
 						})
 					}
 				}
 			}
 		}
+	}
+}
+
+// absorbPick plays one campaign step between Selects: candidate id leaves
+// the pool and its synthetic measurement joins both models.
+func absorbPick(tb testing.TB, st *StreamState, src CandidateSource, cost, mem gp.Model, id int, row *mat.Dense) {
+	tb.Helper()
+	st.Remove(id)
+	src.Fill(id, id+1, row)
+	x := row.Row(0)
+	if err := cost.Append(x, scaleTarget(x)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := mem.Append(x, 0.5*x[0]+0.25*x[4]); err != nil {
+		tb.Fatal(err)
 	}
 }
 

@@ -18,9 +18,6 @@ type scorer interface {
 	translate(p int) int
 	// remove drops the candidate at pool position p.
 	remove(p int)
-	// invalidate discards any state derived from the previous posterior;
-	// the loop calls it after every hyperparameter refit.
-	invalidate()
 	// fidelityGains returns the per-candidate top-fidelity information
 	// gains in candidates order when the cost surrogate can provide them
 	// (multi-fidelity models), nil otherwise.
@@ -91,10 +88,6 @@ func (s *poolScorer) remove(p int) {
 		s.memCache.Remove(p)
 	}
 }
-
-// invalidate is a no-op: the attached pool caches register with their
-// models and invalidate themselves on refit.
-func (s *poolScorer) invalidate() {}
 
 // fidelityGains serves the cost surrogate's top-fidelity information gains:
 // from the multi-fidelity pool cache when one is attached, directly from

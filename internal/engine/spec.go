@@ -98,17 +98,18 @@ type ReplaySpec struct {
 // PoolSpec configures the streamed candidate pool.
 type PoolSpec struct {
 	// Shard is the number of candidates scored per slab (default 4096);
-	// peak pool memory is proportional to it.
+	// peak pool memory is proportional to it, plus 8 bytes per candidate.
 	Shard int `json:"shard,omitempty"`
 	// TopK is the shortlist size handed to the policy (default 64).
 	TopK int `json:"top_k,omitempty"`
-	// Approx enables upper-bound shard pruning: shards whose best possible
-	// rank cannot reach the current k-th best are skipped. Exact for
-	// σ-monotone ranks (maxsigma); bounded-staleness otherwise (see
-	// RefreshEvery and DESIGN.md).
+	// Approx enables per-candidate upper-bound pruning: candidates whose
+	// last rank cannot reach the current k-th best are not re-scored.
+	// Exact for σ-monotone ranks (maxsigma); bounded-staleness otherwise
+	// (see RefreshEvery and DESIGN.md).
 	Approx bool `json:"approx,omitempty"`
 	// RefreshEvery forces a full un-pruned rescore every k-th iteration in
-	// approximate mode (default 16), bounding prune-bound staleness.
+	// approximate mode (default 16), bounding prune-bound staleness for
+	// non-monotone ranks; σ-monotone ranks prune exactly and ignore it.
 	RefreshEvery int `json:"refresh_every,omitempty"`
 }
 

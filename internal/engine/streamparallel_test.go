@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -33,6 +32,13 @@ func streamWorkerCounts() []int {
 // PredictIntoSerial implementation.
 func streamFamilyFixture(t testing.TB, family string, seed int64, n, m int) (cost, mem gp.Model, pool *mat.Dense) {
 	t.Helper()
+	return streamFamilyFixtureCfg(t, family, gp.Config{Noise: 0.1, NoOptimize: true}, seed, n, m)
+}
+
+// streamFamilyFixtureCfg is streamFamilyFixture with the per-model GP
+// configuration spelled out (hyperparameter optimization on or off).
+func streamFamilyFixtureCfg(t testing.TB, family string, cfg gp.Config, seed int64, n, m int) (cost, mem gp.Model, pool *mat.Dense) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	x := mat.NewDense(n, 3, nil)
 	yc := make([]float64, n)
@@ -45,7 +51,6 @@ func streamFamilyFixture(t testing.TB, family string, seed int64, n, m int) (cos
 		ym[i] = x.Row(i)[2] * 0.7
 	}
 	build := func() gp.Model {
-		cfg := gp.Config{Noise: 0.1, NoOptimize: true}
 		switch family {
 		case "sparse":
 			return gp.NewSparse(kernel.NewRBF(0.8, 1), cfg, 16)
@@ -88,8 +93,8 @@ func shortlistRecord(c *Candidates, ids []int) []streamEntry {
 // runStreamScript executes a deterministic multi-round Select / Remove /
 // Append schedule at a given worker count, rebuilding the models from
 // scratch so every run starts from an identical posterior, and returns the
-// per-round shortlist records. Round 2 invalidates the prune bounds the
-// way the replay loop does after a hyperparameter refit.
+// per-round shortlist records. Round 2 refits both models, which moves
+// their posterior generations and so resets the prune bounds.
 func runStreamScript(t *testing.T, family, rankName string, approx bool, workers int) [][]streamEntry {
 	t.Helper()
 	prev := mat.SetWorkers(workers)
@@ -118,7 +123,12 @@ func runStreamScript(t *testing.T, family, rankName string, approx bool, workers
 			t.Fatal(err)
 		}
 		if round == 2 {
-			st.InvalidateBounds() // the post-refit reset the replay loop performs
+			if err := cost.Refit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Refit(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return script
@@ -288,8 +298,8 @@ func TestStreamShardBoundaryAlignment(t *testing.T) {
 }
 
 // TestStreamRemoveLastLiveInShard: tombstoning every candidate of a shard
-// leaves its prune bound valid — the next scoring pass records -Inf, the
-// shard prunes forever after, and the shortlist stays exact.
+// leaves the other bounds valid — the emptied shard is skipped whole from
+// then on, even on a forced full rescore, and the shortlist stays exact.
 func TestStreamRemoveLastLiveInShard(t *testing.T) {
 	cost, mem, pool := streamFixture(t, 62, 40, 128)
 	rank, _ := rankerFor("maxsigma")
@@ -303,15 +313,34 @@ func TestStreamRemoveLastLiveInShard(t *testing.T) {
 		st.Remove(id)
 		removed[id] = true
 	}
-	st.InvalidateBounds() // force a full rescore so shard 1 is certainly revisited
-	c, ids = st.Select()  // rescores shard 1, observes it empty
+	st.invalidateBounds() // force a full rescore: only the emptied shard may skip
+	c, ids = st.Select()
 	checkShortlist(t, "emptied", c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
-	if !math.IsInf(st.prevBest[1], -1) {
-		t.Fatalf("empty shard bound %g, want -Inf", st.prevBest[1])
+	for id := 32; id < 64; id++ {
+		if !isTombstone(st.bounds[id]) {
+			t.Fatalf("removed candidate %d bound %g, want a tombstone", id, st.bounds[id])
+		}
+	}
+	if tot := laneTotals(st); tot.pruned != 1 || tot.candScored != int64(st.Live()) {
+		t.Fatalf("full rescore pruned %d shards and scored %d candidates, want 1 and %d",
+			tot.pruned, tot.candScored, st.Live())
 	}
 	if st.Live() != 128-32 {
 		t.Fatalf("live %d, want %d", st.Live(), 128-32)
 	}
-	c, ids = st.Select() // -Inf bound must prune, not corrupt, the empty shard
+	c, ids = st.Select() // the empty shard must skip, not corrupt, the shortlist
 	checkShortlist(t, "pruned", c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+}
+
+// laneTotals sums the lanes' shard and candidate counters of the last
+// Select.
+func laneTotals(st *StreamState) streamWorker {
+	var tot streamWorker
+	for _, sw := range st.workers {
+		tot.scored += sw.scored
+		tot.pruned += sw.pruned
+		tot.candScored += sw.candScored
+		tot.candPruned += sw.candPruned
+	}
+	return tot
 }

@@ -17,8 +17,9 @@ import (
 // and scored shard by shard, every shard reduces into a bounded top-k
 // heap, and the heaps merge into one exact global top-k shortlist. Peak
 // pool memory is O(workers·shard + k) — per-worker feature slabs, score
-// vectors, and partial heaps, plus the shortlist — instead of the O(m·n) a
-// ScoringCache pins or the O(m) a materialized score pass allocates.
+// vectors, and partial heaps, plus the shortlist — and 8 bytes per
+// candidate for its prune bound, instead of the O(m·n) a ScoringCache
+// pins or the O(m) feature and score arrays a materialized pass allocates.
 //
 // Shard scoring is parallel: Select dispatches W = min(mat.Workers(),
 // shards) worker lanes over the internal/mat pool, each lane claiming
@@ -30,29 +31,36 @@ import (
 // of scheduling at every worker count: the top-k under the strict total
 // order (rank desc, id asc) is a unique set, each candidate's scores are
 // computed in full by exactly one lane with a floating-point evaluation
-// order fixed by the shard layout alone, and the final merge sorts the
-// union of the lanes' heaps under that same order — so which lane scored
-// which shard cannot change the result. mat.SetWorkers(1) degrades to the
-// fully serial reference path.
+// order that depends on neither the lane nor the row's slab position, and
+// the final merge sorts the union of the lanes' heaps under that same
+// order — so which lane scored which shard cannot change the result.
+// mat.SetWorkers(1) degrades to the fully serial reference path.
 //
-// The optional approximate mode additionally prunes shards whose best
-// previously-observed rank cannot reach the current k-th best. For
-// σ-monotone ranks (maxsigma: the posterior σ of every candidate is
-// non-increasing as observations accumulate, for the exact, sparse, and
-// per-leaf treed surrogates alike) the last observed shard maximum is a
-// valid upper bound and the prune test compares it against a shared
-// monotone lower bound on the final k-th rank (any lane that has filled
-// its local heap publishes its heap root via an atomic CAS-max: k
-// candidates rank at least that high, so the final k-th rank can only be
-// higher). A stale read of the bound is always a smaller value, so racing
-// lanes can only prune less, never more — pruning stays exact under any
-// interleaving, even though *which* shards get pruned may vary with the
-// schedule. For mean-coupled ranks (minpred) a mid-call bound is not valid
-// and a schedule-dependent prune set would make the output depend on the
-// worker count, so the prune threshold is instead the previous Select's
-// final k-th rank — deterministic by construction, boundedly stale, with
-// RefreshEvery forcing a full un-pruned rescore every k-th call.
-// DESIGN.md §Surrogate scaling states both bounds precisely.
+// The optional approximate mode keeps one prune bound per candidate — its
+// rank the last time it was scored, +Inf until then — and inside every
+// claimed shard predicts only the live candidates whose bound is not
+// strictly below the prune threshold; a shard with no such candidate is
+// skipped without being generated. The survivors are compacted to the
+// front of the lane's slab, and per-row prediction arithmetic does not
+// depend on row position, so their scores are bitwise what a full-shard
+// pass gives. For σ-monotone ranks (maxsigma: a candidate's posterior σ
+// never rises while observations are appended under fixed
+// hyperparameters) a stale bound is a true upper bound, and the threshold
+// is a shared monotone lower bound on the final k-th rank: seeded before
+// the lanes start by re-scoring the previous Select's top k+1 survivors
+// (k+1 so that one pick still leaves k), then raised by any lane whose
+// local heap holds k entries, via an atomic CAS-max. A stale read of the
+// bound is always a smaller value, so racing lanes can only prune less,
+// never more — pruning stays exact under any interleaving, even though
+// *which* candidates get pruned may vary with the schedule. Bounds reset
+// whenever either model's posterior generation moves (gp.Model.Generation:
+// a refit, a sparse re-projection, a treed re-split), the only events that
+// can raise σ. For mean-coupled ranks (minpred) a mid-call bound is not
+// valid and a schedule-dependent prune set would make the output depend on
+// the worker count, so the prune threshold is instead the previous
+// Select's final k-th rank — deterministic by construction, boundedly
+// stale, with RefreshEvery forcing a full un-pruned rescore every k-th
+// call. DESIGN.md §Surrogate scaling states both bounds precisely.
 
 // CandidateSource yields candidate feature rows on demand, so a pool can
 // exist without ever materializing m×d storage. Fill must be safe for
@@ -122,9 +130,9 @@ func (s GridSource) Fill(lo, hi int, dst *mat.Dense) {
 type RankFunc func(muC, sigC, muM, sigM float64) float64
 
 // rankerSpec pairs a shortlist criterion with its pruning class: monotone
-// ranks can only decrease as observations accumulate (they depend on σ
-// alone), so stale per-shard maxima are true upper bounds and approximate
-// pruning stays exact.
+// ranks can only decrease as observations are appended (they depend on σ
+// alone), so stale per-candidate ranks are true upper bounds and
+// approximate pruning stays exact.
 type rankerSpec struct {
 	fn       RankFunc
 	monotone bool
@@ -153,10 +161,13 @@ func RankerNames() []string { return sortedKeys(rankers) }
 
 // StreamConfig tunes StreamState; the zero value gets defaults.
 type StreamConfig struct {
-	ShardSize    int  // candidates per slab (default 4096)
-	TopK         int  // shortlist size (default 64)
-	Approx       bool // enable upper-bound shard pruning
-	RefreshEvery int  // approx: full rescore every k-th call (default 16)
+	ShardSize int  // candidates per slab (default 4096)
+	TopK      int  // shortlist size (default 64)
+	Approx    bool // enable per-candidate upper-bound pruning
+	// RefreshEvery forces a full un-pruned rescore every k-th call
+	// (default 16). Only non-monotone ranks consult it: pruning is exact
+	// for σ-monotone ones, so a refresh could not change their shortlist.
+	RefreshEvery int
 	Rank         RankFunc
 	// NonMonotoneRank declares that Rank is not σ-monotone (its value can
 	// rise for a fixed candidate as observations accumulate, e.g. minpred's
@@ -205,13 +216,17 @@ type fillReq struct {
 
 // streamWorker is one scoring lane's private state, reused across Select
 // calls: a double-buffered feature slab (the second half allocated only
-// when prefetch runs), score buffers, a bounded partial heap, and the
-// lane's shard counters (aggregated into the obs totals after the merge).
+// when prefetch runs), score buffers, the source ids of the rows compacted
+// into the slab, a bounded partial heap, and the lane's shard and
+// candidate counters (aggregated into the obs totals after the merge).
 type streamWorker struct {
 	xbuf                 [2]*mat.Dense
 	muC, sigC, muM, sigM []float64
+	ids                  []int
 	heap                 []streamEntry
-	scored, pruned       int64
+
+	scored, pruned         int64 // shards
+	candScored, candPruned int64 // live candidates
 
 	req  chan fillReq
 	done chan struct{}
@@ -241,7 +256,7 @@ func (w *streamWorker) stopFiller() {
 // kthBound is the shared monotone lower bound on the final k-th shortlist
 // rank, published across lanes with a CAS-max. Any lane whose local heap
 // holds k entries knows the merged top-k ranks at least as high as its
-// heap root, so raising the bound to that root is always sound; a stale
+// k-th best, so raising the bound to that rank is always sound; a stale
 // (lower) read by another lane only prunes less.
 type kthBound struct{ bits atomic.Uint64 }
 
@@ -263,21 +278,39 @@ func (b *kthBound) raise(v float64) {
 	}
 }
 
+// pruneLimit is one Select's prune threshold. It holds a fixed value (the
+// previous k-th rank for non-monotone ranks, -Inf for an unpruned pass)
+// unless shared is set, in which case lanes raise it in-call as their
+// heaps fill (σ-monotone ranks).
+type pruneLimit struct {
+	kthBound
+	shared bool
+}
+
+// tombstone is a removed candidate's bound. NaN fails every comparison, so
+// the survivor test b >= lim drops tombstones without a separate lookup.
+var tombstone = math.NaN()
+
+func isTombstone(b float64) bool { return b != b }
+
 // StreamState is a streamed candidate pool usable across AL iterations: it
-// keeps per-shard prune bounds and candidate tombstones, and produces one
-// exact (or boundedly approximate) top-k shortlist per Select call.
-// Select, Remove, and InvalidateBounds must not overlap (one selection
-// loop owns the state); Select parallelizes internally.
+// keeps one prune bound per candidate (tombstones included) and produces
+// one exact (or boundedly approximate) top-k shortlist per Select call.
+// Select and Remove must not overlap (one selection loop owns the state);
+// Select parallelizes internally.
 type StreamState struct {
 	src       CandidateSource
 	cost, mem gp.Model
 	cfg       StreamConfig
 
-	removed  map[int]bool
-	live     int
-	prevBest []float64 // per-shard upper bound: last observed max rank
-	calls    int
-	lastKth  float64 // previous Select's final k-th rank (non-monotone prune threshold)
+	// bounds[id] is candidate id's last scored rank: +Inf until scored,
+	// tombstone once removed. 8 bytes per candidate.
+	bounds  []float64
+	live    int
+	gens    [2]uint64 // cost and mem posterior generations the bounds hold under
+	calls   int
+	lastKth float64 // previous Select's final k-th rank (non-monotone prune threshold)
+	top     []int   // previous Select's top k+1 ids (σ-monotone seed bound)
 
 	workers []*streamWorker
 }
@@ -323,19 +356,18 @@ func NewStreamState(src CandidateSource, cost, mem gp.Model, cfg StreamConfig) *
 		cfg.Rank = rankers["maxsigma"].fn
 	}
 	n := src.Len()
-	nShards := (n + cfg.ShardSize - 1) / cfg.ShardSize
 	st := &StreamState{
-		src:      src,
-		cost:     cost,
-		mem:      mem,
-		cfg:      cfg,
-		removed:  make(map[int]bool),
-		live:     n,
-		prevBest: make([]float64, nShards),
-		lastKth:  math.Inf(-1),
+		src:     src,
+		cost:    cost,
+		mem:     mem,
+		cfg:     cfg,
+		bounds:  make([]float64, n),
+		live:    n,
+		gens:    [2]uint64{cost.Generation(), mem.Generation()},
+		lastKth: math.Inf(-1),
 	}
-	for i := range st.prevBest {
-		st.prevBest[i] = math.Inf(1) // never prune an unscored shard
+	for i := range st.bounds {
+		st.bounds[i] = math.Inf(1) // never prune an unscored candidate
 	}
 	return st
 }
@@ -343,25 +375,25 @@ func NewStreamState(src CandidateSource, cost, mem gp.Model, cfg StreamConfig) *
 // Live reports the number of non-removed candidates.
 func (st *StreamState) Live() int { return st.live }
 
-// Remove tombstones candidate id (a source index). Tombstones only lower a
-// shard's true maximum, so stale prune bounds stay valid upper bounds —
-// including when the last live candidate of a shard goes: the shard's next
-// scoring pass records -Inf and it prunes forever after.
+// Remove tombstones candidate id (a source index). Removal only shrinks
+// the set a shortlist is drawn from, so the other candidates' bounds stay
+// valid; a shard whose last live candidate goes is skipped from then on.
 func (st *StreamState) Remove(id int) {
-	if !st.removed[id] {
-		st.removed[id] = true
+	if !isTombstone(st.bounds[id]) {
+		st.bounds[id] = tombstone
 		st.live--
 	}
 }
 
-// InvalidateBounds resets every shard's prune bound, forcing the next
-// Select to rescore the whole pool. Required after any wholesale posterior
-// change (a hyperparameter refit): stale shard maxima are upper bounds
-// only while the posterior drifts monotonically, and a refit can raise σ
-// everywhere at once. The replay loop calls this on every hyperopt.
-func (st *StreamState) InvalidateBounds() {
-	for i := range st.prevBest {
-		st.prevBest[i] = math.Inf(1)
+// invalidateBounds resets every live candidate's prune bound to +Inf, so
+// the coming Select rescores the whole pool. Select calls it whenever
+// either model's posterior generation has moved (a refit, a sparse
+// re-projection, a treed re-split — the changes that can raise σ).
+func (st *StreamState) invalidateBounds() {
+	for i, b := range st.bounds {
+		if !isTombstone(b) {
+			st.bounds[i] = math.Inf(1)
+		}
 	}
 	st.lastKth = math.Inf(-1)
 }
@@ -404,6 +436,23 @@ func pushBounded(h []streamEntry, e streamEntry, k int) []streamEntry {
 	return h
 }
 
+// heapKth returns the k-th best rank held in a lane heap of capacity
+// k+1, or false while it holds fewer than k entries. A full heap's root is
+// its (k+1)-th best, so the k-th is the worse of the root's children.
+func heapKth(h []streamEntry, k int) (float64, bool) {
+	switch {
+	case len(h) < k:
+		return 0, false
+	case len(h) == k:
+		return h[0].rank, true
+	}
+	c := h[1]
+	if len(h) > 2 && c.better(h[2]) {
+		c = h[2]
+	}
+	return c.rank, true
+}
+
 // ensureWorkers sizes the lane pool to w, allocating each lane's slabs and
 // buffers once and reusing them across Select calls. The second slab half
 // exists only where prefetch runs (parallel lanes), keeping the serial
@@ -422,6 +471,7 @@ func (st *StreamState) ensureWorkers(w int, prefetch bool) {
 				sigC: make([]float64, shard),
 				muM:  make([]float64, shard),
 				sigM: make([]float64, shard),
+				ids:  make([]int, 0, shard),
 			}
 			sw.xbuf[0] = mat.NewDense(shard, dim, nil)
 			st.workers[i] = sw
@@ -432,46 +482,97 @@ func (st *StreamState) ensureWorkers(w int, prefetch bool) {
 	}
 }
 
-// scoreShard predicts one filled shard through both surrogates, reduces
-// its live candidates into the lane's bounded heap, and refreshes the
-// shard's prune bound. Writes touch lane-private state plus prevBest[s],
-// which only this lane (the shard's claimant) writes.
-func (st *StreamState) scoreShard(w *streamWorker, s, lo, hi int, xs *mat.Dense, bound *kthBound, useShared, serial bool) {
+// shardRange is shard s's source-id window [lo, hi).
+func (st *StreamState) shardRange(s int) (lo, hi int) {
+	lo = s * st.cfg.ShardSize
+	return lo, min(lo+st.cfg.ShardSize, st.src.Len())
+}
+
+// survives reports whether any bound reaches lim: some live candidate of
+// the window may still enter the shortlist. Strict <: ties are never
+// pruned, preserving first-max order.
+func survives(bounds []float64, lim float64) bool {
+	for _, b := range bounds {
+		if b >= lim {
+			return true
+		}
+	}
+	return false
+}
+
+// countLive counts the non-tombstoned bounds of a window.
+func countLive(bounds []float64) int64 {
+	var n int64
+	for _, b := range bounds {
+		if !isTombstone(b) {
+			n++
+		}
+	}
+	return n
+}
+
+// scoreShard compacts the filled shard's surviving candidates — live, with
+// a bound not strictly below the current threshold — to the front of the
+// slab, predicts them through both surrogates, reduces them into the
+// lane's bounded heap, and records their ranks as their new bounds. Writes
+// touch lane-private state plus bounds[lo:hi], which only this lane (the
+// shard's claimant) reads or writes during the call.
+func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, lim *pruneLimit, serial bool) {
+	th := lim.load()
+	w.ids = w.ids[:0]
+	for i, b := range st.bounds[lo:hi] {
+		if isTombstone(b) {
+			continue
+		}
+		if b < th {
+			// Ranked below the threshold the last time it was scored; for
+			// σ-monotone ranks its rank cannot have risen since.
+			w.candPruned++
+			continue
+		}
+		if n := len(w.ids); n != i {
+			copy(xs.Row(n), xs.Row(i))
+		}
+		w.ids = append(w.ids, lo+i)
+	}
+	rows := len(w.ids)
+	if rows == 0 {
+		w.pruned++
+		return
+	}
 	obs.PoolShardsInflight.Add(1)
 	sp := obs.SpanShardScore.Start()
+	if rows != xs.Rows() {
+		xs = mat.NewDense(rows, xs.Cols(), xs.RawData()[:rows*xs.Cols()])
+	}
 	muC, sigC := predictShard(st.cost, xs, w.muC, w.sigC, serial)
 	muM, sigM := predictShard(st.mem, xs, w.muM, w.sigM, serial)
 	k := st.cfg.TopK
-	best := math.Inf(-1)
-	for i := 0; i < hi-lo; i++ {
-		id := lo + i
-		if st.removed[id] {
-			continue
-		}
+	for i, id := range w.ids {
 		r := st.cfg.Rank(muC[i], sigC[i], muM[i], sigM[i])
-		if r > best {
-			best = r
+		st.bounds[id] = r
+		if math.IsNaN(r) {
+			st.bounds[id] = math.Inf(1) // a NaN rank must not read as a tombstone
 		}
-		w.heap = pushBounded(w.heap, streamEntry{id: id, rank: r, muC: muC[i], sigC: sigC[i], muM: muM[i], sigM: sigM[i]}, k)
+		w.heap = pushBounded(w.heap, streamEntry{id: id, rank: r, muC: muC[i], sigC: sigC[i], muM: muM[i], sigM: sigM[i]}, k+1)
 	}
-	st.prevBest[s] = best
 	w.scored++
-	if useShared && len(w.heap) == k {
-		bound.raise(w.heap[0].rank)
+	w.candScored += int64(rows)
+	if lim.shared {
+		if r, ok := heapKth(w.heap, k); ok {
+			lim.raise(r)
+		}
 	}
 	sp.End()
 	obs.PoolShardsInflight.Add(-1)
 }
 
-// scoreLoop is one lane's Select body: claim shards off the shared cursor
-// (consuming prune decisions inline), generate, and score. threshold is
-// the deterministic non-monotone prune limit; useShared switches to the
-// in-call monotone bound. In parallel mode the lane's filler generates the
-// next claimed shard into the other slab half while this goroutine scores
-// the current one.
-func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kthBound, threshold float64, useShared, prune, parallel bool, nShards int) {
-	n := st.src.Len()
-	shard := st.cfg.ShardSize
+// scoreLoop is one lane's Select body: claim shards off the shared cursor,
+// skipping (ungenerated) every shard none of whose live candidates reaches
+// the prune threshold, then generate and score the rest. In parallel mode
+// the lane's filler generates the next claimed shard into the other slab
+// half while this goroutine scores the current one.
+func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *pruneLimit, parallel bool, nShards int) {
 	dim := st.src.Dim()
 	claim := func() int {
 		for {
@@ -479,31 +580,18 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kth
 			if s >= nShards {
 				return -1
 			}
-			if prune {
-				lim := threshold
-				if useShared {
-					lim = bound.load()
-				}
-				if st.prevBest[s] < lim {
-					// Every candidate here ranked below the k-th-rank lower
-					// bound the last time the shard was scored — nothing can
-					// enter the shortlist. Strict <: ties are never pruned,
-					// preserving first-max order.
-					w.pruned++
-					continue
-				}
+			lo, hi := st.shardRange(s)
+			if survives(st.bounds[lo:hi], lim.load()) {
+				return s
 			}
-			return s
+			w.pruned++
+			w.candPruned += countLive(st.bounds[lo:hi])
 		}
 	}
 	view := func(buf, s int) (*mat.Dense, int, int) {
-		lo := s * shard
-		hi := lo + shard
-		if hi > n {
-			hi = n
-		}
+		lo, hi := st.shardRange(s)
 		xs := w.xbuf[buf]
-		if hi-lo != shard {
+		if hi-lo != st.cfg.ShardSize {
 			xs = mat.NewDense(hi-lo, dim, xs.RawData()[:(hi-lo)*dim])
 		}
 		return xs, lo, hi
@@ -514,7 +602,7 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kth
 		for s := claim(); s >= 0; s = claim() {
 			xs, lo, hi := view(0, s)
 			st.src.Fill(lo, hi, xs)
-			st.scoreShard(w, s, lo, hi, xs, bound, useShared, false)
+			st.scoreShard(w, lo, hi, xs, lim, false)
 		}
 		return
 	}
@@ -529,14 +617,41 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kth
 	w.req <- fillReq{lo: lo, hi: hi, dst: xs}
 	for cur >= 0 {
 		<-w.done // the current shard's slab is ready
-		curXS, curLo, curHi, curS := xs, lo, hi, cur
+		curXS, curLo, curHi := xs, lo, hi
 		if cur = claim(); cur >= 0 {
 			buf = 1 - buf
 			xs, lo, hi = view(buf, cur)
 			w.req <- fillReq{lo: lo, hi: hi, dst: xs}
 		}
-		st.scoreShard(w, curS, curLo, curHi, curXS, bound, useShared, true)
+		st.scoreShard(w, curLo, curHi, curXS, lim, true)
 	}
+}
+
+// seedBound re-scores the previous Select's top k+1 candidates that are
+// still live and returns the k-th best of their current ranks: k live
+// candidates rank at least that high, so the final k-th rank does too,
+// whatever the posterior did since. Holding k+1 lets one pick still leave
+// k. -Inf (never prunes) when fewer than k survive.
+func (st *StreamState) seedBound() float64 {
+	k := st.cfg.TopK
+	var ids []int
+	for _, id := range st.top {
+		if !isTombstone(st.bounds[id]) {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) < k {
+		return math.Inf(-1)
+	}
+	xs := st.fillRows(ids)
+	muC, sigC := st.cost.Predict(xs)
+	muM, sigM := st.mem.Predict(xs)
+	ranks := make([]float64, len(ids))
+	for i := range ranks {
+		ranks[i] = st.cfg.Rank(muC[i], sigC[i], muM[i], sigM[i])
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(ranks)))
+	return ranks[k-1]
 }
 
 // Select scores the pool shard by shard — fanned out over min(Workers,
@@ -552,15 +667,25 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	k := st.cfg.TopK
 	nShards := (n + shard - 1) / shard
 	st.calls++
-	refresh := !st.cfg.Approx || st.cfg.RefreshEvery <= 1 || st.calls%st.cfg.RefreshEvery == 1
-	prune := st.cfg.Approx && !refresh
-	useShared := prune && !st.cfg.NonMonotoneRank
-	threshold := math.Inf(-1) // -Inf never prunes (strict <)
-	if prune && st.cfg.NonMonotoneRank {
-		threshold = st.lastKth
+	reset := false
+	if g := [2]uint64{st.cost.Generation(), st.mem.Generation()}; g != st.gens {
+		st.invalidateBounds()
+		st.gens = g
+		reset = true
 	}
-	var bound kthBound
-	bound.store(math.Inf(-1))
+
+	var lim pruneLimit
+	lim.store(math.Inf(-1)) // -Inf never prunes (strict <)
+	switch {
+	case !st.cfg.Approx:
+	case !st.cfg.NonMonotoneRank:
+		lim.shared = true
+		if !reset { // reset bounds are all +Inf: a seed could prune nothing
+			lim.store(st.seedBound())
+		}
+	case st.cfg.RefreshEvery > 1 && st.calls%st.cfg.RefreshEvery != 1:
+		lim.store(st.lastKth)
+	}
 
 	w := mat.Workers()
 	if w > nShards {
@@ -573,23 +698,28 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	for _, sw := range st.workers[:w] {
 		sw.heap = sw.heap[:0]
 		sw.scored, sw.pruned = 0, 0
+		sw.candScored, sw.candPruned = 0, 0
 	}
 	var next atomic.Int64
 	if w == 1 {
-		st.scoreLoop(st.workers[0], &next, &bound, threshold, useShared, prune, false, nShards)
+		st.scoreLoop(st.workers[0], &next, &lim, false, nShards)
 	} else {
 		mat.ParallelWorkers(w, func(lane int) {
-			st.scoreLoop(st.workers[lane], &next, &bound, threshold, useShared, prune, true, nShards)
+			st.scoreLoop(st.workers[lane], &next, &lim, true, nShards)
 		})
 	}
 
-	var scored, pruned int64
+	var scored, pruned, candScored, candPruned int64
 	for _, sw := range st.workers[:w] {
 		scored += sw.scored
 		pruned += sw.pruned
+		candScored += sw.candScored
+		candPruned += sw.candPruned
 	}
 	obs.PoolShardsScored.Add(scored)
 	obs.PoolShardsPruned.Add(pruned)
+	obs.PoolCandidatesScored.Add(candScored)
+	obs.PoolCandidatesPruned.Add(candPruned)
 	obs.PoolStreamLive.Set(float64(st.live))
 	if r := obs.Default(); r != nil {
 		for lane, sw := range st.workers[:w] {
@@ -601,14 +731,20 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	}
 
 	// Merge: the union of the lanes' bounded heaps contains the global
-	// top-k (each lane kept the best k of its own shards), and sorting
-	// under the strict total order recovers it independent of which lane
-	// held what.
+	// top-k (each lane kept the best k+1 of its own survivors), and
+	// sorting under the strict total order recovers it independent of
+	// which lane held what. The (k+1)-th entry may depend on the schedule
+	// (pruning only guarantees the top k), so it feeds the next seed
+	// bound, never the output.
 	var out []streamEntry
 	for _, sw := range st.workers[:w] {
 		out = append(out, sw.heap...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].better(out[j]) })
+	st.top = st.top[:0]
+	for _, e := range out[:min(len(out), k+1)] {
+		st.top = append(st.top, e.id)
+	}
 	if len(out) > k {
 		out = out[:k]
 	}
@@ -620,22 +756,31 @@ func (st *StreamState) Select() (*Candidates, []int) {
 
 	ids := make([]int, len(out))
 	c := &Candidates{
-		X:           mat.NewDense(len(out), st.src.Dim(), nil),
 		MuCost:      make([]float64, len(out)),
 		SigmaCost:   make([]float64, len(out)),
 		MuMem:       make([]float64, len(out)),
 		SigmaMem:    make([]float64, len(out)),
 		MemLimitLog: math.Inf(1),
 	}
-	one := mat.NewDense(1, st.src.Dim(), nil)
 	for i, e := range out {
 		ids[i] = e.id
 		c.MuCost[i], c.SigmaCost[i] = e.muC, e.sigC
 		c.MuMem[i], c.SigmaMem[i] = e.muM, e.sigM
-		st.src.Fill(e.id, e.id+1, one)
-		copy(c.X.Row(i), one.Row(0))
 	}
+	c.X = st.fillRows(ids)
 	return c, ids
+}
+
+// fillRows generates the feature rows of the given source ids, in order.
+func (st *StreamState) fillRows(ids []int) *mat.Dense {
+	dim := st.src.Dim()
+	xs := mat.NewDense(len(ids), dim, nil)
+	one := mat.NewDense(1, dim, nil)
+	for i, id := range ids {
+		st.src.Fill(id, id+1, one)
+		copy(xs.Row(i), one.Row(0))
+	}
+	return xs
 }
 
 // streamScorer adapts a StreamState to the replay loop's scorer surface:
@@ -696,10 +841,6 @@ func (s *streamScorer) remove(p int) {
 	s.st.Remove(s.ids[p])
 	s.ids = append(s.ids[:p], s.ids[p+1:]...)
 }
-
-// invalidate resets the prune bounds after a model refit (see
-// StreamState.InvalidateBounds).
-func (s *streamScorer) invalidate() { s.st.InvalidateBounds() }
 
 // fidelityGains is unavailable on the shortlist path: the streamed pool
 // supports shortlist-safe rankers only, none of which consume gains.

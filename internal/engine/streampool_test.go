@@ -105,10 +105,10 @@ func TestStreamSelectExactTopK(t *testing.T) {
 	}
 }
 
-// TestStreamApproxExactForSigmaMonotoneRank: with the maxsigma rank the
-// per-shard bound is a true upper bound (posterior sigma never increases as
-// observations accumulate), so approximate pruning still returns the exact
-// top-k across a schedule of appends and removals.
+// TestStreamApproxExactForSigmaMonotoneRank: with the maxsigma rank each
+// candidate's last rank is a true upper bound (posterior sigma never
+// increases as observations are appended), so approximate pruning still
+// returns the exact top-k across a schedule of appends and removals.
 func TestStreamApproxExactForSigmaMonotoneRank(t *testing.T) {
 	cost, mem, pool := streamFixture(t, 22, 40, 640)
 	rank, _ := rankerFor("maxsigma")
@@ -229,25 +229,37 @@ func TestStreamedReplayApproxSurvivesHyperopt(t *testing.T) {
 	}
 }
 
-// TestInvalidateBoundsForcesRescore: after InvalidateBounds every shard's
-// prune bound is +Inf again, so the next Select rescores the whole pool
-// even in approximate mode.
+// TestInvalidateBoundsForcesRescore: after invalidateBounds (the reset a
+// moved posterior generation triggers) every live candidate's prune bound
+// is +Inf again, so the next Select rescores the whole pool even in
+// approximate mode.
 func TestInvalidateBoundsForcesRescore(t *testing.T) {
 	cost, mem, x := streamFixture(t, 59, 40, 200)
 	st := NewStreamState(DenseSource{X: x}, cost, mem, StreamConfig{
 		ShardSize: 32, TopK: 4, Approx: true, RefreshEvery: 1 << 20,
 	})
-	st.Select() // primes the per-shard bounds
-	for s, b := range st.prevBest {
+	st.Select() // primes the per-candidate bounds
+	for id, b := range st.bounds {
 		if math.IsInf(b, 1) {
-			t.Fatalf("shard %d bound not primed", s)
+			t.Fatalf("candidate %d bound not primed", id)
 		}
 	}
-	st.InvalidateBounds()
-	for s, b := range st.prevBest {
-		if !math.IsInf(b, 1) {
-			t.Fatalf("shard %d bound %g after InvalidateBounds, want +Inf", s, b)
+	st.Remove(7)
+	st.invalidateBounds()
+	for id, b := range st.bounds {
+		if id == 7 {
+			if !isTombstone(b) {
+				t.Fatalf("invalidateBounds revived removed candidate 7 (bound %g)", b)
+			}
+			continue
 		}
+		if !math.IsInf(b, 1) {
+			t.Fatalf("candidate %d bound %g after invalidateBounds, want +Inf", id, b)
+		}
+	}
+	st.Select()
+	if got := laneTotals(st).candScored; got != int64(st.Live()) {
+		t.Fatalf("Select after invalidateBounds scored %d of %d live candidates", got, st.Live())
 	}
 }
 
@@ -306,9 +318,10 @@ func TestPoolSpecValidation(t *testing.T) {
 	}
 }
 
-// TestStreamObsReconciles: the scored/pruned counters partition the
-// shard-visit count, the live gauge tracks the pool, and the cache-op
-// counters record the sparse surrogate's extend traffic.
+// TestStreamObsReconciles: the shard scored/pruned counters partition the
+// shard-visit count, the candidate scored/pruned counters partition the
+// live candidates visited, the live gauge tracks the pool, and the
+// cache-op counters record the sparse surrogate's extend traffic.
 func TestStreamObsReconciles(t *testing.T) {
 	obs.Disable()
 	reg := obs.NewRegistry()
@@ -333,6 +346,21 @@ func TestStreamObsReconciles(t *testing.T) {
 	}
 	if scored < nShards {
 		t.Fatalf("scored %d: the first select can never prune", scored)
+	}
+	// The candidate counters partition the live candidates each Select
+	// visits: the i-th Select (from 0) sees pool - i, its predecessors'
+	// picks removed.
+	candScored, _ := reg.CounterValue(obs.MetricPoolCandidatesScored)
+	candPruned, _ := reg.CounterValue(obs.MetricPoolCandidatesPruned)
+	var visited int64
+	for i := int64(0); i < iters; i++ {
+		visited += int64(pool) - i
+	}
+	if candScored+candPruned != visited {
+		t.Fatalf("candidates scored %d + pruned %d != %d live candidates visited", candScored, candPruned, visited)
+	}
+	if candPruned == 0 {
+		t.Fatal("no candidate pruned across selects between refits")
 	}
 	live, ok := reg.GaugeValue(obs.MetricPoolStreamLive)
 	if !ok || live != float64(pool-int(iters)+1) {

@@ -84,6 +84,7 @@ type GP struct {
 	alpha  []float64
 	lml    float64
 	fitted bool
+	gen    uint64 // posterior generation (see Model.Generation)
 
 	// rowEval is the kernel-row fast path over the current training matrix
 	// and hyperparameters: it evaluates a full row of k(x, ·) with hoisted
@@ -270,6 +271,7 @@ func (g *GP) precompute() error {
 	n := float64(len(g.y))
 	g.lml = -0.5*mat.Dot(g.y, g.alpha) - 0.5*ch.LogDet() - 0.5*n*math.Log(2*math.Pi)
 	g.fitted = true
+	g.gen++
 	obs.GPRebuilds.Inc()
 	obs.GPTrainRows.Set(n)
 	for _, c := range g.caches {
@@ -277,6 +279,10 @@ func (g *GP) precompute() error {
 	}
 	return nil
 }
+
+// Generation implements Model: it advances on every posterior rebuild (Fit,
+// Refit, Load), never on Append.
+func (g *GP) Generation() uint64 { return g.gen }
 
 // Predict returns the posterior mean and standard deviation of the latent
 // function at each row of xs. Variances are clamped at zero before the

@@ -72,6 +72,7 @@ type MultiFid struct {
 	restarts    int
 	restartsSet bool
 	fitted      bool
+	gen         uint64 // posterior generation (see Model.Generation)
 }
 
 var _ Model = (*MultiFid)(nil)
@@ -170,6 +171,7 @@ func (m *MultiFid) Fit(x *mat.Dense, y []float64) error {
 		}
 	}
 	m.fitted = true
+	m.gen++
 	return nil
 }
 
@@ -264,6 +266,9 @@ func (m *MultiFid) Append(x []float64, y float64) error {
 	m.xs[l] = append(m.xs[l], p)
 	m.ys[l] = append(m.ys[l], y)
 	if m.levels[l] == nil {
+		// The level's prior σ gives way to a freshly fitted δ-GP, whose
+		// hyperparameters may raise σ where the prior was tighter.
+		m.gen++
 		return m.fitLevel(l)
 	}
 	resid := y
@@ -282,6 +287,7 @@ func (m *MultiFid) Refit() error {
 	if !m.fitted {
 		return ErrNoData
 	}
+	m.gen++
 	for l := range m.levels {
 		if err := m.fitLevel(l); err != nil {
 			return err
@@ -289,6 +295,10 @@ func (m *MultiFid) Refit() error {
 	}
 	return nil
 }
+
+// Generation implements Model: it advances on Fit, Refit, and the first
+// observation at a previously empty level.
+func (m *MultiFid) Generation() uint64 { return m.gen }
 
 // predictPoint evaluates the recursive posterior at a stripped point up to
 // the given level. Levels without data contribute zero mean and the kernel

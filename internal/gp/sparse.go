@@ -47,6 +47,7 @@ type Sparse struct {
 
 	caches []*SparseScoringCache
 	fitted bool
+	gen    uint64 // posterior generation (see Model.Generation)
 }
 
 var _ Model = (*Sparse)(nil)
@@ -198,6 +199,7 @@ func (s *Sparse) project() error {
 	s.beta = ch.SolveVec(s.kty)
 	s.zEval = kernel.RowEvaluator(s.kern, s.z)
 	s.fitted = true
+	s.gen++
 	for _, c := range s.caches {
 		c.invalidate()
 	}
@@ -329,6 +331,10 @@ func (s *Sparse) Refit() error {
 	}
 	return s.project()
 }
+
+// Generation implements Model: it advances on every projection (Fit,
+// Refit), never on the rank-1 Append.
+func (s *Sparse) Generation() uint64 { return s.gen }
 
 // Hyperparams implements Model.
 func (s *Sparse) Hyperparams() []float64 {

@@ -21,6 +21,14 @@ type Model interface {
 	Refit() error
 	Hyperparams() []float64
 	SetRestarts(n int)
+	// Generation is the posterior generation: a counter that advances on
+	// every change that can raise the predictive σ at some input — Fit,
+	// Refit, a sparse re-projection, a treed re-split, a multi-fidelity
+	// level's first fit. Append alone leaves it unchanged: absorbing an
+	// observation under fixed hyperparameters never raises σ, so a caller
+	// holding per-candidate σ upper bounds may keep them while the
+	// generation stays put.
+	Generation() uint64
 }
 
 var (
@@ -53,6 +61,7 @@ type Treed struct {
 	// capacity is exceeded); default 2.
 	rebalance int
 	root      *treeNode
+	gen       uint64 // posterior generation (see Model.Generation)
 
 	caches []*TreedScoringCache
 }
@@ -103,6 +112,7 @@ func (t *Treed) Fit(x *mat.Dense, y []float64) error {
 		return err
 	}
 	t.root = root
+	t.gen++
 	for _, c := range t.caches {
 		c.onReset()
 	}
@@ -339,6 +349,9 @@ func (t *Treed) Append(x []float64, y float64) error {
 // O(children · leafSize³) and no hyperparameter search restarts. Attached
 // pool caches re-route the dead leaf's candidates to the new leaves.
 func (t *Treed) resplit(leaf *treeNode) error {
+	// Children fit on fewer rows, so σ can rise anywhere the dead leaf
+	// covered.
+	t.gen++
 	old := leaf.model
 	h := old.Hyperparams()
 	proto := t.proto.Clone()
@@ -362,8 +375,13 @@ func (t *Treed) Refit() error {
 	if t.root == nil {
 		return ErrNoData
 	}
+	t.gen++
 	return walkLeaves(t.root, func(n *treeNode) error { return n.model.Refit() })
 }
+
+// Generation implements Model: it advances on Fit, Refit, and every leaf
+// re-split.
+func (t *Treed) Generation() uint64 { return t.gen }
 
 // Hyperparams implements Model: the concatenation of all leaf
 // hyperparameters (leaf order is deterministic: left before right).

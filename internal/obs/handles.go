@@ -156,11 +156,13 @@ var (
 	// Streamed candidate pool. The span histogram times one shard's
 	// predict-and-reduce; the in-flight gauge counts shards being scored
 	// concurrently (its high-water mark is the achieved parallelism).
-	PoolShardsScored   CounterHandle
-	PoolShardsPruned   CounterHandle
-	PoolStreamLive     GaugeHandle
-	PoolShardsInflight GaugeHandle
-	SpanShardScore     = SpanHandle{name: "pool.shard"}
+	PoolShardsScored     CounterHandle
+	PoolShardsPruned     CounterHandle
+	PoolCandidatesScored CounterHandle
+	PoolCandidatesPruned CounterHandle
+	PoolStreamLive       GaugeHandle
+	PoolShardsInflight   GaugeHandle
+	SpanShardScore       = SpanHandle{name: "pool.shard"}
 
 	// Per-model incremental scoring caches (sparse/treed).
 	ModelCacheOps CounterVecHandle
@@ -256,7 +258,9 @@ func bindHandles(r *Registry) {
 	CacheExtends.p.Store(r.Counter(MetricCacheExtends, "ScoringCache incremental extensions (Append)"))
 
 	PoolShardsScored.p.Store(r.Counter(MetricPoolShardsScored, "streamed-pool shards scored"))
-	PoolShardsPruned.p.Store(r.Counter(MetricPoolShardsPruned, "streamed-pool shards pruned by the upper-bound test"))
+	PoolShardsPruned.p.Store(r.Counter(MetricPoolShardsPruned, "streamed-pool shards skipped whole: no live candidate passed the prune bound"))
+	PoolCandidatesScored.p.Store(r.Counter(MetricPoolCandidatesScored, "streamed-pool live candidates predicted"))
+	PoolCandidatesPruned.p.Store(r.Counter(MetricPoolCandidatesPruned, "streamed-pool live candidates skipped by the per-candidate prune bound"))
 	PoolStreamLive.p.Store(r.Gauge(MetricPoolStreamLive, "live candidates in the streamed pool"))
 	PoolShardsInflight.p.Store(r.Gauge(MetricPoolShardsInflight, "streamed-pool shards being scored right now"))
 	SpanShardScore.hist.Store(r.Histogram(MetricPoolShardScoreSecs, "one shard's predict-and-reduce duration (seconds)", LatencyBuckets))
@@ -321,7 +325,7 @@ func unbindHandles() {
 		&LoopIterations, &CampaignViolations,
 		&GPRebuilds, &GPExtends,
 		&CacheHits, &CacheRebuilds, &CacheInvalidations, &CacheExtends,
-		&PoolShardsScored, &PoolShardsPruned,
+		&PoolShardsScored, &PoolShardsPruned, &PoolCandidatesScored, &PoolCandidatesPruned,
 		&MatDispatch, &MatInline,
 		&FaultAttempts, &FaultRetries, &FaultSuccess, &FaultCensored, &FaultFatal,
 		&CheckpointWrites, &CheckpointRestores,

@@ -43,13 +43,17 @@ const (
 	// like the sweep series below — per-worker scored counts additionally
 	// appear as dynamically-created `{worker="..."}` series of
 	// MetricPoolWorkerShards (absent from AllMetricNames: worker indices
-	// are only known at run time).
-	MetricPoolShardsScored   = "alamr_pool_shards_scored_total"
-	MetricPoolShardsPruned   = "alamr_pool_shards_pruned_total"
-	MetricPoolStreamLive     = "alamr_pool_stream_live"
-	MetricPoolShardsInflight = "alamr_pool_shards_inflight"
-	MetricPoolShardScoreSecs = "alamr_pool_shard_score_seconds"
-	MetricPoolWorkerShards   = "alamr_pool_worker_shards_total" // label: worker
+	// are only known at run time). The candidate counters partition the
+	// live candidates each Select visits: predicted, or skipped by the
+	// per-candidate prune bound.
+	MetricPoolShardsScored     = "alamr_pool_shards_scored_total"
+	MetricPoolShardsPruned     = "alamr_pool_shards_pruned_total"
+	MetricPoolCandidatesScored = "alamr_pool_candidates_scored_total"
+	MetricPoolCandidatesPruned = "alamr_pool_candidates_pruned_total"
+	MetricPoolStreamLive       = "alamr_pool_stream_live"
+	MetricPoolShardsInflight   = "alamr_pool_shards_inflight"
+	MetricPoolShardScoreSecs   = "alamr_pool_shard_score_seconds"
+	MetricPoolWorkerShards     = "alamr_pool_worker_shards_total" // label: worker
 
 	// Per-model incremental scoring caches (sparse/treed analogues of
 	// ScoringCache). One labeled series per (model, operation) pair.
@@ -202,6 +206,8 @@ var AllMetricNames = []string{
 	MetricCacheExtends,
 	MetricPoolShardsScored,
 	MetricPoolShardsPruned,
+	MetricPoolCandidatesScored,
+	MetricPoolCandidatesPruned,
 	MetricPoolStreamLive,
 	MetricPoolShardsInflight,
 	MetricPoolShardScoreSecs,

@@ -56,6 +56,11 @@ func RunSpecCtx(ctx context.Context, spec engine.CampaignSpec, ds *dataset.Datas
 	if err != nil {
 		return nil, err
 	}
+	// The lab is this call's own: close it on every return, so a remote
+	// dispatcher's listener never outlives its campaign.
+	if c, ok := lab.(interface{ Close() }); ok {
+		defer c.Close()
+	}
 	pol, err := engine.BuildPolicy(spec.Policy)
 	if err != nil {
 		return nil, err

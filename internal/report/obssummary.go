@@ -9,15 +9,16 @@ import (
 )
 
 // streamPoolSeries reports whether a series belongs to the streamed-pool
-// group (shard scored/pruned/in-flight counters and gauges, the live
-// gauge, the shard-latency histogram, and the per-lane labeled counters).
-// The group renders as a unit: nothing when streaming never ran, and the
-// full scored/pruned partition — a zero pruned count included — when it
-// did, so the reconcile invariant (scored + pruned = shards visited) is
-// always readable and a campaign that never streamed never shows a
-// misleading pruning block.
+// group (shard and candidate scored/pruned counters, the in-flight and
+// live gauges, the shard-latency histogram, and the per-lane labeled
+// counters). The group renders as a unit: nothing when streaming never
+// ran, and both scored/pruned partitions — zero pruned counts included —
+// when it did, so the reconcile invariants (scored + pruned = shards
+// visited, and = live candidates visited) are always readable and a
+// campaign that never streamed never shows a misleading pruning block.
 func streamPoolSeries(name string) bool {
 	return strings.HasPrefix(name, "alamr_pool_shards_") ||
+		strings.HasPrefix(name, "alamr_pool_candidates_") ||
 		strings.HasPrefix(name, obs.MetricPoolWorkerShards) ||
 		name == obs.MetricPoolStreamLive ||
 		name == obs.MetricPoolShardScoreSecs
@@ -51,7 +52,8 @@ func ObsSummary(r *obs.Registry) *Table {
 			continue
 		}
 		v := s.Counters[name]
-		if v != 0 || (streamed && name == obs.MetricPoolShardsPruned) {
+		pruneRow := name == obs.MetricPoolShardsPruned || name == obs.MetricPoolCandidatesPruned
+		if v != 0 || (streamed && pruneRow) {
 			t.Add(name, v)
 		}
 	}

@@ -63,6 +63,8 @@ func TestObsSummaryStreamPoolGating(t *testing.T) {
 	streamSeries := []string{
 		obs.MetricPoolShardsScored,
 		obs.MetricPoolShardsPruned,
+		obs.MetricPoolCandidatesScored,
+		obs.MetricPoolCandidatesPruned,
 		obs.MetricPoolShardsInflight,
 		obs.MetricPoolStreamLive,
 		obs.MetricPoolShardScoreSecs,
@@ -75,7 +77,7 @@ func TestObsSummaryStreamPoolGating(t *testing.T) {
 	reg.Counter(obs.MetricLoopIterations, "iters").Add(4)
 	reg.Gauge(obs.MetricPoolStreamLive, "live").Set(512)
 	reg.Gauge(obs.MetricPoolShardsInflight, "inflight").Set(0)
-	reg.Counter(streamSeries[5], "per-worker").Add(3)
+	reg.Counter(obs.Labeled(obs.MetricPoolWorkerShards, obs.LabelWorker, "0"), "per-worker").Add(3)
 	reg.Histogram(obs.MetricPoolShardScoreSecs, "latency", obs.LatencyBuckets).Observe(0.01)
 	out := ObsSummary(reg).String()
 	for _, name := range streamSeries {
@@ -92,22 +94,27 @@ func TestObsSummaryStreamPoolGating(t *testing.T) {
 	reg = obs.NewRegistry()
 	reg.Counter(obs.MetricPoolShardsScored, "scored").Add(64)
 	reg.Counter(obs.MetricPoolShardsPruned, "pruned").Add(0)
+	reg.Counter(obs.MetricPoolCandidatesScored, "scored").Add(64 * 4096)
+	reg.Counter(obs.MetricPoolCandidatesPruned, "pruned").Add(0)
 	reg.Gauge(obs.MetricPoolStreamLive, "live").Set(512)
 	tab := ObsSummary(reg)
 	out = tab.String()
-	for _, want := range []string{obs.MetricPoolShardsScored, obs.MetricPoolShardsPruned, obs.MetricPoolStreamLive} {
+	for _, want := range []string{obs.MetricPoolShardsScored, obs.MetricPoolShardsPruned,
+		obs.MetricPoolCandidatesScored, obs.MetricPoolCandidatesPruned, obs.MetricPoolStreamLive} {
 		if !strings.Contains(out, want) {
 			t.Errorf("streamed summary missing %s:\n%s", want, out)
 		}
 	}
-	prunedRow := false
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, obs.MetricPoolShardsPruned) && strings.HasSuffix(strings.TrimSpace(line), " 0") {
-			prunedRow = true
+	for _, pruned := range []string{obs.MetricPoolShardsPruned, obs.MetricPoolCandidatesPruned} {
+		prunedRow := false
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, pruned) && strings.HasSuffix(strings.TrimSpace(line), " 0") {
+				prunedRow = true
+			}
 		}
-	}
-	if !prunedRow {
-		t.Errorf("pruned row does not show an explicit 0:\n%s", out)
+		if !prunedRow {
+			t.Errorf("%s row does not show an explicit 0:\n%s", pruned, out)
+		}
 	}
 }
 
