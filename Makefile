@@ -147,9 +147,11 @@ bench-scale-full:
 # (n=500, m=1e4): every surrogate family's streamed shortlist winner must
 # equal the materialized argmax, with and without approximate pruning, the
 # parallel Select must reproduce the serial shortlist bit for bit at 1, 2,
-# 4, and GOMAXPROCS worker lanes (the worker-invariance pins), and the
+# 4, and GOMAXPROCS worker lanes (the worker-invariance pins), the
 # per-candidate prune bounds must match the full scan bitwise across
-# appends, removals, refits, and treed re-splits.
+# appends, removals, refits, and treed re-splits, and the memory surrogate
+# must be predicted for the shortlist rows only, its refits leaving the
+# cost-rank bounds in force.
 bench-scale-smoke:
-	$(GO) test -count=1 -run 'TestScaleSmoke|TestStreamSelectWorkerCountInvariant|TestStreamedReplayWorkerCountInvariant|TestStreamPerCandidateBoundsExact|TestStreamTreedResplitResetsBounds|TestStreamRefitResetsBounds' \
+	$(GO) test -count=1 -run 'TestScaleSmoke|TestStreamSelectWorkerCountInvariant|TestStreamedReplayWorkerCountInvariant|TestStreamPerCandidateBoundsExact|TestStreamTreedResplitResetsBounds|TestStreamRefitResetsBounds|TestStreamMemoryShortlistOnly|TestStreamMemoryRefitKeepsBounds' \
 		./internal/engine

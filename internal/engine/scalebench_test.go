@@ -98,13 +98,14 @@ func fitScaleModels(tb testing.TB, model string, n int) (gp.Model, gp.Model) {
 }
 
 // materializedPass is the baseline selection step: predict the whole pool
-// through both surrogates and scan for the rank argmax.
+// through both surrogates, as a materialized scorer does, and scan for the
+// rank argmax.
 func materializedPass(cost, mem gp.Model, poolX *mat.Dense, rank RankFunc) (int, float64) {
 	muC, sigC := cost.Predict(poolX)
-	muM, sigM := mem.Predict(poolX)
+	mem.Predict(poolX)
 	best, bestRank := -1, math.Inf(-1)
 	for i := range muC {
-		if r := rank(muC[i], sigC[i], muM[i], sigM[i]); r > bestRank {
+		if r := rank(muC[i], sigC[i]); r > bestRank {
 			best, bestRank = i, r
 		}
 	}
@@ -217,9 +218,9 @@ func TestScaleSmoke(t *testing.T) {
 				if len(ids) != 16 {
 					t.Fatalf("%s approx=%v: shortlist size %d, want 16", model, approx, len(ids))
 				}
-				if ids[0] != wantID || rank(c.MuCost[0], c.SigmaCost[0], c.MuMem[0], c.SigmaMem[0]) != wantRank {
+				if got := rank(c.MuCost[0], c.SigmaCost[0]); ids[0] != wantID || got != wantRank {
 					t.Fatalf("%s approx=%v round %d: shortlist winner %d (rank %g), materialized argmax %d (rank %g)",
-						model, approx, round, ids[0], rank(c.MuCost[0], c.SigmaCost[0], c.MuMem[0], c.SigmaMem[0]), wantID, wantRank)
+						model, approx, round, ids[0], got, wantID, wantRank)
 				}
 			}
 		}

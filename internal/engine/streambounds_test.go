@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"alamr/internal/gp"
@@ -173,5 +174,143 @@ func TestStreamRefitResetsBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// countingModel wraps a surrogate and counts the rows it is asked to
+// predict. Predict is the shortlist's entry point; PredictInto and
+// PredictIntoSerial are the batched ones a serial and a parallel lane call,
+// so every call through them is recorded as a lane call.
+type countingModel struct {
+	gp.Model
+	calls, rows, laneCalls atomic.Int64
+}
+
+func (m *countingModel) reset() {
+	m.calls.Store(0)
+	m.rows.Store(0)
+	m.laneCalls.Store(0)
+}
+
+func (m *countingModel) Predict(xs *mat.Dense) ([]float64, []float64) {
+	m.calls.Add(1)
+	m.rows.Add(int64(xs.Rows()))
+	return m.Model.Predict(xs)
+}
+
+func (m *countingModel) PredictInto(xs *mat.Dense, mean, std []float64) {
+	m.laneCalls.Add(1)
+	m.rows.Add(int64(xs.Rows()))
+	m.Model.(intoPredictor).PredictInto(xs, mean, std)
+}
+
+func (m *countingModel) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
+	m.laneCalls.Add(1)
+	m.rows.Add(int64(xs.Rows()))
+	m.Model.(serialPredictor).PredictIntoSerial(xs, mean, std)
+}
+
+// TestStreamMemoryShortlistOnly: the pass ranks through the cost surrogate
+// alone, so across appends, removals and a refit each Select asks the
+// memory surrogate for at most TopK rows, in one call, never from inside a
+// lane — for every surrogate family at workers {1, 2, GOMAXPROCS} — while
+// the shortlist's memory scores stay bitwise those of a full-pool Predict.
+func TestStreamMemoryShortlistOnly(t *testing.T) {
+	rank, _ := rankerFor("maxsigma")
+	const topK = 6
+	workers := []int{1, 2}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		workers = append(workers, p)
+	}
+	for _, family := range []string{"exact", "sparse", "treed"} {
+		for _, w := range workers {
+			t.Run(fmt.Sprintf("%s/workers=%d", family, w), func(t *testing.T) {
+				prev := mat.SetWorkers(w)
+				defer mat.SetWorkers(prev)
+				cfg := gp.Config{Noise: 0.1, FixedNoise: true, Restarts: -1}
+				cost, mem, pool := streamFamilyFixtureCfg(t, family, cfg, 94, 40, 300)
+				probe := &countingModel{Model: mem}
+				st := NewStreamState(DenseSource{X: pool}, cost, probe, StreamConfig{
+					ShardSize: 32, TopK: topK, Approx: true, Rank: rank,
+				})
+				removed := map[int]bool{}
+				rng := rand.New(rand.NewSource(95))
+				for round := 0; round < 8; round++ {
+					probe.reset()
+					c, ids := st.Select()
+					if n := probe.laneCalls.Load(); n != 0 {
+						t.Fatalf("round %d: a lane predicted the memory surrogate %d times", round, n)
+					}
+					if calls, rows := probe.calls.Load(), probe.rows.Load(); calls != 1 || rows > topK {
+						t.Fatalf("round %d: memory surrogate asked for %d rows in %d calls, want <= %d rows in 1",
+							round, rows, calls, topK)
+					}
+					checkShortlist(t, fmt.Sprintf("round %d", round), c, ids,
+						bruteTopK(cost, mem, pool, removed, rank, topK))
+					for _, id := range []int{ids[0], ids[len(ids)-1]} {
+						st.Remove(id)
+						removed[id] = true
+					}
+					y := rng.NormFloat64()
+					if err := cost.Append(pool.Row(ids[0]), y); err != nil {
+						t.Fatal(err)
+					}
+					if err := mem.Append(pool.Row(ids[0]), 0.5*y); err != nil {
+						t.Fatal(err)
+					}
+					if round == 3 {
+						if err := cost.Refit(); err != nil {
+							t.Fatal(err)
+						}
+						if err := mem.Refit(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStreamMemoryRefitKeepsBounds: the prune bounds are cost ranks, so a
+// refit of the memory surrogate alone — which moves only the memory
+// generation — must leave them in force: the next Select still prunes, and
+// its shortlist, memory scores included, equals the full scan bitwise.
+func TestStreamMemoryRefitKeepsBounds(t *testing.T) {
+	rank, _ := rankerFor("maxsigma")
+	for _, family := range []string{"exact", "sparse", "treed"} {
+		t.Run(family, func(t *testing.T) {
+			cfg := gp.Config{Noise: 0.1, FixedNoise: true, Restarts: -1}
+			cost, mem, pool := streamFamilyFixtureCfg(t, family, cfg, 96, 40, 300)
+			st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{
+				ShardSize: 32, TopK: 6, Approx: true, Rank: rank,
+			})
+			removed := map[int]bool{}
+			for round := 0; round < 3; round++ {
+				c, ids := st.Select()
+				checkShortlist(t, fmt.Sprintf("round %d", round), c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+				st.Remove(ids[0])
+				removed[ids[0]] = true
+				if err := cost.Append(pool.Row(ids[0]), 0.2*float64(round)); err != nil {
+					t.Fatal(err)
+				}
+				if err := mem.Append(pool.Row(ids[0]), 0.1*float64(round)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			costGen, memGen := cost.Generation(), mem.Generation()
+			if err := mem.Refit(); err != nil {
+				t.Fatal(err)
+			}
+			if mem.Generation() == memGen || cost.Generation() != costGen {
+				t.Fatalf("memory refit moved generations cost %d→%d, mem %d→%d; want only mem's",
+					costGen, cost.Generation(), memGen, mem.Generation())
+			}
+			c, ids := st.Select()
+			checkShortlist(t, "after memory refit", c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+			if scored := laneTotals(st).candScored; scored >= int64(st.Live()) {
+				t.Fatalf("Select after a memory-only refit scored %d of %d live candidates, want pruning", scored, st.Live())
+			}
+		})
 	}
 }

@@ -78,13 +78,12 @@ func streamFamilyFixtureCfg(t testing.TB, family string, cfg gp.Config, seed int
 
 // shortlistRecord snapshots one Select result: ids in order plus all four
 // score fields, the exact surface the acceptance criterion pins.
-func shortlistRecord(c *Candidates, ids []int) []streamEntry {
-	rec := make([]streamEntry, len(ids))
+func shortlistRecord(c *Candidates, ids []int) []scoredRow {
+	rec := make([]scoredRow, len(ids))
 	for i := range ids {
-		rec[i] = streamEntry{
-			id:  ids[i],
-			muC: c.MuCost[i], sigC: c.SigmaCost[i],
-			muM: c.MuMem[i], sigM: c.SigmaMem[i],
+		rec[i] = scoredRow{
+			streamEntry: streamEntry{id: ids[i], mu: c.MuCost[i], sigma: c.SigmaCost[i]},
+			muM:         c.MuMem[i], sigM: c.SigmaMem[i],
 		}
 	}
 	return rec
@@ -93,9 +92,9 @@ func shortlistRecord(c *Candidates, ids []int) []streamEntry {
 // runStreamScript executes a deterministic multi-round Select / Remove /
 // Append schedule at a given worker count, rebuilding the models from
 // scratch so every run starts from an identical posterior, and returns the
-// per-round shortlist records. Round 2 refits both models, which moves
-// their posterior generations and so resets the prune bounds.
-func runStreamScript(t *testing.T, family, rankName string, approx bool, workers int) [][]streamEntry {
+// per-round shortlist records. Round 2 refits both models; the cost
+// model's moved posterior generation resets the prune bounds.
+func runStreamScript(t *testing.T, family, rankName string, approx bool, workers int) [][]scoredRow {
 	t.Helper()
 	prev := mat.SetWorkers(workers)
 	defer mat.SetWorkers(prev)
@@ -109,7 +108,7 @@ func runStreamScript(t *testing.T, family, rankName string, approx bool, workers
 		Rank: rank, NonMonotoneRank: !rankerIsMonotone(rankName),
 	})
 	rng := rand.New(rand.NewSource(99))
-	var script [][]streamEntry
+	var script [][]scoredRow
 	for round := 0; round < 5; round++ {
 		c, ids := st.Select()
 		script = append(script, shortlistRecord(c, ids))
@@ -162,7 +161,7 @@ func TestStreamSelectWorkerCountInvariant(t *testing.T) {
 // rebuildAt (if >= 0) the StreamState is discarded and rebuilt from
 // scratch — the restore path, which persists only the tombstone set — and
 // every tombstone is re-applied before the schedule continues.
-func runResumeScript(t *testing.T, rankName string, approx bool, workers, rebuildAt int) [][]streamEntry {
+func runResumeScript(t *testing.T, rankName string, approx bool, workers, rebuildAt int) [][]scoredRow {
 	t.Helper()
 	prev := mat.SetWorkers(workers)
 	defer mat.SetWorkers(prev)
@@ -175,7 +174,7 @@ func runResumeScript(t *testing.T, rankName string, approx bool, workers, rebuil
 	st := NewStreamState(DenseSource{X: pool}, cost, mem, cfg)
 	rng := rand.New(rand.NewSource(101))
 	var tombstones []int
-	var script [][]streamEntry
+	var script [][]scoredRow
 	for round := 0; round < 6; round++ {
 		if round == rebuildAt {
 			st = NewStreamState(DenseSource{X: pool}, cost, mem, cfg)

@@ -14,12 +14,14 @@ import (
 
 // The streamed candidate pool replaces materialize-everything scoring for
 // pools too large to hold per-candidate state: candidates are generated
-// and scored shard by shard, every shard reduces into a bounded top-k
-// heap, and the heaps merge into one exact global top-k shortlist. Peak
-// pool memory is O(workers·shard + k) — per-worker feature slabs, score
-// vectors, and partial heaps, plus the shortlist — and 8 bytes per
-// candidate for its prune bound, instead of the O(m·n) a ScoringCache
-// pins or the O(m) feature and score arrays a materialized pass allocates.
+// and ranked shard by shard through the cost surrogate alone (a RankFunc
+// cannot read memory), every shard reduces into a bounded top-k heap, and
+// the heaps merge into one exact global top-k shortlist, for whose ≤k rows
+// alone the memory surrogate is then predicted. Peak pool memory is
+// O(workers·shard + k) — per-worker feature slabs, μ/σ score vectors, and
+// partial heaps, plus the shortlist — and 8 bytes per candidate for its
+// prune bound, instead of the O(m·n) a ScoringCache pins or the O(m)
+// feature and score arrays a materialized pass allocates.
 //
 // Shard scoring is parallel: Select dispatches W = min(mat.Workers(),
 // shards) worker lanes over the internal/mat pool, each lane claiming
@@ -30,8 +32,9 @@ import (
 // CandidateSource.Fill cost overlaps scoring. The shortlist is independent
 // of scheduling at every worker count: the top-k under the strict total
 // order (rank desc, id asc) is a unique set, each candidate's scores are
-// computed in full by exactly one lane with a floating-point evaluation
-// order that depends on neither the lane nor the row's slab position, and
+// computed in full by exactly one lane (memory: by the one post-merge
+// Predict) with a floating-point evaluation order that depends on neither
+// the lane nor the row's position in the batch, and
 // the final merge sorts the union of the lanes' heaps under that same
 // order — so which lane scored which shard cannot change the result.
 // mat.SetWorkers(1) degrades to the fully serial reference path.
@@ -52,15 +55,16 @@ import (
 // local heap holds k entries, via an atomic CAS-max. A stale read of the
 // bound is always a smaller value, so racing lanes can only prune less,
 // never more — pruning stays exact under any interleaving, even though
-// *which* candidates get pruned may vary with the schedule. Bounds reset
-// whenever either model's posterior generation moves (gp.Model.Generation:
-// a refit, a sparse re-projection, a treed re-split), the only events that
-// can raise σ. For mean-coupled ranks (minpred) a mid-call bound is not
-// valid and a schedule-dependent prune set would make the output depend on
-// the worker count, so the prune threshold is instead the previous
-// Select's final k-th rank — deterministic by construction, boundedly
-// stale, with RefreshEvery forcing a full un-pruned rescore every k-th
-// call. DESIGN.md §Surrogate scaling states both bounds precisely.
+// *which* candidates get pruned may vary with the schedule. Bounds are
+// cost ranks, so they reset whenever the cost model's posterior generation
+// moves (gp.Model.Generation: a refit, a sparse re-projection, a treed
+// re-split), the only events that can raise σ. For mean-coupled ranks
+// (minpred) a mid-call bound is not valid and a schedule-dependent prune
+// set would make the output depend on the worker count, so the prune
+// threshold is instead the previous Select's final k-th rank —
+// deterministic by construction, boundedly stale, with RefreshEvery
+// forcing a full un-pruned rescore every k-th call. DESIGN.md §Surrogate
+// scaling states both bounds precisely.
 
 // CandidateSource yields candidate feature rows on demand, so a pool can
 // exist without ever materializing m×d storage. Fill must be safe for
@@ -124,10 +128,11 @@ func (s GridSource) Fill(lo, hi int, dst *mat.Dense) {
 	}
 }
 
-// RankFunc scores one candidate for shortlist ordering; higher is better.
-// It must be the same criterion the policy maximizes, so the policy's
-// argmax over the shortlist equals its argmax over the full pool.
-type RankFunc func(muC, sigC, muM, sigM float64) float64
+// RankFunc scores one candidate for shortlist ordering from the cost
+// surrogate's posterior μ and σ; higher is better. It must be the same
+// criterion the policy maximizes, so the policy's argmax over the
+// shortlist equals its argmax over the full pool.
+type RankFunc func(mu, sigma float64) float64
 
 // rankerSpec pairs a shortlist criterion with its pruning class: monotone
 // ranks can only decrease as observations are appended (they depend on σ
@@ -143,8 +148,8 @@ type rankerSpec struct {
 // randgoodness, rgma) draw from the whole pool and cannot run on a
 // shortlist.
 var rankers = map[string]rankerSpec{
-	"maxsigma": {fn: func(muC, sigC, muM, sigM float64) float64 { return sigC }, monotone: true},
-	"minpred":  {fn: func(muC, sigC, muM, sigM float64) float64 { return sigC - muC }},
+	"maxsigma": {fn: func(mu, sigma float64) float64 { return sigma }, monotone: true},
+	"minpred":  {fn: func(mu, sigma float64) float64 { return sigma - mu }},
 }
 
 func rankerFor(name string) (RankFunc, bool) {
@@ -190,12 +195,11 @@ func (c *StreamConfig) setDefaults() {
 	}
 }
 
-// streamEntry is one shortlist candidate: its source id and scores.
+// streamEntry is one candidate's source id, rank, and cost posterior.
 type streamEntry struct {
 	id        int
 	rank      float64
-	muC, sigC float64
-	muM, sigM float64
+	mu, sigma float64
 }
 
 // better orders entries like a first-max full scan: higher rank wins, ties
@@ -216,14 +220,14 @@ type fillReq struct {
 
 // streamWorker is one scoring lane's private state, reused across Select
 // calls: a double-buffered feature slab (the second half allocated only
-// when prefetch runs), score buffers, the source ids of the rows compacted
-// into the slab, a bounded partial heap, and the lane's shard and
+// when prefetch runs), cost μ/σ buffers, the source ids of the rows
+// compacted into the slab, a bounded partial heap, and the lane's shard and
 // candidate counters (aggregated into the obs totals after the merge).
 type streamWorker struct {
-	xbuf                 [2]*mat.Dense
-	muC, sigC, muM, sigM []float64
-	ids                  []int
-	heap                 []streamEntry
+	xbuf      [2]*mat.Dense
+	mu, sigma []float64
+	ids       []int
+	heap      []streamEntry
 
 	scored, pruned         int64 // shards
 	candScored, candPruned int64 // live candidates
@@ -307,7 +311,7 @@ type StreamState struct {
 	// tombstone once removed. 8 bytes per candidate.
 	bounds  []float64
 	live    int
-	gens    [2]uint64 // cost and mem posterior generations the bounds hold under
+	gen     uint64 // cost posterior generation the bounds hold under
 	calls   int
 	lastKth float64 // previous Select's final k-th rank (non-monotone prune threshold)
 	top     []int   // previous Select's top k+1 ids (σ-monotone seed bound)
@@ -348,8 +352,8 @@ func predictShard(m gp.Model, xs *mat.Dense, mean, std []float64, serial bool) (
 	return m.Predict(xs)
 }
 
-// NewStreamState builds a streamed pool over src scored by the two fitted
-// surrogates.
+// NewStreamState builds a streamed pool over src ranked by the fitted cost
+// surrogate, with mem predicted for the shortlist.
 func NewStreamState(src CandidateSource, cost, mem gp.Model, cfg StreamConfig) *StreamState {
 	cfg.setDefaults()
 	if cfg.Rank == nil {
@@ -363,7 +367,7 @@ func NewStreamState(src CandidateSource, cost, mem gp.Model, cfg StreamConfig) *
 		cfg:     cfg,
 		bounds:  make([]float64, n),
 		live:    n,
-		gens:    [2]uint64{cost.Generation(), mem.Generation()},
+		gen:     cost.Generation(),
 		lastKth: math.Inf(-1),
 	}
 	for i := range st.bounds {
@@ -386,8 +390,8 @@ func (st *StreamState) Remove(id int) {
 }
 
 // invalidateBounds resets every live candidate's prune bound to +Inf, so
-// the coming Select rescores the whole pool. Select calls it whenever
-// either model's posterior generation has moved (a refit, a sparse
+// the coming Select rescores the whole pool. Select calls it whenever the
+// cost model's posterior generation has moved (a refit, a sparse
 // re-projection, a treed re-split — the changes that can raise σ).
 func (st *StreamState) invalidateBounds() {
 	for i, b := range st.bounds {
@@ -467,11 +471,9 @@ func (st *StreamState) ensureWorkers(w int, prefetch bool) {
 		sw := st.workers[i]
 		if sw == nil {
 			sw = &streamWorker{
-				muC:  make([]float64, shard),
-				sigC: make([]float64, shard),
-				muM:  make([]float64, shard),
-				sigM: make([]float64, shard),
-				ids:  make([]int, 0, shard),
+				mu:    make([]float64, shard),
+				sigma: make([]float64, shard),
+				ids:   make([]int, 0, shard),
 			}
 			sw.xbuf[0] = mat.NewDense(shard, dim, nil)
 			st.workers[i] = sw
@@ -513,7 +515,7 @@ func countLive(bounds []float64) int64 {
 
 // scoreShard compacts the filled shard's surviving candidates — live, with
 // a bound not strictly below the current threshold — to the front of the
-// slab, predicts them through both surrogates, reduces them into the
+// slab, predicts them through the cost surrogate, reduces them into the
 // lane's bounded heap, and records their ranks as their new bounds. Writes
 // touch lane-private state plus bounds[lo:hi], which only this lane (the
 // shard's claimant) reads or writes during the call.
@@ -545,16 +547,15 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, li
 	if rows != xs.Rows() {
 		xs = mat.NewDense(rows, xs.Cols(), xs.RawData()[:rows*xs.Cols()])
 	}
-	muC, sigC := predictShard(st.cost, xs, w.muC, w.sigC, serial)
-	muM, sigM := predictShard(st.mem, xs, w.muM, w.sigM, serial)
+	mu, sigma := predictShard(st.cost, xs, w.mu, w.sigma, serial)
 	k := st.cfg.TopK
 	for i, id := range w.ids {
-		r := st.cfg.Rank(muC[i], sigC[i], muM[i], sigM[i])
+		r := st.cfg.Rank(mu[i], sigma[i])
 		st.bounds[id] = r
 		if math.IsNaN(r) {
 			st.bounds[id] = math.Inf(1) // a NaN rank must not read as a tombstone
 		}
-		w.heap = pushBounded(w.heap, streamEntry{id: id, rank: r, muC: muC[i], sigC: sigC[i], muM: muM[i], sigM: sigM[i]}, k+1)
+		w.heap = pushBounded(w.heap, streamEntry{id: id, rank: r, mu: mu[i], sigma: sigma[i]}, k+1)
 	}
 	w.scored++
 	w.candScored += int64(rows)
@@ -643,24 +644,22 @@ func (st *StreamState) seedBound() float64 {
 	if len(ids) < k {
 		return math.Inf(-1)
 	}
-	xs := st.fillRows(ids)
-	muC, sigC := st.cost.Predict(xs)
-	muM, sigM := st.mem.Predict(xs)
+	mu, sigma := st.cost.Predict(st.fillRows(ids))
 	ranks := make([]float64, len(ids))
 	for i := range ranks {
-		ranks[i] = st.cfg.Rank(muC[i], sigC[i], muM[i], sigM[i])
+		ranks[i] = st.cfg.Rank(mu[i], sigma[i])
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(ranks)))
 	return ranks[k-1]
 }
 
-// Select scores the pool shard by shard — fanned out over min(Workers,
+// Select ranks the pool shard by shard — fanned out over min(Workers,
 // shards) lanes, see the package comment for the determinism argument —
 // and returns the top-k shortlist as a Candidates block plus the
 // shortlist's source ids, both ordered by (rank desc, id asc) so a
 // first-max policy scan picks the same candidate a full-pool scan would.
 // The Candidates' slices are freshly allocated (size k); the X matrix
-// holds the shortlist rows only.
+// holds the shortlist rows only, nil when no candidate is live.
 func (st *StreamState) Select() (*Candidates, []int) {
 	n := st.src.Len()
 	shard := st.cfg.ShardSize
@@ -668,9 +667,9 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	nShards := (n + shard - 1) / shard
 	st.calls++
 	reset := false
-	if g := [2]uint64{st.cost.Generation(), st.mem.Generation()}; g != st.gens {
+	if g := st.cost.Generation(); g != st.gen {
 		st.invalidateBounds()
-		st.gens = g
+		st.gen = g
 		reset = true
 	}
 
@@ -758,16 +757,16 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	c := &Candidates{
 		MuCost:      make([]float64, len(out)),
 		SigmaCost:   make([]float64, len(out)),
-		MuMem:       make([]float64, len(out)),
-		SigmaMem:    make([]float64, len(out)),
 		MemLimitLog: math.Inf(1),
 	}
 	for i, e := range out {
 		ids[i] = e.id
-		c.MuCost[i], c.SigmaCost[i] = e.muC, e.sigC
-		c.MuMem[i], c.SigmaMem[i] = e.muM, e.sigM
+		c.MuCost[i], c.SigmaCost[i] = e.mu, e.sigma
 	}
-	c.X = st.fillRows(ids)
+	if len(ids) > 0 {
+		c.X = st.fillRows(ids)
+		c.MuMem, c.SigmaMem = st.mem.Predict(c.X)
+	}
 	return c, ids
 }
 

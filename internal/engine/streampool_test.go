@@ -46,29 +46,37 @@ func streamFixture(t testing.TB, seed int64, n, m int) (cost, mem gp.Model, pool
 	return gc, gm, pool
 }
 
-// bruteTopK is the reference: score the whole pool, rank every live
-// candidate, sort by (rank desc, id asc), truncate to k.
-func bruteTopK(cost, mem gp.Model, pool *mat.Dense, removed map[int]bool, rank RankFunc, k int) []streamEntry {
+// scoredRow is one shortlist row as the tests record it: the streamed
+// entry (id, rank, cost posterior) plus the memory posterior.
+type scoredRow struct {
+	streamEntry
+	muM, sigM float64
+}
+
+// bruteTopK is the reference: predict the whole pool through both
+// surrogates, rank every live candidate, sort by (rank desc, id asc),
+// truncate to k.
+func bruteTopK(cost, mem gp.Model, pool *mat.Dense, removed map[int]bool, rank RankFunc, k int) []scoredRow {
 	muC, sigC := cost.Predict(pool)
 	muM, sigM := mem.Predict(pool)
-	var all []streamEntry
+	var all []scoredRow
 	for i := 0; i < pool.Rows(); i++ {
 		if removed[i] {
 			continue
 		}
-		all = append(all, streamEntry{
-			id: i, rank: rank(muC[i], sigC[i], muM[i], sigM[i]),
-			muC: muC[i], sigC: sigC[i], muM: muM[i], sigM: sigM[i],
+		all = append(all, scoredRow{
+			streamEntry: streamEntry{id: i, rank: rank(muC[i], sigC[i]), mu: muC[i], sigma: sigC[i]},
+			muM:         muM[i], sigM: sigM[i],
 		})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].better(all[j]) })
+	sort.Slice(all, func(i, j int) bool { return all[i].better(all[j].streamEntry) })
 	if len(all) > k {
 		all = all[:k]
 	}
 	return all
 }
 
-func checkShortlist(t *testing.T, tag string, c *Candidates, ids []int, want []streamEntry) {
+func checkShortlist(t *testing.T, tag string, c *Candidates, ids []int, want []scoredRow) {
 	t.Helper()
 	if len(ids) != len(want) {
 		t.Fatalf("%s: shortlist has %d entries, want %d", tag, len(ids), len(want))
@@ -77,7 +85,7 @@ func checkShortlist(t *testing.T, tag string, c *Candidates, ids []int, want []s
 		if ids[i] != w.id {
 			t.Fatalf("%s: shortlist[%d] = id %d, want %d", tag, i, ids[i], w.id)
 		}
-		if c.MuCost[i] != w.muC || c.SigmaCost[i] != w.sigC || c.MuMem[i] != w.muM || c.SigmaMem[i] != w.sigM {
+		if c.MuCost[i] != w.mu || c.SigmaCost[i] != w.sigma || c.MuMem[i] != w.muM || c.SigmaMem[i] != w.sigM {
 			t.Fatalf("%s: shortlist[%d] scores diverge from full-pool Predict", tag, i)
 		}
 	}
@@ -380,5 +388,34 @@ func TestStreamObsReconciles(t *testing.T) {
 	rebuilds, _ := reg.CounterValue(obs.Labeled(obs.MetricModelCacheOps, "kind", obs.ModelCacheSparseRebuild))
 	if extends == 0 || rebuilds == 0 {
 		t.Fatalf("materialized sparse campaign recorded extends=%d rebuilds=%d cache ops", extends, rebuilds)
+	}
+}
+
+// TestStreamSelectEmptyPool: once every candidate is removed, Select
+// returns an empty shortlist — without generating rows or asking the
+// memory surrogate for any — and a policy reports the empty candidate set
+// as an error, at every worker count.
+func TestStreamSelectEmptyPool(t *testing.T) {
+	cost, mem, pool := streamFixture(t, 63, 20, 10)
+	for _, w := range streamWorkerCounts() {
+		prev := mat.SetWorkers(w)
+		probe := &countingModel{Model: mem}
+		st := NewStreamState(DenseSource{X: pool}, cost, probe, StreamConfig{ShardSize: 4, TopK: 3, Approx: true})
+		st.Select()
+		for id := 0; id < pool.Rows(); id++ {
+			st.Remove(id)
+		}
+		probe.reset()
+		c, ids := st.Select()
+		mat.SetWorkers(prev)
+		if len(ids) != 0 || c.Len() != 0 || c.X != nil {
+			t.Fatalf("workers=%d: empty pool gave %d ids, %d candidates, X %v", w, len(ids), c.Len(), c.X)
+		}
+		if n := probe.calls.Load() + probe.laneCalls.Load(); n != 0 {
+			t.Fatalf("workers=%d: empty pool asked the memory surrogate %d times", w, n)
+		}
+		if _, err := (MaxSigma{}).Select(c, rand.New(rand.NewSource(1))); err == nil || !strings.Contains(err.Error(), "empty candidate set") {
+			t.Fatalf("workers=%d: policy on the empty shortlist returned %v", w, err)
+		}
 	}
 }
