@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci bench bench-al bench-scale bench-scale-full bench-scale-smoke fmt vet race chaos chaos-remote obs-check sweep-smoke serve-smoke docs-check fidelity-smoke
+.PHONY: all build test ci bench bench-al bench-scale bench-scale-full bench-scale-smoke fmt vet vet-arm64 fuzz-smoke race chaos chaos-remote obs-check sweep-smoke serve-smoke docs-check fidelity-smoke
 
 all: build
 
@@ -15,6 +15,19 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# vet-arm64 cross-compiles and vets the tree for arm64, so the portable
+# (!amd64) fallbacks of the assembly kernels build; nothing runs.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./...
+
+# fuzz-smoke runs each fuzz target briefly: the four-lane exponential on
+# arbitrary bit patterns and the fused RBF kernel row on arbitrary small
+# designs, both compared bitwise with the scalar code. A crasher is saved
+# under the package's testdata/fuzz and replays as a regression test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzExpLanes$$' -fuzztime 5s ./internal/mat
+	$(GO) test -run '^$$' -fuzz '^FuzzRBFRow$$' -fuzztime 5s ./internal/kernel
 
 # Race runs use -short: the equivalence tests scale their sizes down so the
 # instrumented binary stays within CI time budgets. faults and online carry
@@ -93,13 +106,13 @@ fidelity-smoke:
 docs-check:
 	$(GO) run ./cmd/docs-check
 
-# ci is the gate for every PR: formatting, vet, full build, full test suite,
-# then the race detector over the parallel-heavy packages, then the
-# observability, sweep, serving, docs, and pool-scaling gates. The race
-# target already covers ./internal/gp and ./internal/engine, so the
-# cache-equivalence and streamed-pool tests run under the race detector here
-# too.
-ci: fmt vet build test race obs-check sweep-smoke fidelity-smoke serve-smoke docs-check chaos-remote bench-scale-smoke
+# ci is the gate for every change: formatting, vet (native and arm64), full
+# build, full test suite, a short fuzz pass, then the race detector over the
+# parallel-heavy packages, then the observability, sweep, serving, docs, and
+# pool-scaling gates. The race target already covers ./internal/gp and
+# ./internal/engine, so the cache-equivalence and streamed-pool tests run
+# under the race detector here too.
+ci: fmt vet vet-arm64 build test fuzz-smoke race obs-check sweep-smoke fidelity-smoke serve-smoke docs-check chaos-remote bench-scale-smoke
 
 # bench runs the linear-algebra / GP hot-path benchmarks and emits the raw
 # `go test -json` event stream to BENCH_gp.json (one JSON object per line;

@@ -3,6 +3,7 @@ package amr
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Reference is a resolved reference solution of the shock-bubble problem:
@@ -24,9 +25,17 @@ type RefSnapshot struct {
 	T        float64
 	Grad     []float64 // Nx*Ny, row-major, |∇ρ|/ρ per unit length
 	MaxSpeed float64
-	// pool[l] is the max of Grad over each quadrant of level l+1, sized
-	// qx(l+1)*qy(l+1); built lazily per overlay geometry.
-	pool map[poolKey][]float64
+	// pool holds, per overlay geometry, the max of Grad over each quadrant
+	// of a level, built lazily.
+	pool *quadPool
+}
+
+// quadPool is RefSnapshot's lazily filled max-pool cache. Concurrent
+// emulations (dataset.Generate's workers) share one snapshot, so the map
+// is guarded.
+type quadPool struct {
+	mu  sync.Mutex
+	tbl map[poolKey][]float64
 }
 
 type poolKey struct {
@@ -114,7 +123,7 @@ func takeSnapshot(m *Mesh, nx, ny int) RefSnapshot {
 			}
 		}
 	}
-	return RefSnapshot{T: m.Time(), Grad: grad, MaxSpeed: smax, pool: make(map[poolKey][]float64)}
+	return RefSnapshot{T: m.Time(), Grad: grad, MaxSpeed: smax, pool: &quadPool{tbl: make(map[poolKey][]float64)}}
 }
 
 // quadMax returns the maximum of the snapshot's gradient field over quadrant
@@ -122,7 +131,9 @@ func takeSnapshot(m *Mesh, nx, ny int) RefSnapshot {
 // max-pool table.
 func (s *RefSnapshot) quadMax(nx, ny, level, rootsX, rootsY, pi, pj int) float64 {
 	k := poolKey{level, rootsX, rootsY}
-	tbl, ok := s.pool[k]
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	tbl, ok := s.pool.tbl[k]
 	if !ok {
 		qx := rootsX << (level - 1)
 		qy := rootsY << (level - 1)
@@ -160,7 +171,7 @@ func (s *RefSnapshot) quadMax(nx, ny, level, rootsX, rootsY, pi, pj int) float64
 				tbl[qj*qx+qi] = mx
 			}
 		}
-		s.pool[k] = tbl
+		s.pool.tbl[k] = tbl
 	}
 	qx := rootsX << (level - 1)
 	return tbl[pj*qx+pi]

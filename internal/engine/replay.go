@@ -128,26 +128,31 @@ func (e *replayEnv) Absorb(pick int, ex Execution, refit bool) error {
 	return nil
 }
 
-// Remove drops the round's picks: the index slice is rebuilt via a drop
-// set, the scorer in descending position order (so earlier removals do not
-// shift later positions). Picks arrive as candidates-indices and are
-// translated to pool positions first (identity for the materialized pool).
+// Remove drops the round's picks (distinct pool positions): the index
+// slice is compacted in one pass over the sorted positions, moving the runs
+// between them down, and the scorer drops them in descending position order
+// (so earlier removals do not shift later positions). Picks arrive as
+// candidates-indices and are translated to pool positions first (identity
+// for the materialized pool).
 func (e *replayEnv) Remove(picks []int) {
 	// Translate before any removal shifts positions.
 	pos := make([]int, len(picks))
-	drop := make(map[int]bool, len(picks))
 	for i, p := range picks {
 		pos[i] = e.scorer.translate(p)
-		drop[pos[i]] = true
 	}
-	next := e.remaining[:0]
-	for i, idx := range e.remaining {
-		if !drop[i] {
-			next = append(next, idx)
-		}
+	if len(pos) == 0 {
+		return
 	}
-	e.remaining = next
 	sort.Ints(pos)
+	kept := pos[0]
+	for k, p := range pos {
+		end := len(e.remaining)
+		if k+1 < len(pos) {
+			end = pos[k+1]
+		}
+		kept += copy(e.remaining[kept:], e.remaining[p+1:end])
+	}
+	e.remaining = e.remaining[:kept]
 	for i := len(pos) - 1; i >= 0; i-- {
 		e.scorer.remove(pos[i])
 	}

@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -124,5 +125,42 @@ func TestTreedPredictRangeAllocs(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Fatalf("treed PredictIntoSerial allocates %.0f times per 512-row batch, want O(leaf growth) <= 16", allocs)
+	}
+}
+
+// TestSparsePredictPositionIndependent: a row's μ and σ are the bits it gets
+// when predicted alone, whether it lands in a group of four or in the
+// remainder, at any batch length and offset. The streamed pool compacts its
+// shards and so re-positions candidates between passes; it relies on this.
+func TestSparsePredictPositionIndependent(t *testing.T) {
+	model := serialFixtures(t, 120)["sparse"]
+	pool := serialPool(33, 13)
+	rows := func(lo, hi int) *mat.Dense {
+		d := pool.Cols()
+		return mat.NewDense(hi-lo, d, pool.RawData()[lo*d:hi*d])
+	}
+	alone := func(i int) (float64, float64) {
+		mean, std := make([]float64, 1), make([]float64, 1)
+		model.PredictIntoSerial(rows(i, i+1), mean, std)
+		return mean[0], std[0]
+	}
+	for n := 1; n <= 9; n++ {
+		for off := 0; off+n <= pool.Rows(); off += 2 {
+			xs := rows(off, off+n)
+			for _, serial := range []bool{false, true} {
+				mean, std := make([]float64, n), make([]float64, n)
+				if serial {
+					model.PredictIntoSerial(xs, mean, std)
+				} else {
+					model.PredictInto(xs, mean, std)
+				}
+				for i := range mean {
+					wm, ws := alone(off + i)
+					if math.Float64bits(mean[i]) != math.Float64bits(wm) || math.Float64bits(std[i]) != math.Float64bits(ws) {
+						t.Fatalf("n=%d off=%d serial=%v row %d: (%v, %v), alone (%v, %v)", n, off, serial, i, mean[i], std[i], wm, ws)
+					}
+				}
+			}
+		}
 	}
 }

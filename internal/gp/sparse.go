@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"alamr/internal/kernel"
 	"alamr/internal/mat"
@@ -243,19 +244,60 @@ func (s *Sparse) PredictInto(xs *mat.Dense, mean, std []float64) {
 	})
 }
 
-// predictRange scores rows [lo, hi) with one scratch pair for the whole
-// range. Prediction reads model state only (zEval is concurrent-safe, the
-// factor solve writes caller scratch), so concurrent predictRange calls on
-// one fitted model are race-free.
+// predictScratch recycles predictRange's buffers (one kernel row, four
+// interleaved solve vectors) across calls: the streamed pool predicts each
+// shard through its own call.
+var predictScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// predictRange scores rows [lo, hi) with one set of scratch buffers for
+// the whole range. Prediction reads model state only (zEval is
+// concurrent-safe, the factor solves write the pooled scratch), so
+// concurrent predictRange calls on one fitted model are race-free.
+//
+// Where the four-lane kernels run (mat.HaveLanes), rows go in groups of
+// four: their kernel rows are interleaved into w (w[4j+c] = k_m[j] of row
+// c), solved together by ForwardSolveLanes, and Σw² is summed per lane in
+// index order as mat.Dot sums. Every lane replays the per-row arithmetic,
+// so a row's μ and σ do not depend on its group or position; the streamed
+// pool's compaction relies on that. The remaining rows take the per-row
+// path.
 func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	m := s.z.Rows()
-	km := make([]float64, m)
-	w := make([]float64, m)
-	for i := lo; i < hi; i++ {
+	grouped := mat.HaveLanes() && hi-lo >= 4
+	buf := predictScratch.Get().(*[]float64)
+	defer predictScratch.Put(buf)
+	if cap(*buf) < 5*m {
+		*buf = make([]float64, 5*m)
+	}
+	km, w := (*buf)[:m], (*buf)[m:5*m]
+	i := lo
+	for ; grouped && i+4 <= hi; i += 4 {
+		for c := 0; c < 4; c++ {
+			s.zEval(xs.Row(i+c), 0, km)
+			mean[i+c] = mat.Dot(km, s.beta) + s.yMean
+			for j, v := range km {
+				w[4*j+c] = v
+			}
+		}
+		s.aChol.ForwardSolveLanes(w)
+		var v [4]float64
+		for j := 0; j < m; j++ {
+			for c := range v {
+				v[c] += w[4*j+c] * w[4*j+c]
+			}
+		}
+		for c, vc := range v {
+			if vc < 0 {
+				vc = 0
+			}
+			std[i+c] = math.Sqrt(vc)
+		}
+	}
+	for ; i < hi; i++ {
 		s.zEval(xs.Row(i), 0, km)
 		mean[i] = mat.Dot(km, s.beta) + s.yMean
-		s.aChol.ForwardSolveVecToSerial(w, km)
-		v := mat.Dot(w, w)
+		s.aChol.ForwardSolveVecToSerial(w[:m], km)
+		v := mat.Dot(w[:m], w[:m])
 		if v < 0 {
 			v = 0
 		}
@@ -269,7 +311,7 @@ func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 // contract.
 func (s *Sparse) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
 	if !s.fitted {
-		panic("gp: Sparse.PredictInto before Fit")
+		panic("gp: Sparse.PredictIntoSerial before Fit")
 	}
 	n := xs.Rows()
 	if len(mean) != n || len(std) != n {

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"alamr/internal/mat"
@@ -107,6 +109,32 @@ func BenchmarkKernelCross(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Cross(k, y, x)
+			}
+		})
+	}
+}
+
+// BenchmarkRBFRow times one kernel row against an inducing set of the
+// sparse surrogate's sizes: "fused" is RowEval.Eval (four rows per vector
+// step where the CPU has them), "scalar" the per-pair expression it
+// replays.
+func BenchmarkRBFRow(b *testing.B) {
+	for _, n := range []int{50, 64, 128} {
+		z := benchInputs(n)
+		e := NewRowEval(NewRBF(1.2, 0.8), z).(*rbfRowEval)
+		x := benchInputs(1).Row(0)
+		out := make([]float64, n)
+		b.Run(strconv.Itoa(n)+"/fused", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Eval(x, 0, out)
+			}
+		})
+		b.Run(strconv.Itoa(n)+"/scalar", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				nx := sqNorm(x)
+				for t := range out {
+					out[t] = e.amp2 * math.Exp(-sqDistVia(nx, e.norms[t], x, z.Row(t))*e.inv2l2)
+				}
 			}
 		})
 	}

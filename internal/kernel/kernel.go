@@ -401,6 +401,20 @@ func rowSqNorms(xs *mat.Dense) []float64 {
 	return norms
 }
 
+// columns returns the column-major copy of xs: out[i][j] = xs[j][i].
+func columns(xs *mat.Dense) [][]float64 {
+	n, d := xs.Rows(), xs.Cols()
+	out := make([][]float64, d)
+	for i := range out {
+		col := make([]float64, n)
+		for j := range col {
+			col[j] = xs.At(j, i)
+		}
+		out[i] = col
+	}
+	return out
+}
+
 // sqDistVia computes |x−y|² = |x|² + |y|² − 2x·y from precomputed norms,
 // clamped at zero against cancellation.
 func sqDistVia(nx, ny float64, x, y []float64) float64 {

@@ -39,6 +39,7 @@ func NewRowEval(k Kernel, xs *mat.Dense) RowEval {
 		l := math.Exp(kk.logLen)
 		return &rbfRowEval{
 			xs:     xs,
+			cols:   columns(xs),
 			norms:  rowSqNorms(xs),
 			inv2l2: 1 / (2 * l * l),
 			amp2:   math.Exp(2 * kk.logAmp),
@@ -67,8 +68,14 @@ func NewRowEval(k Kernel, xs *mat.Dense) RowEval {
 
 // rbfRowEval is the isotropic squared-exponential fast path: one
 // exponential plus a d-length dot per pair, via |x−y|² = |x|²+|y|²−2x·y.
+// cols is a column-major copy of xs (cols[i][j] = xs[j][i]) for the fused
+// four-row kernel, mat.RBFRows, which replays the scalar expression here
+// bit for bit; the rows it leaves (the len mod 4 tail, groups whose
+// exponent needs math.Exp's special paths, every row on CPUs without the
+// vector kernels) take that scalar expression.
 type rbfRowEval struct {
 	xs     *mat.Dense
+	cols   [][]float64
 	norms  []float64
 	inv2l2 float64
 	amp2   float64
@@ -76,14 +83,23 @@ type rbfRowEval struct {
 
 func (e *rbfRowEval) Eval(x []float64, from int, out []float64) {
 	nx := sqNorm(x)
-	for t := range out {
-		out[t] = e.amp2 * math.Exp(-sqDistVia(nx, e.norms[from+t], x, e.xs.Row(from+t))*e.inv2l2)
+	for t := 0; t < len(out); {
+		t += mat.RBFRows(out[t:], x, e.cols, from+t, e.norms, nx, e.inv2l2, e.amp2)
+		for end := min(t+4, len(out)); t < end; t++ {
+			out[t] = e.amp2 * math.Exp(-sqDistVia(nx, e.norms[from+t], x, e.xs.Row(from+t))*e.inv2l2)
+		}
 	}
 }
 
+// Extend appends the new row to every column: amortized O(d), the design
+// is never transposed again.
 func (e *rbfRowEval) Extend(xs *mat.Dense) {
 	e.xs = xs
-	e.norms = append(e.norms, sqNorm(xs.Row(xs.Rows()-1)))
+	row := xs.Row(xs.Rows() - 1)
+	e.norms = append(e.norms, sqNorm(row))
+	for i, v := range row {
+		e.cols[i] = append(e.cols[i], v)
+	}
 }
 
 // ardRowEval pre-scales the design rows by the inverse length scales once,

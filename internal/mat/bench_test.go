@@ -157,3 +157,32 @@ func BenchmarkCholInverse(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkForwardSolveLanes times one forward solve of four right-hand
+// sides against the inducing-set factor sizes of the sparse surrogate:
+// "lanes" is one ForwardSolveLanes call, "rows" the four per-row
+// ForwardSolveVecToSerial calls it replaces.
+func BenchmarkForwardSolveLanes(b *testing.B) {
+	for _, n := range []int{50, 64, 128} {
+		rng := rand.New(rand.NewSource(7))
+		ch, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs := randomVec(rng, 4*n)
+		y := make([]float64, 4*n)
+		b.Run(itoa(n)+"/lanes", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(y, rhs)
+				ch.ForwardSolveLanes(y)
+			}
+		})
+		b.Run(itoa(n)+"/rows", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < 4; c++ {
+					ch.ForwardSolveVecToSerial(y[c*n:(c+1)*n], rhs[c*n:(c+1)*n])
+				}
+			}
+		})
+	}
+}
