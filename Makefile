@@ -23,25 +23,30 @@ vet-arm64:
 
 # fuzz-smoke runs each fuzz target briefly: the four-lane exponential on
 # arbitrary bit patterns and the fused RBF kernel row on arbitrary small
-# designs, both compared bitwise with the scalar code. A crasher is saved
-# under the package's testdata/fuzz and replays as a regression test.
+# designs, both compared bitwise with the scalar code, and the LML
+# workspace on arbitrary small designs and log-hyperparameters, compared
+# bitwise with the fresh-allocation evaluation it replaced. A crasher is
+# saved under the package's testdata/fuzz and replays as a regression test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpLanes$$' -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFRow$$' -fuzztime 5s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzLMLWorkspace$$' -fuzztime 5s ./internal/gp
 
 # Race runs use -short: the equivalence tests scale their sizes down so the
 # instrumented binary stays within CI time budgets. faults and online carry
 # the concurrency-sensitive fault-injection and checkpoint paths; engine
 # carries the sweep worker pool. The second line re-runs the streamed-pool
-# engine tests explicitly (-count=1, no -short): the shard-parallel Select
-# lanes and their worker-count-invariance pins must face the race detector
-# at full size on every CI pass, never satisfied from the test cache.
+# engine tests and the concurrent surrogate-fit tests explicitly (-count=1,
+# no -short): the shard-parallel Select lanes, the side-by-side cost and
+# memory fits of replay and online campaigns, and their worker-count
+# invariance pins must face the race detector at full size on every CI
+# pass, never satisfied from the test cache.
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
 		./internal/core ./internal/engine ./internal/faults ./internal/online \
 		./internal/remotelab ./internal/report
-	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictIntoSerial' \
-		./internal/engine ./internal/gp
+	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictIntoSerial|TestFitPair|TestOnlineFitPair' \
+		./internal/engine ./internal/gp ./internal/online
 
 # sweep-smoke drives a tiny 2x2 policy-by-seed grid through the unified
 # campaign engine under the race detector: concurrent workers sharing the

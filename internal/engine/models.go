@@ -7,6 +7,7 @@ import (
 	"alamr/internal/dataset"
 	"alamr/internal/gp"
 	"alamr/internal/kernel"
+	"alamr/internal/mat"
 )
 
 // Surrogate model names built into the registry.
@@ -126,4 +127,34 @@ func init() {
 			Ladder: d.Fidelity.ScaledLadder(),
 		})
 	})
+}
+
+// FitPair runs cost and mem, the fits or refits of a campaign's cost and
+// memory surrogates, side by side as two bodies of mat.ParallelWorkers
+// (under mat.SetWorkers(1) both run on the caller, cost first). It returns
+// the cost error when there is one, else the memory error; a panic in
+// either body is re-raised on the caller, cost's first.
+//
+// The two surrogates share no mutable state: each clones its kernel
+// prototype and owns its training data and attached caches, and the shared
+// prediction scratch is a sync.Pool. Their fits are therefore race-free
+// and, by the mat determinism contract, bitwise identical to sequential
+// fits. Custom LoopConfig.NewModel constructors must keep that property.
+func FitPair(cost, mem func() error) error {
+	bodies := [2]func() error{cost, mem}
+	var errs [2]error
+	var panics [2]any
+	mat.ParallelWorkers(2, func(i int) {
+		defer func() { panics[i] = recover() }()
+		errs[i] = bodies[i]()
+	})
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	if errs[0] != nil {
+		return errs[0]
+	}
+	return errs[1]
 }

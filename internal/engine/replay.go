@@ -111,13 +111,17 @@ func (e *replayEnv) Absorb(pick int, ex Execution, refit bool) error {
 	logC := math.Log10(ex.Job.CostNH)
 	logM := math.Log10(ex.Job.MemMB)
 	if refit {
-		if err := appendAndRefit(e.gpCost, xNew, logC); err != nil {
-			return fmt.Errorf("engine: cost refit after %d selections: %w", e.tr.Iterations(), err)
-		}
-		if err := appendAndRefit(e.gpMem, xNew, logM); err != nil {
-			return fmt.Errorf("engine: memory refit after %d selections: %w", e.tr.Iterations(), err)
-		}
-		return nil
+		return FitPair(func() error {
+			if err := appendAndRefit(e.gpCost, xNew, logC); err != nil {
+				return fmt.Errorf("engine: cost refit after %d selections: %w", e.tr.Iterations(), err)
+			}
+			return nil
+		}, func() error {
+			if err := appendAndRefit(e.gpMem, xNew, logM); err != nil {
+				return fmt.Errorf("engine: memory refit after %d selections: %w", e.tr.Iterations(), err)
+			}
+			return nil
+		})
 	}
 	if err := e.gpCost.Append(xNew, logC); err != nil {
 		return fmt.Errorf("engine: cost update after %d selections: %w", e.tr.Iterations(), err)
@@ -159,13 +163,17 @@ func (e *replayEnv) Remove(picks []int) {
 }
 
 func (e *replayEnv) Refit() error {
-	if err := e.gpCost.Refit(); err != nil {
-		return fmt.Errorf("engine: cost refit after %d selections: %w", e.tr.Iterations(), err)
-	}
-	if err := e.gpMem.Refit(); err != nil {
-		return fmt.Errorf("engine: memory refit after %d selections: %w", e.tr.Iterations(), err)
-	}
-	return nil
+	return FitPair(func() error {
+		if err := e.gpCost.Refit(); err != nil {
+			return fmt.Errorf("engine: cost refit after %d selections: %w", e.tr.Iterations(), err)
+		}
+		return nil
+	}, func() error {
+		if err := e.gpMem.Refit(); err != nil {
+			return fmt.Errorf("engine: memory refit after %d selections: %w", e.tr.Iterations(), err)
+		}
+		return nil
+	})
 }
 
 func (e *replayEnv) RoundEnd(selDone, picked int) (StopReason, bool, error) {
@@ -246,26 +254,31 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 	costTest := ds.Cost(part.Test)
 	memTest := ds.Mem(part.Test)
 
-	spFit := obs.SpanFit.Start()
 	gpCost, err := cfg.newModel()
 	if err != nil {
-		spFit.End()
 		return nil, err
-	}
-	if err := gpCost.Fit(xInit, ds.LogCost(part.Init)); err != nil {
-		spFit.End()
-		return nil, fmt.Errorf("engine: initial cost fit: %w", err)
 	}
 	gpMem, err := cfg.newModel()
 	if err != nil {
-		spFit.End()
 		return nil, err
 	}
-	if err := gpMem.Fit(xInit, ds.LogMem(part.Init)); err != nil {
-		spFit.End()
-		return nil, fmt.Errorf("engine: initial memory fit: %w", err)
-	}
+	logCost, logMem := ds.LogCost(part.Init), ds.LogMem(part.Init)
+	spFit := obs.SpanFit.Start()
+	err = FitPair(func() error {
+		if err := gpCost.Fit(xInit, logCost); err != nil {
+			return fmt.Errorf("engine: initial cost fit: %w", err)
+		}
+		return nil
+	}, func() error {
+		if err := gpMem.Fit(xInit, logMem); err != nil {
+			return fmt.Errorf("engine: initial memory fit: %w", err)
+		}
+		return nil
+	})
 	spFit.End()
+	if err != nil {
+		return nil, err
+	}
 	// Subsequent refits warm start from the previous optimum (Algorithm 1's
 	// note); random restarts are only needed for the initial fit.
 	gpCost.SetRestarts(0)

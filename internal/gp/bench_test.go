@@ -2,6 +2,7 @@ package gp
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"alamr/internal/kernel"
@@ -63,9 +64,43 @@ func BenchmarkFitLMLGradient(b *testing.B) {
 		b.Run(bs.name, func(b *testing.B) {
 			x, y := benchTraining(bs.n, 2)
 			k := kernel.NewRBF(1, 1)
+			ws := newLMLWorkspace(x)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := logMarginalLikelihood(k, -1, x, y, true); err != nil {
+				if _, _, err := ws.lml(k, -1, y, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLML times one RBF LML+gradient evaluation at the sizes a
+// hyperparameter search sees (the sparse surrogate's 128 inducing points,
+// exact GPs up to a few hundred rows): "workspace" is the search's reused
+// lmlWorkspace, "oracle" the fresh-allocation composition it replaced.
+// The hyperparameters move every iteration, as they do along a search.
+func BenchmarkLML(b *testing.B) {
+	for _, n := range []int{50, 70, 128, 200} {
+		x, y := benchTraining(n, 5)
+		thetas := [][]float64{{-0.5, 0.2}, {-0.4, 0.1}, {-0.6, 0.3}}
+		b.Run(strconv.Itoa(n)+"/workspace", func(b *testing.B) {
+			ws := newLMLWorkspace(x)
+			k := kernel.NewRBF(1, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.SetParams(thetas[i%len(thetas)])
+				if _, _, err := ws.lml(k, -1, y, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(strconv.Itoa(n)+"/oracle", func(b *testing.B) {
+			k := kernel.NewRBF(1, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.SetParams(thetas[i%len(thetas)])
+				if _, _, err := oracleLML(k, -1, x, y, true); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -198,17 +198,19 @@ func (g *GP) Fit(x *mat.Dense, y []float64) error {
 
 // nlmlObjective builds the negative-LML objective over the log-space
 // hyperparameter vector θ = (kernel params..., log σ_n). When noise is
-// fixed, the last component is omitted.
+// fixed, the last component is omitted. Every evaluation of one objective
+// shares one lmlWorkspace over the training design.
 func (g *GP) nlmlObjective() optimize.Objective {
 	nk := g.kern.NumParams()
 	k := g.kern.Clone()
+	ws := newLMLWorkspace(g.x)
 	return func(theta []float64) (float64, []float64) {
 		k.SetParams(theta[:nk])
 		logNoise := g.logNoise
 		if !g.cfg.FixedNoise {
 			logNoise = theta[nk]
 		}
-		lml, grad, err := logMarginalLikelihood(k, logNoise, g.x, g.y, !g.cfg.FixedNoise)
+		lml, grad, err := ws.lml(k, logNoise, g.y, !g.cfg.FixedNoise)
 		if err != nil {
 			// Non-PD covariance at these hyperparameters: treat as a cliff.
 			bad := make([]float64, len(theta))
@@ -375,14 +377,33 @@ func (g *GP) predictOneInto(x, ks, v []float64) (float64, float64) {
 	return mean, math.Sqrt(variance)
 }
 
-// logMarginalLikelihood evaluates the LML and its gradient with respect to
-// the log-space hyperparameters (kernel params, then log σ_n when withNoise
-// is true), using the standard identity
+// lmlWorkspace is the storage one hyperparameter search reuses across its
+// LML evaluations: the kernel's gradient workspace over the fixed training
+// design (K, ∂K/∂θ and, for the RBF, the pairwise distances) and the two
+// n×n buffers of the inverse. Only the packed Cholesky factor and O(n)
+// vectors are allocated per evaluation.
+type lmlWorkspace struct {
+	gram    *kernel.GradWorkspace
+	u, kinv *mat.Dense
+}
+
+func newLMLWorkspace(x *mat.Dense) *lmlWorkspace {
+	n := x.Rows()
+	return &lmlWorkspace{
+		gram: kernel.NewGradWorkspace(x),
+		u:    mat.NewDense(n, n, nil),
+		kinv: mat.NewDense(n, n, nil),
+	}
+}
+
+// lml evaluates the LML of targets y and its gradient with respect to the
+// log-space hyperparameters (kernel params, then log σ_n when withNoise is
+// true), using the standard identity
 //
 //	∂LML/∂θ = ½ tr((ααᵀ − K_y⁻¹) ∂K_y/∂θ).
-func logMarginalLikelihood(k kernel.Kernel, logNoise float64, x *mat.Dense, y []float64, withNoise bool) (float64, []float64, error) {
-	n := x.Rows()
-	ky, grads := kernel.GramGrad(k, x)
+func (w *lmlWorkspace) lml(k kernel.Kernel, logNoise float64, y []float64, withNoise bool) (float64, []float64, error) {
+	n := len(y)
+	ky, grads := w.gram.GramGrad(k)
 	noise2 := math.Exp(2 * logNoise)
 	ky.AddDiag(noise2)
 	ch, err := mat.NewCholeskyJitter(ky, 1e-10, 1e-6)
@@ -392,7 +413,7 @@ func logMarginalLikelihood(k kernel.Kernel, logNoise float64, x *mat.Dense, y []
 	alpha := ch.SolveVec(y)
 	lml := -0.5*mat.Dot(y, alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
 
-	kinv := ch.Inverse()
+	kinv := ch.InverseTo(w.u, w.kinv)
 	np := k.NumParams()
 	dim := np
 	if withNoise {

@@ -123,29 +123,29 @@ func TestRowEvaluatorMatchesEval(t *testing.T) {
 	}
 }
 
+// GramGrad's rows (the RBF workspace's cached distances, the other
+// kernels' gradient row evaluators) use the same precomputed-norms
+// identity, so they agree with the pairwise EvalGrad to numerical accuracy.
 func TestGradRowEvaluatorMatchesEvalGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n, d := 40, 3
 	x := randomPoints(rng, n, d)
 	for _, k := range eqKernels() {
-		gev := GradRowEvaluator(k, x)
+		val, grads := GramGrad(k, x)
 		nh := k.NumParams()
-		val := make([]float64, n)
-		grads := make([][]float64, nh)
-		for h := range grads {
-			grads[h] = make([]float64, n)
+		if len(grads) != nh {
+			t.Fatalf("kernel=%T: %d gradient matrices for %d params", k, len(grads), nh)
 		}
 		for i := 0; i < n; i++ {
-			gev(x.Row(i), 0, val, grads)
 			for j := 0; j < n; j++ {
 				wantV, wantG := k.EvalGrad(x.Row(i), x.Row(j))
 				tol := 1e-9
-				if diff := val[j] - wantV; diff > tol || diff < -tol {
-					t.Fatalf("kernel=%T: grad-row value (%d,%d) = %g, EvalGrad %g", k, i, j, val[j], wantV)
+				if diff := val.At(i, j) - wantV; diff > tol || diff < -tol {
+					t.Fatalf("kernel=%T: grad-row value (%d,%d) = %g, EvalGrad %g", k, i, j, val.At(i, j), wantV)
 				}
 				for h := 0; h < nh; h++ {
-					if diff := grads[h][j] - wantG[h]; diff > tol || diff < -tol {
-						t.Fatalf("kernel=%T: grad-row d%d (%d,%d) = %g, EvalGrad %g", k, h, i, j, grads[h][j], wantG[h])
+					if diff := grads[h].At(i, j) - wantG[h]; diff > tol || diff < -tol {
+						t.Fatalf("kernel=%T: grad-row d%d (%d,%d) = %g, EvalGrad %g", k, h, i, j, grads[h].At(i, j), wantG[h])
 					}
 				}
 			}

@@ -293,28 +293,12 @@ func RowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, out []flo
 	return NewRowEval(k, xs).Eval
 }
 
-// GradRowEvaluator is the gradient companion of RowEvaluator: it fills
+// gradRowEvaluator is the gradient companion of RowEvaluator: it fills
 // val[t] = k(x, xs.Row(from+t)) and grads[p][t] = dk/dθ_p for each
-// log-space hyperparameter. Safe for concurrent use.
-func GradRowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, val []float64, grads [][]float64) {
+// log-space hyperparameter. Safe for concurrent use. The isotropic RBF is
+// not here: its gradient rows come from GradWorkspace alone.
+func gradRowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, val []float64, grads [][]float64) {
 	switch kk := k.(type) {
-	case *RBF:
-		l := math.Exp(kk.logLen)
-		invl2 := 1 / (l * l)
-		inv2l2 := 0.5 * invl2
-		amp2 := math.Exp(2 * kk.logAmp)
-		norms := rowSqNorms(xs)
-		return func(x []float64, from int, val []float64, grads [][]float64) {
-			nx := sqNorm(x)
-			g0, g1 := grads[0], grads[1]
-			for t := range val {
-				r2 := sqDistVia(nx, norms[from+t], x, xs.Row(from+t))
-				v := amp2 * math.Exp(-r2*inv2l2)
-				val[t] = v
-				g0[t] = v * r2 * invl2
-				g1[t] = 2 * v
-			}
-		}
 	case *ARDRBF:
 		d := len(kk.logLens)
 		invL := make([]float64, d)
@@ -495,34 +479,6 @@ func mirrorLower(g *mat.Dense) {
 			}
 		}
 	})
-}
-
-// GramGrad returns the covariance matrix together with one matrix per
-// hyperparameter holding dK/dθ element-wise. Assembly is row-parallel via
-// the GradRowEvaluator fast path.
-func GramGrad(k Kernel, x *mat.Dense) (*mat.Dense, []*mat.Dense) {
-	n := x.Rows()
-	p := k.NumParams()
-	g := mat.NewDense(n, n, nil)
-	grads := make([]*mat.Dense, p)
-	for t := range grads {
-		grads[t] = mat.NewDense(n, n, nil)
-	}
-	ev := GradRowEvaluator(k, x)
-	mat.ParallelFor(n, gramChunk(n), func(lo, hi int) {
-		local := make([][]float64, p)
-		for i := lo; i < hi; i++ {
-			for t := 0; t < p; t++ {
-				local[t] = grads[t].Row(i)[i:]
-			}
-			ev(x.Row(i), i, g.Row(i)[i:], local)
-		}
-	})
-	mirrorLower(g)
-	for t := 0; t < p; t++ {
-		mirrorLower(grads[t])
-	}
-	return g, grads
 }
 
 // Cross fills the m×n covariance matrix between the rows of a and b,

@@ -420,8 +420,18 @@ func (c *Cholesky) Solve(b *Dense) *Dense {
 // passes are row-parallel with contiguous access, roughly 6x less work
 // than solving for each unit vector through both triangles.
 func (c *Cholesky) Inverse() *Dense {
+	return c.InverseTo(NewDense(c.n, c.n, nil), NewDense(c.n, c.n, nil))
+}
+
+// InverseTo is Inverse writing into caller-owned n×n matrices: u holds
+// U = L⁻ᵀ as scratch and dst receives A⁻¹, which it returns. Every element
+// Inverse reads is written first, so the buffers may hold anything on
+// entry; a hyperparameter search reuses one pair across its evaluations.
+func (c *Cholesky) InverseTo(u, dst *Dense) *Dense {
 	n := c.n
-	u := NewDense(n, n, nil)
+	if u.rows != n || u.cols != n || dst.rows != n || dst.cols != n {
+		panic(fmt.Sprintf("mat: InverseTo buffers %dx%d and %dx%d for size %d", u.rows, u.cols, dst.rows, dst.cols, n))
+	}
 	ParallelFor(n, chunkFor(n*n/2+1), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			uj := u.data[j*n : (j+1)*n]
@@ -432,13 +442,12 @@ func (c *Cholesky) Inverse() *Dense {
 			}
 		}
 	})
-	out := NewDense(n, n, nil)
 	ParallelFor(n, chunkFor(n*n/2+1), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ui := u.data[i*n : (i+1)*n]
 			for j := i; j < n; j++ {
 				uj := u.data[j*n : (j+1)*n]
-				out.data[i*n+j] = adot(ui[j:], uj[j:])
+				dst.data[i*n+j] = adot(ui[j:], uj[j:])
 			}
 		}
 	})
@@ -446,11 +455,11 @@ func (c *Cholesky) Inverse() *Dense {
 	ParallelFor(n, chunkFor(n), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			for i := 0; i < j; i++ {
-				out.data[j*n+i] = out.data[i*n+j]
+				dst.data[j*n+i] = dst.data[i*n+j]
 			}
 		}
 	})
-	return out
+	return dst
 }
 
 // LogDet returns log |A| = 2 Σ log L_ii.

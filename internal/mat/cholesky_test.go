@@ -334,3 +334,33 @@ func TestSolveVecToSerialBitwise(t *testing.T) {
 		}
 	}
 }
+
+// InverseTo writes every element it reads before reading it, so buffers
+// left over from another matrix give Inverse's bits.
+func TestCholeskyInverseToDirtyBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 2, 5, 63, 64, 65, 130} {
+		ch, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ch.Inverse()
+		u, dst := NewDense(n, n, nil), NewDense(n, n, nil)
+		for i := range u.data {
+			u.data[i], dst.data[i] = math.NaN(), rng.NormFloat64()
+		}
+		for _, w := range []int{1, 8} {
+			prev := SetWorkers(w)
+			got := ch.InverseTo(u, dst)
+			SetWorkers(prev)
+			if got != dst {
+				t.Fatal("InverseTo did not return its destination")
+			}
+			for i := range want.data {
+				if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
+					t.Fatalf("n=%d workers=%d: element %d = %v, Inverse %v", n, w, i, got.data[i], want.data[i])
+				}
+			}
+		}
+	}
+}

@@ -16,12 +16,12 @@ import (
 // prediction) keep their per-value code otherwise.
 func HaveLanes() bool { return haveFMA }
 
-// expLanes sets dst[i] = math.Exp(x[i]) with the bits math.Exp returns:
+// ExpLanes sets dst[i] = math.Exp(x[i]) with the bits math.Exp returns:
 // groups of four go through the vector exponential when every argument
 // lies in [−708, 709], where math.Exp's FMA path takes neither its denormal
 // nor its overflow branch; any other group, and the len mod 4 tail, call
-// math.Exp.
-func expLanes(dst, x []float64) {
+// math.Exp. dst may be x itself: each group is read before it is written.
+func ExpLanes(dst, x []float64) {
 	dst = dst[:len(x)]
 	for i := 0; i < len(x); {
 		i += expGroups(dst[i:], x[i:])

@@ -42,7 +42,7 @@ func expInputs(rng *rand.Rand, n int) []float64 {
 func checkExpLanes(t *testing.T, x []float64) {
 	t.Helper()
 	got := make([]float64, len(x))
-	expLanes(got, x)
+	ExpLanes(got, x)
 	for i, v := range x {
 		if want := math.Exp(v); math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("len %d: exp(%v) [bits %#x] = %v, math.Exp = %v", len(x), v, math.Float64bits(v), got[i], want)

@@ -547,10 +547,12 @@ func fitFromFeeds(cfg Config, init []feedRec) (gp.Model, gp.Model, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := gpCost.Fit(rowsToDense(xc), yc); err != nil {
-		return nil, nil, err
-	}
-	if err := gpMem.Fit(rowsToDense(xm), ym); err != nil {
+	err = engine.FitPair(func() error {
+		return gpCost.Fit(rowsToDense(xc), yc)
+	}, func() error {
+		return gpMem.Fit(rowsToDense(xm), ym)
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	gpCost.SetRestarts(0)
@@ -635,15 +637,20 @@ func (c *campaign) applyFeed(f feedRec) error {
 			return fmt.Errorf("online: memory update: %w", err)
 		}
 	}
-	if f.Refit {
+	if !f.Refit {
+		return nil
+	}
+	return engine.FitPair(func() error {
 		if err := c.gpCost.Refit(); err != nil {
 			return fmt.Errorf("online: cost refit: %w", err)
 		}
+		return nil
+	}, func() error {
 		if err := c.gpMem.Refit(); err != nil {
 			return fmt.Errorf("online: memory refit: %w", err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // The campaign implements engine.LoopEnv: the unified loop in
