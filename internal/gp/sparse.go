@@ -159,11 +159,13 @@ func (s *Sparse) refitHyper() error {
 	sub := New(s.kern, Config{
 		Noise:      math.Exp(s.logNoise),
 		FixedNoise: s.cfg.FixedNoise,
-		Restarts:   s.cfg.Restarts,
 		Seed:       s.cfg.Seed,
 		MaxIter:    s.cfg.MaxIter,
 		NormalizeY: false, // already centred
 	})
+	// Through Config a zero means the default number of restarts; the
+	// setter keeps a SetRestarts(0) (warm start only) in force.
+	sub.SetRestarts(s.cfg.Restarts)
 	if err := sub.Fit(s.z, zy); err != nil {
 		return err
 	}

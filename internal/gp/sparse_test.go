@@ -155,6 +155,71 @@ func TestSparseRefitAndInterface(t *testing.T) {
 	}
 }
 
+// countingKernel counts SetParams calls across all its clones: one per
+// objective evaluation of a hyperparameter search.
+type countingKernel struct {
+	kernel.Kernel
+	sets *int
+}
+
+func (k countingKernel) SetParams(p []float64) { *k.sets++; k.Kernel.SetParams(p) }
+func (k countingKernel) Clone() kernel.Kernel  { return countingKernel{k.Kernel.Clone(), k.sets} }
+
+// A sparse refit after SetRestarts(0) runs the warm-started search alone,
+// as the exact GP and treed leaves do: fewer evaluations than the same
+// refit with the default two random restarts, and exactly as many as an
+// exact GP searching the same inducing subset without restarts.
+func TestSparseRefitHonoursSetRestarts(t *testing.T) {
+	evals := func(restarts int) (sparse, exact int) {
+		rng := rand.New(rand.NewSource(4))
+		x, y := sparseData(rng, 60)
+		n := 0
+		s := NewSparse(countingKernel{kernel.NewRBF(0.4, 1), &n}, Config{Noise: 0.05, Seed: 5}, 24)
+		if err := s.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		s.SetRestarts(restarts)
+		x2, y2 := sparseData(rng, 10)
+		for i := 0; i < 10; i++ {
+			if err := s.Append(x2.Row(i), y2[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The exact GP the refit runs, from the same warm start.
+		m := 0
+		g := New(countingKernel{s.kern.Clone(), &m}, Config{Noise: math.Exp(s.logNoise), Seed: 5})
+		g.SetRestarts(restarts)
+		z := greedyInducing(s.x, s.m)
+		zy := make([]float64, z.Rows())
+		for i := range zy {
+			bestD, bestJ := math.Inf(1), 0
+			for j := 0; j < s.x.Rows(); j++ {
+				if d := mat.SqDist(z.Row(i), s.x.Row(j)); d < bestD {
+					bestD, bestJ = d, j
+				}
+			}
+			zy[i] = s.y[bestJ]
+		}
+		if err := g.Fit(z, zy); err != nil {
+			t.Fatal(err)
+		}
+		n = 0
+		if err := s.Refit(); err != nil {
+			t.Fatal(err)
+		}
+		// The sparse refit also installs the result on its own kernel.
+		return n - 1, m
+	}
+	warm, warmExact := evals(0)
+	restarted, _ := evals(2)
+	if warm != warmExact {
+		t.Fatalf("sparse refit after SetRestarts(0) ran %d evaluations, the warm-start-only exact search %d", warm, warmExact)
+	}
+	if warm >= restarted {
+		t.Fatalf("SetRestarts(0) refit ran %d evaluations, not fewer than the %d with two restarts", warm, restarted)
+	}
+}
+
 func TestGreedyInducingSpaceFilling(t *testing.T) {
 	// Points on a line: the first few inducing picks must include both
 	// extremes.
