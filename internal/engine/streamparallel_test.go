@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -258,6 +259,43 @@ func TestStreamedReplayWorkerCountInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDenseSourceFillRows: the one-copy shard fill writes exactly the rows
+// a per-row copy would, for ranges at either end and inside, into a larger
+// slab whose tail it leaves alone, and after rows have left the pool.
+func TestDenseSourceFillRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x := mat.NewDense(23, 5, nil)
+	for i := range x.RawData() {
+		x.RawData()[i] = rng.NormFloat64()
+	}
+	x = x.RemoveRow(4).RemoveRow(21)
+	src := DenseSource{X: x}
+	for _, r := range [][2]int{{0, 21}, {0, 1}, {20, 21}, {3, 17}, {7, 7}} {
+		dst := mat.NewDense(22, 5, nil)
+		for i := range dst.RawData() {
+			dst.RawData()[i] = -1
+		}
+		src.Fill(r[0], r[1], dst)
+		for i := 0; i < dst.Rows(); i++ {
+			for j := 0; j < 5; j++ {
+				want := -1.0
+				if i < r[1]-r[0] {
+					want = x.At(r[0]+i, j)
+				}
+				if math.Float64bits(dst.At(i, j)) != math.Float64bits(want) {
+					t.Fatalf("rows [%d, %d): dst(%d, %d) = %v, want %v", r[0], r[1], i, j, dst.At(i, j), want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fill past the last row did not panic")
+		}
+	}()
+	src.Fill(20, 22, mat.NewDense(2, 5, nil))
 }
 
 // TestGridSourceSingleAxis: the degenerate one-dimensional grid decodes to

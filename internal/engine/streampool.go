@@ -90,11 +90,15 @@ func (s DenseSource) Len() int { return s.X.Rows() }
 // Dim implements CandidateSource.
 func (s DenseSource) Dim() int { return s.X.Cols() }
 
-// Fill implements CandidateSource.
+// Fill implements CandidateSource. Rows [lo, hi) of a row-major matrix are
+// one contiguous run, so the shard is a single copy.
 func (s DenseSource) Fill(lo, hi int, dst *mat.Dense) {
-	for i := lo; i < hi; i++ {
-		copy(dst.Row(i-lo), s.X.Row(i))
+	d := s.X.Cols()
+	if lo < 0 || hi > s.X.Rows() || hi-lo > dst.Rows() || dst.Cols() != d {
+		panic(fmt.Sprintf("engine: DenseSource.Fill rows [%d, %d) of %dx%d into %dx%d",
+			lo, hi, s.X.Rows(), d, dst.Rows(), dst.Cols()))
 	}
+	copy(dst.RawData()[:(hi-lo)*d], s.X.RawData()[lo*d:hi*d])
 }
 
 // GridSource is the lazy Cartesian grid: candidate i decodes mixed-radix
