@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci bench bench-al bench-scale bench-scale-full bench-scale-smoke fmt vet vet-arm64 fuzz-smoke race chaos chaos-remote obs-check sweep-smoke serve-smoke docs-check fidelity-smoke
+.PHONY: all build test test-v3 ci bench bench-al bench-scale bench-scale-full bench-scale-smoke fmt vet vet-arm64 fuzz-smoke race chaos chaos-remote obs-check sweep-smoke serve-smoke docs-check fidelity-smoke
 
 all: build
 
@@ -21,15 +21,25 @@ vet:
 vet-arm64:
 	GOARCH=arm64 $(GO) vet ./...
 
+# test-v3 re-runs the lane-replay pins with the compiler targeting x86-64-v3
+# (AVX2, FMA, BMI). The vector kernels replay the scalar Go code's unfused
+# multiply-adds; a toolchain that starts fusing `s += a*b` under v3 would
+# change the scalar bits, and these tests would fail here first.
+test-v3:
+	GOAMD64=v3 $(GO) test -count=1 -run 'Bitwise|PositionIndependent|Lanes' \
+		./internal/mat ./internal/kernel ./internal/gp
+
 # fuzz-smoke runs each fuzz target briefly: the four-lane exponential on
-# arbitrary bit patterns and the fused RBF kernel row on arbitrary small
-# designs, both compared bitwise with the scalar code, and the LML
-# workspace on arbitrary small designs and log-hyperparameters, compared
-# bitwise with the fresh-allocation evaluation it replaced. A crasher is
-# saved under the package's testdata/fuzz and replays as a regression test.
+# arbitrary bit patterns, the fused RBF kernel row and its candidate-major
+# eight-candidate form on arbitrary small designs, all compared bitwise
+# with the scalar code, and the LML workspace on arbitrary small designs
+# and log-hyperparameters, compared bitwise with the fresh-allocation
+# evaluation it replaced. A crasher is saved under the package's
+# testdata/fuzz and replays as a regression test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpLanes$$' -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFRow$$' -fuzztime 5s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzRBFLanes$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzLMLWorkspace$$' -fuzztime 5s ./internal/gp
 
 # Race runs use -short: the equivalence tests scale their sizes down so the
@@ -112,12 +122,13 @@ docs-check:
 	$(GO) run ./cmd/docs-check
 
 # ci is the gate for every change: formatting, vet (native and arm64), full
-# build, full test suite, a short fuzz pass, then the race detector over the
+# build, full test suite, the lane-replay pins under GOAMD64=v3, a short
+# fuzz pass, then the race detector over the
 # parallel-heavy packages, then the observability, sweep, serving, docs, and
 # pool-scaling gates. The race target already covers ./internal/gp and
 # ./internal/engine, so the cache-equivalence and streamed-pool tests run
 # under the race detector here too.
-ci: fmt vet vet-arm64 build test fuzz-smoke race obs-check sweep-smoke fidelity-smoke serve-smoke docs-check chaos-remote bench-scale-smoke
+ci: fmt vet vet-arm64 build test test-v3 fuzz-smoke race obs-check sweep-smoke fidelity-smoke serve-smoke docs-check chaos-remote bench-scale-smoke
 
 # bench runs the linear-algebra / GP hot-path benchmarks and emits the raw
 # `go test -json` event stream to BENCH_gp.json (one JSON object per line;

@@ -24,34 +24,37 @@ var ErrBadResponse = errors.New("dataset: non-positive or non-finite response")
 // positive and finite — the precondition of the log10 transforms LogCost and
 // LogMem. A violation is reported as an error wrapping ErrBadResponse.
 func (j Job) CheckResponses() error {
-	bad := func(v float64) bool {
-		return v <= 0 || math.IsNaN(v) || math.IsInf(v, 0)
-	}
 	switch {
-	case bad(j.WallSec):
+	case badResponse(j.WallSec):
 		return fmt.Errorf("%w: wall-clock %g sec (%+v)", ErrBadResponse, j.WallSec, j.Config())
-	case bad(j.CostNH):
+	case badResponse(j.CostNH):
 		return fmt.Errorf("%w: cost %g node-hours (%+v)", ErrBadResponse, j.CostNH, j.Config())
-	case bad(j.MemMB):
+	case badResponse(j.MemMB):
 		return fmt.Errorf("%w: memory %g MB (%+v)", ErrBadResponse, j.MemMB, j.Config())
 	}
 	return nil
 }
 
+// badResponse reports whether v cannot enter a log10 transform.
+func badResponse(v float64) bool {
+	return v <= 0 || math.IsNaN(v) || math.IsInf(v, 0)
+}
+
 // CheckResponses verifies every indexed job (all jobs when idx is nil)
-// satisfies the log-transform precondition; see Job.CheckResponses.
+// satisfies the log-transform precondition; see Job.CheckResponses. It
+// reads the jobs in place and builds an error only for the first bad one.
 func (d *Dataset) CheckResponses(idx []int) error {
+	n := len(idx)
 	if idx == nil {
-		for i, j := range d.Jobs {
-			if err := j.CheckResponses(); err != nil {
-				return fmt.Errorf("job %d: %w", i, err)
-			}
-		}
-		return nil
+		n = len(d.Jobs)
 	}
-	for _, i := range idx {
-		if err := d.Jobs[i].CheckResponses(); err != nil {
-			return fmt.Errorf("job %d: %w", i, err)
+	for r := 0; r < n; r++ {
+		i := r
+		if idx != nil {
+			i = idx[r]
+		}
+		if j := &d.Jobs[i]; badResponse(j.WallSec) || badResponse(j.CostNH) || badResponse(j.MemMB) {
+			return fmt.Errorf("job %d: %w", i, j.CheckResponses())
 		}
 	}
 	return nil
@@ -171,27 +174,51 @@ func ScaleFeaturesLog2P(j Job) [NumFeatures]float64 {
 }
 
 // Features assembles the scaled design matrix X for a subset of job indices
-// (all jobs when idx is nil).
+// (all jobs when idx is nil): row r is ScaleFeatures of job idx[r].
 func (d *Dataset) Features(idx []int) *mat.Dense {
-	return d.featuresWith(idx, ScaleFeatures)
+	return d.features(idx, false)
 }
 
-// FeaturesLog2P assembles the design matrix using the log2(p) transform.
+// FeaturesLog2P assembles the design matrix using the log2(p) transform:
+// row r is ScaleFeaturesLog2P of job idx[r].
 func (d *Dataset) FeaturesLog2P(idx []int) *mat.Dense {
-	return d.featuresWith(idx, ScaleFeaturesLog2P)
+	return d.features(idx, true)
 }
 
-func (d *Dataset) featuresWith(idx []int, scale func(Job) [NumFeatures]float64) *mat.Dense {
-	if idx == nil {
-		idx = make([]int, len(d.Jobs))
-		for i := range idx {
-			idx[i] = i
-		}
+// features is the per-job scaling over many jobs, written straight into
+// the matrix: the grid bounds and spans are computed once, and each feature
+// keeps the per-job functions' subtraction and division, so it keeps their
+// bits.
+func (d *Dataset) features(idx []int, log2p bool) *mat.Dense {
+	lo, hi := featureRange()
+	var span [NumFeatures]float64
+	for i := range span {
+		span[i] = hi[i] - lo[i]
 	}
-	x := mat.NewDense(len(idx), NumFeatures, nil)
-	for r, i := range idx {
-		f := scale(d.Jobs[i])
-		copy(x.Row(r), f[:])
+	plo := math.Log2(float64(GridP[0]))
+	pspan := math.Log2(float64(GridP[len(GridP)-1])) - plo
+	n := len(idx)
+	if idx == nil {
+		n = len(d.Jobs)
+	}
+	x := mat.NewDense(n, NumFeatures, nil)
+	data := x.RawData()
+	for r := 0; r < n; r++ {
+		i := r
+		if idx != nil {
+			i = idx[r]
+		}
+		j := &d.Jobs[i]
+		f := data[r*NumFeatures : (r+1)*NumFeatures]
+		if log2p {
+			f[0] = (math.Log2(float64(j.P)) - plo) / pspan
+		} else {
+			f[0] = (float64(j.P) - lo[0]) / span[0]
+		}
+		f[1] = (float64(j.Mx) - lo[1]) / span[1]
+		f[2] = (float64(j.MaxLevel) - lo[2]) / span[2]
+		f[3] = (j.R0 - lo[3]) / span[3]
+		f[4] = (j.RhoIn - lo[4]) / span[4]
 	}
 	return x
 }

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"testing/quick"
 
 	"alamr/internal/cluster"
+	"alamr/internal/mat"
 )
 
 func TestAllCombosSize(t *testing.T) {
@@ -322,5 +325,90 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(GenConfig{NumUnique: 100, NumJobs: 50}); err == nil {
 		t.Fatal("NumJobs < NumUnique accepted")
+	}
+}
+
+// gridDataset is every combo of the feature grid with its continuous
+// features jittered off the grid values, and responses drawn at random.
+func gridDataset(rng *rand.Rand) *Dataset {
+	d := &Dataset{}
+	for _, c := range AllCombos() {
+		d.Jobs = append(d.Jobs, Job{
+			P: c.P, Mx: c.Mx, MaxLevel: c.MaxLevel,
+			R0:      GridR0[0] + rng.Float64()*(GridR0[len(GridR0)-1]-GridR0[0]),
+			RhoIn:   GridRhoIn[0] + rng.Float64()*(GridRhoIn[len(GridRhoIn)-1]-GridRhoIn[0]),
+			WallSec: 1 + rng.Float64(), CostNH: 1 + rng.Float64(), MemMB: 1 + rng.Float64(),
+		})
+	}
+	return d
+}
+
+// The batched design matrices must carry, bit for bit, the per-job
+// scalings they replace, for every job and under any index order.
+func TestFeaturesMatchPerJobBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	d := gridDataset(rng)
+	idx := rng.Perm(d.Len())
+	for _, tc := range []struct {
+		name  string
+		batch func([]int) *mat.Dense
+		job   func(Job) [NumFeatures]float64
+	}{
+		{"linear", d.Features, ScaleFeatures},
+		{"log2p", d.FeaturesLog2P, ScaleFeaturesLog2P},
+	} {
+		for _, order := range [][]int{nil, idx} {
+			x := tc.batch(order)
+			if x.Rows() != d.Len() {
+				t.Fatalf("%s: %d rows for %d jobs", tc.name, x.Rows(), d.Len())
+			}
+			for r := 0; r < x.Rows(); r++ {
+				i := r
+				if order != nil {
+					i = order[r]
+				}
+				want := tc.job(d.Jobs[i])
+				for c, v := range x.Row(r) {
+					if math.Float64bits(v) != math.Float64bits(want[c]) {
+						t.Fatalf("%s: row %d (job %d) feature %d = %v, per-job %v", tc.name, r, i, c, v, want[c])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A bad response anywhere in the index, the last position included, is
+// reported with its job index and classified as ErrBadResponse.
+func TestCheckResponsesReportsJobIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	d := gridDataset(rng)
+	idx := rng.Perm(d.Len())
+	if err := d.CheckResponses(idx); err != nil {
+		t.Fatal(err)
+	}
+	last := idx[len(idx)-1]
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field := 0; field < 3; field++ {
+			j := d.Jobs[last]
+			switch field {
+			case 0:
+				d.Jobs[last].WallSec = bad
+			case 1:
+				d.Jobs[last].CostNH = bad
+			case 2:
+				d.Jobs[last].MemMB = bad
+			}
+			for _, order := range [][]int{idx, nil} {
+				err := d.CheckResponses(order)
+				if !errors.Is(err, ErrBadResponse) {
+					t.Fatalf("response %v in field %d: err = %v, want ErrBadResponse", bad, field, err)
+				}
+				if want := fmt.Sprintf("job %d: ", last); !strings.HasPrefix(err.Error(), want) {
+					t.Fatalf("response %v in field %d: %q does not start with %q", bad, field, err, want)
+				}
+			}
+			d.Jobs[last] = j
+		}
 	}
 }

@@ -203,3 +203,43 @@ func BenchmarkAppendGrowth(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSparsePredict times the streamed pool's per-shard call,
+// PredictIntoSerial over a 4,096-row shard of d = 5 unit-cube candidates,
+// at the inducing-set sizes pool-1e5 campaigns run (50, 60) and at the
+// canonical spec's cap (128). ns/candidate is the per-row cost.
+func BenchmarkSparsePredict(b *testing.B) {
+	const d, rows = 5, 4096
+	rng := rand.New(rand.NewSource(11))
+	unit := func(n int) *mat.Dense {
+		x := mat.NewDense(n, d, nil)
+		for i := range x.RawData() {
+			x.RawData()[i] = rng.Float64()
+		}
+		return x
+	}
+	xs := unit(rows)
+	mean, std := make([]float64, rows), make([]float64, rows)
+	for _, m := range []int{50, 60, 128} {
+		x := unit(2 * m)
+		y := make([]float64, x.Rows())
+		for i := range y {
+			r := x.Row(i)
+			y[i] = r[0] - r[1]*r[2] + 0.1*rng.NormFloat64()
+		}
+		model := NewSparse(kernel.NewRBF(0.6, 1.2), Config{Noise: 0.1, NoOptimize: true}, m)
+		if err := model.Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+		if got := model.NumInducing(); got != m {
+			b.Fatalf("%d inducing points, want %d", got, m)
+		}
+		b.Run("m="+strconv.Itoa(m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				model.PredictIntoSerial(xs, mean, std)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/candidate")
+		})
+	}
+}

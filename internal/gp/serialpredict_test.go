@@ -129,38 +129,63 @@ func TestTreedPredictRangeAllocs(t *testing.T) {
 }
 
 // TestSparsePredictPositionIndependent: a row's μ and σ are the bits it gets
-// when predicted alone, whether it lands in a group of four or in the
-// remainder, at any batch length and offset. The streamed pool compacts its
-// shards and so re-positions candidates between passes; it relies on this.
+// when predicted alone, whether it lands in a block of eight or in the
+// per-row remainder, at any batch length and offset. The streamed pool
+// compacts its shards and so re-positions candidates between passes; it
+// relies on this. The fixtures cover the RBF kernel's fused block rows at
+// 24 inducing points and at 80 (a forward sweep over two cholBlock
+// blocks), and a Matérn kernel, whose block rows are filled per row.
 func TestSparsePredictPositionIndependent(t *testing.T) {
-	model := serialFixtures(t, 120)["sparse"]
-	pool := serialPool(33, 13)
+	rng := rand.New(rand.NewSource(37))
+	x := mat.NewDense(150, 3, nil)
+	y := make([]float64, 150)
+	for i := range y {
+		for j := 0; j < 3; j++ {
+			x.Set(i, j, rng.Float64()*2)
+		}
+		y[i] = math.Sin(3*x.At(i, 0)) + x.At(i, 1)*x.At(i, 2) + 0.1*rng.NormFloat64()
+	}
+	cfg := Config{Noise: 0.1, NoOptimize: true}
+	models := map[string]*Sparse{
+		"rbf-24":    NewSparse(kernel.NewRBF(0.8, 1.1), cfg, 24),
+		"rbf-80":    NewSparse(kernel.NewRBF(0.5, 1.1), cfg, 80),
+		"matern-24": NewSparse(kernel.NewMatern(2.5, 0.8, 1.1), cfg, 24),
+	}
+	pool := serialPool(33, 29)
 	rows := func(lo, hi int) *mat.Dense {
 		d := pool.Cols()
 		return mat.NewDense(hi-lo, d, pool.RawData()[lo*d:hi*d])
 	}
-	alone := func(i int) (float64, float64) {
-		mean, std := make([]float64, 1), make([]float64, 1)
-		model.PredictIntoSerial(rows(i, i+1), mean, std)
-		return mean[0], std[0]
-	}
-	for n := 1; n <= 9; n++ {
-		for off := 0; off+n <= pool.Rows(); off += 2 {
-			xs := rows(off, off+n)
-			for _, serial := range []bool{false, true} {
-				mean, std := make([]float64, n), make([]float64, n)
-				if serial {
-					model.PredictIntoSerial(xs, mean, std)
-				} else {
-					model.PredictInto(xs, mean, std)
-				}
-				for i := range mean {
-					wm, ws := alone(off + i)
-					if math.Float64bits(mean[i]) != math.Float64bits(wm) || math.Float64bits(std[i]) != math.Float64bits(ws) {
-						t.Fatalf("n=%d off=%d serial=%v row %d: (%v, %v), alone (%v, %v)", n, off, serial, i, mean[i], std[i], wm, ws)
+	for name, model := range models {
+		if err := model.Fit(x, y); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		alone := func(i int) (float64, float64) {
+			mean, std := make([]float64, 1), make([]float64, 1)
+			model.PredictIntoSerial(rows(i, i+1), mean, std)
+			return mean[0], std[0]
+		}
+		for n := 1; n <= 19; n++ {
+			for off := 0; off+n <= pool.Rows(); off += 3 {
+				xs := rows(off, off+n)
+				for _, serial := range []bool{false, true} {
+					mean, std := make([]float64, n), make([]float64, n)
+					if serial {
+						model.PredictIntoSerial(xs, mean, std)
+					} else {
+						model.PredictInto(xs, mean, std)
+					}
+					for i := range mean {
+						wm, ws := alone(off + i)
+						if math.Float64bits(mean[i]) != math.Float64bits(wm) || math.Float64bits(std[i]) != math.Float64bits(ws) {
+							t.Fatalf("%s: n=%d off=%d serial=%v row %d: (%v, %v), alone (%v, %v)", name, n, off, serial, i, mean[i], std[i], wm, ws)
+						}
 					}
 				}
 			}
 		}
+	}
+	if got := models["rbf-80"].NumInducing(); got <= 64 {
+		t.Fatalf("rbf-80 fixture has %d inducing points, want more than 64", got)
 	}
 }

@@ -40,11 +40,12 @@ type Sparse struct {
 	y     []float64  // centred targets
 	yMean float64
 
-	z     *mat.Dense // inducing inputs
-	aChol *mat.Cholesky
-	beta  []float64 // A⁻¹ K_nmᵀ y / σ²
-	kty   []float64 // σ⁻² K_nmᵀ y, maintained incrementally between projections
-	zEval func(x []float64, from int, out []float64)
+	z      *mat.Dense // inducing inputs
+	aChol  *mat.Cholesky
+	beta   []float64 // A⁻¹ K_nmᵀ y / σ²
+	kty    []float64 // σ⁻² K_nmᵀ y, maintained incrementally between projections
+	zEval  func(x []float64, from int, out []float64)
+	zLanes laneEvaluator // the fused block form of zEval, when the kernel has one
 
 	caches []*SparseScoringCache
 	fitted bool
@@ -200,7 +201,9 @@ func (s *Sparse) project() error {
 	s.kty = knm.MulVecT(s.y)
 	mat.ScaleVec(1/noise2, s.kty)
 	s.beta = ch.SolveVec(s.kty)
-	s.zEval = kernel.RowEvaluator(s.kern, s.z)
+	ev := kernel.NewRowEval(s.kern, s.z)
+	s.zEval = ev.Eval
+	s.zLanes, _ = ev.(laneEvaluator)
 	s.fitted = true
 	s.gen++
 	for _, c := range s.caches {
@@ -239,16 +242,24 @@ func (s *Sparse) PredictInto(xs *mat.Dense, mean, std []float64) {
 		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), n))
 	}
 	m := s.z.Rows()
-	// Test points are independent: batch kernel rows via the cached
-	// evaluator and fan out over the pool with per-chunk scratch.
-	mat.ParallelFor(n, mat.ChunkFor(m*m+4*m), func(lo, hi int) {
-		s.predictRange(xs, mean, std, lo, hi)
+	// Test points are independent: fan out over the pool in whole blocks
+	// of eight rows, so that only the last chunk has a per-row remainder.
+	mat.ParallelFor((n+7)/8, mat.ChunkFor(8*(m*m+4*m)), func(lo, hi int) {
+		s.predictRange(xs, mean, std, 8*lo, min(8*hi, n))
 	})
 }
 
-// predictScratch recycles predictRange's buffers (one kernel row, four
-// interleaved solve vectors) across calls: the streamed pool predicts each
-// shard through its own call.
+// laneEvaluator is a kernel row evaluator's fused form for a block of eight
+// candidates (the isotropic RBF's): it sets w[8j+c] = k(xs.Row(lo+c), z_j)
+// for every inducing point j and returns each candidate's mat.Dot with
+// beta, with the bits the per-row Eval and mat.Dot give.
+type laneEvaluator interface {
+	EvalLanes(xs *mat.Dense, lo int, w, xt, beta []float64) [8]float64
+}
+
+// predictScratch recycles predictRange's buffers (one kernel row, a
+// block's eight interleaved solve vectors, its transposed candidates)
+// across calls: the streamed pool predicts each shard through its own call.
 var predictScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // predictRange scores rows [lo, hi) with one set of scratch buffers for
@@ -256,55 +267,57 @@ var predictScratch = sync.Pool{New: func() any { return new([]float64) }}
 // concurrent-safe, the factor solves write the pooled scratch), so
 // concurrent predictRange calls on one fitted model are race-free.
 //
-// Where the four-lane kernels run (mat.HaveLanes), rows go in groups of
-// four: their kernel rows are interleaved into w (w[4j+c] = k_m[j] of row
-// c), solved together by ForwardSolveLanes, and Σw² is summed per lane in
-// index order as mat.Dot sums. Every lane replays the per-row arithmetic,
-// so a row's μ and σ do not depend on its group or position; the streamed
-// pool's compaction relies on that. The remaining rows take the per-row
-// path.
+// Where the lane kernels run (mat.HaveLanes), rows go in blocks of eight:
+// their kernel rows fill w candidate-major (w[8j+c] = k_m[j] of row c),
+// with μ summed alongside by the RBF kernel's fused form (laneEvaluator)
+// or per row for the other kernels, and one ForwardSolveLanes call solves
+// the block and returns each row's Σw². Every lane replays the per-row
+// arithmetic, so a row's μ and σ do not depend on its block or position;
+// the streamed pool's compaction relies on that. The remaining rows, and
+// every row without the lane kernels, take the per-row path: the scalar
+// reference.
 func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
-	m := s.z.Rows()
-	grouped := mat.HaveLanes() && hi-lo >= 4
+	m, d := s.z.Rows(), xs.Cols()
 	buf := predictScratch.Get().(*[]float64)
 	defer predictScratch.Put(buf)
-	if cap(*buf) < 5*m {
-		*buf = make([]float64, 5*m)
+	if need := 9*m + 8*d; cap(*buf) < need {
+		*buf = make([]float64, need)
 	}
-	km, w := (*buf)[:m], (*buf)[m:5*m]
+	km, w, xt := (*buf)[:m], (*buf)[m:9*m], (*buf)[9*m:9*m+8*d]
 	i := lo
-	for ; grouped && i+4 <= hi; i += 4 {
-		for c := 0; c < 4; c++ {
-			s.zEval(xs.Row(i+c), 0, km)
-			mean[i+c] = mat.Dot(km, s.beta) + s.yMean
-			for j, v := range km {
-				w[4*j+c] = v
+	for ; mat.HaveLanes() && i+8 <= hi; i += 8 {
+		var mu [8]float64
+		if s.zLanes != nil {
+			mu = s.zLanes.EvalLanes(xs, i, w, xt, s.beta)
+		} else {
+			for c := range mu {
+				s.zEval(xs.Row(i+c), 0, km)
+				mu[c] = mat.Dot(km, s.beta)
+				for j, v := range km {
+					w[8*j+c] = v
+				}
 			}
 		}
-		s.aChol.ForwardSolveLanes(w)
-		var v [4]float64
-		for j := 0; j < m; j++ {
-			for c := range v {
-				v[c] += w[4*j+c] * w[4*j+c]
-			}
-		}
-		for c, vc := range v {
-			if vc < 0 {
-				vc = 0
-			}
-			std[i+c] = math.Sqrt(vc)
+		ss := s.aChol.ForwardSolveLanes(w)
+		for c, v := range ss {
+			mean[i+c] = mu[c] + s.yMean
+			std[i+c] = math.Sqrt(max0(v))
 		}
 	}
 	for ; i < hi; i++ {
 		s.zEval(xs.Row(i), 0, km)
 		mean[i] = mat.Dot(km, s.beta) + s.yMean
 		s.aChol.ForwardSolveVecToSerial(w[:m], km)
-		v := mat.Dot(w[:m], w[:m])
-		if v < 0 {
-			v = 0
-		}
-		std[i] = math.Sqrt(v)
+		std[i] = math.Sqrt(max0(mat.Dot(w[:m], w[:m])))
 	}
+}
+
+// max0 clamps a negative variance to zero; NaN passes through.
+func max0(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
 }
 
 // PredictIntoSerial is PredictInto pinned to the calling goroutine —

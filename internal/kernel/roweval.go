@@ -72,7 +72,8 @@ func NewRowEval(k Kernel, xs *mat.Dense) RowEval {
 // four-row kernel, mat.RBFRows, which replays the scalar expression here
 // bit for bit; the rows it leaves (the len mod 4 tail, groups whose
 // exponent needs math.Exp's special paths, every row on CPUs without the
-// vector kernels) take that scalar expression.
+// vector kernels) take that scalar expression. EvalLanes runs the same
+// expression candidate-major over the row-major xs.
 type rbfRowEval struct {
 	xs     *mat.Dense
 	cols   [][]float64
@@ -89,6 +90,34 @@ func (e *rbfRowEval) Eval(x []float64, from int, out []float64) {
 			out[t] = e.amp2 * math.Exp(-sqDistVia(nx, e.norms[from+t], x, e.xs.Row(from+t))*e.inv2l2)
 		}
 	}
+}
+
+// EvalLanes is Eval for the block of eight candidates xs.Row(lo..lo+7)
+// against the whole design, candidate-major: it sets w[8j+c] = k(x_c, z_j),
+// the interleaved layout mat.Cholesky.ForwardSolveLanes solves, and returns
+// mu[c] = mat.Dot of candidate c's kernel row with beta. xt is scratch of
+// 8·xs.Cols() values. mat.RBFLanes replays Eval's scalar expression per
+// lane, so every value has the bits Eval and mat.Dot give; a design row
+// where some lane leaves the vector exponential's range takes that
+// expression for all eight candidates, and so does every row on CPUs
+// without the vector kernels.
+func (e *rbfRowEval) EvalLanes(xs *mat.Dense, lo int, w, xt, beta []float64) (mu [8]float64) {
+	d := xs.Cols()
+	x := xs.RawData()[lo*d : (lo+8)*d]
+	m := len(e.norms)
+	for j := 0; j < m; j++ {
+		if j = mat.RBFLanes(w, x, xt, e.xs.RawData(), e.norms, beta, j, e.inv2l2, e.amp2, &mu); j == m {
+			break
+		}
+		zj := e.xs.Row(j)
+		for c := range mu {
+			xc := x[c*d : (c+1)*d]
+			k := e.amp2 * math.Exp(-sqDistVia(sqNorm(xc), e.norms[j], xc, zj)*e.inv2l2)
+			w[8*j+c] = k
+			mu[c] += k * beta[j]
+		}
+	}
+	return mu
 }
 
 // Extend appends the new row to every column: amortized O(d), the design

@@ -247,3 +247,165 @@ func FuzzRBFRow(f *testing.F) {
 		checkRBFRow(t, e, vals[:dim], "fuzz")
 	})
 }
+
+// checkRBFLanes evaluates every block of eight consecutive candidate rows
+// of xs candidate-major and compares each kernel value with Eval's and
+// each μ with mat.Dot of the candidate's kernel row with beta, bit for bit.
+func checkRBFLanes(t *testing.T, e *rbfRowEval, xs *mat.Dense, beta []float64, label string) {
+	t.Helper()
+	m := e.xs.Rows()
+	w := make([]float64, 8*m)
+	xt := make([]float64, 8*xs.Cols())
+	k := make([]float64, m)
+	for lo := 0; lo+8 <= xs.Rows(); lo++ {
+		for i := range w {
+			w[i] = math.NaN()
+		}
+		mu := e.EvalLanes(xs, lo, w, xt, beta)
+		for c := range mu {
+			e.Eval(xs.Row(lo+c), 0, k)
+			for j, want := range k {
+				if got := w[8*j+c]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: block %d lane %d row %d: candidate-major %v, Eval %v", label, lo, c, j, got, want)
+				}
+			}
+			if want := mat.Dot(k, beta); math.Float64bits(mu[c]) != math.Float64bits(want) {
+				t.Fatalf("%s: block %d lane %d: μ %v, Dot %v", label, lo, c, mu[c], want)
+			}
+		}
+	}
+}
+
+// randBeta draws weights of mixed magnitude and sign, so that every
+// summation order of μ rounds differently.
+func randBeta(rng *rand.Rand, m int) []float64 {
+	b := make([]float64, m)
+	for i := range b {
+		b[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+	}
+	return b
+}
+
+func TestRBFLanesMatchesEvalBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	newEval := func(ls, amp float64, xs *mat.Dense) *rbfRowEval {
+		return NewRowEval(NewRBF(ls, amp), xs).(*rbfRowEval)
+	}
+	for _, d := range []int{1, 2, 3, 5, 8} {
+		for _, m := range []int{1, 4, 7, 23, 70} {
+			z := randRows(rng, m, d)
+			e := newEval(0.3+rng.Float64(), 0.5+rng.Float64(), z)
+			beta := randBeta(rng, m)
+			checkRBFLanes(t, e, randRows(rng, 11, d), beta, "random")
+			// Candidates equal to design rows (r2 = 0), and all-−0
+			// candidates and design rows.
+			xs := randRows(rng, 9, d)
+			for c := 0; c < 9; c += 2 {
+				copy(xs.Row(c), z.Row(c%m))
+			}
+			for i := range xs.Row(3) {
+				xs.Row(3)[i] = math.Copysign(0, -1)
+				z.Row(0)[i] = math.Copysign(0, -1)
+			}
+			e = newEval(0.7, 1.2, z)
+			checkRBFLanes(t, e, xs, beta, "coincident")
+		}
+	}
+
+	// Large coordinates that nearly coincide: the distance cancels and
+	// often rounds below zero, which the clamp maps to +0.
+	z := mat.NewDense(17, 2, nil)
+	for j := 0; j < 17; j++ {
+		z.Set(j, 0, 1e8+float64(j%3)*1e-8)
+		z.Set(j, 1, 3+float64(j)*1e-9)
+	}
+	xs := mat.NewDense(10, 2, nil)
+	for c := 0; c < 10; c++ {
+		xs.Set(c, 0, 1e8+float64(c%4)*1e-8)
+		xs.Set(c, 1, 3+float64(c)*1e-9)
+	}
+	beta := randBeta(rng, 17)
+	checkRBFLanes(t, newEval(0.7, 1.3, z), xs, beta, "cancellation")
+
+	// Far design rows push exp's argument below −708 for every lane, so
+	// those rows fall back to the scalar expression mid-row while the
+	// rest stay vectorized.
+	z = randRows(rng, 30, 3)
+	for _, j := range []int{5, 6, 17, 29} {
+		for i := 0; i < 3; i++ {
+			z.Set(j, i, 60+float64(i))
+		}
+	}
+	e := newEval(0.5, 1.1, z)
+	beta = randBeta(rng, 30)
+	xs = randRows(rng, 12, 3)
+	checkRBFLanes(t, e, xs, beta, "far")
+	if mat.HaveLanes() {
+		var mu [8]float64
+		w := make([]float64, 8*30)
+		if done := mat.RBFLanes(w, xs.RawData()[:24], make([]float64, 24), z.RawData(), e.norms, beta, 0, e.inv2l2, e.amp2, &mu); done != 5 {
+			t.Fatalf("candidate-major rows stopped at %d, want the first far row 5", done)
+		}
+	}
+
+	// Non-finite candidates send every row to the scalar path; their
+	// block neighbours must still match. Non-finite weights reach μ
+	// through both paths.
+	xs = randRows(rng, 12, 3)
+	xs.Set(2, 1, math.NaN())
+	xs.Set(9, 0, math.Inf(1))
+	xs.Set(10, 2, math.Inf(-1))
+	checkRBFLanes(t, e, xs, beta, "non-finite candidates")
+	beta[3], beta[20] = math.Inf(1), math.NaN()
+	checkRBFLanes(t, e, randRows(rng, 9, 3), beta, "non-finite weights")
+
+	// A grown evaluator: Extend keeps the row-major design and the norms
+	// in step.
+	z = randRows(rng, 3, 4)
+	e = newEval(0.9, 0.8, z)
+	for a := 0; a < 14; a++ {
+		z = z.AppendRow(randRows(rng, 1, 4).Row(0))
+		e.Extend(z)
+		checkRBFLanes(t, e, randRows(rng, 8, 4), randBeta(rng, z.Rows()), "grown")
+	}
+}
+
+// FuzzRBFLanes drives the candidate-major rows with arbitrary small designs,
+// candidates, weights and hyperparameters, including non-finite ones.
+func FuzzRBFLanes(f *testing.F) {
+	seed := func(d, m uint8, logLen, logAmp float64, vals ...float64) {
+		buf := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		f.Add(buf, d, m, logLen, logAmp)
+	}
+	ramp := func(n int, scale float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = scale * float64(i%7-3)
+		}
+		return v
+	}
+	seed(1, 5, 0, 0, ramp(40, 0.5)...)
+	seed(2, 9, -1, 0.3, ramp(80, 1)...)
+	seed(3, 4, 2, -1, append(ramp(60, 1e8), 1e300, math.NaN(), math.Inf(1))...)
+	seed(1, 3, math.Inf(1), 0, ramp(30, 2)...)
+	f.Fuzz(func(t *testing.T, data []byte, d, m uint8, logLen, logAmp float64) {
+		dim := 1 + int(d%4)
+		rows := 1 + int(m%13)
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		need := rows*dim + 9*dim + rows
+		if len(vals) < need {
+			return
+		}
+		z := mat.NewDense(rows, dim, vals[:rows*dim])
+		xs := mat.NewDense(9, dim, vals[rows*dim:rows*dim+9*dim])
+		beta := vals[rows*dim+9*dim : need]
+		e := NewRowEval(&RBF{logLen: logLen, logAmp: logAmp}, z).(*rbfRowEval)
+		checkRBFLanes(t, e, xs, beta, "fuzz")
+	})
+}

@@ -158,29 +158,33 @@ func BenchmarkCholInverse(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardSolveLanes times one forward solve of four right-hand
+// BenchmarkForwardSolveLanes times one forward solve of eight right-hand
 // sides against the inducing-set factor sizes of the sparse surrogate:
-// "lanes" is one ForwardSolveLanes call, "rows" the four per-row
-// ForwardSolveVecToSerial calls it replaces.
+// "lanes" is one ForwardSolveLanes call (solve plus the eight sums of
+// squares), "rows" the eight ForwardSolveVecToSerial and Dot calls it
+// replaces.
 func BenchmarkForwardSolveLanes(b *testing.B) {
-	for _, n := range []int{50, 64, 128} {
+	for _, n := range []int{50, 60, 64, 128} {
 		rng := rand.New(rand.NewSource(7))
 		ch, err := NewCholesky(randomSPD(rng, n))
 		if err != nil {
 			b.Fatal(err)
 		}
-		rhs := randomVec(rng, 4*n)
-		y := make([]float64, 4*n)
+		rhs := randomVec(rng, 8*n)
+		y := make([]float64, 8*n)
 		b.Run(itoa(n)+"/lanes", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(y, rhs)
-				ch.ForwardSolveLanes(y)
+				ss := ch.ForwardSolveLanes(y)
+				sinkFloat += ss[0]
 			}
 		})
 		b.Run(itoa(n)+"/rows", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for c := 0; c < 4; c++ {
-					ch.ForwardSolveVecToSerial(y[c*n:(c+1)*n], rhs[c*n:(c+1)*n])
+				for c := 0; c < 8; c++ {
+					yc := y[c*n : (c+1)*n]
+					ch.ForwardSolveVecToSerial(yc, rhs[c*n:(c+1)*n])
+					sinkFloat += Dot(yc, yc)
 				}
 			}
 		})

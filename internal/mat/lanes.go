@@ -5,14 +5,14 @@ import (
 	"math"
 )
 
-// Four-lane kernels: four independent values computed side by side, one
-// per AVX2 vector lane. Lane c executes exactly the operation sequence the
-// scalar code runs for value c (the lane-replay rule, DESIGN §5a), so a
-// caller may switch between the two freely without changing a bit. On CPUs
-// without AVX2+FMA the scalar code is the only path.
+// Lane kernels: independent values computed side by side, four per AVX2
+// vector. Lane c executes exactly the operation sequence the scalar code
+// runs for value c (the lane-replay rule, DESIGN §5a), so a caller may
+// switch between the two freely without changing a bit. On CPUs without
+// AVX2+FMA the scalar code is the only path.
 
-// HaveLanes reports whether the four-lane kernels run vector code on this
-// CPU. Callers that regroup work into fours to feed them (gp.Sparse's
+// HaveLanes reports whether the lane kernels run vector code on this CPU.
+// Callers that regroup work into blocks to feed them (gp.Sparse's
 // prediction) keep their per-value code otherwise.
 func HaveLanes() bool { return haveFMA }
 
@@ -57,64 +57,63 @@ func RBFRows(out, x []float64, cols [][]float64, off int, norms []float64, nx, i
 	return rbfGroups(out, x, cols, off, norms, nx, inv2l2, amp2)
 }
 
-// ForwardSolveLanes solves L y_c = b_c in place for four right-hand sides
-// stored interleaved: y[4j+c] holds element j of lane c, len(y) = 4·Size.
-// It runs forwardBlocked's serial sweep with the same cholBlock blocking,
-// and every per-lane dot replays adot's order for its length, so lane c
-// ends with exactly the bits ForwardSolveVecToSerial gives for b_c.
-func (c *Cholesky) ForwardSolveLanes(y []float64) {
+// RBFLanes is the candidate-major fused isotropic RBF kernel for a block of
+// eight candidates, written in the layout ForwardSolveLanes solves. x holds
+// the candidates' rows back to back (8·d values), z the design rows
+// row-major (len(norms)·d values). For design rows j = from, from+1, ... it
+// sets, for each candidate c,
+//
+//	w[8j+c] = amp2 · exp(−max0((nx_c + norms[j]) − 2⟨x_c, z_j⟩) · inv2l2)
+//	mu[c]  += w[8j+c] · beta[j]
+//
+// where nx_c is the squared norm of x_c summed left to right, ⟨x_c, z_j⟩ is
+// summed left to right and unfused, max0 is RBFRows's, and mu's sums are
+// unfused: a caller that starts from 0 with mu zero ends with Dot(k_c, beta)
+// for candidate c's kernel row k_c. xt is scratch for x transposed (8·d
+// values). It returns the first row it did not write: len(norms) when it
+// finished, else a row where some lane's exponent argument leaves
+// [−708, 709] or is NaN. The caller evaluates that row with its scalar
+// expression and calls again from the next one. It writes nothing when
+// HaveLanes is false.
+func RBFLanes(w, x, xt, z, norms, beta []float64, from int, inv2l2, amp2 float64, mu *[8]float64) int {
+	m := len(norms)
+	d := len(x) / 8
+	if len(x) != 8*d || len(xt) < len(x) || len(z) < m*d || len(beta) < m || len(w) < 8*m || from < 0 || from > m {
+		panic(fmt.Sprintf("mat: RBFLanes from row %d with %d candidate values, %d scratch, %d design values, %d weights and %d outputs for %d rows", from, len(x), len(xt), len(z), len(beta), len(w), m))
+	}
+	if from == m {
+		return m
+	}
+	return rbfLaneRows(w, x, xt, z, norms, beta, from, inv2l2, amp2, mu)
+}
+
+// ForwardSolveLanes solves L y_c = b_c in place for eight right-hand sides
+// stored interleaved, y[8j+c] holding element j of lane c (len(y) =
+// 8·Size), and returns ss[c] = Σ_j y_c[j]², summed in index order as Dot
+// sums. With the vector kernels the whole cholBlock-blocked sweep is one
+// call: lanes 0–3 and 4–7 run as two four-lane groups that share each load
+// of L, and every per-lane dot replays adot's order for its length.
+// Without them each lane runs ForwardSolveVecToSerial's sweep. Either way
+// lane c ends with exactly the bits ForwardSolveVecToSerial gives for b_c,
+// and ss[c] with those of Dot(y_c, y_c).
+func (c *Cholesky) ForwardSolveLanes(y []float64) (ss [8]float64) {
 	n := c.n
-	if len(y) != 4*n {
+	if len(y) != 8*n {
 		panic(fmt.Sprintf("mat: ForwardSolveLanes length %d for size %d", len(y), n))
 	}
-	for kb := 0; kb < n; kb += cholBlock {
-		kend := min(kb+cholBlock, n)
-		yb := y[4*kb : 4*kend]
-		for i := kb; i < kend; i++ {
-			ri := c.row(i)
-			fwdLanes(ri[kb:i], yb, y[4*i:4*i+4], ri[i], true)
-		}
-		for i := kend; i < n; i++ {
-			fwdLanes(c.row(i)[kb:kend], yb, y[4*i:4*i+4], 0, false)
-		}
+	if n == 0 || forwardSweepLanes(c.data, n, y, &ss) {
+		return ss
 	}
-}
-
-// fwdLanesGo is fwdLanes without vector code. With haveFMA false adot is
-// dot4 at every length, which dotLanes replays per lane.
-func fwdLanesGo(a, y, yi []float64, d float64, div bool) {
-	s := dotLanes(a, y)
-	for c := range s {
-		if div {
-			yi[c] = (yi[c] - s[c]) / d
-		} else {
-			yi[c] -= s[c]
+	lane := make([]float64, n)
+	for l := range ss {
+		for j := range lane {
+			lane[j] = y[8*j+l]
+		}
+		c.forwardBlocked(lane, false)
+		ss[l] = Dot(lane, lane)
+		for j, v := range lane {
+			y[8*j+l] = v
 		}
 	}
-}
-
-// dotLanes returns dot4(a, lane c of y) for each lane c of the interleaved
-// y: the same four unfused accumulators, tail and (s0+s1)+(s2+s3) combine.
-func dotLanes(a, y []float64) (s [4]float64) {
-	n := len(a)
-	y = y[:4*n]
-	var s0, s1, s2, s3 [4]float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		for c := range s0 {
-			s0[c] += a[i] * y[4*i+c]
-			s1[c] += a[i+1] * y[4*i+4+c]
-			s2[c] += a[i+2] * y[4*i+8+c]
-			s3[c] += a[i+3] * y[4*i+12+c]
-		}
-	}
-	for ; i < n; i++ {
-		for c := range s0 {
-			s0[c] += a[i] * y[4*i+c]
-		}
-	}
-	for c := range s {
-		s[c] = (s0[c] + s1[c]) + (s2[c] + s3[c])
-	}
-	return s
+	return ss
 }

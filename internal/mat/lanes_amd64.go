@@ -4,7 +4,12 @@ package mat
 
 func expAsm(dst, src *float64, n int) int
 func rbfRowsAsm(out, x *float64, d int, cols *[]float64, off int, norms *float64, n int, nx, inv2l2, amp2 float64) int
-func fwdLanesAsm(a, y *float64, n int, yi *float64, d float64, div bool)
+
+//go:noescape
+func rbfLanesAsm(w, x, xt *float64, d int, z, norms, beta *float64, j, m int, inv2l2, amp2 float64, mu *[8]float64) int
+
+//go:noescape
+func fwdSweepAsm(l *float64, n int, y *float64, ss *[8]float64)
 
 // expGroups writes dst[i] = math.Exp(x[i]) for leading groups of four and
 // returns how many it wrote (see lanes_amd64.s).
@@ -30,13 +35,26 @@ func rbfGroups(out, x []float64, cols [][]float64, off int, norms []float64, nx,
 	return rbfRowsAsm(&out[0], xp, len(x), cp, off, &norms[0], n, nx, inv2l2, amp2)
 }
 
-// fwdLanes is one forward-substitution row for four interleaved
-// right-hand sides: s = a·y per lane in adot's order, then yi = (yi − s)/d
-// when div, else yi −= s.
-func fwdLanes(a, y, yi []float64, d float64, div bool) {
-	if haveFMA && len(a) > 0 {
-		fwdLanesAsm(&a[0], &y[0], len(a), &yi[0], d, div)
-		return
+// rbfLaneRows is RBFLanes's vector part; its caller has checked the shapes
+// and that rows from..len(norms)−1 remain.
+func rbfLaneRows(w, x, xt, z, norms, beta []float64, from int, inv2l2, amp2 float64, mu *[8]float64) int {
+	if !haveFMA {
+		return from
 	}
-	fwdLanesGo(a, y, yi, d, div)
+	d := len(x) / 8
+	var xp, xtp, zp *float64
+	if d > 0 {
+		xp, xtp, zp = &x[0], &xt[0], &z[0]
+	}
+	return rbfLanesAsm(&w[0], xp, xtp, d, zp, &norms[0], &beta[0], from, len(norms), inv2l2, amp2, mu)
+}
+
+// forwardSweepLanes runs ForwardSolveLanes's vector sweep and reports
+// whether it did; its caller has checked the shapes and that n > 0.
+func forwardSweepLanes(l []float64, n int, y []float64, ss *[8]float64) bool {
+	if !haveFMA {
+		return false
+	}
+	fwdSweepAsm(&l[0], n, &y[0], ss)
+	return true
 }

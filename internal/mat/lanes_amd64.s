@@ -5,8 +5,12 @@
 //   - EXP4 is math.Exp's amd64 FMA path ($GOROOT/src/math/exp_amd64.s,
 //     label avxfma) per lane, for arguments in [-708, 709], where that path
 //     takes neither its denormal nor its overflow branch;
-//   - fwdLanesAsm's dot is dotAsm (n >= 16) or dot4 (n < 16) per lane;
-//   - rbfRowsAsm is the kernel package's unfused RBF row expression.
+//   - rbfRowsAsm (one candidate, four design rows a group) and rbfLanesAsm
+//     (eight candidates, one design row at a time) are the kernel package's
+//     unfused RBF row expression, and rbfLanesAsm's running sum against
+//     beta is Dot's;
+//   - fwdSweepAsm's dots are dotAsm (length >= 16) or dot4 (length < 16) per
+//     lane, and its sums of squares are Dot's.
 //
 // Callers reach these only when haveFMA holds. A group of four whose
 // exponent arguments leave the fast range stops the kernel, and the Go
@@ -98,47 +102,48 @@ GLOBL lanesc<>(SB), RODATA, $528
 #define SIGN lanesc<>+480(SB)
 #define BIAS lanesc<>+512(SB)
 
-// INRANGE sets BX to 15 exactly when every lane of Y0 lies in
-// [EXPLO, EXPHI]; a NaN lane compares false. Clobbers Y8, Y9.
-#define INRANGE \
-	VCMPPD $0x1d, EXPLO, Y0, Y8; \
-	VCMPPD $0x12, EXPHI, Y0, Y9; \
-	VANDPD Y9, Y8, Y8; \
-	VMOVMSKPD Y8, BX
+// INRANGE(x, t1, t2, r) sets r to 15 exactly when every lane of x lies in
+// [EXPLO, EXPHI]; a NaN lane compares false. Clobbers t1, t2.
+#define INRANGE(x, t1, t2, r) \
+	VCMPPD $0x1d, EXPLO, x, t1; \
+	VCMPPD $0x12, EXPHI, x, t2; \
+	VANDPD t2, t1, t1; \
+	VMOVMSKPD t1, r
 
-// EXP4 replaces each lane x of Y0 with math.Exp(x), x in [EXPLO, EXPHI]:
-// k = round(x·log2e) (CVTSD2SL's rounding), r = (x − k·ln2U − k·ln2L)/16
-// with fused steps, the degree-8 polynomial as a chain of FMAs, four
-// squarings y·(y+2) (the last fused with +1), then the product with 2^k
-// built from the exponent bits. Clobbers Y1, Y2, Y3.
-#define EXP4 \
-	VMULPD LOG2E, Y0, Y1; \
-	VCVTPD2DQY Y1, X1; \
-	VCVTDQ2PD X1, Y2; \
-	VFNMADD231PD LN2U, Y2, Y0; \
-	VFNMADD231PD LN2L, Y2, Y0; \
-	VMULPD SIXTEENTH, Y0, Y0; \
-	VMOVUPD lanesc<>+128(SB), Y3; \
-	VFMADD213PD lanesc<>+160(SB), Y0, Y3; \
-	VFMADD213PD lanesc<>+192(SB), Y0, Y3; \
-	VFMADD213PD lanesc<>+224(SB), Y0, Y3; \
-	VFMADD213PD lanesc<>+256(SB), Y0, Y3; \
-	VFMADD213PD lanesc<>+288(SB), Y0, Y3; \
-	VFMADD213PD lanesc<>+320(SB), Y0, Y3; \
-	VFMADD213PD ONE, Y0, Y3; \
-	VMULPD Y3, Y0, Y0; \
-	VADDPD TWO, Y0, Y3; \
-	VMULPD Y3, Y0, Y0; \
-	VADDPD TWO, Y0, Y3; \
-	VMULPD Y3, Y0, Y0; \
-	VADDPD TWO, Y0, Y3; \
-	VMULPD Y3, Y0, Y0; \
-	VADDPD TWO, Y0, Y3; \
-	VFMADD213PD ONE, Y3, Y0; \
-	VPADDD BIAS, X1, X1; \
-	VPMOVZXDQ X1, Y2; \
-	VPSLLQ $52, Y2, Y2; \
-	VMULPD Y2, Y0, Y0
+// EXP4(x, t1, t1x, t2, t3) replaces each lane v of x with math.Exp(v),
+// v in [EXPLO, EXPHI]: k = round(v·log2e) (CVTSD2SL's rounding),
+// r = (v − k·ln2U − k·ln2L)/16 with fused steps, the degree-8 polynomial as
+// a chain of FMAs, four squarings y·(y+2) (the last fused with +1), then the
+// product with 2^k built from the exponent bits. t1x is the xmm half of t1.
+// Clobbers t1, t2, t3.
+#define EXP4(x, t1, t1x, t2, t3) \
+	VMULPD LOG2E, x, t1; \
+	VCVTPD2DQY t1, t1x; \
+	VCVTDQ2PD t1x, t2; \
+	VFNMADD231PD LN2U, t2, x; \
+	VFNMADD231PD LN2L, t2, x; \
+	VMULPD SIXTEENTH, x, x; \
+	VMOVUPD lanesc<>+128(SB), t3; \
+	VFMADD213PD lanesc<>+160(SB), x, t3; \
+	VFMADD213PD lanesc<>+192(SB), x, t3; \
+	VFMADD213PD lanesc<>+224(SB), x, t3; \
+	VFMADD213PD lanesc<>+256(SB), x, t3; \
+	VFMADD213PD lanesc<>+288(SB), x, t3; \
+	VFMADD213PD lanesc<>+320(SB), x, t3; \
+	VFMADD213PD ONE, x, t3; \
+	VMULPD t3, x, x; \
+	VADDPD TWO, x, t3; \
+	VMULPD t3, x, x; \
+	VADDPD TWO, x, t3; \
+	VMULPD t3, x, x; \
+	VADDPD TWO, x, t3; \
+	VMULPD t3, x, x; \
+	VADDPD TWO, x, t3; \
+	VFMADD213PD ONE, t3, x; \
+	VPADDD BIAS, t1x, t1x; \
+	VPMOVZXDQ t1x, t2; \
+	VPSLLQ $52, t2, t2; \
+	VMULPD t2, x, x
 
 // func expAsm(dst, src *float64, n int) int
 // dst[i] = math.Exp(src[i]) four at a time; n is a multiple of 4. Returns
@@ -153,10 +158,10 @@ exploop:
 	CMPQ AX, CX
 	JGE  expdone
 	VMOVUPD (SI)(AX*8), Y0
-	INRANGE
+	INRANGE(Y0, Y8, Y9, BX)
 	CMPQ BX, $15
 	JNE  expdone
-	EXP4
+	EXP4(Y0, Y1, X1, Y2, Y3)
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
 	JMP  exploop
@@ -214,10 +219,10 @@ rbfdist:
 	VANDNPD Y7, Y9, Y7
 	VXORPD SIGN, Y7, Y0
 	VMULPD Y11, Y0, Y0
-	INRANGE
+	INRANGE(Y0, Y8, Y9, BX)
 	CMPQ BX, $15
 	JNE  rbfdone
-	EXP4
+	EXP4(Y0, Y1, X1, Y2, Y3)
 	VMULPD Y0, Y12, Y0
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ $4, AX
@@ -228,27 +233,298 @@ rbfdone:
 	VZEROUPPER
 	RET
 
-// func fwdLanesAsm(a, y *float64, n int, yi *float64, d float64, div bool)
-// One forward-substitution row for four interleaved right-hand sides
-// (y[4j+c] is element j of lane c): s = a·y per lane in adot's order, then
-// yi = (yi − s)/d when div, else yi −= s.
+
+// func rbfLanesAsm(w, x, xt *float64, d int, z, norms, beta *float64, j, m int, inv2l2, amp2 float64, mu *[8]float64) int
+// Candidate-major RBF rows for a block of eight candidates, two four-lane
+// groups: lane c holds candidate c (row c of x, d values a row). It copies
+// x transposed into xt (xt[8i+c] = x[c·d+i]) and sums each lane's
+// nx = ((0 + x0·x0) + x1·x1) + ... as sqNorm does. Then, for design rows
+// j, j+1, ... < m (row j of z at z[j·d:]), per lane:
 //
-// n >= 16 replays dotAsm: residue class r (mod 16) of the row accumulates
-// into its own register with fused steps, classes 0..7 in one sweep and
-// 8..15 in a second (sixteen accumulators and a broadcast do not fit in
-// sixteen registers; the classes are independent chains, so the split
-// changes no bit). The classes combine as dotAsm's lanes do,
-// ((c0+c4)+(c8+c12)) etc., then (t0+t2)+(t1+t3), and the n mod 16 tail is
-// fused in ascending order. n < 16 replays dot4's unfused four
-// accumulators and (s0+s1)+(s2+s3).
-TEXT ·fwdLanesAsm(SB), NOSPLIT, $0-41
-	MOVQ a+0(FP), SI
-	MOVQ y+8(FP), DI
-	MOVQ n+16(FP), CX
-	CMPQ CX, $16
-	JLT  fwdshort
-	MOVQ CX, DX
-	SHRQ $4, DX
+//	dot  = ((0 + x0·z0) + x1·z1) + ...  (unfused, left to right)
+//	r2   = (nx + norms[j]) − (dot + dot), then r2 < 0 → +0
+//	k    = amp2 · exp((−r2) · inv2l2)
+//	w[8j+c] = k;  mu[c] += k · beta[j]  (unfused)
+//
+// mu is read on entry and written on exit. It stops at the first j where a
+// lane's exponent argument leaves [-708, 709] or is NaN, before touching
+// that j, and returns it (m when every row is done).
+TEXT ·rbfLanesAsm(SB), NOSPLIT, $0-104
+	MOVQ x+8(FP), SI
+	MOVQ xt+16(FP), R13
+	MOVQ d+24(FP), DX
+	MOVQ DX, R11
+	SHLQ $3, R11              // R11 = bytes per row of x and z
+	MOVQ R13, R10
+	MOVQ DX, BX
+	TESTQ BX, BX
+	JZ    lanesnorm
+lanestr:
+	MOVQ  SI, R12
+	MOVSD (R12), X0
+	MOVSD X0, 0(R10)
+	ADDQ  R11, R12
+	MOVSD (R12), X0
+	MOVSD X0, 8(R10)
+	ADDQ  R11, R12
+	MOVSD (R12), X0
+	MOVSD X0, 16(R10)
+	ADDQ  R11, R12
+	MOVSD (R12), X0
+	MOVSD X0, 24(R10)
+	ADDQ  R11, R12
+	MOVSD (R12), X0
+	MOVSD X0, 32(R10)
+	ADDQ  R11, R12
+	MOVSD (R12), X0
+	MOVSD X0, 40(R10)
+	ADDQ  R11, R12
+	MOVSD (R12), X0
+	MOVSD X0, 48(R10)
+	ADDQ  R11, R12
+	MOVSD (R12), X0
+	MOVSD X0, 56(R10)
+	ADDQ  $8, SI
+	ADDQ  $64, R10
+	DECQ  BX
+	JNZ   lanestr
+lanesnorm:
+	VXORPD Y10, Y10, Y10      // nx, group A
+	VXORPD Y11, Y11, Y11      // nx, group B
+	MOVQ   R13, R10
+	MOVQ   DX, BX
+	TESTQ  BX, BX
+	JZ     lanesinit
+lanesnx:
+	VMOVUPD 0(R10), Y0
+	VMULPD  Y0, Y0, Y0
+	VADDPD  Y0, Y10, Y10
+	VMOVUPD 32(R10), Y1
+	VMULPD  Y1, Y1, Y1
+	VADDPD  Y1, Y11, Y11
+	ADDQ    $64, R10
+	DECQ    BX
+	JNZ     lanesnx
+lanesinit:
+	MOVQ w+0(FP), DI
+	MOVQ z+32(FP), R8
+	MOVQ norms+40(FP), R9
+	MOVQ beta+48(FP), R10
+	MOVQ j+56(FP), AX
+	MOVQ m+64(FP), CX
+	VBROADCASTSD inv2l2+72(FP), Y14
+	VBROADCASTSD amp2+80(FP), Y15
+	MOVQ    mu+88(FP), BX
+	VMOVUPD 0(BX), Y12        // mu, group A
+	VMOVUPD 32(BX), Y13       // mu, group B
+	MOVQ    AX, BX
+	IMULQ   R11, BX
+	ADDQ    BX, R8            // R8 = row j of z
+lanesloop:
+	CMPQ   AX, CX
+	JGE    lanesdone
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+	MOVQ   R8, R12
+	MOVQ   R13, R14
+	MOVQ   DX, BX
+	TESTQ  BX, BX
+	JZ     lanesdist
+lanesdims:
+	VBROADCASTSD (R12), Y1
+	VMULPD       0(R14), Y1, Y2
+	VADDPD       Y2, Y0, Y0
+	VMULPD       32(R14), Y1, Y3
+	VADDPD       Y3, Y4, Y4
+	ADDQ         $8, R12
+	ADDQ         $64, R14
+	DECQ         BX
+	JNZ          lanesdims
+lanesdist:
+	VBROADCASTSD (R9)(AX*8), Y1
+	VADDPD       Y1, Y10, Y2
+	VADDPD       Y0, Y0, Y0
+	VSUBPD       Y0, Y2, Y0
+	VADDPD       Y1, Y11, Y3
+	VADDPD       Y4, Y4, Y4
+	VSUBPD       Y4, Y3, Y4
+	VXORPD       Y8, Y8, Y8
+	VCMPPD       $1, Y8, Y0, Y9 // r2 < 0 (false for -0 and NaN)
+	VANDNPD      Y0, Y9, Y0
+	VCMPPD       $1, Y8, Y4, Y9
+	VANDNPD      Y4, Y9, Y4
+	VXORPD       SIGN, Y0, Y0
+	VXORPD       SIGN, Y4, Y4
+	VMULPD       Y14, Y0, Y0
+	VMULPD       Y14, Y4, Y4
+	INRANGE(Y0, Y8, Y9, BX)
+	INRANGE(Y4, Y8, Y9, R14)
+	ANDQ         R14, BX
+	CMPQ         BX, $15
+	JNE          lanesdone
+	EXP4(Y0, Y1, X1, Y2, Y3)
+	EXP4(Y4, Y5, X5, Y6, Y7)
+	VMULPD       Y0, Y15, Y0
+	VMULPD       Y4, Y15, Y4
+	MOVQ         AX, BX
+	SHLQ         $6, BX
+	VMOVUPD      Y0, 0(DI)(BX*1)
+	VMOVUPD      Y4, 32(DI)(BX*1)
+	VBROADCASTSD (R10)(AX*8), Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y0, Y12, Y12
+	VMULPD       Y1, Y4, Y4
+	VADDPD       Y4, Y13, Y13
+	INCQ         AX
+	ADDQ         R11, R8
+	JMP          lanesloop
+lanesdone:
+	MOVQ    mu+88(FP), BX
+	VMOVUPD Y12, 0(BX)
+	VMOVUPD Y13, 32(BX)
+	MOVQ    AX, ret+96(FP)
+	VZEROUPPER
+	RET
+
+// FWD4(ao, yo) starts one dotAsm pass over residue classes p, p+4, p+8
+// and p+12 (mod 16), ao = 8p and yo = 64p: it zeroes the accumulators, Y0..Y3
+// for group A and Y4..Y7 for group B, points R11 at element p of the row and
+// R12 at element p of the interleaved right-hand sides, and sets R13 to the
+// number of 16-element chunks.
+#define FWD4(ao, yo) \
+	LEAQ   ao(BX)(R9*8), R11; \
+	LEAQ   yo(R14), R12; \
+	MOVQ   DX, R13; \
+	SHRQ   $4, R13; \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+// FWD16 is one 16-element chunk of a pass: each of the four row elements is
+// broadcast once and fused into both groups' accumulators.
+#define FWD16 \
+	VBROADCASTSD 0(R11), Y8; \
+	VFMADD231PD  0(R12), Y8, Y0; \
+	VFMADD231PD  32(R12), Y8, Y4; \
+	VBROADCASTSD 32(R11), Y9; \
+	VFMADD231PD  256(R12), Y9, Y1; \
+	VFMADD231PD  288(R12), Y9, Y5; \
+	VBROADCASTSD 64(R11), Y10; \
+	VFMADD231PD  512(R12), Y10, Y2; \
+	VFMADD231PD  544(R12), Y10, Y6; \
+	VBROADCASTSD 96(R11), Y11; \
+	VFMADD231PD  768(R12), Y11, Y3; \
+	VFMADD231PD  800(R12), Y11, Y7; \
+	ADDQ         $128, R11; \
+	ADDQ         $1024, R12; \
+	DECQ         R13
+
+// FWDT folds a pass's classes as dotAsm's vertical combine does:
+// t = (c_p + c_p+4) + (c_p+8 + c_p+12), into Y0 (A) and Y4 (B).
+#define FWDT \
+	VADDPD Y1, Y0, Y0; \
+	VADDPD Y3, Y2, Y2; \
+	VADDPD Y2, Y0, Y0; \
+	VADDPD Y5, Y4, Y4; \
+	VADDPD Y7, Y6, Y6; \
+	VADDPD Y6, Y4, Y4
+
+// func fwdSweepAsm(l *float64, n int, y *float64, ss *[8]float64)
+// The whole blocked forward substitution L y_c = b_c for eight interleaved
+// right-hand sides (y[8j+c] is element j of lane c), as forwardBlocked runs
+// it serially: for each cholBlock-wide block [kb, kend), rows i in the block
+// take y_i = (y_i − s)/L_ii and rows below it y_i −= s, where s is the dot
+// of row i's elements kb..min(i, kend)−1 with y over the same range. Lanes
+// 0..3 (group A) and 4..7 (group B) share every broadcast of L, and a row of
+// B overlaps A's divide. ss[c] (zero on entry) gains y_c[i]² as each y_i
+// becomes final, in index order and unfused, as Dot sums.
+//
+// A dot of length >= 16 replays dotAsm per lane: residue class r (mod 16)
+// accumulates with fused steps, in four passes of four classes each
+// (p, p+4, p+8, p+12, for p = 0, 2, 1, 3), each folded to
+// t_p = (c_p + c_p+4) + (c_p+8 + c_p+12); then (t0+t2)+(t1+t3), and the
+// length mod 16 tail fused in ascending order. A shorter dot replays dot4:
+// four unfused accumulators, the length mod 4 tail into the first, and
+// (s0+s1)+(s2+s3). The packed row i starts at l[i(i+1)/2].
+TEXT ·fwdSweepAsm(SB), NOSPLIT, $0-32
+	MOVQ l+0(FP), R8
+	MOVQ n+8(FP), CX
+	MOVQ y+16(FP), DI
+	MOVQ ss+24(FP), SI
+	XORQ R9, R9               // kb
+sweepblock:
+	CMPQ    R9, CX
+	JGE     sweepdone
+	LEAQ    64(R9), R10
+	CMPQ    R10, CX
+	CMOVQGT CX, R10           // kend = min(kb+cholBlock, n)
+	LEAQ    1(R9), BX
+	IMULQ   R9, BX
+	SHRQ    $1, BX
+	LEAQ    (R8)(BX*8), BX    // BX = packed row kb
+	MOVQ    R9, R14
+	SHLQ    $6, R14
+	ADDQ    DI, R14           // R14 = element kb of y
+	MOVQ    R9, AX            // i
+sweeprow:
+	CMPQ    AX, CX
+	JGE     sweepnext
+	MOVQ    AX, DX
+	CMPQ    DX, R10
+	CMOVQGT R10, DX
+	SUBQ    R9, DX            // DX = dot length min(i, kend) − kb
+	CMPQ    DX, $16
+	JLT     sweepshort
+	FWD4(0, 0)
+sweepp0:
+	FWD16
+	JNZ sweepp0
+	FWDT
+	VMOVAPD Y0, Y12
+	VMOVAPD Y4, Y13
+	FWD4(16, 128)
+sweepp2:
+	FWD16
+	JNZ sweepp2
+	FWDT
+	VADDPD Y0, Y12, Y12       // t0 + t2
+	VADDPD Y4, Y13, Y13
+	FWD4(8, 64)
+sweepp1:
+	FWD16
+	JNZ sweepp1
+	FWDT
+	VMOVAPD Y0, Y14
+	VMOVAPD Y4, Y15
+	FWD4(24, 192)
+sweepp3:
+	FWD16
+	JNZ sweepp3
+	FWDT
+	VADDPD Y0, Y14, Y14       // t1 + t3
+	VADDPD Y4, Y15, Y15
+	VADDPD Y14, Y12, Y0
+	VADDPD Y15, Y13, Y4
+	SUBQ   $24, R11           // the pass-3 walkers stop 3 elements past
+	SUBQ   $192, R12          // the tail's first
+	MOVQ   DX, R13
+	ANDQ   $15, R13
+	JZ     sweepupdate
+sweeptail:
+	VBROADCASTSD (R11), Y8
+	VFMADD231PD  0(R12), Y8, Y0
+	VFMADD231PD  32(R12), Y8, Y4
+	ADDQ         $8, R11
+	ADDQ         $64, R12
+	DECQ         R13
+	JNZ          sweeptail
+	JMP          sweepupdate
+sweepshort:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -257,139 +533,87 @@ TEXT ·fwdLanesAsm(SB), NOSPLIT, $0-41
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	MOVQ SI, R9
-	MOVQ DI, R10
-	MOVQ DX, R11
-fwdlo:
-	VBROADCASTSD 0(R9), Y8
-	VFMADD231PD  0(R10), Y8, Y0
-	VBROADCASTSD 8(R9), Y9
-	VFMADD231PD  32(R10), Y9, Y1
-	VBROADCASTSD 16(R9), Y10
-	VFMADD231PD  64(R10), Y10, Y2
-	VBROADCASTSD 24(R9), Y11
-	VFMADD231PD  96(R10), Y11, Y3
-	VBROADCASTSD 32(R9), Y8
-	VFMADD231PD  128(R10), Y8, Y4
-	VBROADCASTSD 40(R9), Y9
-	VFMADD231PD  160(R10), Y9, Y5
-	VBROADCASTSD 48(R9), Y10
-	VFMADD231PD  192(R10), Y10, Y6
-	VBROADCASTSD 56(R9), Y11
-	VFMADD231PD  224(R10), Y11, Y7
-	ADDQ $128, R9
-	ADDQ $512, R10
-	DECQ R11
-	JNZ  fwdlo
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-	MOVQ SI, R9
-	MOVQ DI, R10
-	MOVQ DX, R11
-fwdhi:
-	VBROADCASTSD 64(R9), Y12
-	VFMADD231PD  256(R10), Y12, Y4
-	VBROADCASTSD 72(R9), Y13
-	VFMADD231PD  288(R10), Y13, Y5
-	VBROADCASTSD 80(R9), Y14
-	VFMADD231PD  320(R10), Y14, Y6
-	VBROADCASTSD 88(R9), Y15
-	VFMADD231PD  352(R10), Y15, Y7
-	VBROADCASTSD 96(R9), Y12
-	VFMADD231PD  384(R10), Y12, Y8
-	VBROADCASTSD 104(R9), Y13
-	VFMADD231PD  416(R10), Y13, Y9
-	VBROADCASTSD 112(R9), Y14
-	VFMADD231PD  448(R10), Y14, Y10
-	VBROADCASTSD 120(R9), Y15
-	VFMADD231PD  480(R10), Y15, Y11
-	ADDQ $128, R9
-	ADDQ $512, R10
-	DECQ R11
-	JNZ  fwdhi
-	VADDPD Y8, Y4, Y4
-	VADDPD Y9, Y5, Y5
-	VADDPD Y10, Y6, Y6
-	VADDPD Y11, Y7, Y7
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
-	VADDPD Y2, Y0, Y0
-	VADDPD Y3, Y1, Y1
-	VADDPD Y1, Y0, Y0
-	ANDQ $15, CX
-	JZ   fwdupdate
-fwdtail:
-	VBROADCASTSD (R9), Y1
-	VFMADD231PD  (R10), Y1, Y0
-	ADDQ $8, R9
-	ADDQ $32, R10
-	DECQ CX
-	JNZ  fwdtail
-	JMP  fwdupdate
-fwdshort:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ SI, R9
-	MOVQ DI, R10
-	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   fwdshorttail
-fwdshort4:
-	VBROADCASTSD 0(R9), Y4
-	VMULPD       0(R10), Y4, Y4
-	VADDPD       Y4, Y0, Y0
-	VBROADCASTSD 8(R9), Y5
-	VMULPD       32(R10), Y5, Y5
-	VADDPD       Y5, Y1, Y1
-	VBROADCASTSD 16(R9), Y6
-	VMULPD       64(R10), Y6, Y6
-	VADDPD       Y6, Y2, Y2
-	VBROADCASTSD 24(R9), Y7
-	VMULPD       96(R10), Y7, Y7
-	VADDPD       Y7, Y3, Y3
-	ADDQ $32, R9
-	ADDQ $128, R10
-	DECQ DX
-	JNZ  fwdshort4
-fwdshorttail:
-	ANDQ $3, CX
-	JZ   fwdshortsum
-fwdshorttail1:
-	VBROADCASTSD (R9), Y4
-	VMULPD       (R10), Y4, Y4
-	VADDPD       Y4, Y0, Y0
-	ADDQ $8, R9
-	ADDQ $32, R10
-	DECQ CX
-	JNZ  fwdshorttail1
-fwdshortsum:
+	LEAQ   (BX)(R9*8), R11
+	MOVQ   R14, R12
+	MOVQ   DX, R13
+	SHRQ   $2, R13
+	JZ     sweepshorttail
+sweepshort4:
+	VBROADCASTSD 0(R11), Y8
+	VMULPD       0(R12), Y8, Y10
+	VADDPD       Y10, Y0, Y0
+	VMULPD       32(R12), Y8, Y11
+	VADDPD       Y11, Y4, Y4
+	VBROADCASTSD 8(R11), Y9
+	VMULPD       64(R12), Y9, Y12
+	VADDPD       Y12, Y1, Y1
+	VMULPD       96(R12), Y9, Y13
+	VADDPD       Y13, Y5, Y5
+	VBROADCASTSD 16(R11), Y8
+	VMULPD       128(R12), Y8, Y10
+	VADDPD       Y10, Y2, Y2
+	VMULPD       160(R12), Y8, Y11
+	VADDPD       Y11, Y6, Y6
+	VBROADCASTSD 24(R11), Y9
+	VMULPD       192(R12), Y9, Y12
+	VADDPD       Y12, Y3, Y3
+	VMULPD       224(R12), Y9, Y13
+	VADDPD       Y13, Y7, Y7
+	ADDQ         $32, R11
+	ADDQ         $256, R12
+	DECQ         R13
+	JNZ          sweepshort4
+sweepshorttail:
+	MOVQ DX, R13
+	ANDQ $3, R13
+	JZ   sweepshortsum
+sweepshorttail1:
+	VBROADCASTSD (R11), Y8
+	VMULPD       0(R12), Y8, Y10
+	VADDPD       Y10, Y0, Y0
+	VMULPD       32(R12), Y8, Y11
+	VADDPD       Y11, Y4, Y4
+	ADDQ         $8, R11
+	ADDQ         $64, R12
+	DECQ         R13
+	JNZ          sweepshorttail1
+sweepshortsum:
 	VADDPD Y1, Y0, Y0
 	VADDPD Y3, Y2, Y2
 	VADDPD Y2, Y0, Y0
-fwdupdate:
-	MOVQ    yi+24(FP), R8
-	VMOVUPD (R8), Y1
+	VADDPD Y5, Y4, Y4
+	VADDPD Y7, Y6, Y6
+	VADDPD Y6, Y4, Y4
+sweepupdate:
+	MOVQ    AX, R13
+	SHLQ    $6, R13
+	ADDQ    DI, R13           // element i of y
+	VMOVUPD 0(R13), Y1
 	VSUBPD  Y0, Y1, Y1
-	MOVBLZX div+40(FP), AX
-	TESTQ   AX, AX
-	JZ      fwdstore
-	VBROADCASTSD d+32(FP), Y2
+	VMOVUPD 32(R13), Y5
+	VSUBPD  Y4, Y5, Y5
+	CMPQ    AX, R10
+	JGE     sweepstore
+	VBROADCASTSD (BX)(AX*8), Y2
 	VDIVPD  Y2, Y1, Y1
-fwdstore:
-	VMOVUPD Y1, (R8)
+	VDIVPD  Y2, Y5, Y5
+	VMULPD  Y1, Y1, Y3
+	VMOVUPD 0(SI), Y6
+	VADDPD  Y3, Y6, Y6
+	VMOVUPD Y6, 0(SI)
+	VMULPD  Y5, Y5, Y7
+	VMOVUPD 32(SI), Y8
+	VADDPD  Y7, Y8, Y8
+	VMOVUPD Y8, 32(SI)
+sweepstore:
+	VMOVUPD Y1, 0(R13)
+	VMOVUPD Y5, 32(R13)
+	LEAQ    8(BX)(AX*8), BX   // packed row i+1
+	INCQ    AX
+	JMP     sweeprow
+sweepnext:
+	MOVQ R10, R9
+	JMP  sweepblock
+sweepdone:
 	VZEROUPPER
 	RET

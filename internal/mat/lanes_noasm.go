@@ -2,7 +2,7 @@
 
 package mat
 
-// Portable forms of the four-lane kernels: no vector groups, so every value
+// Portable forms of the lane kernels: no vector groups, so every value
 // comes from the scalar code.
 
 func expGroups(dst, x []float64) int { return 0 }
@@ -11,4 +11,8 @@ func rbfGroups(out, x []float64, cols [][]float64, off int, norms []float64, nx,
 	return 0
 }
 
-func fwdLanes(a, y, yi []float64, d float64, div bool) { fwdLanesGo(a, y, yi, d, div) }
+func rbfLaneRows(w, x, xt, z, norms, beta []float64, from int, inv2l2, amp2 float64, mu *[8]float64) int {
+	return from
+}
+
+func forwardSweepLanes(l []float64, n int, y []float64, ss *[8]float64) bool { return false }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The four-lane kernels promise bits, not tolerances: every check below
+// The lane kernels promise bits, not tolerances: every check below
 // compares math.Float64bits against the scalar code kept in the tree.
 
 // expEdges are arguments at and around the boundaries of math.Exp's
@@ -86,6 +86,8 @@ func TestExpLanesBitwise(t *testing.T) { testExpLanes(t) }
 // lanesSizes cross asmDotMin (16) and cholBlock (64).
 var lanesSizes = []int{1, 2, 3, 15, 16, 17, 31, 32, 33, 50, 60, 63, 64, 65, 128, 129, 200}
 
+// testForwardSolveLanes checks the eight-lane sweep and its sums of squares
+// against ForwardSolveVecToSerial and Dot, lane by lane.
 func testForwardSolveLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, n := range lanesSizes {
@@ -94,8 +96,8 @@ func testForwardSolveLanes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := make([][]float64, 4)
-			y := make([]float64, 4*n)
+			b := make([][]float64, 8)
+			y := make([]float64, 8*n)
 			for c := range b {
 				b[c] = randomVec(rng, n)
 				if trial == 2 {
@@ -106,17 +108,20 @@ func testForwardSolveLanes(t *testing.T) {
 					}
 				}
 				for j, v := range b[c] {
-					y[4*j+c] = v
+					y[8*j+c] = v
 				}
 			}
-			ch.ForwardSolveLanes(y)
+			ss := ch.ForwardSolveLanes(y)
 			want := make([]float64, n)
 			for c := range b {
 				ch.ForwardSolveVecToSerial(want, b[c])
 				for j, w := range want {
-					if math.Float64bits(y[4*j+c]) != math.Float64bits(w) {
-						t.Fatalf("n=%d trial %d lane %d: y[%d] = %.17g, ForwardSolveVecToSerial = %.17g", n, trial, c, j, y[4*j+c], w)
+					if math.Float64bits(y[8*j+c]) != math.Float64bits(w) {
+						t.Fatalf("n=%d trial %d lane %d: y[%d] = %.17g, ForwardSolveVecToSerial = %.17g", n, trial, c, j, y[8*j+c], w)
 					}
+				}
+				if w := Dot(want, want); math.Float64bits(ss[c]) != math.Float64bits(w) {
+					t.Fatalf("n=%d trial %d lane %d: sum of squares %.17g, Dot = %.17g", n, trial, c, ss[c], w)
 				}
 			}
 		}
@@ -132,10 +137,10 @@ func TestForwardSolveLanesLengthPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ForwardSolveLanes accepted 3 values for a 3x3 factor")
+			t.Fatal("ForwardSolveLanes accepted 12 values for a 3x3 factor")
 		}
 	}()
-	ch.ForwardSolveLanes(make([]float64, 3))
+	ch.ForwardSolveLanes(make([]float64, 4*3))
 }
 
 // FuzzExpLanes feeds arbitrary bit patterns through every lane of a group
