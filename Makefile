@@ -45,17 +45,19 @@ fuzz-smoke:
 # Race runs use -short: the equivalence tests scale their sizes down so the
 # instrumented binary stays within CI time budgets. faults and online carry
 # the concurrency-sensitive fault-injection and checkpoint paths; engine
-# carries the sweep worker pool. The second line re-runs the streamed-pool
-# engine tests and the concurrent surrogate-fit tests explicitly (-count=1,
-# no -short): the shard-parallel Select lanes, the side-by-side cost and
-# memory fits of replay and online campaigns, and their worker-count
-# invariance pins must face the race detector at full size on every CI
-# pass, never satisfied from the test cache.
+# carries the sweep worker pool and the policy, loop and golden tests;
+# experiments carries the RunBatch study driver. The second line re-runs
+# the streamed-pool engine tests, the concurrent PredictInto pins and the
+# concurrent surrogate-fit tests explicitly (-count=1, no -short): the
+# shard-parallel Select lanes, the side-by-side cost and memory fits of
+# replay and online campaigns, and their worker-count invariance pins must
+# face the race detector at full size on every CI pass, never satisfied
+# from the test cache.
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
-		./internal/core ./internal/engine ./internal/faults ./internal/online \
+		./internal/engine ./internal/experiments ./internal/faults ./internal/online \
 		./internal/remotelab ./internal/report
-	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictIntoSerial|TestFitPair|TestOnlineFitPair' \
+	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair' \
 		./internal/engine ./internal/gp ./internal/online
 
 # sweep-smoke drives a tiny 2x2 policy-by-seed grid through the unified

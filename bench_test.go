@@ -16,8 +16,8 @@ import (
 	"testing"
 
 	"alamr/internal/amr"
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 	"alamr/internal/experiments"
 )
 
@@ -249,10 +249,10 @@ func BenchmarkALIteration(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := core.RunTrajectory(ds, part, core.LoopConfig{
-			Policy:        core.RGMA{},
+		if _, err := engine.RunReplay(ds, part, engine.LoopConfig{
+			Policy:        engine.RGMA{},
 			MaxIterations: 1,
-			MemLimitMB:    core.PaperMemLimitMB(ds),
+			MemLimitMB:    engine.PaperMemLimitMB(ds),
 			Seed:          int64(i),
 		}); err != nil {
 			b.Fatal(err)

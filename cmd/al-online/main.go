@@ -33,7 +33,6 @@ import (
 	"log"
 	"os"
 
-	"alamr/internal/core"
 	"alamr/internal/engine"
 	"alamr/internal/faults"
 	"alamr/internal/obs"
@@ -102,7 +101,7 @@ func (o options) validate() error {
 
 // policyByName resolves a policy through the engine registry (which also
 // serves spec files), so flags and specs accept the same names.
-func policyByName(name string) (core.Policy, error) {
+func policyByName(name string) (engine.Policy, error) {
 	return engine.BuildPolicy(engine.PolicySpec{Name: name})
 }
 
@@ -155,7 +154,7 @@ func main() {
 	} else {
 		policy, _ := policyByName(o.policy)
 		sim := online.NewSimLab(online.SimLabConfig{RefNx: o.refNx, Seed: *seed})
-		var lab online.Lab = sim
+		var lab engine.Lab = sim
 		injecting = o.pTransient > 0 || o.pCorrupt > 0 || o.rssLimit > 0 || o.wallLimit > 0
 		if injecting {
 			lab, err = faults.NewFaultyLab(sim, faults.LabConfig{

@@ -14,8 +14,8 @@ import (
 	"fmt"
 	"log"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 	"alamr/internal/online"
 )
 
@@ -26,7 +26,7 @@ func main() {
 	fmt.Println("online campaign: RGMA proposes, the simulated cluster runs")
 
 	res, err := online.Run(lab, online.Config{
-		Policy:         core.RGMA{},
+		Policy:         engine.RGMA{},
 		MaxExperiments: 25,
 		Budget:         2.0, // node-hours
 		MemLimitMB:     1.0,

@@ -10,8 +10,8 @@ import (
 	"log"
 	"math/rand"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 )
 
 func main() {
@@ -44,10 +44,10 @@ func main() {
 
 	// 3. Run cost- and memory-aware AL (the paper's RGMA policy) with the
 	//    paper's memory-limit rule.
-	limit := core.PaperMemLimitMB(ds)
+	limit := engine.PaperMemLimitMB(ds)
 	fmt.Printf("memory limit: %.3g MB\n", limit)
-	tr, err := core.RunTrajectory(ds, part, core.LoopConfig{
-		Policy:        core.RGMA{},
+	tr, err := engine.RunReplay(ds, part, engine.LoopConfig{
+		Policy:        engine.RGMA{},
 		MaxIterations: 60,
 		MemLimitMB:    limit,
 		Seed:          1,

@@ -1,11 +1,10 @@
-package core
+package engine
 
 import (
 	"bytes"
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"alamr/internal/dataset"
@@ -152,9 +151,9 @@ func TestBatchStrategyString(t *testing.T) {
 }
 
 func TestRunBatchTrajectoryBookkeeping(t *testing.T) {
-	ds := synthDataset(120, 60)
+	ds := synthDS(120, 60)
 	part := smallPartition(t, ds, 10, 40, 16)
-	tr, err := RunBatchTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplayBatch(ds, part, LoopConfig{
 		Policy: RandGoodness{}, MaxIterations: 24, Seed: 7,
 	}, 4, BatchConstantLiar)
 	if err != nil {
@@ -184,15 +183,15 @@ func TestRunBatchTrajectoryBookkeeping(t *testing.T) {
 }
 
 func TestRunBatchTrajectoryQ1MatchesSequentialShape(t *testing.T) {
-	ds := synthDataset(100, 61)
+	ds := synthDS(100, 61)
 	part := smallPartition(t, ds, 10, 30, 17)
-	tr, err := RunBatchTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplayBatch(ds, part, LoopConfig{
 		Policy: MinPred{}, MaxIterations: 10, Seed: 9,
 	}, 1, BatchIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := RunTrajectory(ds, part, LoopConfig{
+	seq, err := RunReplay(ds, part, LoopConfig{
 		Policy: MinPred{}, MaxIterations: 10, Seed: 9,
 	})
 	if err != nil {
@@ -210,9 +209,9 @@ func TestRunBatchTrajectoryQ1MatchesSequentialShape(t *testing.T) {
 
 func TestRunBatchTrajectoryLargerBatchesCheaperPerModel(t *testing.T) {
 	// Larger q means fewer model rebuilds; the run must still learn.
-	ds := synthDataset(120, 62)
+	ds := synthDS(120, 62)
 	part := smallPartition(t, ds, 10, 40, 18)
-	tr, err := RunBatchTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplayBatch(ds, part, LoopConfig{
 		Policy: MaxSigma{}, MaxIterations: 40, Seed: 11,
 	}, 8, BatchConstantLiar)
 	if err != nil {
@@ -224,20 +223,20 @@ func TestRunBatchTrajectoryLargerBatchesCheaperPerModel(t *testing.T) {
 }
 
 func TestRunBatchTrajectoryValidation(t *testing.T) {
-	ds := synthDataset(50, 63)
+	ds := synthDS(50, 63)
 	part := smallPartition(t, ds, 5, 20, 19)
-	if _, err := RunBatchTrajectory(ds, part, LoopConfig{}, 2, BatchIndependent); err == nil {
+	if _, err := RunReplayBatch(ds, part, LoopConfig{}, 2, BatchIndependent); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	if _, err := RunBatchTrajectory(ds, part, LoopConfig{Policy: MinPred{}}, 0, BatchIndependent); err == nil {
+	if _, err := RunReplayBatch(ds, part, LoopConfig{Policy: MinPred{}}, 0, BatchIndependent); err == nil {
 		t.Fatal("q=0 accepted")
 	}
 }
 
 func TestTrajectoryJSONRoundTrip(t *testing.T) {
-	ds := synthDataset(80, 64)
+	ds := synthDS(80, 64)
 	part := smallPartition(t, ds, 8, 25, 20)
-	tr, err := RunTrajectory(ds, part, LoopConfig{Policy: MinPred{}, MaxIterations: 6, Seed: 3})
+	tr, err := RunReplay(ds, part, LoopConfig{Policy: MinPred{}, MaxIterations: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,93 +261,22 @@ func TestTrajectoryJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// errPolicy fails every selection — a stand-in for a worker whose task is
-// broken from the start.
-type errPolicy struct{}
-
-func (errPolicy) Name() string { return "ErrPolicy" }
-func (errPolicy) Select(*Candidates, *rand.Rand) (int, error) {
-	return 0, errors.New("policy exploded")
-}
-
-// panicPolicy panics on selection — a stand-in for a worker hitting a bug.
-type panicPolicy struct{}
-
-func (panicPolicy) Name() string { return "PanicPolicy" }
-func (panicPolicy) Select(*Candidates, *rand.Rand) (int, error) {
-	panic("selection bug")
-}
-
-// TestRunBatchIsolatesWorkerErrors: one broken spec must not discard the
-// trajectories of its healthy siblings.
-func TestRunBatchIsolatesWorkerErrors(t *testing.T) {
-	ds := synthDataset(90, 61)
-	grouped, err := RunBatch(ds, BatchConfig{
-		Specs: []BatchSpec{
-			{Policy: RandUniform{}, NInit: 5},
-			{Policy: errPolicy{}, NInit: 5},
-		},
-		NTest:      30,
-		Partitions: 2,
-		Seed:       44,
-		Template:   LoopConfig{MaxIterations: 5},
-	})
-	if err == nil {
-		t.Fatal("broken spec reported no error")
-	}
-	good := grouped[BatchSpec{Policy: RandUniform{}, NInit: 5}.Key()]
-	if len(good) != 2 {
-		t.Fatalf("healthy spec kept %d trajectories, want 2", len(good))
-	}
-	if _, ok := grouped[BatchSpec{Policy: errPolicy{}, NInit: 5}.Key()]; ok {
-		t.Fatal("failed tasks grouped as results")
-	}
-	if got := err.Error(); !strings.Contains(got, "ErrPolicy") || !strings.Contains(got, "policy exploded") {
-		t.Fatalf("error does not identify the failing task: %v", got)
-	}
-}
-
-// TestRunBatchRecoversWorkerPanic: a panicking worker becomes a per-task
-// error, not a crashed process.
-func TestRunBatchRecoversWorkerPanic(t *testing.T) {
-	ds := synthDataset(90, 62)
-	grouped, err := RunBatch(ds, BatchConfig{
-		Specs: []BatchSpec{
-			{Policy: RandUniform{}, NInit: 5},
-			{Policy: panicPolicy{}, NInit: 5},
-		},
-		NTest:      30,
-		Partitions: 1,
-		Seed:       45,
-		Template:   LoopConfig{MaxIterations: 5},
-	})
-	if err == nil {
-		t.Fatal("panic swallowed silently")
-	}
-	if !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "selection bug") {
-		t.Fatalf("panic not surfaced in the error: %v", err)
-	}
-	if len(grouped[BatchSpec{Policy: RandUniform{}, NInit: 5}.Key()]) != 1 {
-		t.Fatal("panic discarded the healthy sibling")
-	}
-}
-
 // TestRunTrajectoryRejectsBadResponses pins the log-transform guard: a
 // non-positive or non-finite response in the training pool is refused as a
 // classified dataset.ErrBadResponse instead of feeding NaN to a surrogate.
 func TestRunTrajectoryRejectsBadResponses(t *testing.T) {
-	ds := synthDataset(80, 63)
+	ds := synthDS(80, 63)
 	part := smallPartition(t, ds, 8, 30, 9)
 	ds.Jobs[part.Active[0]].CostNH = math.NaN()
-	if _, err := RunTrajectory(ds, part, LoopConfig{Policy: RandUniform{}, MaxIterations: 5}); !errors.Is(err, dataset.ErrBadResponse) {
+	if _, err := RunReplay(ds, part, LoopConfig{Policy: RandUniform{}, MaxIterations: 5}); !errors.Is(err, dataset.ErrBadResponse) {
 		t.Fatalf("NaN cost not classified: %v", err)
 	}
-	if _, err := RunBatchTrajectory(ds, part, LoopConfig{Policy: RandUniform{}, MaxIterations: 5}, 2, BatchConstantLiar); !errors.Is(err, dataset.ErrBadResponse) {
+	if _, err := RunReplayBatch(ds, part, LoopConfig{Policy: RandUniform{}, MaxIterations: 5}, 2, BatchConstantLiar); !errors.Is(err, dataset.ErrBadResponse) {
 		t.Fatalf("batch loop: NaN cost not classified: %v", err)
 	}
 	ds.Jobs[part.Active[0]].CostNH = 1
 	ds.Jobs[part.Init[0]].MemMB = -3
-	if _, err := RunTrajectory(ds, part, LoopConfig{Policy: RandUniform{}, MaxIterations: 5}); !errors.Is(err, dataset.ErrBadResponse) {
+	if _, err := RunReplay(ds, part, LoopConfig{Policy: RandUniform{}, MaxIterations: 5}); !errors.Is(err, dataset.ErrBadResponse) {
 		t.Fatalf("negative memory not classified: %v", err)
 	}
 }

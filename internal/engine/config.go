@@ -57,11 +57,6 @@ type LoopConfig struct {
 	// O(shard + k) instead of O(m). Only shortlist-safe policies (pure
 	// argmax rankers: maxsigma, minpred) are supported.
 	Pool *PoolSpec
-	// DirectScoring disables the incremental posterior cache and re-scores
-	// the remaining pool with full GP predictions every iteration — the
-	// O(m·n²) reference path the cache is pinned against in the equivalence
-	// tests. Non-*gp.GP surrogates always use this path.
-	DirectScoring bool
 	// Campaign optionally attaches per-campaign labeled instruments so
 	// concurrent sweeps keep separable metric series; nil records into the
 	// shared campaign gauges only.
@@ -72,20 +67,13 @@ type LoopConfig struct {
 	Stop func() bool
 }
 
-// newModel builds one surrogate instance: the NewModel override, then the
-// registry entry Model names, then the exact GP.
+// newModel builds one surrogate instance: the NewModel override, else
+// NewSurrogate.
 func (c *LoopConfig) newModel() (gp.Model, error) {
 	if c.NewModel != nil {
 		return c.NewModel(), nil
 	}
-	deps := ModelDeps{Kernel: c.Kernel, GP: c.GP, Fidelity: c.Fidelity}
-	if c.Model != nil {
-		return BuildModel(*c.Model, deps)
-	}
-	if c.Fidelity != nil {
-		return BuildModel(ModelSpec{Name: ModelMultiFid}, deps)
-	}
-	return gp.New(c.Kernel, c.GP), nil
+	return NewSurrogate(c.Model, ModelDeps{Kernel: c.Kernel, GP: c.GP, Fidelity: c.Fidelity})
 }
 
 func (c *LoopConfig) setDefaults() {

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"fmt"
@@ -11,12 +11,12 @@ import (
 // campaign: memory-aware RGMA selects 20 experiments and the trajectory
 // records everything the evaluation needs.
 func Example() {
-	ds := synthDataset(120, 42)
+	ds := synthDS(120, 42)
 	part, err := dataset.Split(ds, 10, 40, rand.New(rand.NewSource(7)))
 	if err != nil {
 		panic(err)
 	}
-	tr, err := RunTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplay(ds, part, LoopConfig{
 		Policy:        RGMA{},
 		MaxIterations: 20,
 		MemLimitMB:    PaperMemLimitMB(ds),

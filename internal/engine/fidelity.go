@@ -70,15 +70,6 @@ func (f *FidelitySpec) ScaledLadder() []float64 {
 	return out
 }
 
-// levelIndex maps MaxLevel grid values to ladder indices.
-func (f *FidelitySpec) levelIndex() map[int]int {
-	idx := make(map[int]int, len(f.Levels))
-	for i, l := range f.Levels {
-		idx[l] = i
-	}
-	return idx
-}
-
 // TopLevel returns the MaxLevel value of the ladder's top rung.
 func (f *FidelitySpec) TopLevel() int { return f.Levels[len(f.Levels)-1] }
 
@@ -98,10 +89,9 @@ func (f *FidelitySpec) LevelOf(maxLevel int) int {
 // ladder, in dataset order. Replay campaigns run against the filtered
 // dataset, so a fidelity Trajectory's Selected indices refer to it.
 func (f *FidelitySpec) Filter(ds *dataset.Dataset) *dataset.Dataset {
-	idx := f.levelIndex()
 	out := &dataset.Dataset{}
 	for _, j := range ds.Jobs {
-		if _, ok := idx[j.MaxLevel]; ok {
+		if f.LevelOf(j.MaxLevel) >= 0 {
 			out.Jobs = append(out.Jobs, j)
 		}
 	}
@@ -124,11 +114,10 @@ func (f *FidelitySpec) split(ds *dataset.Dataset, nInit, nTest int, rng *rand.Ra
 	if perLevel < 1 {
 		return dataset.Partition{}, fmt.Errorf("engine: fidelity split needs init_per_level >= 1, got %d", perLevel)
 	}
-	idx := f.levelIndex()
 	counts := make([]int, len(f.Levels))
 	for i, j := range ds.Jobs {
-		li, ok := idx[j.MaxLevel]
-		if !ok {
+		li := f.LevelOf(j.MaxLevel)
+		if li < 0 {
 			return dataset.Partition{}, fmt.Errorf(
 				"engine: job %d has maxlevel %d off the ladder %v (filter the dataset with FidelitySpec.Filter first)",
 				i, j.MaxLevel, f.Levels)
@@ -156,7 +145,7 @@ func (f *FidelitySpec) split(ds *dataset.Dataset, nInit, nTest int, rng *rand.Ra
 		initLeft[i] = perLevel
 	}
 	for _, i := range perm {
-		li := idx[ds.Jobs[i].MaxLevel]
+		li := f.LevelOf(ds.Jobs[i].MaxLevel)
 		switch {
 		case li == top && testLeft > 0:
 			p.Test = append(p.Test, i)
@@ -225,27 +214,6 @@ func (CostPerInfo) Select(c *Candidates, rng *rand.Rand) (int, error) {
 func isCostPerInfo(name string) bool {
 	n := normName(name)
 	return n == "costperinfo" || n == "cpi"
-}
-
-// fidelityRuntime is the replay environment's ladder bookkeeping: MaxLevel
-// to ladder-index resolution for attaching the FidelityView and recording
-// per-selection levels.
-type fidelityRuntime struct {
-	spec  *FidelitySpec
-	index map[int]int
-}
-
-func newFidelityRuntime(spec *FidelitySpec) *fidelityRuntime {
-	return &fidelityRuntime{spec: spec, index: spec.levelIndex()}
-}
-
-// level resolves a job's MaxLevel to its ladder index.
-func (f *fidelityRuntime) level(maxLevel int) (int, error) {
-	li, ok := f.index[maxLevel]
-	if !ok {
-		return 0, fmt.Errorf("engine: maxlevel %d is off the fidelity ladder %v", maxLevel, f.spec.Levels)
-	}
-	return li, nil
 }
 
 func init() {

@@ -249,9 +249,8 @@ func TestReplayFidelityEndToEnd(t *testing.T) {
 	// Selected indices refer to the filtered dataset; every selected job
 	// must sit on the ladder and match its recorded level.
 	fds := spec.Fidelity.Filter(ds)
-	idx := spec.Fidelity.levelIndex()
 	for i, sel := range tr.Selected {
-		if want := idx[fds.Jobs[sel].MaxLevel]; tr.SelectedLevel[i] != want {
+		if want := spec.Fidelity.LevelOf(fds.Jobs[sel].MaxLevel); tr.SelectedLevel[i] != want {
 			t.Fatalf("selection %d: recorded level %d, job says %d", i, tr.SelectedLevel[i], want)
 		}
 	}

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"bytes"
@@ -62,7 +62,7 @@ func goldenCheck(t *testing.T, name string, got any) {
 }
 
 func TestGoldenReplaySequential(t *testing.T) {
-	ds := synthDataset(140, 91)
+	ds := synthDS(140, 91)
 	part := smallPartition(t, ds, 12, 40, 5)
 	limit := stats.Quantile(ds.Mem(nil), 0.8)
 	for _, tc := range []struct {
@@ -76,7 +76,7 @@ func TestGoldenReplaySequential(t *testing.T) {
 		{"rgma", RGMA{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := RunTrajectory(ds, part, LoopConfig{
+			tr, err := RunReplay(ds, part, LoopConfig{
 				Policy:        tc.policy,
 				MaxIterations: 25,
 				MemLimitMB:    limit,
@@ -92,7 +92,7 @@ func TestGoldenReplaySequential(t *testing.T) {
 }
 
 func TestGoldenReplayBatch(t *testing.T) {
-	ds := synthDataset(140, 92)
+	ds := synthDS(140, 92)
 	part := smallPartition(t, ds, 12, 40, 6)
 	limit := stats.Quantile(ds.Mem(nil), 0.8)
 	for _, tc := range []struct {
@@ -103,7 +103,7 @@ func TestGoldenReplayBatch(t *testing.T) {
 		{"constant_liar", BatchConstantLiar},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := RunBatchTrajectory(ds, part, LoopConfig{
+			tr, err := RunReplayBatch(ds, part, LoopConfig{
 				Policy:        RandGoodness{},
 				MaxIterations: 24,
 				MemLimitMB:    limit,
@@ -119,9 +119,9 @@ func TestGoldenReplayBatch(t *testing.T) {
 }
 
 func TestGoldenReplayStableStop(t *testing.T) {
-	ds := synthDataset(120, 93)
+	ds := synthDS(120, 93)
 	part := smallPartition(t, ds, 30, 40, 10)
-	tr, err := RunTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplay(ds, part, LoopConfig{
 		Policy:        MaxSigma{},
 		MaxIterations: 60,
 		Seed:          105,
@@ -133,20 +133,21 @@ func TestGoldenReplayStableStop(t *testing.T) {
 	goldenCheck(t, "replay_stable_maxsigma", tr)
 }
 
-// TestGoldenReplayDirectScoring pins the DirectScoring path separately so
-// the cache/no-cache equivalence survives the refactor at the golden level
-// too (scorer_test.go asserts it structurally).
+// TestGoldenReplayDirectScoring pins the direct-Predict scoring path (the
+// directOnly wrapper of scorer_test.go) separately so the cache/no-cache
+// equivalence survives the refactor at the golden level too (scorer_test.go
+// asserts it structurally).
 func TestGoldenReplayDirectScoring(t *testing.T) {
-	ds := synthDataset(140, 91)
+	ds := synthDS(140, 91)
 	part := smallPartition(t, ds, 12, 40, 5)
 	limit := stats.Quantile(ds.Mem(nil), 0.8)
-	tr, err := RunTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplay(ds, part, LoopConfig{
 		Policy:        RGMA{},
 		MaxIterations: 25,
 		MemLimitMB:    limit,
 		HyperoptEvery: 7,
 		Seed:          101,
-		DirectScoring: true,
+		NewModel:      newDirectExact,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -148,8 +148,10 @@ func RunLoop(env LoopEnv, p LoopParams) (StopReason, error) {
 		}
 
 		for _, pick := range picks {
-			if pick < 0 || pick >= env.PoolLen() {
-				return StopFault, fmt.Errorf("engine: policy %s returned out-of-range index %d of %d", p.Policy.Name(), pick, env.PoolLen())
+			// Picks index the scored set, which a streamed pool keeps to
+			// its shortlist.
+			if pick < 0 || pick >= cands.Len() {
+				return StopFault, fmt.Errorf("engine: policy %s returned out-of-range index %d of %d candidates", p.Policy.Name(), pick, cands.Len())
 			}
 			spRun := obs.SpanRun.Start()
 			e, execErr := env.Execute(pick)

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"math"
@@ -8,29 +8,6 @@ import (
 	"alamr/internal/dataset"
 	"alamr/internal/stats"
 )
-
-// synthDataset builds a synthetic but structured dataset: responses are
-// smooth functions of the grid features plus mild log-normal noise, so GPR
-// can actually learn them.
-func synthDataset(n int, seed int64) *dataset.Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	combos := dataset.AllCombos()
-	ds := &dataset.Dataset{}
-	for i := 0; i < n; i++ {
-		c := combos[rng.Intn(len(combos))]
-		noise := math.Exp(rng.NormFloat64() * 0.05)
-		wall := 2.0 * math.Pow(float64(c.Mx)/8, 1.5) * math.Pow(2, float64(c.MaxLevel-3)) *
-			(1 + 2*c.R0) * (1 / (0.2 + c.RhoIn)) * noise
-		cost := wall * float64(c.P) / 360 // compressed scale for the test
-		mem := 0.05 * float64(c.Mx*c.Mx) / 64 * math.Pow(2, float64(c.MaxLevel-3)) /
-			math.Sqrt(float64(c.P)) * math.Exp(rng.NormFloat64()*0.02)
-		ds.Jobs = append(ds.Jobs, dataset.Job{
-			P: c.P, Mx: c.Mx, MaxLevel: c.MaxLevel, R0: c.R0, RhoIn: c.RhoIn,
-			WallSec: wall, CostNH: cost, MemMB: mem,
-		})
-	}
-	return ds
-}
 
 func smallPartition(t *testing.T, ds *dataset.Dataset, nInit, nTest int, seed int64) dataset.Partition {
 	t.Helper()
@@ -43,9 +20,9 @@ func smallPartition(t *testing.T, ds *dataset.Dataset, nInit, nTest int, seed in
 
 func runSmall(t *testing.T, policy Policy, maxIter int, memLimit float64) *Trajectory {
 	t.Helper()
-	ds := synthDataset(120, 42)
+	ds := synthDS(120, 42)
 	part := smallPartition(t, ds, 10, 40, 7)
-	tr, err := RunTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplay(ds, part, LoopConfig{
 		Policy:        policy,
 		MaxIterations: maxIter,
 		MemLimitMB:    memLimit,
@@ -128,11 +105,11 @@ func TestMinPredSelectsCheaperThanUniform(t *testing.T) {
 }
 
 func TestRGMAAvoidsViolations(t *testing.T) {
-	ds := synthDataset(150, 43)
+	ds := synthDS(150, 43)
 	limit := stats.Quantile(ds.Mem(nil), 0.7)
 	part := smallPartition(t, ds, 25, 40, 8)
 	run := func(p Policy) int {
-		tr, err := RunTrajectory(ds, part, LoopConfig{
+		tr, err := RunReplay(ds, part, LoopConfig{
 			Policy: p, MaxIterations: 40, MemLimitMB: limit, Seed: 17,
 		})
 		if err != nil {
@@ -154,12 +131,12 @@ func TestRGMAAvoidsViolations(t *testing.T) {
 }
 
 func TestRGMAEarlyTermination(t *testing.T) {
-	ds := synthDataset(100, 44)
+	ds := synthDS(100, 44)
 	// Limit below every sample: after the init fit, all candidates are
 	// predicted to exceed.
 	limit := stats.Min(ds.Mem(nil)) * 0.5
 	part := smallPartition(t, ds, 15, 30, 9)
-	tr, err := RunTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplay(ds, part, LoopConfig{
 		Policy: RGMA{}, MemLimitMB: limit, Seed: 19,
 	})
 	if err != nil {
@@ -174,9 +151,9 @@ func TestRGMAEarlyTermination(t *testing.T) {
 }
 
 func TestStableStopping(t *testing.T) {
-	ds := synthDataset(120, 45)
+	ds := synthDS(120, 45)
 	part := smallPartition(t, ds, 30, 40, 10)
-	tr, err := RunTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplay(ds, part, LoopConfig{
 		Policy: MaxSigma{},
 		Seed:   21,
 		Stable: &StableStopConfig{Window: 3, Tol: 0.5}, // generous: triggers fast
@@ -193,9 +170,9 @@ func TestStableStopping(t *testing.T) {
 }
 
 func TestPoolExhaustion(t *testing.T) {
-	ds := synthDataset(60, 46)
+	ds := synthDS(60, 46)
 	part := smallPartition(t, ds, 10, 30, 11) // 20 active
-	tr, err := RunTrajectory(ds, part, LoopConfig{Policy: RandUniform{}, Seed: 23})
+	tr, err := RunReplay(ds, part, LoopConfig{Policy: RandUniform{}, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,23 +185,23 @@ func TestPoolExhaustion(t *testing.T) {
 }
 
 func TestRunTrajectoryValidation(t *testing.T) {
-	ds := synthDataset(50, 47)
+	ds := synthDS(50, 47)
 	part := smallPartition(t, ds, 5, 20, 12)
-	if _, err := RunTrajectory(ds, part, LoopConfig{}); err == nil {
+	if _, err := RunReplay(ds, part, LoopConfig{}); err == nil {
 		t.Fatal("nil policy accepted")
 	}
 	bad := part
 	bad.Init = nil
-	if _, err := RunTrajectory(ds, bad, LoopConfig{Policy: RandUniform{}}); err == nil {
+	if _, err := RunReplay(ds, bad, LoopConfig{Policy: RandUniform{}}); err == nil {
 		t.Fatal("broken partition accepted")
 	}
 }
 
 func TestTrajectoryDeterminism(t *testing.T) {
-	ds := synthDataset(100, 48)
+	ds := synthDS(100, 48)
 	part := smallPartition(t, ds, 10, 30, 13)
 	run := func() *Trajectory {
-		tr, err := RunTrajectory(ds, part, LoopConfig{
+		tr, err := RunReplay(ds, part, LoopConfig{
 			Policy: RandGoodness{}, MaxIterations: 20, Seed: 29,
 		})
 		if err != nil {
@@ -246,9 +223,9 @@ func TestTrajectoryDeterminism(t *testing.T) {
 }
 
 func TestLog2PTransformRuns(t *testing.T) {
-	ds := synthDataset(80, 49)
+	ds := synthDS(80, 49)
 	part := smallPartition(t, ds, 10, 30, 14)
-	tr, err := RunTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplay(ds, part, LoopConfig{
 		Policy: MinPred{}, MaxIterations: 10, Seed: 31, Log2P: true,
 	})
 	if err != nil {
@@ -262,9 +239,9 @@ func TestLog2PTransformRuns(t *testing.T) {
 func TestHyperoptEveryOneMatchesPaperAlgorithm(t *testing.T) {
 	// HyperoptEvery=1 refits at every iteration (exactly Algorithm 1); the
 	// run must still work and produce valid metrics.
-	ds := synthDataset(60, 50)
+	ds := synthDS(60, 50)
 	part := smallPartition(t, ds, 8, 20, 15)
-	tr, err := RunTrajectory(ds, part, LoopConfig{
+	tr, err := RunReplay(ds, part, LoopConfig{
 		Policy: MaxSigma{}, MaxIterations: 8, HyperoptEvery: 1, Seed: 33,
 	})
 	if err != nil {
@@ -277,104 +254,8 @@ func TestHyperoptEveryOneMatchesPaperAlgorithm(t *testing.T) {
 	}
 }
 
-func TestRunBatchGroupingAndDeterminism(t *testing.T) {
-	ds := synthDataset(90, 51)
-	cfg := BatchConfig{
-		Specs: []BatchSpec{
-			{Policy: RandUniform{}, NInit: 5},
-			{Policy: MinPred{}, NInit: 5},
-		},
-		NTest:      30,
-		Partitions: 2,
-		Seed:       37,
-		Template:   LoopConfig{MaxIterations: 8},
-	}
-	a, err := RunBatch(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 2 {
-		t.Fatalf("groups = %d want 2", len(a))
-	}
-	for key, trs := range a {
-		if len(trs) != 2 {
-			t.Fatalf("%s has %d trajectories want 2", key, len(trs))
-		}
-	}
-	b, err := RunBatch(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key := range a {
-		for i := range a[key] {
-			if a[key][i].CumCost[0] != b[key][i].CumCost[0] {
-				t.Fatalf("batch non-deterministic for %s[%d]", key, i)
-			}
-		}
-	}
-}
-
-func TestRunBatchSharedPartitions(t *testing.T) {
-	ds := synthDataset(90, 52)
-	got, err := RunBatch(ds, BatchConfig{
-		Specs: []BatchSpec{
-			{Policy: RandUniform{}, NInit: 5},
-			{Policy: MaxSigma{}, NInit: 5},
-		},
-		NTest:      30,
-		Partitions: 1,
-		Seed:       41,
-		Template:   LoopConfig{MaxIterations: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same nInit → same partition → identical initial RMSE for both
-	// policies.
-	var inits []float64
-	for _, trs := range got {
-		inits = append(inits, trs[0].InitCostRMSE)
-	}
-	if len(inits) != 2 || inits[0] != inits[1] {
-		t.Fatalf("policies did not share partitions: %v", inits)
-	}
-}
-
-func TestRunBatchValidation(t *testing.T) {
-	ds := synthDataset(50, 53)
-	if _, err := RunBatch(ds, BatchConfig{}); err == nil {
-		t.Fatal("empty specs accepted")
-	}
-}
-
-func TestCurveSetAndAggregate(t *testing.T) {
-	trs := []*Trajectory{
-		{CostRMSE: []float64{3, 2, 1}, CumCost: []float64{1, 2, 3}, CumRegret: []float64{0, 0, 1}, MemRMSE: []float64{1, 1, 1}},
-		{CostRMSE: []float64{4, 3, 2}, CumCost: []float64{2, 3, 4}, CumRegret: []float64{0, 1, 1}, MemRMSE: []float64{2, 2, 2}},
-	}
-	for _, metric := range []string{"cost-rmse", "mem-rmse", "cum-cost", "cum-regret"} {
-		set, err := CurveSet(trs, metric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(set) != 2 || len(set[0]) != 3 {
-			t.Fatalf("%s shape wrong", metric)
-		}
-	}
-	if _, err := CurveSet(trs, "nope"); err == nil {
-		t.Fatal("unknown metric accepted")
-	}
-	band, err := AggregateCurves(trs, "cost-rmse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if band.Mid[0] != 3.5 {
-		t.Fatalf("median = %g want 3.5", band.Mid[0])
-	}
-}
-
 func TestPaperMemLimit(t *testing.T) {
-	ds := synthDataset(200, 54)
+	ds := synthDS(200, 54)
 	l := PaperMemLimitMB(ds)
 	mx := stats.Max(ds.Mem(nil))
 	if l <= 0 || l >= mx {

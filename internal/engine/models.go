@@ -75,6 +75,20 @@ func BuildModel(s ModelSpec, deps ModelDeps) (gp.Model, error) {
 	return build(s, deps)
 }
 
+// NewSurrogate builds one unfitted surrogate for a campaign of either mode:
+// the registry entry spec names, or — with no spec — the co-kriging
+// multifid model for a fidelity campaign (a plain GP cannot tell the
+// ladder's rungs apart) and the exact GP otherwise.
+func NewSurrogate(spec *ModelSpec, deps ModelDeps) (gp.Model, error) {
+	switch {
+	case spec != nil:
+		return BuildModel(*spec, deps)
+	case deps.Fidelity != nil:
+		return BuildModel(ModelSpec{Name: ModelMultiFid}, deps)
+	}
+	return gp.New(deps.Kernel, deps.GP), nil
+}
+
 // validateModelSpec checks a spec's structure without constructing anything
 // heavyweight (Validate must stay cheap and side-effect free).
 func validateModelSpec(s *ModelSpec) error {

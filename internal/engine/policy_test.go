@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"errors"
@@ -289,10 +289,10 @@ func TestBOLocalizesALGeneralizes(t *testing.T) {
 	// The §II-C contrast: on the same partition and budget, EI concentrates
 	// its samples near the cheap corner (low selection diversity) while the
 	// AL policy keeps learning globally, ending with better test RMSE.
-	ds := synthDataset(150, 70)
+	ds := synthDS(150, 70)
 	part := smallPartition(t, ds, 15, 40, 21)
 	run := func(p Policy) *Trajectory {
-		tr, err := RunTrajectory(ds, part, LoopConfig{Policy: p, MaxIterations: 40, Seed: 23})
+		tr, err := RunReplay(ds, part, LoopConfig{Policy: p, MaxIterations: 40, Seed: 23})
 		if err != nil {
 			t.Fatal(err)
 		}

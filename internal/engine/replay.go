@@ -38,12 +38,13 @@ func RunReplayBatch(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig,
 }
 
 // replayEnv adapts the offline dataset to LoopEnv: "executing" a candidate
-// is a table lookup into the precomputed job database.
+// is a table lookup into the precomputed job database. A candidate's stable
+// scorer id is its row in active (the partition's Active indices).
 type replayEnv struct {
-	ds        *dataset.Dataset
-	tr        *Trajectory
-	remaining []int
-	scorer    scorer
+	ds     *dataset.Dataset
+	tr     *Trajectory
+	active []int
+	scorer scorer
 
 	gpCost, gpMem     gp.Model
 	xTest             *mat.Dense
@@ -55,42 +56,44 @@ type replayEnv struct {
 	batch  bool
 	stable *StableStopConfig
 
-	// fid is the fidelity ladder bookkeeping of a multi-fidelity campaign;
-	// nil keeps every scored candidate set fidelity-free.
-	fid *fidelityRuntime
+	// fid is the fidelity ladder of a multi-fidelity campaign; nil keeps
+	// every scored candidate set fidelity-free.
+	fid *FidelitySpec
 
 	prevTestMu []float64
 	stableRun  int
 }
 
-func (e *replayEnv) PoolLen() int { return len(e.remaining) }
+// job returns the dataset job behind pick p of the last Score.
+func (e *replayEnv) job(p int) dataset.Job { return e.ds.Jobs[e.active[e.scorer.ID(p)]] }
+
+func (e *replayEnv) PoolLen() int { return e.scorer.Len() }
 
 func (e *replayEnv) Score() *Candidates {
-	c := e.scorer.candidates(e.memLimitLog)
+	c := e.scorer.Candidates(e.memLimitLog)
 	if e.fid != nil {
-		// Candidate levels in candidates order (identity translate for the
-		// materialized pool, shortlist translate for the streamed one); the
-		// partition's levels were validated against the ladder up front.
+		// Candidate levels in candidates order; the partition's levels were
+		// validated against the ladder up front.
 		lv := make([]int, c.Len())
 		for i := range lv {
-			lv[i], _ = e.fid.level(e.ds.Jobs[e.remaining[e.scorer.translate(i)]].MaxLevel)
+			lv[i] = e.fid.LevelOf(e.job(i).MaxLevel)
 		}
-		c.Fid = &FidelityView{Level: lv, TopGain: e.scorer.fidelityGains()}
+		c.Fid = &FidelityView{Level: lv, TopGain: e.scorer.FidelityGains()}
 	}
 	return c
 }
 
 func (e *replayEnv) Execute(pick int) (Execution, error) {
-	ex := Execution{Job: e.ds.Jobs[e.remaining[e.scorer.translate(pick)]]}
+	ex := Execution{Job: e.job(pick)}
 	if e.fid != nil {
-		ex.Level, _ = e.fid.level(ex.Job.MaxLevel)
+		ex.Level = e.fid.LevelOf(ex.Job.MaxLevel)
 	}
 	return ex, nil
 }
 
 func (e *replayEnv) Record(pick int, _ *Candidates, ex Execution, violated bool, cumCost, cumRegret float64) {
 	job := ex.Job
-	e.tr.Selected = append(e.tr.Selected, e.remaining[e.scorer.translate(pick)])
+	e.tr.Selected = append(e.tr.Selected, e.active[e.scorer.ID(pick)])
 	e.tr.SelectedCost = append(e.tr.SelectedCost, job.CostNH)
 	e.tr.SelectedMem = append(e.tr.SelectedMem, job.MemMB)
 	e.tr.CumCost = append(e.tr.CumCost, cumCost)
@@ -132,33 +135,17 @@ func (e *replayEnv) Absorb(pick int, ex Execution, refit bool) error {
 	return nil
 }
 
-// Remove drops the round's picks (distinct pool positions): the index
-// slice is compacted in one pass over the sorted positions, moving the runs
-// between them down, and the scorer drops them in descending position order
-// (so earlier removals do not shift later positions). Picks arrive as
-// candidates-indices and are translated to pool positions first (identity
-// for the materialized pool).
+// Remove drops the round's picks (distinct candidates-indices) from the
+// scorer. Every pick is resolved to its stable id before the first removal
+// reorders the candidates; the ids leave in descending order.
 func (e *replayEnv) Remove(picks []int) {
-	// Translate before any removal shifts positions.
-	pos := make([]int, len(picks))
+	ids := make([]int, len(picks))
 	for i, p := range picks {
-		pos[i] = e.scorer.translate(p)
+		ids[i] = e.scorer.ID(p)
 	}
-	if len(pos) == 0 {
-		return
-	}
-	sort.Ints(pos)
-	kept := pos[0]
-	for k, p := range pos {
-		end := len(e.remaining)
-		if k+1 < len(pos) {
-			end = pos[k+1]
-		}
-		kept += copy(e.remaining[kept:], e.remaining[p+1:end])
-	}
-	e.remaining = e.remaining[:kept]
-	for i := len(pos) - 1; i >= 0; i-- {
-		e.scorer.remove(pos[i])
+	sort.Sort(sort.Reverse(sort.IntSlice(ids)))
+	for _, id := range ids {
+		e.scorer.Remove(id)
 	}
 }
 
@@ -221,25 +208,23 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 	if err := checkLogPrecondition(ds, part); err != nil {
 		return nil, err
 	}
-	var fid *fidelityRuntime
-	if cfg.Fidelity != nil {
+	if fid := cfg.Fidelity; fid != nil {
 		if batch {
 			return nil, errors.New("engine: fidelity campaigns do not support batch selection")
 		}
-		if err := cfg.Fidelity.Validate(); err != nil {
+		if err := fid.Validate(); err != nil {
 			return nil, err
 		}
-		fid = newFidelityRuntime(cfg.Fidelity)
 		// Validate the whole partition against the ladder up front so the
-		// per-round level lookups cannot fail mid-campaign.
+		// per-round level lookups cannot miss mid-campaign.
 		for _, idx := range [][]int{part.Init, part.Active, part.Test} {
 			for _, i := range idx {
-				if _, err := fid.level(ds.Jobs[i].MaxLevel); err != nil {
-					return nil, fmt.Errorf("engine: job %d: %w", i, err)
+				if l := ds.Jobs[i].MaxLevel; fid.LevelOf(l) < 0 {
+					return nil, fmt.Errorf("engine: job %d: maxlevel %d is off the fidelity ladder %v", i, l, fid.Levels)
 				}
 			}
 		}
-		obs.FidelityLevels.Set(float64(len(cfg.Fidelity.Levels)))
+		obs.FidelityLevels.Set(float64(len(fid.Levels)))
 	}
 
 	features := func(idx []int) *mat.Dense {
@@ -296,10 +281,9 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 	tr.InitCostRMSE = nonLogRMSE(gpCost, xTest, costTest)
 	tr.InitMemRMSE = nonLogRMSE(gpMem, xTest, memTest)
 
-	remaining := append([]int(nil), part.Active...)
 	rng := rand.New(rand.NewSource(stats.SplitSeed(cfg.Seed, 0)))
 
-	maxSel := len(remaining)
+	maxSel := len(part.Active)
 	if cfg.MaxIterations > 0 && cfg.MaxIterations < maxSel {
 		maxSel = cfg.MaxIterations
 	}
@@ -310,9 +294,8 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 
 	// The scorer owns the pool features for the whole run: candidates are
 	// re-scored each round through the incremental posterior caches (or
-	// direct Predict, see LoopConfig.DirectScoring; or the streamed
-	// sharded top-k pool, see LoopConfig.Pool) and rows leave the pool in
-	// lockstep with the environment's index bookkeeping.
+	// the streamed sharded top-k pool, see LoopConfig.Pool), and each
+	// candidate's stable id is its row in part.Active.
 	var sc scorer
 	if cfg.Pool != nil {
 		if batch {
@@ -323,15 +306,16 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 			return nil, fmt.Errorf("engine: policy %q is not shortlist-safe; the streamed pool supports: %s",
 				cfg.Policy.Name(), strings.Join(RankerNames(), ", "))
 		}
-		sc = newStreamScorer(gpCost, gpMem, features(remaining), cfg.Pool, rank,
+		sc = newStreamScorer(gpCost, gpMem, features(part.Active), cfg.Pool, rank,
 			rankerIsMonotone(cfg.Policy.Name()))
 	} else {
-		sc = newPoolScorer(gpCost, gpMem, features(remaining), cfg.DirectScoring)
+		sc = NewPoolScorer(gpCost, gpMem, features(part.Active))
 	}
+	defer sc.Close()
 	env := &replayEnv{
 		ds:          ds,
 		tr:          tr,
-		remaining:   remaining,
+		active:      part.Active,
 		scorer:      sc,
 		gpCost:      gpCost,
 		gpMem:       gpMem,
@@ -341,9 +325,8 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 		memLimitLog: memLimitLog,
 		batch:       batch,
 		stable:      cfg.Stable,
-		fid:         fid,
+		fid:         cfg.Fidelity,
 	}
-	defer env.scorer.close()
 
 	tr.Reason = StopPoolExhausted
 	reason, err := RunLoop(env, LoopParams{
@@ -364,7 +347,7 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 	if reason != "" {
 		tr.Reason = reason
 	}
-	if tr.Reason == StopPoolExhausted && len(env.remaining) > 0 {
+	if tr.Reason == StopPoolExhausted && sc.Len() > 0 {
 		tr.Reason = StopMaxIterations
 	}
 	tr.FinalHyperCost = gpCost.Hyperparams()

@@ -1,9 +1,24 @@
-package core
+package engine
 
 import (
 	"reflect"
 	"testing"
+
+	"alamr/internal/gp"
+	"alamr/internal/kernel"
 )
+
+// directOnly hides a built-in surrogate's type from gp.NewPoolCache, so the
+// pool scorer takes the direct-Predict fallback a model registered through
+// RegisterModel takes: the O(m·n²) reference path the incremental caches
+// are pinned against.
+type directOnly struct{ gp.Model }
+
+// newDirectExact is a LoopConfig.NewModel constructor for the default
+// surrogate (the exact GP under LoopConfig's defaults), scored directly.
+func newDirectExact() gp.Model {
+	return directOnly{gp.New(kernel.NewRBF(0.5, 1), gp.Config{Noise: 0.1, NormalizeY: true})}
+}
 
 // The acceptance contract of the incremental scoring engine: on fixed
 // seeds, the cache-driven loop must make exactly the same policy selections
@@ -12,7 +27,7 @@ import (
 // slice exactly; trajectories never carry NaN, so this is bitwise equality
 // of the recorded run.
 func TestCachedLoopMatchesDirectLoop(t *testing.T) {
-	ds := synthDataset(140, 42)
+	ds := synthDS(140, 42)
 	part := smallPartition(t, ds, 10, 40, 7)
 	policies := []Policy{RandUniform{}, MaxSigma{}, RandGoodness{}, RGMA{}}
 	for _, p := range policies {
@@ -23,12 +38,12 @@ func TestCachedLoopMatchesDirectLoop(t *testing.T) {
 			HyperoptEvery: 7,
 			Seed:          13,
 		}
-		cached, err := RunTrajectory(ds, part, cfg)
+		cached, err := RunReplay(ds, part, cfg)
 		if err != nil {
 			t.Fatalf("%s: cached run: %v", p.Name(), err)
 		}
-		cfg.DirectScoring = true
-		direct, err := RunTrajectory(ds, part, cfg)
+		cfg.NewModel = newDirectExact
+		direct, err := RunReplay(ds, part, cfg)
 		if err != nil {
 			t.Fatalf("%s: direct run: %v", p.Name(), err)
 		}
@@ -45,7 +60,7 @@ func TestCachedLoopMatchesDirectLoop(t *testing.T) {
 // constant-liar batch strategies reading candidate feature rows from the
 // scorer-maintained pool matrix and the descending-order batch removal.
 func TestCachedBatchLoopMatchesDirectLoop(t *testing.T) {
-	ds := synthDataset(140, 43)
+	ds := synthDS(140, 43)
 	part := smallPartition(t, ds, 10, 40, 9)
 	for _, strategy := range []BatchStrategy{BatchIndependent, BatchConstantLiar} {
 		cfg := LoopConfig{
@@ -55,12 +70,12 @@ func TestCachedBatchLoopMatchesDirectLoop(t *testing.T) {
 			HyperoptEvery: 8,
 			Seed:          17,
 		}
-		cached, err := RunBatchTrajectory(ds, part, cfg, 3, strategy)
+		cached, err := RunReplayBatch(ds, part, cfg, 3, strategy)
 		if err != nil {
 			t.Fatalf("%s: cached run: %v", strategy, err)
 		}
-		cfg.DirectScoring = true
-		direct, err := RunBatchTrajectory(ds, part, cfg, 3, strategy)
+		cfg.NewModel = newDirectExact
+		direct, err := RunReplayBatch(ds, part, cfg, 3, strategy)
 		if err != nil {
 			t.Fatalf("%s: direct run: %v", strategy, err)
 		}
@@ -73,7 +88,7 @@ func TestCachedBatchLoopMatchesDirectLoop(t *testing.T) {
 // The stable-predictions stopping path predicts on the held-out test set
 // (never the pool); it must be unaffected by the scoring engine.
 func TestCachedLoopStableStopMatchesDirect(t *testing.T) {
-	ds := synthDataset(140, 44)
+	ds := synthDS(140, 44)
 	part := smallPartition(t, ds, 12, 40, 11)
 	cfg := LoopConfig{
 		Policy:        MaxSigma{},
@@ -81,17 +96,36 @@ func TestCachedLoopStableStopMatchesDirect(t *testing.T) {
 		Seed:          3,
 		Stable:        &StableStopConfig{Window: 3, Tol: 0.02},
 	}
-	cached, err := RunTrajectory(ds, part, cfg)
+	cached, err := RunReplay(ds, part, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DirectScoring = true
+	cfg.NewModel = newDirectExact
 	cfg.Stable = &StableStopConfig{Window: 3, Tol: 0.02}
-	direct, err := RunTrajectory(ds, part, cfg)
+	direct, err := RunReplay(ds, part, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cached, direct) {
 		t.Fatalf("stable-stop trajectories diverged\ncached: %+v\ndirect: %+v", cached, direct)
+	}
+}
+
+// TestPoolScorerAttachesCaches: every built-in surrogate family is scored
+// through its incremental pool cache, so the oracle tests above compare two
+// different paths; a model gp.NewPoolCache does not know (directOnly, as a
+// RegisterModel surrogate would be) gets none.
+func TestPoolScorerAttachesCaches(t *testing.T) {
+	for _, family := range []string{"exact", "sparse", "treed"} {
+		cost, mem, pool := streamFamilyFixture(t, family, 81, 40, 50)
+		cached := NewPoolScorer(cost, mem, pool)
+		if cached.costCache == nil || cached.memCache == nil {
+			t.Fatalf("%s: no pool cache attached", family)
+		}
+		cached.Close()
+		direct := NewPoolScorer(directOnly{cost}, directOnly{mem}, pool)
+		if direct.costCache != nil || direct.memCache != nil {
+			t.Fatalf("%s: a cache attached to the directOnly wrapper", family)
+		}
 	}
 }

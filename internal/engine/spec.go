@@ -86,7 +86,6 @@ type ReplaySpec struct {
 	// PartitionSeed seeds the Init/Active/Test split (default: the
 	// campaign Seed).
 	PartitionSeed int64             `json:"partition_seed,omitempty"`
-	DirectScoring bool              `json:"direct_scoring,omitempty"`
 	Stable        *StableStopConfig `json:"stable,omitempty"`
 	Batch         *BatchSelectSpec  `json:"batch,omitempty"`
 	// Pool switches candidate scoring to the streamed/sharded top-k pool
@@ -338,7 +337,6 @@ func (s *CampaignSpec) ReplayPlan(ds *dataset.Dataset) (dataset.Partition, LoopC
 		MaxIterations: s.MaxIterations,
 		HyperoptEvery: s.HyperoptEvery,
 		Log2P:         s.Log2P,
-		DirectScoring: r.DirectScoring,
 		Model:         s.Model,
 		Pool:          r.Pool,
 		Fidelity:      s.Fidelity,

@@ -22,7 +22,7 @@ func TestSpecRoundTripByteStable(t *testing.T) {
 			MemLimitMB:    123.5,
 			HyperoptEvery: 5, MaxIterations: 30, Log2P: true,
 			Replay: &ReplaySpec{
-				NInit: 10, NTest: 40, PartitionSeed: 3, DirectScoring: true,
+				NInit: 10, NTest: 40, PartitionSeed: 3,
 				Stable: &StableStopConfig{Window: 4, Tol: 0.01},
 				Batch:  &BatchSelectSpec{Q: 3, Strategy: "constant-liar"},
 			},

@@ -178,9 +178,8 @@ func TestStreamRefitResetsBounds(t *testing.T) {
 }
 
 // countingModel wraps a surrogate and counts the rows it is asked to
-// predict. Predict is the shortlist's entry point; PredictInto and
-// PredictIntoSerial are the batched ones a serial and a parallel lane call,
-// so every call through them is recorded as a lane call.
+// predict. Predict is the shortlist's entry point; PredictInto is the one
+// every lane calls, so each call through it is recorded as a lane call.
 type countingModel struct {
 	gp.Model
 	calls, rows, laneCalls atomic.Int64
@@ -201,13 +200,7 @@ func (m *countingModel) Predict(xs *mat.Dense) ([]float64, []float64) {
 func (m *countingModel) PredictInto(xs *mat.Dense, mean, std []float64) {
 	m.laneCalls.Add(1)
 	m.rows.Add(int64(xs.Rows()))
-	m.Model.(intoPredictor).PredictInto(xs, mean, std)
-}
-
-func (m *countingModel) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
-	m.laneCalls.Add(1)
-	m.rows.Add(int64(xs.Rows()))
-	m.Model.(serialPredictor).PredictIntoSerial(xs, mean, std)
+	m.Model.PredictInto(xs, mean, std)
 }
 
 // TestStreamMemoryShortlistOnly: the pass ranks through the cost surrogate

@@ -25,9 +25,9 @@ import (
 //
 // Shard scoring is parallel: Select dispatches W = min(mat.Workers(),
 // shards) worker lanes over the internal/mat pool, each lane claiming
-// shards from a shared atomic cursor, scoring them serially
-// (PredictIntoSerial — the lanes *are* the parallelism) into its own slabs
-// and bounded heap, while a per-lane filler goroutine generates the next
+// shards from a shared atomic cursor, scoring them serially (through
+// gp.Model.PredictInto — the lanes *are* the parallelism) into its own
+// slabs and bounded heap, while a per-lane filler goroutine generates the next
 // claimed shard into the other half of a double-buffered slab so
 // CandidateSource.Fill cost overlaps scoring. The shortlist is independent
 // of scheduling at every worker count: the top-k under the strict total
@@ -323,39 +323,6 @@ type StreamState struct {
 	workers []*streamWorker
 }
 
-// intoPredictor is the allocation-free batched prediction surface; every
-// built-in surrogate (exact, sparse, treed) implements it.
-type intoPredictor interface {
-	PredictInto(xs *mat.Dense, mean, std []float64)
-}
-
-// serialPredictor is the single-goroutine form of intoPredictor, the one a
-// parallel Select's worker lanes call: the lanes are the parallelism, so
-// nested worker-pool dispatch inside the model would only add scheduling
-// churn. All built-in surrogates implement it with per-call scratch,
-// bitwise-equal to PredictInto.
-type serialPredictor interface {
-	PredictIntoSerial(xs *mat.Dense, mean, std []float64)
-}
-
-// predictShard scores one shard, writing into the reusable buffers when the
-// model allows and falling back to the allocating Predict otherwise. serial
-// selects the single-goroutine model path (used inside worker lanes).
-func predictShard(m gp.Model, xs *mat.Dense, mean, std []float64, serial bool) ([]float64, []float64) {
-	rows := xs.Rows()
-	if serial {
-		if sp, ok := m.(serialPredictor); ok {
-			sp.PredictIntoSerial(xs, mean[:rows], std[:rows])
-			return mean[:rows], std[:rows]
-		}
-	}
-	if ip, ok := m.(intoPredictor); ok {
-		ip.PredictInto(xs, mean[:rows], std[:rows])
-		return mean[:rows], std[:rows]
-	}
-	return m.Predict(xs)
-}
-
 // NewStreamState builds a streamed pool over src ranked by the fitted cost
 // surrogate, with mem predicted for the shortlist.
 func NewStreamState(src CandidateSource, cost, mem gp.Model, cfg StreamConfig) *StreamState {
@@ -523,7 +490,7 @@ func countLive(bounds []float64) int64 {
 // lane's bounded heap, and records their ranks as their new bounds. Writes
 // touch lane-private state plus bounds[lo:hi], which only this lane (the
 // shard's claimant) reads or writes during the call.
-func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, lim *pruneLimit, serial bool) {
+func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, lim *pruneLimit) {
 	th := lim.load()
 	w.ids = w.ids[:0]
 	for i, b := range st.bounds[lo:hi] {
@@ -551,7 +518,8 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, li
 	if rows != xs.Rows() {
 		xs = mat.NewDense(rows, xs.Cols(), xs.RawData()[:rows*xs.Cols()])
 	}
-	mu, sigma := predictShard(st.cost, xs, w.mu, w.sigma, serial)
+	mu, sigma := w.mu[:rows], w.sigma[:rows]
+	st.cost.PredictInto(xs, mu, sigma)
 	k := st.cfg.TopK
 	for i, id := range w.ids {
 		r := st.cfg.Rank(mu[i], sigma[i])
@@ -602,12 +570,11 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *prune
 		return xs, lo, hi
 	}
 	if !parallel {
-		// Serial reference path: fill and score in place, letting the
-		// model's own PredictInto fan out over the mat pool if it can.
+		// Serial reference path: fill and score in place.
 		for s := claim(); s >= 0; s = claim() {
 			xs, lo, hi := view(0, s)
 			st.src.Fill(lo, hi, xs)
-			st.scoreShard(w, lo, hi, xs, lim, false)
+			st.scoreShard(w, lo, hi, xs, lim)
 		}
 		return
 	}
@@ -628,7 +595,7 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *prune
 			xs, lo, hi = view(buf, cur)
 			w.req <- fillReq{lo: lo, hi: hi, dst: xs}
 		}
-		st.scoreShard(w, curLo, curHi, curXS, lim, true)
+		st.scoreShard(w, curLo, curHi, curXS, lim)
 	}
 }
 
@@ -786,12 +753,11 @@ func (st *StreamState) fillRows(ids []int) *mat.Dense {
 	return xs
 }
 
-// streamScorer adapts a StreamState to the replay loop's scorer surface:
-// the policy sees the shortlist as its candidate set, and shortlist picks
-// translate back to pool positions through the sorted live-id mirror.
+// streamScorer adapts a StreamState to the scorer surface: the policy sees
+// the shortlist as its candidate set, and a candidate's stable id is its
+// source id.
 type streamScorer struct {
-	st  *StreamState
-	ids []int // pool position → source id; sorted ascending (mirror of remaining)
+	st *StreamState
 
 	shortIDs []int      // shortlist position → source id, from the last Select
 	shortX   *mat.Dense // shortlist feature rows, from the last Select
@@ -805,17 +771,10 @@ func newStreamScorer(cost, mem gp.Model, x *mat.Dense, spec *PoolSpec, rank Rank
 		cfg.Approx = spec.Approx
 		cfg.RefreshEvery = spec.RefreshEvery
 	}
-	ids := make([]int, x.Rows())
-	for i := range ids {
-		ids[i] = i
-	}
-	return &streamScorer{
-		st:  NewStreamState(DenseSource{X: x}, cost, mem, cfg),
-		ids: ids,
-	}
+	return &streamScorer{st: NewStreamState(DenseSource{X: x}, cost, mem, cfg)}
 }
 
-func (s *streamScorer) candidates(memLimitLog float64) *Candidates {
+func (s *streamScorer) Candidates(memLimitLog float64) *Candidates {
 	c, ids := s.st.Select()
 	c.MemLimitLog = memLimitLog
 	s.shortIDs = ids
@@ -824,29 +783,20 @@ func (s *streamScorer) candidates(memLimitLog float64) *Candidates {
 }
 
 // row returns the features of shortlist pick p (valid until the next
-// candidates call, matching the loop's consume-before-Remove contract).
+// Candidates call, matching the loop's consume-before-Remove contract).
 func (s *streamScorer) row(p int) []float64 { return s.shortX.Row(p) }
 
-// translate maps shortlist pick p to its pool position via binary search
-// in the sorted live-id mirror.
-func (s *streamScorer) translate(p int) int {
-	id := s.shortIDs[p]
-	pos := sort.SearchInts(s.ids, id)
-	if pos >= len(s.ids) || s.ids[pos] != id {
-		panic(fmt.Sprintf("engine: streamed pool lost candidate id %d", id))
-	}
-	return pos
-}
+// ID maps shortlist pick p to its source id.
+func (s *streamScorer) ID(p int) int { return s.shortIDs[p] }
 
-// remove drops the candidate at pool position p: tombstoned in the stream
-// state, compacted out of the id mirror.
-func (s *streamScorer) remove(p int) {
-	s.st.Remove(s.ids[p])
-	s.ids = append(s.ids[:p], s.ids[p+1:]...)
-}
+// Remove tombstones source id in the stream state.
+func (s *streamScorer) Remove(id int) { s.st.Remove(id) }
 
-// fidelityGains is unavailable on the shortlist path: the streamed pool
+// Len reports the live candidate count.
+func (s *streamScorer) Len() int { return s.st.Live() }
+
+// FidelityGains is unavailable on the shortlist path: the streamed pool
 // supports shortlist-safe rankers only, none of which consume gains.
-func (s *streamScorer) fidelityGains() []float64 { return nil }
+func (s *streamScorer) FidelityGains() []float64 { return nil }
 
-func (s *streamScorer) close() {}
+func (s *streamScorer) Close() {}

@@ -419,3 +419,28 @@ func TestStreamSelectEmptyPool(t *testing.T) {
 		}
 	}
 }
+
+// oobMaxSigma is shortlist-safe by name but picks one past the last scored
+// candidate.
+type oobMaxSigma struct{}
+
+func (oobMaxSigma) Name() string { return "maxsigma" }
+
+func (oobMaxSigma) Select(c *Candidates, _ *rand.Rand) (int, error) { return c.Len(), nil }
+
+// TestStreamedReplayRejectsOutOfRangePick: a pick is checked against the
+// scored set — on a streamed pool the top-k shortlist, not the pool — so an
+// out-of-range pick ends the campaign with an error instead of a panic.
+func TestStreamedReplayRejectsOutOfRangePick(t *testing.T) {
+	ds := synthDS(200, 71)
+	part := smallPartition(t, ds, 10, 40, 21)
+	_, err := RunReplay(ds, part, LoopConfig{
+		Policy:        oobMaxSigma{},
+		MaxIterations: 3,
+		Seed:          5,
+		Pool:          &PoolSpec{TopK: 8},
+	})
+	if err == nil || !strings.Contains(err.Error(), "out-of-range index 8 of 8 candidates") {
+		t.Fatalf("err = %v, want the out-of-range pick reported against 8 candidates", err)
+	}
+}

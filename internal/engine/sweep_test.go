@@ -14,7 +14,8 @@ import (
 )
 
 // synthDS builds a small synthetic dataset with smooth cost/memory response
-// surfaces (the engine-package twin of the core test helper).
+// surfaces, so GPR can actually learn them: responses are smooth functions
+// of the grid features plus mild log-normal noise.
 func synthDS(n int, seed int64) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	combos := dataset.AllCombos()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"alamr/internal/core"
+	"alamr/internal/engine"
 	"alamr/internal/gp"
 	"alamr/internal/kernel"
 	"alamr/internal/report"
@@ -31,7 +31,7 @@ func KernelAblation(opts Options) (*AblationResult, error) {
 		"Matern3/2": kernel.NewMatern(1.5, 0.5, 1),
 		"Matern5/2": kernel.NewMatern(2.5, 0.5, 1),
 	}
-	return runVariants(opts, "kernel ablation", variants, func(tpl *core.LoopConfig, k kernel.Kernel) {
+	return runVariants(opts, "kernel ablation", variants, func(tpl *engine.LoopConfig, k kernel.Kernel) {
 		tpl.Kernel = k
 	})
 }
@@ -47,13 +47,13 @@ func Log2PAblation(opts Options) (*AblationResult, error) {
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	for _, name := range sortedKeys(variants) {
 		opt := variants[name]
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
+		groups, err := RunBatch(opts.Dataset, BatchConfig{
+			Specs:      []BatchSpec{{Policy: engine.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
 			NTest:      opts.NTest,
 			Partitions: opts.Partitions,
 			Workers:    opts.Workers,
 			Seed:       opts.Seed + 5,
-			Template: core.LoopConfig{
+			Template: engine.LoopConfig{
 				MaxIterations: opts.MaxIterations,
 				HyperoptEvery: opts.HyperoptEvery,
 				Log2P:         opt,
@@ -80,13 +80,13 @@ func GoodnessBaseAblation(opts Options) (*AblationResult, error) {
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	for _, base := range []float64{2, 10, 100} {
 		name := fmt.Sprintf("base=%g", base)
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{Base: base}, NInit: scaleNInit(opts.Dataset, 50)}},
+		groups, err := RunBatch(opts.Dataset, BatchConfig{
+			Specs:      []BatchSpec{{Policy: engine.RandGoodness{Base: base}, NInit: scaleNInit(opts.Dataset, 50)}},
 			NTest:      opts.NTest,
 			Partitions: opts.Partitions,
 			Workers:    opts.Workers,
 			Seed:       opts.Seed + 6,
-			Template: core.LoopConfig{
+			Template: engine.LoopConfig{
 				MaxIterations: opts.MaxIterations,
 				HyperoptEvery: opts.HyperoptEvery,
 			},
@@ -114,13 +114,13 @@ func MemLimitSensitivity(opts Options) (map[string]float64, error) {
 	tb := &report.Table{Header: []string{"L_mem quantile", "L_mem (MB)", "median final CR", "median iterations", "early stops"}}
 	for _, q := range []float64{0.5, 0.75, 0.9, 0.97} {
 		limit := stats.Quantile(mem, q)
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RGMA{}, NInit: scaleNInit(opts.Dataset, 50)}},
+		groups, err := RunBatch(opts.Dataset, BatchConfig{
+			Specs:      []BatchSpec{{Policy: engine.RGMA{}, NInit: scaleNInit(opts.Dataset, 50)}},
 			NTest:      opts.NTest,
 			Partitions: opts.Partitions,
 			Workers:    opts.Workers,
 			Seed:       opts.Seed + 7,
-			Template: core.LoopConfig{
+			Template: engine.LoopConfig{
 				MaxIterations: opts.MaxIterations,
 				HyperoptEvery: opts.HyperoptEvery,
 				MemLimitMB:    limit,
@@ -138,7 +138,7 @@ func MemLimitSensitivity(opts Options) (map[string]float64, error) {
 					finals[i] = tr.CumRegret[n-1]
 				}
 				iters[i] = float64(tr.Iterations())
-				if tr.Reason == core.StopMemoryLimit {
+				if tr.Reason == engine.StopMemoryLimit {
 					early++
 				}
 			}
@@ -161,13 +161,13 @@ func HyperoptCadenceAblation(opts Options) (*AblationResult, error) {
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	for _, every := range []int{1, 5, 10, 25} {
 		name := fmt.Sprintf("hyperopt-every=%d", every)
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
+		groups, err := RunBatch(opts.Dataset, BatchConfig{
+			Specs:      []BatchSpec{{Policy: engine.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
 			NTest:      opts.NTest,
 			Partitions: opts.Partitions,
 			Workers:    opts.Workers,
 			Seed:       opts.Seed + 8,
-			Template: core.LoopConfig{
+			Template: engine.LoopConfig{
 				MaxIterations: opts.MaxIterations,
 				HyperoptEvery: every,
 			},
@@ -183,7 +183,7 @@ func HyperoptCadenceAblation(opts Options) (*AblationResult, error) {
 	return res, tb.Write(opts.Out)
 }
 
-func runVariants(opts Options, title string, variants map[string]kernel.Kernel, apply func(*core.LoopConfig, kernel.Kernel)) (*AblationResult, error) {
+func runVariants(opts Options, title string, variants map[string]kernel.Kernel, apply func(*engine.LoopConfig, kernel.Kernel)) (*AblationResult, error) {
 	res := &AblationResult{FinalCostRMSE: map[string]float64{}, FinalCumCost: map[string]float64{}}
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	names := make([]string, 0, len(variants))
@@ -192,13 +192,13 @@ func runVariants(opts Options, title string, variants map[string]kernel.Kernel, 
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		tpl := core.LoopConfig{
+		tpl := engine.LoopConfig{
 			MaxIterations: opts.MaxIterations,
 			HyperoptEvery: opts.HyperoptEvery,
 		}
 		apply(&tpl, variants[name])
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
+		groups, err := RunBatch(opts.Dataset, BatchConfig{
+			Specs:      []BatchSpec{{Policy: engine.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
 			NTest:      opts.NTest,
 			Partitions: opts.Partitions,
 			Workers:    opts.Workers,
@@ -216,7 +216,7 @@ func runVariants(opts Options, title string, variants map[string]kernel.Kernel, 
 	return res, tb.Write(opts.Out)
 }
 
-func recordVariant(res *AblationResult, tb *report.Table, name string, trs []*core.Trajectory) {
+func recordVariant(res *AblationResult, tb *report.Table, name string, trs []*engine.Trajectory) {
 	finalsR := make([]float64, 0, len(trs))
 	finalsC := make([]float64, 0, len(trs))
 	for _, tr := range trs {
@@ -264,13 +264,13 @@ func SurrogateAblation(opts Options) (*AblationResult, error) {
 		}},
 	}
 	for _, v := range variants {
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
+		groups, err := RunBatch(opts.Dataset, BatchConfig{
+			Specs:      []BatchSpec{{Policy: engine.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
 			NTest:      opts.NTest,
 			Partitions: opts.Partitions,
 			Workers:    opts.Workers,
 			Seed:       opts.Seed + 10,
-			Template: core.LoopConfig{
+			Template: engine.LoopConfig{
 				MaxIterations: opts.MaxIterations,
 				HyperoptEvery: opts.HyperoptEvery,
 				NewModel:      v.model,

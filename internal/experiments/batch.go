@@ -1,9 +1,8 @@
-package core
+package experiments
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 
@@ -12,13 +11,9 @@ import (
 	"alamr/internal/stats"
 )
 
-// PaperMemLimitMB computes the memory limit the paper's evaluation uses
-// (see engine.PaperMemLimitMB).
-func PaperMemLimitMB(ds *dataset.Dataset) float64 { return engine.PaperMemLimitMB(ds) }
-
 // BatchSpec pairs a policy with an initial-partition size.
 type BatchSpec struct {
-	Policy Policy
+	Policy engine.Policy
 	NInit  int
 }
 
@@ -36,7 +31,7 @@ type BatchConfig struct {
 	Seed       int64
 	// Template provides the loop settings shared by all runs (memory limit,
 	// iteration cap, kernel, ...); Policy and Seed are overridden per run.
-	Template LoopConfig
+	Template engine.LoopConfig
 }
 
 func (c *BatchConfig) setDefaults() {
@@ -63,10 +58,10 @@ func (c *BatchConfig) setDefaults() {
 // every per-task failure — callers distinguish "all good" (nil error),
 // "partial" (non-nil error, non-empty map), and "nothing" (non-nil error,
 // empty map).
-func RunBatch(ds *dataset.Dataset, cfg BatchConfig) (map[string][]*Trajectory, error) {
+func RunBatch(ds *dataset.Dataset, cfg BatchConfig) (map[string][]*engine.Trajectory, error) {
 	cfg.setDefaults()
 	if len(cfg.Specs) == 0 {
-		return nil, fmt.Errorf("core: RunBatch needs at least one spec")
+		return nil, fmt.Errorf("experiments: RunBatch needs at least one spec")
 	}
 
 	type task struct {
@@ -115,19 +110,19 @@ func RunBatch(ds *dataset.Dataset, cfg BatchConfig) (map[string][]*Trajectory, e
 	results, _ := engine.Sweep(engine.SweepConfig{Workers: cfg.Workers, Items: items})
 
 	var failures []error
-	grouped := make(map[string][]*Trajectory)
+	grouped := make(map[string][]*engine.Trajectory)
 	for i, r := range results {
 		if r.Err != nil {
-			failures = append(failures, fmt.Errorf("core: batch task %d (%s): %w", i, tasks[i].spec.Key(), r.Err))
+			failures = append(failures, fmt.Errorf("experiments: batch task %d (%s): %w", i, tasks[i].spec.Key(), r.Err))
 			continue
 		}
-		grouped[tasks[i].spec.Key()] = append(grouped[tasks[i].spec.Key()], r.Value.(*Trajectory))
+		grouped[tasks[i].spec.Key()] = append(grouped[tasks[i].spec.Key()], r.Value.(*engine.Trajectory))
 	}
 	return grouped, errors.Join(failures...)
 }
 
 // CurveSet extracts one named per-iteration series from each trajectory.
-func CurveSet(trs []*Trajectory, metric string) ([][]float64, error) {
+func CurveSet(trs []*engine.Trajectory, metric string) ([][]float64, error) {
 	out := make([][]float64, len(trs))
 	for i, tr := range trs {
 		switch metric {
@@ -140,7 +135,7 @@ func CurveSet(trs []*Trajectory, metric string) ([][]float64, error) {
 		case "cum-regret":
 			out[i] = tr.CumRegret
 		default:
-			return nil, fmt.Errorf("core: unknown metric %q", metric)
+			return nil, fmt.Errorf("experiments: unknown metric %q", metric)
 		}
 	}
 	return out, nil
@@ -148,15 +143,10 @@ func CurveSet(trs []*Trajectory, metric string) ([][]float64, error) {
 
 // AggregateCurves computes the pointwise median and IQR band of a metric
 // across trajectories.
-func AggregateCurves(trs []*Trajectory, metric string) (stats.Band, error) {
+func AggregateCurves(trs []*engine.Trajectory, metric string) (stats.Band, error) {
 	series, err := CurveSet(trs, metric)
 	if err != nil {
 		return stats.Band{}, err
 	}
 	return stats.AggregateBand(series, 0.25, 0.75), nil
-}
-
-// ReadTrajectoryJSON parses a trajectory written by Trajectory.WriteJSON.
-func ReadTrajectoryJSON(r io.Reader) (*Trajectory, error) {
-	return engine.ReadTrajectoryJSON(r)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"alamr/internal/cluster"
-	"alamr/internal/core"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 	"alamr/internal/report"
@@ -56,13 +55,13 @@ func BatchSizeStudy(opts Options, qs []int, queueNodes int) ([]BatchSizeRow, err
 			items = append(items, engine.SweepItem{
 				ID: fmt.Sprintf("batch/q=%d/part=%d", q, pi),
 				Run: func(scope *engine.CampaignObs) (any, error) {
-					return core.RunBatchTrajectory(opts.Dataset, part, core.LoopConfig{
-						Policy:        core.RandGoodness{},
+					return engine.RunReplayBatch(opts.Dataset, part, engine.LoopConfig{
+						Policy:        engine.RandGoodness{},
 						MaxIterations: opts.MaxIterations,
 						HyperoptEvery: opts.HyperoptEvery,
 						Seed:          seed,
 						Campaign:      scope,
-					}, q, core.BatchConstantLiar)
+					}, q, engine.BatchConstantLiar)
 				},
 			})
 		}
@@ -80,7 +79,7 @@ func BatchSizeStudy(opts Options, qs []int, queueNodes int) ([]BatchSizeRow, err
 		spans := make([]float64, 0, opts.Partitions)
 		waits := make([]float64, 0, opts.Partitions)
 		for pi := 0; pi < opts.Partitions; pi++ {
-			tr := results[qi*opts.Partitions+pi].Value.(*core.Trajectory)
+			tr := results[qi*opts.Partitions+pi].Value.(*engine.Trajectory)
 			n := tr.Iterations()
 			if n == 0 {
 				continue
@@ -113,7 +112,7 @@ func BatchSizeStudy(opts Options, qs []int, queueNodes int) ([]BatchSizeRow, err
 // campaignMakespan replays a trajectory's selections as queue submissions:
 // each round's q jobs are submitted when the previous round completes
 // (sequential AL is the q=1 special case).
-func campaignMakespan(ds *dataset.Dataset, tr *core.Trajectory, q, queueNodes int) (makespan, wait float64, err error) {
+func campaignMakespan(ds *dataset.Dataset, tr *engine.Trajectory, q, queueNodes int) (makespan, wait float64, err error) {
 	queue := cluster.Queue{TotalNodes: queueNodes}
 	clock := 0.0
 	var totalWait float64

@@ -13,8 +13,8 @@ import (
 	"sort"
 
 	"alamr/internal/amr"
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 	"alamr/internal/report"
 	"alamr/internal/stats"
 )
@@ -158,8 +158,8 @@ func Fig1(opts Options, cfg Fig1Config) ([]amr.WorkStats, error) {
 
 // fig2Policies are the four memory-unaware policies the paper compares in
 // Fig 2.
-func fig2Policies() []core.Policy {
-	return []core.Policy{core.RandUniform{}, core.MaxSigma{}, core.MinPred{}, core.RandGoodness{}}
+func fig2Policies() []engine.Policy {
+	return []engine.Policy{engine.RandUniform{}, engine.MaxSigma{}, engine.MinPred{}, engine.RandGoodness{}}
 }
 
 // Fig2 reproduces the cost-distribution violins of Fig 2: for each
@@ -171,17 +171,17 @@ func Fig2(opts Options) (map[string]stats.ViolinSummary, error) {
 		return nil, err
 	}
 	nInit := scaleNInit(opts.Dataset, 50)
-	var specs []core.BatchSpec
+	var specs []BatchSpec
 	for _, p := range fig2Policies() {
-		specs = append(specs, core.BatchSpec{Policy: p, NInit: nInit})
+		specs = append(specs, BatchSpec{Policy: p, NInit: nInit})
 	}
-	groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
+	groups, err := RunBatch(opts.Dataset, BatchConfig{
 		Specs:      specs,
 		NTest:      opts.NTest,
 		Partitions: 1, // Fig 2 shows a single trajectory per policy
 		Workers:    opts.Workers,
 		Seed:       opts.Seed,
-		Template: core.LoopConfig{
+		Template: engine.LoopConfig{
 			MaxIterations: opts.MaxIterations,
 			HyperoptEvery: opts.HyperoptEvery,
 		},
@@ -213,7 +213,7 @@ func Fig2(opts Options) (map[string]stats.ViolinSummary, error) {
 // Fig3Result groups the cumulative-regret bands per configuration.
 type Fig3Result struct {
 	Bands  map[string]stats.Band
-	Groups map[string][]*core.Trajectory
+	Groups map[string][]*engine.Trajectory
 	Limit  float64 // L_mem in MB
 }
 
@@ -224,15 +224,15 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	limit := core.PaperMemLimitMB(opts.Dataset)
+	limit := engine.PaperMemLimitMB(opts.Dataset)
 	specs := fig3Specs(opts.Dataset)
-	groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
+	groups, err := RunBatch(opts.Dataset, BatchConfig{
 		Specs:      specs,
 		NTest:      opts.NTest,
 		Partitions: opts.Partitions,
 		Workers:    opts.Workers,
 		Seed:       opts.Seed,
-		Template: core.LoopConfig{
+		Template: engine.LoopConfig{
 			MaxIterations: opts.MaxIterations,
 			HyperoptEvery: opts.HyperoptEvery,
 			MemLimitMB:    limit,
@@ -254,13 +254,13 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		trs := groups[key]
-		band, err := core.AggregateCurves(trs, "cum-regret")
+		band, err := AggregateCurves(trs, "cum-regret")
 		if err != nil {
 			return nil, err
 		}
 		res.Bands[key] = band
 		last := len(band.Mid) - 1
-		ccBand, _ := core.AggregateCurves(trs, "cum-cost")
+		ccBand, _ := AggregateCurves(trs, "cum-cost")
 		viol := make([]float64, len(trs))
 		for i, tr := range trs {
 			for _, v := range tr.Violation {
@@ -284,17 +284,17 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	return res, nil
 }
 
-func fig3Specs(ds *dataset.Dataset) []core.BatchSpec {
+func fig3Specs(ds *dataset.Dataset) []BatchSpec {
 	n50 := scaleNInit(ds, 50)
 	n100 := scaleNInit(ds, 100)
-	return []core.BatchSpec{
-		{Policy: core.RandUniform{}, NInit: n50},
-		{Policy: core.MaxSigma{}, NInit: n50},
-		{Policy: core.MinPred{}, NInit: n50},
-		{Policy: core.RandGoodness{}, NInit: n50},
-		{Policy: core.RGMA{}, NInit: 1},
-		{Policy: core.RGMA{}, NInit: n50},
-		{Policy: core.RGMA{}, NInit: n100},
+	return []BatchSpec{
+		{Policy: engine.RandUniform{}, NInit: n50},
+		{Policy: engine.MaxSigma{}, NInit: n50},
+		{Policy: engine.MinPred{}, NInit: n50},
+		{Policy: engine.RandGoodness{}, NInit: n50},
+		{Policy: engine.RGMA{}, NInit: 1},
+		{Policy: engine.RGMA{}, NInit: n50},
+		{Policy: engine.RGMA{}, NInit: n100},
 	}
 }
 
@@ -303,7 +303,7 @@ type Fig4Result struct {
 	CostRMSE map[string]stats.Band
 	MemRMSE  map[string]stats.Band
 	CumCost  map[string]stats.Band
-	Groups   map[string][]*core.Trajectory
+	Groups   map[string][]*engine.Trajectory
 }
 
 // Fig4 reproduces the error/cost trade-off analysis: cost- and memory-model
@@ -316,15 +316,15 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	limit := core.PaperMemLimitMB(opts.Dataset)
+	limit := engine.PaperMemLimitMB(opts.Dataset)
 	specs := fig3Specs(opts.Dataset)
-	groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
+	groups, err := RunBatch(opts.Dataset, BatchConfig{
 		Specs:      specs,
 		NTest:      opts.NTest,
 		Partitions: opts.Partitions,
 		Workers:    opts.Workers,
 		Seed:       opts.Seed + 1,
-		Template: core.LoopConfig{
+		Template: engine.LoopConfig{
 			MaxIterations: opts.MaxIterations,
 			HyperoptEvery: opts.HyperoptEvery,
 			MemLimitMB:    limit,
@@ -349,12 +349,12 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		trs := groups[key]
-		cb, err := core.AggregateCurves(trs, "cost-rmse")
+		cb, err := AggregateCurves(trs, "cost-rmse")
 		if err != nil {
 			return nil, err
 		}
-		mb, _ := core.AggregateCurves(trs, "mem-rmse")
-		cc, _ := core.AggregateCurves(trs, "cum-cost")
+		mb, _ := AggregateCurves(trs, "mem-rmse")
+		cc, _ := AggregateCurves(trs, "cum-cost")
 		res.CostRMSE[key] = cb
 		res.MemRMSE[key] = mb
 		res.CumCost[key] = cc
@@ -393,20 +393,20 @@ func ViolationTimeline(opts Options) (map[string][]float64, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	limit := core.PaperMemLimitMB(opts.Dataset)
-	specs := []core.BatchSpec{
-		{Policy: core.RandUniform{}, NInit: scaleNInit(opts.Dataset, 50)},
-		{Policy: core.RGMA{}, NInit: 1},
-		{Policy: core.RGMA{}, NInit: scaleNInit(opts.Dataset, 50)},
-		{Policy: core.RGMA{}, NInit: scaleNInit(opts.Dataset, 100)},
+	limit := engine.PaperMemLimitMB(opts.Dataset)
+	specs := []BatchSpec{
+		{Policy: engine.RandUniform{}, NInit: scaleNInit(opts.Dataset, 50)},
+		{Policy: engine.RGMA{}, NInit: 1},
+		{Policy: engine.RGMA{}, NInit: scaleNInit(opts.Dataset, 50)},
+		{Policy: engine.RGMA{}, NInit: scaleNInit(opts.Dataset, 100)},
 	}
-	groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
+	groups, err := RunBatch(opts.Dataset, BatchConfig{
 		Specs:      specs,
 		NTest:      opts.NTest,
 		Partitions: opts.Partitions,
 		Workers:    opts.Workers,
 		Seed:       opts.Seed + 2,
-		Template: core.LoopConfig{
+		Template: engine.LoopConfig{
 			MaxIterations: opts.MaxIterations,
 			HyperoptEvery: opts.HyperoptEvery,
 			MemLimitMB:    limit,

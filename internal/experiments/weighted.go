@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 	"alamr/internal/gp"
@@ -45,7 +44,7 @@ func WeightedErrorStudy(opts Options) ([]WeightedErrorRow, error) {
 		return nil, err
 	}
 	nInit := scaleNInit(opts.Dataset, 50)
-	policies := []core.Policy{core.RandUniform{}, core.MinPred{}, core.RandGoodness{}, core.MaxSigma{}}
+	policies := []engine.Policy{engine.RandUniform{}, engine.MinPred{}, engine.RandGoodness{}, engine.MaxSigma{}}
 
 	parts := make([]dataset.Partition, opts.Partitions)
 	seeds := make([]int64, opts.Partitions)
@@ -66,7 +65,7 @@ func WeightedErrorStudy(opts Options) ([]WeightedErrorRow, error) {
 			items = append(items, engine.SweepItem{
 				ID: fmt.Sprintf("weighted/%s/part=%d", policy.Name(), pi),
 				Run: func(scope *engine.CampaignObs) (any, error) {
-					tr, err := core.RunTrajectory(opts.Dataset, parts[pi], core.LoopConfig{
+					tr, err := engine.RunReplay(opts.Dataset, parts[pi], engine.LoopConfig{
 						Policy:        policy,
 						MaxIterations: opts.MaxIterations,
 						HyperoptEvery: opts.HyperoptEvery,
@@ -118,7 +117,7 @@ func WeightedErrorStudy(opts Options) ([]WeightedErrorRow, error) {
 
 // scoreFinalModel fits the final cost model (initial partition plus every
 // selection) and evaluates the §V-D metric quadruple on the test split.
-func scoreFinalModel(ds *dataset.Dataset, part dataset.Partition, tr *core.Trajectory) (weightedCell, error) {
+func scoreFinalModel(ds *dataset.Dataset, part dataset.Partition, tr *engine.Trajectory) (weightedCell, error) {
 	trainIdx := append(append([]int(nil), part.Init...), tr.Selected...)
 	g := gp.New(kernel.NewRBF(0.5, 1), gp.Config{Noise: 0.1, NormalizeY: true, Seed: 1})
 	if err := g.Fit(ds.Features(trainIdx), ds.LogCost(trainIdx)); err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // Lab is the experiment-execution seam the injector wraps. It is
-// structurally identical to online.Lab, so a FaultyLab drops into the online
+// structurally identical to engine.Lab, so a FaultyLab drops into the online
 // campaign runtime unchanged.
 type Lab interface {
 	Run(c dataset.Combo) (dataset.Job, error)

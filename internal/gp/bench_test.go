@@ -205,7 +205,7 @@ func BenchmarkAppendGrowth(b *testing.B) {
 }
 
 // BenchmarkSparsePredict times the streamed pool's per-shard call,
-// PredictIntoSerial over a 4,096-row shard of d = 5 unit-cube candidates,
+// PredictInto over a 4,096-row shard of d = 5 unit-cube candidates,
 // at the inducing-set sizes pool-1e5 campaigns run (50, 60) and at the
 // canonical spec's cap (128). ns/candidate is the per-row cost.
 func BenchmarkSparsePredict(b *testing.B) {
@@ -237,7 +237,7 @@ func BenchmarkSparsePredict(b *testing.B) {
 		b.Run("m="+strconv.Itoa(m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				model.PredictIntoSerial(xs, mean, std)
+				model.PredictInto(xs, mean, std)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/candidate")
 		})

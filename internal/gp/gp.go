@@ -293,36 +293,25 @@ func (g *GP) Generation() uint64 { return g.gen }
 // computed in full by one goroutine, so the output does not depend on the
 // worker count.
 func (g *GP) Predict(xs *mat.Dense) (mean, std []float64) {
-	m := xs.Rows()
-	mean = make([]float64, m)
-	std = make([]float64, m)
-	g.PredictInto(xs, mean, std)
-	return mean, std
-}
-
-// PredictInto is Predict writing into caller-owned buffers, the
-// zero-allocation form streamed pool scoring loops over (keeps the live
-// set at one shard rather than the whole pool).
-func (g *GP) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if !g.fitted {
 		panic("gp: Predict before Fit")
 	}
 	m := xs.Rows()
-	if len(mean) != m || len(std) != m {
-		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), m))
-	}
+	mean = make([]float64, m)
+	std = make([]float64, m)
 	n := g.x.Rows()
 	mat.ParallelFor(m, mat.ChunkFor(n*n/2+32*n), func(lo, hi int) {
 		g.predictRange(xs, mean, std, lo, hi)
 	})
+	return mean, std
 }
 
 // predictRange scores rows [lo, hi) with one scratch pair for the whole
 // range: predictOneInto reuses it for every point, so the hot path
 // allocates nothing per candidate. Model state is read-only here and the
 // scratch is call-local, so any number of predictRange calls (and through
-// them PredictInto / PredictIntoSerial calls) may run concurrently on one
-// fitted model.
+// them Predict / PredictInto calls) may run concurrently on one fitted
+// model.
 func (g *GP) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	n := g.x.Rows()
 	scratch := make([]float64, 2*n)
@@ -332,20 +321,16 @@ func (g *GP) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	}
 }
 
-// PredictIntoSerial is PredictInto pinned to the calling goroutine: no
-// worker-pool dispatch, identical per-candidate arithmetic, so its output
-// is bitwise-equal to PredictInto's. It exists for callers that are
-// themselves one lane of a higher-level parallel dispatch (the engine's
-// shard workers), where nested fan-out would only add scheduling churn.
-// Safe for concurrent use on a fitted model: prediction reads model state
-// only (Fit/Append/Refit must not overlap, same contract as Predict).
-func (g *GP) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
+// PredictInto implements Model: Predict into caller-owned buffers, on the
+// calling goroutine. The per-candidate arithmetic is Predict's, so the
+// output is bitwise-equal to it.
+func (g *GP) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if !g.fitted {
 		panic("gp: Predict before Fit")
 	}
 	m := xs.Rows()
 	if len(mean) != m || len(std) != m {
-		panic(fmt.Sprintf("gp: PredictIntoSerial buffers %d/%d for %d rows", len(mean), len(std), m))
+		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), m))
 	}
 	g.predictRange(xs, mean, std, 0, m)
 }

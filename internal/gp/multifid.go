@@ -337,14 +337,21 @@ func (m *MultiFid) priorStd(p []float64) float64 {
 // each row of xs, each row evaluated at its own fidelity level. Rows are
 // independent and evaluate in parallel.
 func (m *MultiFid) Predict(xs *mat.Dense) (mean, std []float64) {
+	if !m.fitted {
+		panic("gp: Predict before Fit")
+	}
 	mm := xs.Rows()
 	mean = make([]float64, mm)
 	std = make([]float64, mm)
-	m.PredictInto(xs, mean, std)
+	n := m.maxTrain()
+	mat.ParallelFor(mm, mat.ChunkFor(len(m.mf.Ladder)*(n*n/2+32*n)+8), func(lo, hi int) {
+		m.predictRange(xs, mean, std, lo, hi)
+	})
 	return mean, std
 }
 
-// PredictInto is Predict writing into caller-owned buffers.
+// PredictInto implements Model: Predict into caller-owned buffers, on the
+// calling goroutine, bitwise-equal output.
 func (m *MultiFid) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if !m.fitted {
 		panic("gp: Predict before Fit")
@@ -352,23 +359,6 @@ func (m *MultiFid) PredictInto(xs *mat.Dense, mean, std []float64) {
 	mm := xs.Rows()
 	if len(mean) != mm || len(std) != mm {
 		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), mm))
-	}
-	n := m.maxTrain()
-	mat.ParallelFor(mm, mat.ChunkFor(len(m.mf.Ladder)*(n*n/2+32*n)+8), func(lo, hi int) {
-		m.predictRange(xs, mean, std, lo, hi)
-	})
-}
-
-// PredictIntoSerial is PredictInto pinned to the calling goroutine,
-// bitwise-equal output, for callers that are themselves one lane of a
-// higher-level dispatch.
-func (m *MultiFid) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
-	if !m.fitted {
-		panic("gp: Predict before Fit")
-	}
-	mm := xs.Rows()
-	if len(mean) != mm || len(std) != mm {
-		panic(fmt.Sprintf("gp: PredictIntoSerial buffers %d/%d for %d rows", len(mean), len(std), mm))
 	}
 	m.predictRange(xs, mean, std, 0, mm)
 }

@@ -10,16 +10,8 @@ import (
 	"alamr/internal/mat"
 )
 
-// serialModel is the prediction surface under test: the batched
-// buffer-writing path plus its single-goroutine twin.
-type serialModel interface {
-	Model
-	PredictInto(xs *mat.Dense, mean, std []float64)
-	PredictIntoSerial(xs *mat.Dense, mean, std []float64)
-}
-
 // serialFixtures fits one model per family on the same synthetic data.
-func serialFixtures(t *testing.T, n int) map[string]serialModel {
+func serialFixtures(t *testing.T, n int) map[string]Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	x := mat.NewDense(n, 3, nil)
@@ -31,7 +23,7 @@ func serialFixtures(t *testing.T, n int) map[string]serialModel {
 		y[i] = x.Row(i)[0] - 0.5*x.Row(i)[1]*x.Row(i)[2] + 0.1*rng.NormFloat64()
 	}
 	cfg := Config{Noise: 0.1, NoOptimize: true}
-	out := map[string]serialModel{
+	out := map[string]Model{
 		"exact":  New(kernel.NewRBF(0.8, 1.1), cfg),
 		"sparse": NewSparse(kernel.NewRBF(0.8, 1.1), cfg, 24),
 		"treed":  NewTreed(kernel.NewRBF(0.8, 1.1), cfg, 32),
@@ -55,42 +47,40 @@ func serialPool(seed int64, m int) *mat.Dense {
 	return xs
 }
 
-// TestPredictIntoSerialMatchesParallel: for every surrogate family the
-// single-goroutine path is bitwise-identical to PredictInto at any worker
-// setting — they share the per-candidate arithmetic, so only the dispatch
-// differs.
-func TestPredictIntoSerialMatchesParallel(t *testing.T) {
+// TestPredictIntoMatchesPredict: for every surrogate family the
+// single-goroutine PredictInto is bitwise-identical to Predict at any
+// worker setting — they share the per-candidate arithmetic, so only the
+// dispatch differs.
+func TestPredictIntoMatchesPredict(t *testing.T) {
 	models := serialFixtures(t, 120)
 	xs := serialPool(32, 257)
 	m := xs.Rows()
 	for name, model := range models {
 		serialMean := make([]float64, m)
 		serialStd := make([]float64, m)
-		model.PredictIntoSerial(xs, serialMean, serialStd)
+		model.PredictInto(xs, serialMean, serialStd)
 		for _, workers := range []int{1, 4} {
 			prev := mat.SetWorkers(workers)
-			mean := make([]float64, m)
-			std := make([]float64, m)
-			model.PredictInto(xs, mean, std)
+			mean, std := model.Predict(xs)
 			mat.SetWorkers(prev)
 			if !bitwiseEq(mean, serialMean) || !bitwiseEq(std, serialStd) {
-				t.Fatalf("%s: PredictInto at %d workers diverges from PredictIntoSerial", name, workers)
+				t.Fatalf("%s: Predict at %d workers diverges from PredictInto", name, workers)
 			}
 		}
 	}
 }
 
-// TestPredictIntoSerialReentrant pins the concurrency contract the
-// engine's shard workers rely on: many goroutines may call
-// PredictIntoSerial on one fitted model at once (model state is read-only,
-// scratch is call-local). Runs under -race via the race make target.
-func TestPredictIntoSerialReentrant(t *testing.T) {
+// TestPredictIntoReentrant pins the concurrency contract the engine's
+// shard workers rely on: many goroutines may call PredictInto on one
+// fitted model at once (model state is read-only, scratch is call-local).
+// Runs under -race via the race make target.
+func TestPredictIntoReentrant(t *testing.T) {
 	models := serialFixtures(t, 90)
 	xs := serialPool(33, 192)
 	m := xs.Rows()
 	for name, model := range models {
 		want := make([]float64, 2*m)
-		model.PredictIntoSerial(xs, want[:m], want[m:])
+		model.PredictInto(xs, want[:m], want[m:])
 		const lanes = 8
 		got := make([][]float64, lanes)
 		var wg sync.WaitGroup
@@ -99,14 +89,14 @@ func TestPredictIntoSerialReentrant(t *testing.T) {
 			go func(l int) {
 				defer wg.Done()
 				buf := make([]float64, 2*m)
-				model.PredictIntoSerial(xs, buf[:m], buf[m:])
+				model.PredictInto(xs, buf[:m], buf[m:])
 				got[l] = buf
 			}(l)
 		}
 		wg.Wait()
 		for l := 0; l < lanes; l++ {
 			if !bitwiseEq(got[l], want) {
-				t.Fatalf("%s: concurrent PredictIntoSerial lane %d diverges from serial result", name, l)
+				t.Fatalf("%s: concurrent PredictInto lane %d diverges from serial result", name, l)
 			}
 		}
 	}
@@ -121,10 +111,10 @@ func TestTreedPredictRangeAllocs(t *testing.T) {
 	mean := make([]float64, xs.Rows())
 	std := make([]float64, xs.Rows())
 	allocs := testing.AllocsPerRun(5, func() {
-		model.PredictIntoSerial(xs, mean, std)
+		model.PredictInto(xs, mean, std)
 	})
 	if allocs > 16 {
-		t.Fatalf("treed PredictIntoSerial allocates %.0f times per 512-row batch, want O(leaf growth) <= 16", allocs)
+		t.Fatalf("treed PredictInto allocates %.0f times per 512-row batch, want O(leaf growth) <= 16", allocs)
 	}
 }
 
@@ -162,7 +152,7 @@ func TestSparsePredictPositionIndependent(t *testing.T) {
 		}
 		alone := func(i int) (float64, float64) {
 			mean, std := make([]float64, 1), make([]float64, 1)
-			model.PredictIntoSerial(rows(i, i+1), mean, std)
+			model.PredictInto(rows(i, i+1), mean, std)
 			return mean[0], std[0]
 		}
 		for n := 1; n <= 19; n++ {
@@ -171,9 +161,9 @@ func TestSparsePredictPositionIndependent(t *testing.T) {
 				for _, serial := range []bool{false, true} {
 					mean, std := make([]float64, n), make([]float64, n)
 					if serial {
-						model.PredictIntoSerial(xs, mean, std)
-					} else {
 						model.PredictInto(xs, mean, std)
+					} else {
+						mean, std = model.Predict(xs)
 					}
 					for i := range mean {
 						wm, ws := alone(off + i)

@@ -226,27 +226,13 @@ func (s *Sparse) Predict(xs *mat.Dense) (mean, std []float64) {
 	n := xs.Rows()
 	mean = make([]float64, n)
 	std = make([]float64, n)
-	s.PredictInto(xs, mean, std)
-	return mean, std
-}
-
-// PredictInto is Predict writing into caller-owned buffers, the
-// allocation-free form the streamed pool uses per shard. mean and std must
-// have xs.Rows() entries.
-func (s *Sparse) PredictInto(xs *mat.Dense, mean, std []float64) {
-	if !s.fitted {
-		panic("gp: Sparse.PredictInto before Fit")
-	}
-	n := xs.Rows()
-	if len(mean) != n || len(std) != n {
-		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), n))
-	}
 	m := s.z.Rows()
 	// Test points are independent: fan out over the pool in whole blocks
 	// of eight rows, so that only the last chunk has a per-row remainder.
 	mat.ParallelFor((n+7)/8, mat.ChunkFor(8*(m*m+4*m)), func(lo, hi int) {
 		s.predictRange(xs, mean, std, 8*lo, min(8*hi, n))
 	})
+	return mean, std
 }
 
 // laneEvaluator is a kernel row evaluator's fused form for a block of eight
@@ -320,17 +306,17 @@ func max0(v float64) float64 {
 	return v
 }
 
-// PredictIntoSerial is PredictInto pinned to the calling goroutine —
-// bitwise-equal output (same per-candidate arithmetic), no worker-pool
-// dispatch. See GP.PredictIntoSerial for the use case and the concurrency
-// contract.
-func (s *Sparse) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
+// PredictInto implements Model: Predict into caller-owned buffers, on the
+// calling goroutine — bitwise-equal output (same per-candidate
+// arithmetic), no worker-pool dispatch, and no allocation: the streamed
+// pool calls it once per shard.
+func (s *Sparse) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if !s.fitted {
-		panic("gp: Sparse.PredictIntoSerial before Fit")
+		panic("gp: Sparse.PredictInto before Fit")
 	}
 	n := xs.Rows()
 	if len(mean) != n || len(std) != n {
-		panic(fmt.Sprintf("gp: PredictIntoSerial buffers %d/%d for %d rows", len(mean), len(std), n))
+		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), n))
 	}
 	s.predictRange(xs, mean, std, 0, n)
 }

@@ -16,7 +16,16 @@ import (
 // §VI; cf. the treed GPR of its related work §II-B).
 type Model interface {
 	Fit(x *mat.Dense, y []float64) error
+	// Predict returns the posterior mean and standard deviation at each
+	// row of xs, fanning the rows out over the mat worker pool.
 	Predict(xs *mat.Dense) (mean, std []float64)
+	// PredictInto is Predict writing into caller-owned buffers of
+	// xs.Rows() entries, on the calling goroutine, with bitwise-equal
+	// output: the streamed pool's lanes are the parallelism, so each calls
+	// it once per shard. It reads model state only, so any number of calls
+	// may run at once on a fitted model (Fit, Append and Refit must not
+	// overlap them).
+	PredictInto(xs *mat.Dense, mean, std []float64)
 	Append(x []float64, y float64) error
 	Refit() error
 	Hyperparams() []float64
@@ -257,26 +266,16 @@ func (t *Treed) leafFor(x []float64) *treeNode {
 // independent, so the pool fans out over candidates (routing is read-only
 // and PredictOne uses local scratch).
 func (t *Treed) Predict(xs *mat.Dense) (mean, std []float64) {
-	m := xs.Rows()
-	mean = make([]float64, m)
-	std = make([]float64, m)
-	t.PredictInto(xs, mean, std)
-	return mean, std
-}
-
-// PredictInto is Predict writing into caller-owned buffers, the
-// zero-allocation form streamed pool scoring loops over.
-func (t *Treed) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if t.root == nil {
 		panic("gp: Treed.Predict before Fit")
 	}
 	m := xs.Rows()
-	if len(mean) != m || len(std) != m {
-		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), m))
-	}
+	mean = make([]float64, m)
+	std = make([]float64, m)
 	mat.ParallelFor(m, mat.ChunkFor(4*t.leafSize+16), func(lo, hi int) {
 		t.predictRange(xs, mean, std, lo, hi)
 	})
+	return mean, std
 }
 
 // predictRange scores rows [lo, hi) with one growable scratch pair shared
@@ -298,17 +297,16 @@ func (t *Treed) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	}
 }
 
-// PredictIntoSerial is PredictInto pinned to the calling goroutine —
-// bitwise-equal output (each row goes through the same predictOneInto its
-// leaf's PredictOne uses), no worker-pool dispatch. See GP.PredictIntoSerial
-// for the use case and the concurrency contract.
-func (t *Treed) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
+// PredictInto implements Model: Predict into caller-owned buffers, on the
+// calling goroutine — bitwise-equal output (each row goes through the same
+// predictOneInto its leaf's PredictOne uses), no worker-pool dispatch.
+func (t *Treed) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if t.root == nil {
 		panic("gp: Treed.Predict before Fit")
 	}
 	m := xs.Rows()
 	if len(mean) != m || len(std) != m {
-		panic(fmt.Sprintf("gp: PredictIntoSerial buffers %d/%d for %d rows", len(mean), len(std), m))
+		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), m))
 	}
 	t.predictRange(xs, mean, std, 0, m)
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"slices"
 
-	"alamr/internal/core"
 	"alamr/internal/engine"
 	"alamr/internal/faults"
 	"alamr/internal/obs"
@@ -59,9 +58,9 @@ type checkpointFile struct {
 	Done      bool            `json:"done,omitempty"`
 }
 
-// saveCheckpoint atomically serializes the campaign state: the checkpoint is
-// written to a temp file in the destination directory and renamed into
-// place, so a crash mid-write never corrupts the previous checkpoint.
+// saveCheckpoint atomically serializes the campaign state through
+// engine.WriteAtomic, so a crash mid-write never corrupts the previous
+// checkpoint.
 func (c *campaign) saveCheckpoint(done bool) error {
 	if c.cfg.CheckpointPath == "" {
 		return nil
@@ -93,12 +92,8 @@ func (c *campaign) saveCheckpoint(done bool) error {
 	if err != nil {
 		return fmt.Errorf("online: encoding checkpoint: %w", err)
 	}
-	tmp := c.cfg.CheckpointPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := engine.WriteAtomic(c.cfg.CheckpointPath, data); err != nil {
 		return fmt.Errorf("online: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, c.cfg.CheckpointPath); err != nil {
-		return fmt.Errorf("online: committing checkpoint: %w", err)
 	}
 	obs.CheckpointWrites.Inc()
 	return nil
@@ -207,12 +202,12 @@ func canonicalModelName(name string) string {
 // candidate pool by filtering the grid against executed configurations, the
 // policy RNG by skipping the recorded draw count, and the lab's own counters
 // via faults.Resumable.
-func resumeCampaign(lab Lab, cfg Config, ck *checkpointFile) (*campaign, error) {
+func resumeCampaign(lab engine.Lab, cfg Config, ck *checkpointFile) (*campaign, error) {
 	sp := obs.SpanCheckpointRestore.Start()
 	defer sp.End()
 	c := newCampaign(lab, cfg)
 	c.res = ck.Result
-	c.res.Reason = core.StopMaxIterations
+	c.res.Reason = engine.StopMaxIterations
 	c.feeds = ck.Feeds
 	c.initLen = ck.InitLen
 	c.cumCost = ck.CumCost
@@ -243,12 +238,11 @@ func resumeCampaign(lab Lab, cfg Config, ck *checkpointFile) (*campaign, error) 
 	c.src.Skip(ck.RNGDraws)
 	c.rng = rand.New(c.src)
 
-	c.rebuildPool()
 	// Freshly built caches rebuild through the flat solve path, which is
 	// bitwise identical to the incremental extension an uninterrupted run
 	// performed — the resumed trajectory's scores, and hence selections,
 	// match exactly.
-	c.buildCaches()
+	c.buildScorer()
 	obs.CheckpointRestores.Inc()
 	return c, nil
 }

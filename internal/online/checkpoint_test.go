@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 	"alamr/internal/faults"
@@ -27,7 +26,7 @@ func faultyCfg(seed int64) faults.LabConfig {
 
 func campaignCfg(seed int64) Config {
 	return Config{
-		Policy:         core.RGMA{},
+		Policy:         engine.RGMA{},
 		MaxExperiments: 14,
 		MemLimitMB:     0.35,
 		Seed:           seed,
@@ -64,7 +63,7 @@ func TestOnlineFaultyCampaignDeterministic(t *testing.T) {
 // killLab wraps a lab and fails fatally (with an unclassifiable error) after
 // a fixed number of calls — the test's stand-in for kill -9.
 type killLab struct {
-	inner Lab
+	inner engine.Lab
 	after int
 	calls int
 }
@@ -118,7 +117,7 @@ func TestOnlineCheckpointKillResume(t *testing.T) {
 		if partial == nil {
 			t.Fatalf("killAfter=%d: no partial result returned", killAfter)
 		}
-		if partial.Reason != core.StopFault {
+		if partial.Reason != engine.StopFault {
 			t.Fatalf("killAfter=%d: reason %s", killAfter, partial.Reason)
 		}
 		// A kill during the warm-up job (killAfter=1) predates the first
@@ -154,7 +153,7 @@ func TestOnlineCheckpointKillResume(t *testing.T) {
 // TestOnlineCheckpointCleanLab verifies checkpoint/resume also holds for a
 // plain fault-free lab (no Resumable state beyond determinism).
 func TestOnlineCheckpointCleanLab(t *testing.T) {
-	cfg := Config{Policy: core.RandGoodness{}, MaxExperiments: 10, Seed: 5}
+	cfg := Config{Policy: engine.RandGoodness{}, MaxExperiments: 10, Seed: 5}
 	uninterrupted, err := Run(newFakeLab(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -175,16 +174,55 @@ func TestOnlineCheckpointCleanLab(t *testing.T) {
 	}
 }
 
+// TestOnlineResumeExhaustedPool: a checkpoint taken after the last
+// candidate ran, but before the campaign was marked done, resumes into an
+// empty pool. The scorer builds no caches, and the campaign ends
+// pool-exhausted with the result it already had.
+func TestOnlineResumeExhaustedPool(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "exhausted.ckpt")
+	cfg := Config{Policy: engine.RandUniform{}, MaxExperiments: 50, Seed: 4, CheckpointPath: path}
+	small := func() *fakeLab { return &fakeLab{combos: dataset.AllCombos()[:6]} }
+	want, err := Run(small(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Reason != engine.StopPoolExhausted {
+		t.Fatalf("reason = %s, want %s", want.Reason, engine.StopPoolExhausted)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck checkpointFile
+	if err := json.Unmarshal(data, &ck); err != nil {
+		t.Fatal(err)
+	}
+	ck.Done = false
+	if data, err = json.Marshal(ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(small(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed exhausted campaign diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestOnlineResumeRejectsMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.ckpt")
-	cfg := Config{Policy: core.RandGoodness{}, MaxExperiments: 3, Seed: 9, CheckpointPath: path}
+	cfg := Config{Policy: engine.RandGoodness{}, MaxExperiments: 3, Seed: 9, CheckpointPath: path}
 	if _, err := Run(newFakeLab(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Finished checkpoints replay idempotently even under a changed policy?
 	// No: config mismatch must be detected before any replay.
 	bad := cfg
-	bad.Policy = core.MaxSigma{}
+	bad.Policy = engine.MaxSigma{}
 	if _, err := Run(newFakeLab(), bad); err == nil {
 		t.Fatal("policy mismatch accepted")
 	}

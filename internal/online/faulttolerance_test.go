@@ -6,8 +6,8 @@ import (
 	"os"
 	"testing"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 	"alamr/internal/faults"
 )
 
@@ -30,7 +30,7 @@ func TestOnlineTransientFaultsRecovered(t *testing.T) {
 		Seed: 7, PTransient: 0.25, PCorrupt: 0.1,
 	})
 	res, err := Run(lab, Config{
-		Policy:         core.RandGoodness{},
+		Policy:         engine.RandGoodness{},
 		MaxExperiments: 20,
 		Seed:           7,
 		Retry:          faults.RetryPolicy{MaxAttempts: 8},
@@ -74,7 +74,7 @@ func TestOnlineCensoredOOMObservations(t *testing.T) {
 	res, err := Run(lab, Config{
 		// MaxSigma chases uncertainty into the high-memory corner, so kills
 		// are guaranteed.
-		Policy:         core.MaxSigma{},
+		Policy:         engine.MaxSigma{},
 		MaxExperiments: 25,
 		MemLimitMB:     limit,
 		Seed:           13,
@@ -118,7 +118,7 @@ func TestOnlineCensoredOOMObservations(t *testing.T) {
 // memory-blind uniform sampler under the same fault injector.
 func TestOnlineCensoringReducesViolations(t *testing.T) {
 	const limit = 0.3
-	run := func(p core.Policy) *Result {
+	run := func(p engine.Policy) *Result {
 		lab := faults.MustFaultyLab(newFakeLab(), faults.LabConfig{Seed: 17, RSSLimitMB: limit})
 		res, err := Run(lab, Config{
 			Policy:         p,
@@ -135,8 +135,8 @@ func TestOnlineCensoringReducesViolations(t *testing.T) {
 		}
 		return res
 	}
-	rgma := run(core.RGMA{})
-	uniform := run(core.RandUniform{})
+	rgma := run(engine.RGMA{})
+	uniform := run(engine.RandUniform{})
 	kr, ku := countKills(rgma), countKills(uniform)
 	if ku == 0 {
 		t.Fatal("uniform sampling triggered no kills; limit not binding")
@@ -169,7 +169,7 @@ func TestOnlineCensoringReducesViolations(t *testing.T) {
 func TestOnlineInitDesignKeepsPartialJobs(t *testing.T) {
 	lab := &errLab{fakeLab{combos: dataset.AllCombos()}} // fails from the 4th run on
 	res, err := Run(lab, Config{
-		Policy: core.RandUniform{},
+		Policy: engine.RandUniform{},
 		Seed:   5,
 		InitDesign: []dataset.Combo{
 			{P: 8, Mx: 16, MaxLevel: 4, R0: 0.3, RhoIn: 0.1},
@@ -188,7 +188,7 @@ func TestOnlineInitDesignKeepsPartialJobs(t *testing.T) {
 	if len(res.Jobs) != 3 {
 		t.Fatalf("preserved %d warm-up jobs, want 3", len(res.Jobs))
 	}
-	if res.Reason != core.StopFault {
+	if res.Reason != engine.StopFault {
 		t.Fatalf("reason %s", res.Reason)
 	}
 	if res.Health.Fatal != 1 || !res.Health.Consistent() {
@@ -201,7 +201,7 @@ func TestOnlineInitDesignKeepsPartialJobs(t *testing.T) {
 func TestOnlineRetryBudgetExhaustionReturnsPartial(t *testing.T) {
 	lab := faults.MustFaultyLab(newFakeLab(), faults.LabConfig{Seed: 23, PTransient: 0.45})
 	res, err := Run(lab, Config{
-		Policy:         core.RandUniform{},
+		Policy:         engine.RandUniform{},
 		MaxExperiments: 60,
 		Seed:           23,
 		Retry:          faults.RetryPolicy{MaxAttempts: 3},
@@ -244,7 +244,7 @@ func TestOnlineChaos(t *testing.T) {
 				PCorrupt:     0.15,
 			})
 			res, err := Run(lab, Config{
-				Policy:         core.RGMA{},
+				Policy:         engine.RGMA{},
 				MaxExperiments: 25,
 				MemLimitMB:     0.5,
 				Seed:           int64(100 + s),

@@ -219,7 +219,7 @@ func TestRunSpecOnlineFidelity(t *testing.T) {
 // slowLab delays every lab call, giving the chaos test a wide window to
 // SIGKILL the campaign subprocess mid-round.
 type slowLab struct {
-	inner Lab
+	inner engine.Lab
 	delay time.Duration
 }
 

@@ -7,12 +7,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"alamr/internal/core"
+	"alamr/internal/engine"
 	"alamr/internal/faults"
 )
 
 // The golden_pr5 tests pin fixed-seed online campaigns captured from the
-// pre-engine loop (PR 5); see the matching helper in core for the
+// pre-engine loop (PR 5); see the matching helper in engine for the
 // capture/compare protocol.
 const goldenDir = "../../results/golden_pr5"
 
@@ -60,11 +60,11 @@ func goldenCheck(t *testing.T, name string, got any) {
 func TestGoldenOnlineClean(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		policy core.Policy
+		policy engine.Policy
 	}{
-		{"randuniform", core.RandUniform{}},
-		{"randgoodness", core.RandGoodness{}},
-		{"rgma", core.RGMA{}},
+		{"randuniform", engine.RandUniform{}},
+		{"randgoodness", engine.RandGoodness{}},
+		{"rgma", engine.RGMA{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Run(newFakeLab(), Config{
@@ -83,7 +83,7 @@ func TestGoldenOnlineClean(t *testing.T) {
 
 func TestGoldenOnlineBudget(t *testing.T) {
 	res, err := Run(newFakeLab(), Config{
-		Policy:         core.MaxSigma{},
+		Policy:         engine.MaxSigma{},
 		MaxExperiments: 40,
 		Budget:         0.5,
 		Seed:           3,

@@ -1,10 +1,10 @@
 // Package online implements the "online" counterpart of the paper's offline
 // AL simulator (§IV): instead of replaying a database of precomputed
 // samples, the learner proposes any configuration from the full design grid
-// and a Lab actually runs it. The provided SimLab backs experiments with the
-// AMR performance emulator and the cluster machine model, so a complete
-// online campaign runs in seconds; the Lab interface is the seam where a
-// real batch system would plug in.
+// and an engine.Lab actually runs it. The provided SimLab backs experiments
+// with the AMR performance emulator and the cluster machine model, so a
+// complete online campaign runs in seconds; the Lab interface is the seam
+// where a real batch system would plug in.
 //
 // The campaign runtime is fault tolerant: lab failures are classified
 // through the internal/faults taxonomy, retryable faults are retried with
@@ -28,7 +28,6 @@ import (
 
 	"alamr/internal/amr"
 	"alamr/internal/cluster"
-	"alamr/internal/core"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 	"alamr/internal/faults"
@@ -39,14 +38,10 @@ import (
 	"alamr/internal/stats"
 )
 
-// Lab runs experiments on demand (see engine.Lab): Run executes one
-// configuration and returns the measured job, Candidates enumerates the full
-// design space.
-type Lab = engine.Lab
-
-// SimLab is a Lab backed by the AMR emulator + machine model. Reference
-// solutions are computed lazily (one per physical parameter pair) and
-// cached, so only the physics the learner actually explores is simulated.
+// SimLab is an engine.Lab backed by the AMR emulator + machine model.
+// Reference solutions are computed lazily (one per physical parameter pair)
+// and cached, so only the physics the learner actually explores is
+// simulated.
 type SimLab struct {
 	machine  cluster.Machine
 	refNx    int
@@ -108,7 +103,7 @@ func NewSimLab(cfg SimLabConfig) *SimLab {
 	}
 }
 
-// Candidates implements Lab: the paper's full 1920-combination grid.
+// Candidates implements engine.Lab: the paper's full 1920-combination grid.
 func (l *SimLab) Candidates() []dataset.Combo { return dataset.AllCombos() }
 
 // NumReferenceRuns reports how many physics references have been computed —
@@ -119,8 +114,8 @@ func (l *SimLab) NumReferenceRuns() int {
 	return len(l.refs)
 }
 
-// Run implements Lab: each call advances the lab's run counter, which seeds
-// that run's measurement noise.
+// Run implements engine.Lab: each call advances the lab's run counter,
+// which seeds that run's measurement noise.
 func (l *SimLab) Run(c dataset.Combo) (dataset.Job, error) {
 	l.mu.Lock()
 	l.runs++
@@ -207,7 +202,7 @@ func (l *SimLab) reference(r0, rhoin float64) (*amr.Reference, error) {
 
 // Config drives an online AL campaign.
 type Config struct {
-	Policy core.Policy
+	Policy engine.Policy
 	// InitDesign is the experimenter-chosen warm-up set (the paper's
 	// "experimenters' intuition rather than AL" phase). Empty uses one
 	// median-ish configuration, mirroring the n_init=1 scenario.
@@ -217,7 +212,7 @@ type Config struct {
 	Budget float64
 	// MaxExperiments bounds the number of AL-selected runs (default 50).
 	MaxExperiments int
-	// MemLimitMB, Kernel, GP, Seed as in core.LoopConfig.
+	// MemLimitMB, Kernel, GP, Seed as in engine.LoopConfig.
 	MemLimitMB float64
 	Kernel     kernel.Kernel
 	GP         gp.Config
@@ -318,7 +313,7 @@ type Result struct {
 	// as a success, a retried failure, a censored kill, or a fatal stop.
 	Health Health
 
-	Reason core.StopReason
+	Reason engine.StopReason
 }
 
 // Health aggregates the fault-tolerance bookkeeping of a campaign.
@@ -395,30 +390,27 @@ func (r *Result) OneStepMAPE() float64 {
 // the grid against executed configurations, and the policy RNG by skipping
 // the recorded number of draws.
 type campaign struct {
-	lab Lab
+	lab engine.Lab
 	cfg Config
 	res *Result
 
 	gpCost, gpMem gp.Model
-	pool          []dataset.Combo
 	src           *stats.CountingSource
 	rng           *rand.Rand
 	feeds         []feedRec
 	initLen       int
 
-	// poolX and the two caches mirror pool: scaled features in grid order
-	// plus one incremental posterior cache per surrogate (the
-	// model-appropriate gp.PoolCache), so each selection re-scores the
-	// pool in O(m·n) — or O(m·k) sparse, O(m·leaf) treed — instead of
-	// re-solving per candidate. Exact and treed caches built after a
-	// checkpoint resume rebuild through the flat solve path and therefore
-	// agree bitwise with caches maintained across an uninterrupted run;
-	// the sparse cache resynchronizes exactly at every refit cadence (see
-	// gp.SparseScoringCache). Nil caches (custom surrogates) fall back to
-	// direct Predict over poolX.
-	poolX     *mat.Dense
-	costCache gp.PoolCache
-	memCache  gp.PoolCache
+	// pool is the candidate grid as of the campaign's (re)start, indexed
+	// by the scorer's stable ids; the scorer tracks which remain. It
+	// scores through the incremental posterior caches (engine.PoolScorer),
+	// so each selection re-scores the pool in O(m·n) — or O(m·k) sparse,
+	// O(m·leaf) treed — instead of re-solving per candidate. Exact and
+	// treed caches built after a checkpoint resume rebuild through the
+	// flat solve path and therefore agree bitwise with caches maintained
+	// across an uninterrupted run; the sparse cache resynchronizes exactly
+	// at every refit cadence (see gp.SparseScoringCache).
+	pool   []dataset.Combo
+	scorer *engine.PoolScorer
 
 	memLimitLog, memLimitRaw float64
 	cumCost, cumRegret       float64
@@ -436,11 +428,11 @@ type feedRec struct {
 	Init    bool      `json:"init,omitempty"`
 }
 
-func newCampaign(lab Lab, cfg Config) *campaign {
+func newCampaign(lab engine.Lab, cfg Config) *campaign {
 	c := &campaign{
 		lab: lab,
 		cfg: cfg,
-		res: &Result{Reason: core.StopMaxIterations},
+		res: &Result{Reason: engine.StopMaxIterations},
 		src: stats.NewCountingSource(stats.SplitSeed(cfg.Seed, 0)),
 	}
 	c.rng = rand.New(c.src)
@@ -499,7 +491,7 @@ func (c *campaign) init() error {
 				c.feeds = append(c.feeds, feedRec{X: append([]float64(nil), f[:]...), LogMem: &lm, Init: true})
 			}
 		default:
-			c.res.Reason = core.StopFault
+			c.res.Reason = engine.StopFault
 			return fatalError(combo, out)
 		}
 	}
@@ -510,11 +502,10 @@ func (c *campaign) init() error {
 	c.gpCost, c.gpMem, err = fitFromFeeds(c.cfg, c.feeds[:c.initLen])
 	spFit.End()
 	if err != nil {
-		c.res.Reason = core.StopFault
+		c.res.Reason = engine.StopFault
 		return err
 	}
-	c.rebuildPool()
-	c.buildCaches()
+	c.buildScorer()
 	return c.saveCheckpoint(false)
 }
 
@@ -539,11 +530,12 @@ func fitFromFeeds(cfg Config, init []feedRec) (gp.Model, gp.Model, error) {
 	if len(yc) == 0 || len(ym) == 0 {
 		return nil, nil, errors.New("online: init design yielded no usable observations (all warm-up jobs failed)")
 	}
-	gpCost, err := newSurrogate(cfg)
+	deps := engine.ModelDeps{Kernel: cfg.Kernel, GP: cfg.GP, Fidelity: cfg.Fidelity}
+	gpCost, err := engine.NewSurrogate(cfg.Model, deps)
 	if err != nil {
 		return nil, nil, err
 	}
-	gpMem, err := newSurrogate(cfg)
+	gpMem, err := engine.NewSurrogate(cfg.Model, deps)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -560,26 +552,16 @@ func fitFromFeeds(cfg Config, init []feedRec) (gp.Model, gp.Model, error) {
 	return gpCost, gpMem, nil
 }
 
-// newSurrogate constructs one unfitted surrogate of the configured family.
-// A fidelity campaign without an explicit model gets the co-kriging multifid
-// surrogate — a plain GP cannot tell the ladder's rungs apart.
-func newSurrogate(cfg Config) (gp.Model, error) {
-	deps := engine.ModelDeps{Kernel: cfg.Kernel, GP: cfg.GP, Fidelity: cfg.Fidelity}
-	if cfg.Model != nil {
-		return engine.BuildModel(*cfg.Model, deps)
-	}
-	if cfg.Fidelity != nil {
-		return engine.BuildModel(engine.ModelSpec{Name: engine.ModelMultiFid}, deps)
-	}
-	return gp.New(cfg.Kernel, cfg.GP), nil
-}
-
-// rebuildPool derives the candidate pool: the design grid minus every
-// configuration that has already executed (including censored kills), and —
-// in a fidelity campaign — minus every configuration whose MaxLevel is off
-// the ladder. Filtering preserves grid order, so a resumed pool is identical
-// to one maintained incrementally.
-func (c *campaign) rebuildPool() {
+// buildScorer derives the candidate pool — the design grid minus every
+// configuration that has already executed (including censored kills), and,
+// in a fidelity campaign, minus every configuration whose MaxLevel is off
+// the ladder — and attaches the scorer to the fitted surrogates. Called
+// once both GPs exist: after init and after a checkpoint resume. Filtering
+// preserves grid order, so a resumed pool is identical to one maintained
+// incrementally. A censored OOM feed appends only to the memory GP; since
+// each cache tracks exactly its own GP, the cost cache simply stays valid
+// through it.
+func (c *campaign) buildScorer() {
 	ran := make(map[dataset.Combo]bool, len(c.res.Jobs))
 	for _, j := range c.res.Jobs {
 		ran[j.Config()] = true
@@ -594,35 +576,15 @@ func (c *campaign) rebuildPool() {
 		}
 		c.pool = append(c.pool, combo)
 	}
-}
-
-// buildCaches attaches the incremental scoring caches (and the pool-order
-// feature matrix they score) to the fitted surrogates. Called once the
-// pool and both GPs exist — after init and after a checkpoint resume. A
-// censored OOM feed appends only to the memory GP; since each cache tracks
-// exactly its own GP, the cost cache simply stays valid through it.
-func (c *campaign) buildCaches() {
-	if len(c.pool) == 0 {
-		return
-	}
-	x := mat.NewDense(len(c.pool), dataset.NumFeatures, nil)
-	for i, combo := range c.pool {
-		f := dataset.ScaleFeatures(dataset.Job{P: combo.P, Mx: combo.Mx, MaxLevel: combo.MaxLevel, R0: combo.R0, RhoIn: combo.RhoIn})
-		copy(x.Row(i), f[:])
-	}
-	c.poolX = x
-	c.costCache = gp.NewPoolCache(c.gpCost, x)
-	c.memCache = gp.NewPoolCache(c.gpMem, x)
-	if c.costCache == nil || c.memCache == nil {
-		// Uncacheable model type: fall back to direct scoring in Score.
-		if c.costCache != nil {
-			c.costCache.Close()
+	var x *mat.Dense
+	if len(c.pool) > 0 {
+		x = mat.NewDense(len(c.pool), dataset.NumFeatures, nil)
+		for i, combo := range c.pool {
+			f := dataset.ScaleFeatures(dataset.Job{P: combo.P, Mx: combo.Mx, MaxLevel: combo.MaxLevel, R0: combo.R0, RhoIn: combo.RhoIn})
+			copy(x.Row(i), f[:])
 		}
-		if c.memCache != nil {
-			c.memCache.Close()
-		}
-		c.costCache, c.memCache = nil, nil
 	}
+	c.scorer = engine.NewPoolScorer(c.gpCost, c.gpMem, x)
 }
 
 // applyFeed absorbs one selection's feed record into the live surrogates.
@@ -655,40 +617,23 @@ func (c *campaign) applyFeed(f feedRec) error {
 
 // The campaign implements engine.LoopEnv: the unified loop in
 // internal/engine drives Algorithm 1 while these methods serve the live lab
-// side — scoring from the incremental caches, executing proposals through
-// the retry layer, and absorbing results as feed records so checkpoints can
-// replay them.
+// side — scoring through the engine's pool scorer, executing proposals
+// through the retry layer, and absorbing results as feed records so
+// checkpoints can replay them.
 
 // PoolLen implements engine.LoopEnv.
-func (c *campaign) PoolLen() int { return len(c.pool) }
+func (c *campaign) PoolLen() int { return c.scorer.Len() }
 
 // Score implements engine.LoopEnv: model predictions for the remaining
 // pool, straight from the incremental scoring caches.
-func (c *campaign) Score() *core.Candidates {
-	var muC, sigC, muM, sigM []float64
-	if c.costCache != nil {
-		muC, sigC = c.costCache.Scores()
-		muM, sigM = c.memCache.Scores()
-	} else {
-		muC, sigC = c.gpCost.Predict(c.poolX)
-		muM, sigM = c.gpMem.Predict(c.poolX)
-	}
-	cands := &core.Candidates{
-		X: c.poolX, MuCost: muC, SigmaCost: sigC, MuMem: muM, SigmaMem: sigM,
-		MemLimitLog: c.memLimitLog,
-	}
+func (c *campaign) Score() *engine.Candidates {
+	cands := c.scorer.Candidates(c.memLimitLog)
 	if f := c.cfg.Fidelity; f != nil {
-		lv := make([]int, len(c.pool))
-		for i, combo := range c.pool {
-			lv[i] = f.LevelOf(combo.MaxLevel)
+		lv := make([]int, cands.Len())
+		for i := range lv {
+			lv[i] = f.LevelOf(c.pool[c.scorer.ID(i)].MaxLevel)
 		}
-		var gains []float64
-		if fs, ok := c.costCache.(gp.FidelityScorer); ok {
-			gains = fs.TopInfoGains()
-		} else if mf, ok := c.gpCost.(*gp.MultiFid); ok {
-			gains = mf.TopInfoGains(c.poolX)
-		}
-		cands.Fid = &engine.FidelityView{Level: lv, TopGain: gains}
+		cands.Fid = &engine.FidelityView{Level: lv, TopGain: c.scorer.FidelityGains()}
 	}
 	return cands
 }
@@ -698,7 +643,7 @@ func (c *campaign) Score() *core.Candidates {
 // partial observation; for OOM kills the kill itself is the limit violation
 // (§V-C) — the wasted cost accrues to CC and CR. Anything else is fatal.
 func (c *campaign) Execute(pick int) (engine.Execution, error) {
-	combo := c.pool[pick]
+	combo := c.pool[c.scorer.ID(pick)]
 	level := 0
 	if c.cfg.Fidelity != nil {
 		level = c.cfg.Fidelity.LevelOf(combo.MaxLevel)
@@ -721,7 +666,7 @@ func (c *campaign) Execute(pick int) (engine.Execution, error) {
 
 // Record implements engine.LoopEnv: append the executed pick to the Result
 // and mirror the running totals for checkpoints.
-func (c *campaign) Record(pick int, cands *core.Candidates, e engine.Execution, violated bool, cumCost, cumRegret float64) {
+func (c *campaign) Record(pick int, cands *engine.Candidates, e engine.Execution, violated bool, cumCost, cumRegret float64) {
 	res := c.res
 	res.Jobs = append(res.Jobs, e.Job)
 	res.PredictedCost = append(res.PredictedCost, math.Pow(10, cands.MuCost[pick]))
@@ -766,16 +711,16 @@ func (c *campaign) Absorb(pick int, e engine.Execution, refit bool) error {
 	return nil
 }
 
-// Remove implements engine.LoopEnv: drop the picks from the pool, its
-// feature matrix, and both scoring caches.
+// Remove implements engine.LoopEnv: drop the picks from the scorer. Each
+// pick is resolved to its stable id before the first removal reorders the
+// candidates.
 func (c *campaign) Remove(picks []int) {
-	for _, pick := range picks {
-		c.pool = append(c.pool[:pick], c.pool[pick+1:]...)
-		c.poolX = c.poolX.RemoveRow(pick)
-		if c.costCache != nil {
-			c.costCache.Remove(pick)
-			c.memCache.Remove(pick)
-		}
+	ids := make([]int, len(picks))
+	for i, pick := range picks {
+		ids[i] = c.scorer.ID(pick)
+	}
+	for _, id := range ids {
+		c.scorer.Remove(id)
 	}
 }
 
@@ -785,9 +730,9 @@ func (c *campaign) Refit() error { return nil }
 
 // RoundEnd implements engine.LoopEnv: budget stop, then the periodic
 // checkpoint. A checkpoint error aborts with the reason unchanged.
-func (c *campaign) RoundEnd(selDone, picked int) (core.StopReason, bool, error) {
+func (c *campaign) RoundEnd(selDone, picked int) (engine.StopReason, bool, error) {
 	if c.cfg.Budget > 0 && c.cumCost >= c.cfg.Budget {
-		return core.StopBudget, true, nil
+		return engine.StopBudget, true, nil
 	}
 	if selDone%c.cfg.CheckpointEvery == 0 {
 		if err := c.saveCheckpoint(false); err != nil {
@@ -800,8 +745,10 @@ func (c *campaign) RoundEnd(selDone, picked int) (core.StopReason, bool, error) 
 // loop runs AL selections until a stop condition fires, delegating
 // Algorithm 1 to the unified engine loop. It degrades gracefully: censored
 // kills are absorbed as partial observations and only fatal faults abort —
-// returning the partial Result with the error.
+// returning the partial Result with the error. The scorer is closed when
+// the loop ends.
 func (c *campaign) loop() (*Result, error) {
+	defer c.scorer.Close()
 	res := c.res
 	reason, err := engine.RunLoop(c, engine.LoopParams{
 		Policy:        c.cfg.Policy,
@@ -822,8 +769,8 @@ func (c *campaign) loop() (*Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if len(c.pool) == 0 && res.Reason == core.StopMaxIterations {
-		res.Reason = core.StopPoolExhausted
+	if c.scorer.Len() == 0 && res.Reason == engine.StopMaxIterations {
+		res.Reason = engine.StopPoolExhausted
 	}
 	// A cancelled campaign is checkpointed as still-in-flight: a later Run
 	// against the same checkpoint resumes it instead of replaying the
@@ -838,7 +785,7 @@ func (c *campaign) loop() (*Result, error) {
 // partial Result accumulated so far is returned alongside the error; with
 // Config.CheckpointPath set, an existing checkpoint is resumed instead of
 // starting over.
-func Run(lab Lab, cfg Config) (*Result, error) {
+func Run(lab engine.Lab, cfg Config) (*Result, error) {
 	cfg.setDefaults()
 	if cfg.Policy == nil {
 		return nil, errors.New("online: Config.Policy is required")

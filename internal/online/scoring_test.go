@@ -11,8 +11,8 @@ import (
 
 // After a full faults-injected campaign — censored OOM feeds that grow only
 // the memory surrogate, retries, periodic refits, and pool removals — the
-// live scoring caches must still agree with direct Predict over the final
-// pool within the pinned 1e-12 tolerance. This is the online counterpart of
+// scorer's cached candidate scores must still agree with direct Predict
+// over the final pool within the pinned 1e-12 tolerance. This is the online counterpart of
 // the gp-level equivalence suite, driven by the real feed paths instead of
 // a synthetic schedule.
 func TestOnlineScoringCacheMatchesPredict(t *testing.T) {
@@ -28,24 +28,30 @@ func TestOnlineScoringCacheMatchesPredict(t *testing.T) {
 	if c.res.Health.Censored == 0 {
 		t.Fatal("fault cocktail produced no censored feeds; the test lost its point")
 	}
-	if got, want := c.costCache.Len(), len(c.pool); got != want {
-		t.Fatalf("cost cache tracks %d candidates, pool has %d", got, want)
+	n := c.scorer.Len()
+	if want := len(c.pool) - len(c.res.PredictedCost); n != want {
+		t.Fatalf("scorer tracks %d candidates, want %d", n, want)
+	}
+	cands := c.scorer.Candidates(math.Inf(1))
+	if cands.Len() != n {
+		t.Fatalf("scorer scored %d candidates, tracks %d", cands.Len(), n)
 	}
 
-	x := mat.NewDense(len(c.pool), dataset.NumFeatures, nil)
-	for i, combo := range c.pool {
+	x := mat.NewDense(n, dataset.NumFeatures, nil)
+	for i := 0; i < n; i++ {
+		combo := c.pool[c.scorer.ID(i)]
 		f := dataset.ScaleFeatures(dataset.Job{P: combo.P, Mx: combo.Mx, MaxLevel: combo.MaxLevel, R0: combo.R0, RhoIn: combo.RhoIn})
 		copy(x.Row(i), f[:])
 	}
 	for _, m := range []struct {
-		name    string
-		scores  func() (mu, sigma []float64)
-		predict func(*mat.Dense) (mu, sigma []float64)
+		name      string
+		mu, sigma []float64
+		predict   func(*mat.Dense) (mu, sigma []float64)
 	}{
-		{"cost", c.costCache.Scores, c.gpCost.Predict},
-		{"mem", c.memCache.Scores, c.gpMem.Predict},
+		{"cost", cands.MuCost, cands.SigmaCost, c.gpCost.Predict},
+		{"mem", cands.MuMem, cands.SigmaMem, c.gpMem.Predict},
 	} {
-		mu, sigma := m.scores()
+		mu, sigma := m.mu, m.sigma
 		wantMu, wantSigma := m.predict(x)
 		for i := range wantMu {
 			if math.Abs(mu[i]-wantMu[i]) > 1e-12 || math.Abs(sigma[i]-wantSigma[i]) > 1e-12 {

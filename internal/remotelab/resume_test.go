@@ -7,8 +7,8 @@ import (
 	"reflect"
 	"testing"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 	"alamr/internal/faults"
 	"alamr/internal/online"
 )
@@ -31,7 +31,7 @@ func synthFleet(t *testing.T, seed int64, n int, pool []dataset.Combo) *Dispatch
 // selecting), seeded retries.
 func remoteCampaignCfg(seed int64) online.Config {
 	return online.Config{
-		Policy:         core.RGMA{},
+		Policy:         engine.RGMA{},
 		MaxExperiments: 8,
 		MemLimitMB:     0.5,
 		Seed:           seed,

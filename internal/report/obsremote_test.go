@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 	"alamr/internal/faults"
 	"alamr/internal/obs"
 	"alamr/internal/online"
@@ -69,7 +69,7 @@ func TestObsSummaryRemoteFleetReconciles(t *testing.T) {
 	}
 
 	res, err := online.Run(d, online.Config{
-		Policy: core.RGMA{},
+		Policy: engine.RGMA{},
 		// The second init configuration's analytic footprint (~0.2 MB)
 		// exceeds the fleet's 0.15 MB RSS limit, so the warm-up yields one
 		// clean observation and one censored kill.

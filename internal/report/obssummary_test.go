@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 	"alamr/internal/faults"
 	"alamr/internal/obs"
 	"alamr/internal/online"
@@ -152,7 +152,7 @@ func TestObsSummaryReconcilesWithHealth(t *testing.T) {
 		PCorrupt:   0.1,
 	})
 	res, err := online.Run(lab, online.Config{
-		Policy:         core.RGMA{},
+		Policy:         engine.RGMA{},
 		MaxExperiments: 14,
 		MemLimitMB:     0.35,
 		Seed:           31,

@@ -17,6 +17,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"alamr/internal/engine"
 )
 
 // State is one node of the campaign state machine. Transitions:
@@ -158,31 +160,6 @@ func (st *Store) CheckpointPath(id string) string {
 	return filepath.Join(st.Dir(id), "checkpoint.ckpt")
 }
 
-// writeAtomic writes data to path via a temp file + rename in the same
-// directory.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
-}
-
 // WriteSpec creates the campaign directory and persists the canonical spec
 // bytes. Called exactly once, at submission.
 func (st *Store) WriteSpec(id string, spec []byte) error {
@@ -190,7 +167,7 @@ func (st *Store) WriteSpec(id string, spec []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serve: creating campaign dir: %w", err)
 	}
-	if err := writeAtomic(filepath.Join(dir, "spec.json"), spec); err != nil {
+	if err := engine.WriteAtomic(filepath.Join(dir, "spec.json"), spec); err != nil {
 		return fmt.Errorf("serve: writing spec: %w", err)
 	}
 	return nil
@@ -202,7 +179,7 @@ func (st *Store) WriteState(m Meta) error {
 	if err != nil {
 		return fmt.Errorf("serve: encoding state: %w", err)
 	}
-	if err := writeAtomic(filepath.Join(st.Dir(m.ID), "state.json"), append(data, '\n')); err != nil {
+	if err := engine.WriteAtomic(filepath.Join(st.Dir(m.ID), "state.json"), append(data, '\n')); err != nil {
 		return fmt.Errorf("serve: writing state: %w", err)
 	}
 	return nil
@@ -212,7 +189,7 @@ func (st *Store) WriteState(m Meta) error {
 // before the terminal state transition, so a crash in between reruns the
 // campaign and rewrites an identical file.
 func (st *Store) WriteResult(id string, data []byte) error {
-	if err := writeAtomic(filepath.Join(st.Dir(id), "result.json"), data); err != nil {
+	if err := engine.WriteAtomic(filepath.Join(st.Dir(id), "result.json"), data); err != nil {
 		return fmt.Errorf("serve: writing result: %w", err)
 	}
 	return nil
