@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-v3 ci bench bench-al bench-scale bench-scale-full bench-scale-smoke fmt vet vet-arm64 fuzz-smoke race chaos chaos-remote obs-check sweep-smoke serve-smoke docs-check fidelity-smoke
+.PHONY: all build test test-v3 ci bench bench-al bench-scale bench-scale-full bench-scale-smoke fmt vet vet-arm64 fuzz-smoke race chaos chaos-remote obs-check sweep-smoke serve-smoke bench-serve docs-check fidelity-smoke
 
 all: build
 
@@ -44,9 +44,11 @@ fuzz-smoke:
 
 # Race runs use -short: the equivalence tests scale their sizes down so the
 # instrumented binary stays within CI time budgets. faults and online carry
-# the concurrency-sensitive fault-injection and checkpoint paths; engine
-# carries the sweep worker pool and the policy, loop and golden tests;
-# experiments carries the RunBatch study driver. The second line re-runs
+# the concurrency-sensitive fault-injection and checkpoint paths, and online
+# the process-wide reference cache; engine carries the sweep worker pool
+# and the policy, loop and golden tests; experiments carries the RunBatch
+# study driver; amr and dataset carry the reference snapshots that
+# concurrent campaigns and Generate's workers share. The second line re-runs
 # the streamed-pool engine tests, the concurrent PredictInto pins and the
 # concurrent surrogate-fit tests explicitly (-count=1, no -short): the
 # shard-parallel Select lanes, the side-by-side cost and memory fits of
@@ -56,7 +58,7 @@ fuzz-smoke:
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
 		./internal/engine ./internal/experiments ./internal/faults ./internal/online \
-		./internal/remotelab ./internal/report
+		./internal/remotelab ./internal/report ./internal/amr ./internal/dataset
 	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair' \
 		./internal/engine ./internal/gp ./internal/online
 
@@ -101,9 +103,16 @@ obs-check:
 # backpressure, the HTTP validation table, and the SIGKILL-mid-flight
 # subprocess test that must resume every campaign from its checkpoint to
 # byte-identical results — then the load tester against an embedded daemon,
-# gating p99 submit/poll latency and writing BENCH_serve.json.
+# gating p99 submit/poll latency. Its report goes to a temporary file, so a
+# CI pass leaves the committed ledger alone.
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/serve
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/al-loadtest -data dataset.csv -campaigns 24 -out "$$tmp/BENCH_serve.json"
+
+# bench-serve regenerates the committed BENCH_serve.json ledger: the same
+# load and gates as serve-smoke, written over the tracked file on purpose.
+bench-serve:
 	$(GO) run ./cmd/al-loadtest -data dataset.csv -campaigns 24 -out BENCH_serve.json
 
 # fidelity-smoke gates the multi-fidelity layer under the race detector:

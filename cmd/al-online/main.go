@@ -192,7 +192,7 @@ func main() {
 	}
 
 	if refRuns >= 0 {
-		fmt.Printf("campaign: %d experiments, stop=%s, %d physics references simulated\n",
+		fmt.Printf("campaign: %d experiments, stop=%s, %d physics references used\n",
 			len(res.Jobs), res.Reason, refRuns)
 	} else {
 		fmt.Printf("campaign: %d experiments, stop=%s\n", len(res.Jobs), res.Reason)

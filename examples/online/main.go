@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\nran %d experiments (stop: %s), %d physics references computed\n",
+	fmt.Printf("\nran %d experiments (stop: %s), %d physics references used\n",
 		len(res.Jobs), res.Reason, lab.NumReferenceRuns())
 	n := len(res.CumCost)
 	fmt.Printf("budget spent: %.3g node-hours, regret: %.3g\n", res.CumCost[n-1], res.CumRegret[n-1])

@@ -697,3 +697,84 @@ func TestBlastWaveMirrorSymmetry(t *testing.T) {
 		}
 	}
 }
+
+// quadPoolTable is the reference implementation of quadMax: the max-pool
+// table Emulate used to build lazily per snapshot, holding the maximum of
+// the gradient field over each quadrant of one level, row-major.
+func quadPoolTable(s *RefSnapshot, nx, ny, level, rootsX, rootsY int) []float64 {
+	qx := rootsX << (level - 1)
+	qy := rootsY << (level - 1)
+	tbl := make([]float64, qx*qy)
+	for qj := 0; qj < qy; qj++ {
+		j0 := qj * ny / qy
+		j1 := ((qj+1)*ny + qy - 1) / qy
+		if j1 > ny {
+			j1 = ny
+		}
+		if j1 <= j0 {
+			j1 = j0 + 1
+		}
+		for qi := 0; qi < qx; qi++ {
+			i0 := qi * nx / qx
+			i1 := ((qi+1)*nx + qx - 1) / qx
+			if i1 > nx {
+				i1 = nx
+			}
+			if i1 <= i0 {
+				i1 = i0 + 1
+			}
+			var mx float64
+			for j := j0; j < j1; j++ {
+				for i := i0; i < i1; i++ {
+					if g := s.Grad[j*nx+i]; g > mx {
+						mx = g
+					}
+				}
+			}
+			tbl[qj*qx+qi] = mx
+		}
+	}
+	return tbl
+}
+
+// TestQuadMaxMatchesPoolTable pins quadMax bit for bit to the max-pool
+// table it replaced, on every quadrant of levels 1–7 for both root
+// layouts. nx 48 makes quadrants straddle two reference cells; the
+// snapshots are a solved reference at t=0 and at its end, and a random
+// field with the zero gradients takeSnapshot leaves at zero-density cells.
+func TestQuadMaxMatchesPoolTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, nx := range []int{16, 48, 64, 128} {
+		ny := nx / 2
+		ref, err := ReferenceRun(ShockBubble{R0: 0.3, RhoIn: 0.1}, nx, 0.02, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		synth := RefSnapshot{Grad: make([]float64, nx*ny)}
+		for i := range synth.Grad {
+			if i%nx < nx/3 || rng.Intn(4) == 0 {
+				continue // a zero-density cell
+			}
+			synth.Grad[i] = 50 * rng.Float64()
+		}
+		snaps := append(ref.Snapshots, synth)
+		for si := range snaps {
+			s := &snaps[si]
+			for _, roots := range [][2]int{{2, 1}, {8, 4}} {
+				for level := 1; level <= 7; level++ {
+					want := quadPoolTable(s, nx, ny, level, roots[0], roots[1])
+					qx, qy := roots[0]<<(level-1), roots[1]<<(level-1)
+					for pj := 0; pj < qy; pj++ {
+						for pi := 0; pi < qx; pi++ {
+							got := s.quadMax(nx, ny, level, roots[0], roots[1], pi, pj)
+							if math.Float64bits(got) != math.Float64bits(want[pj*qx+pi]) {
+								t.Fatalf("nx=%d snapshot %d roots %dx%d level %d quadrant (%d,%d): quadMax %v, table %v",
+									nx, si, roots[0], roots[1], level, pi, pj, got, want[pj*qx+pi])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

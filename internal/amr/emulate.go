@@ -3,7 +3,6 @@ package amr
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Reference is a resolved reference solution of the shock-bubble problem:
@@ -20,26 +19,14 @@ type Reference struct {
 	Snapshots      []RefSnapshot
 }
 
-// RefSnapshot is the gradient field and wave speed at one instant.
+// RefSnapshot is the gradient field and wave speed at one instant. A
+// snapshot never changes after ReferenceRun returns, so concurrent
+// emulations (dataset.Generate's workers, campaigns sharing a reference)
+// read it without a lock.
 type RefSnapshot struct {
 	T        float64
 	Grad     []float64 // Nx*Ny, row-major, |∇ρ|/ρ per unit length
 	MaxSpeed float64
-	// pool holds, per overlay geometry, the max of Grad over each quadrant
-	// of a level, built lazily.
-	pool *quadPool
-}
-
-// quadPool is RefSnapshot's lazily filled max-pool cache. Concurrent
-// emulations (dataset.Generate's workers) share one snapshot, so the map
-// is guarded.
-type quadPool struct {
-	mu  sync.Mutex
-	tbl map[poolKey][]float64
-}
-
-type poolKey struct {
-	level, rootsX, rootsY int
 }
 
 // ReferenceRun solves the shock-bubble problem on a uniform nx×(nx/2) grid
@@ -123,58 +110,41 @@ func takeSnapshot(m *Mesh, nx, ny int) RefSnapshot {
 			}
 		}
 	}
-	return RefSnapshot{T: m.Time(), Grad: grad, MaxSpeed: smax, pool: &quadPool{tbl: make(map[poolKey][]float64)}}
+	return RefSnapshot{T: m.Time(), Grad: grad, MaxSpeed: smax}
 }
 
-// quadMax returns the maximum of the snapshot's gradient field over quadrant
-// (pi, pj) of the given level in a rootsX×rootsY forest, using a cached
-// max-pool table.
+// quadMax returns the maximum of the snapshot's gradient field over the
+// reference cells overlapping quadrant (pi, pj) of the given level in a
+// rootsX×rootsY forest. The cell ranges hold both when quadrants are
+// coarser than reference cells and when they are finer (then the
+// containing cell's value is used).
 func (s *RefSnapshot) quadMax(nx, ny, level, rootsX, rootsY, pi, pj int) float64 {
-	k := poolKey{level, rootsX, rootsY}
-	s.pool.mu.Lock()
-	defer s.pool.mu.Unlock()
-	tbl, ok := s.pool.tbl[k]
-	if !ok {
-		qx := rootsX << (level - 1)
-		qy := rootsY << (level - 1)
-		tbl = make([]float64, qx*qy)
-		// Each quadrant takes the max over the reference cells overlapping
-		// it. The index ranges are computed per quadrant so the table is
-		// correct both when quadrants are coarser than reference cells and
-		// when they are finer (then the containing cell's value is used).
-		for qj := 0; qj < qy; qj++ {
-			j0 := qj * ny / qy
-			j1 := ((qj+1)*ny + qy - 1) / qy
-			if j1 > ny {
-				j1 = ny
-			}
-			if j1 <= j0 {
-				j1 = j0 + 1
-			}
-			for qi := 0; qi < qx; qi++ {
-				i0 := qi * nx / qx
-				i1 := ((qi+1)*nx + qx - 1) / qx
-				if i1 > nx {
-					i1 = nx
-				}
-				if i1 <= i0 {
-					i1 = i0 + 1
-				}
-				var mx float64
-				for j := j0; j < j1; j++ {
-					for i := i0; i < i1; i++ {
-						if g := s.Grad[j*nx+i]; g > mx {
-							mx = g
-						}
-					}
-				}
-				tbl[qj*qx+qi] = mx
+	i0, i1 := cellSpan(pi, nx, rootsX<<(level-1))
+	j0, j1 := cellSpan(pj, ny, rootsY<<(level-1))
+	var mx float64
+	for j := j0; j < j1; j++ {
+		for i := i0; i < i1; i++ {
+			if g := s.Grad[j*nx+i]; g > mx {
+				mx = g
 			}
 		}
-		s.pool.tbl[k] = tbl
 	}
-	qx := rootsX << (level - 1)
-	return tbl[pj*qx+pi]
+	return mx
+}
+
+// cellSpan returns the half-open range [lo, hi) of the n reference cells
+// along one axis that overlap quadrant q of the nq quadrants there; it is
+// never empty.
+func cellSpan(q, n, nq int) (lo, hi int) {
+	lo = q * n / nq
+	hi = ((q+1)*n + nq - 1) / nq
+	if hi > n {
+		hi = n
+	}
+	if hi <= lo {
+		hi = lo + 1
+	}
+	return lo, hi
 }
 
 // EmulateConfig selects the grid/machine-independent solver parameters for a

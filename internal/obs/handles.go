@@ -181,6 +181,10 @@ var (
 	FaultByClass  CounterVecHandle
 	FaultBackoff  HistogramHandle
 
+	// Sim lab reference cache.
+	SimReferenceRuns   CounterHandle
+	SimReferenceShared CounterHandle
+
 	// Checkpointing (spans carry both the counter-adjacent trace event and
 	// the duration histogram; the counters count completed operations).
 	CheckpointWrites      CounterHandle
@@ -286,6 +290,9 @@ func bindHandles(r *Registry) {
 	FaultByClass.p.Store(&classes)
 	FaultBackoff.p.Store(r.Histogram(MetricFaultBackoffSeconds, "simulated backoff waits (seconds)", BackoffBuckets))
 
+	SimReferenceRuns.p.Store(r.Counter(MetricSimReferenceRuns, "physics references the sim lab's shared cache computed"))
+	SimReferenceShared.p.Store(r.Counter(MetricSimReferenceShared, "reference lookups answered by an entry already cached or being computed"))
+
 	CheckpointWrites.p.Store(r.Counter(MetricCheckpointWrites, "checkpoints written"))
 	CheckpointRestores.p.Store(r.Counter(MetricCheckpointRestores, "campaigns resumed from a checkpoint"))
 	SpanCheckpointWrite.hist.Store(r.Histogram(MetricCheckpointWriteSeconds, "checkpoint write duration (seconds)", LatencyBuckets))
@@ -328,6 +335,7 @@ func unbindHandles() {
 		&PoolShardsScored, &PoolShardsPruned, &PoolCandidatesScored, &PoolCandidatesPruned,
 		&MatDispatch, &MatInline,
 		&FaultAttempts, &FaultRetries, &FaultSuccess, &FaultCensored, &FaultFatal,
+		&SimReferenceRuns, &SimReferenceShared,
 		&CheckpointWrites, &CheckpointRestores,
 		&RemoteJobsDispatched, &RemoteJobsCompleted, &RemoteJobsStolen, &RemoteJobsLost,
 		&ServeSubmitted, &ServeResumed,

@@ -73,6 +73,12 @@ const (
 	MetricFaultByClass        = "alamr_faults_by_class_total" // label: class
 	MetricFaultBackoffSeconds = "alamr_faults_backoff_seconds"
 
+	// Sim lab reference cache (internal/online): references the
+	// process-wide cache computed, and lookups it answered with an entry
+	// already cached or being computed.
+	MetricSimReferenceRuns   = "alamr_sim_reference_runs_total"
+	MetricSimReferenceShared = "alamr_sim_reference_shared_total"
+
 	// Checkpointing.
 	MetricCheckpointWrites         = "alamr_checkpoint_writes_total"
 	MetricCheckpointRestores       = "alamr_checkpoint_restores_total"
@@ -229,6 +235,8 @@ var AllMetricNames = []string{
 	Labeled(MetricFaultByClass, "class", "corrupt"),
 	Labeled(MetricFaultByClass, "class", "unknown"),
 	MetricFaultBackoffSeconds,
+	MetricSimReferenceRuns,
+	MetricSimReferenceShared,
 	MetricCheckpointWrites,
 	MetricCheckpointRestores,
 	MetricCheckpointWriteSeconds,

@@ -39,9 +39,9 @@ import (
 )
 
 // SimLab is an engine.Lab backed by the AMR emulator + machine model.
-// Reference solutions are computed lazily (one per physical parameter pair)
-// and cached, so only the physics the learner actually explores is
-// simulated.
+// Reference solutions are fetched lazily (one per physical parameter pair)
+// from a cache every SimLab in the process shares, so only the physics the
+// learner actually explores is simulated, and only once per process.
 type SimLab struct {
 	machine  cluster.Machine
 	refNx    int
@@ -52,7 +52,8 @@ type SimLab struct {
 	subcycle bool
 	seed     int64
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// refs records the references this lab used, by physics pair.
 	refs map[[2]float64]*amr.Reference
 	runs int
 }
@@ -106,8 +107,9 @@ func NewSimLab(cfg SimLabConfig) *SimLab {
 // Candidates implements engine.Lab: the paper's full 1920-combination grid.
 func (l *SimLab) Candidates() []dataset.Combo { return dataset.AllCombos() }
 
-// NumReferenceRuns reports how many physics references have been computed —
-// the expensive part of the lab, worth watching in experiments.
+// NumReferenceRuns reports how many distinct physics references this lab
+// used, computed or shared — the expensive part of the lab, worth watching
+// in experiments.
 func (l *SimLab) NumReferenceRuns() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -156,8 +158,8 @@ func (l *SimLab) RunSeeded(c dataset.Combo, noiseSeed int64) (dataset.Job, error
 }
 
 // simLabState is the JSON schema of the lab's checkpointable state: the run
-// counter that seeds per-run measurement noise. The reference cache is pure
-// deterministic computation and is rebuilt lazily after a restore.
+// counter that seeds per-run measurement noise. References are pure
+// deterministic computation and are fetched again lazily after a restore.
 type simLabState struct {
 	Runs int `json:"runs"`
 }
@@ -190,7 +192,7 @@ func (l *SimLab) reference(r0, rhoin float64) (*amr.Reference, error) {
 	if ok {
 		return ref, nil
 	}
-	ref, err := amr.ReferenceRun(amr.ShockBubble{R0: r0, RhoIn: rhoin}, l.refNx, l.refTEnd, l.refSnaps)
+	ref, err := sharedRefs.get(amr.ShockBubble{R0: r0, RhoIn: rhoin}, l.refNx, l.refTEnd, l.refSnaps)
 	if err != nil {
 		return nil, fmt.Errorf("online: reference (r0=%g, rhoin=%g): %w", r0, rhoin, err)
 	}
