@@ -32,15 +32,20 @@ test-v3:
 # fuzz-smoke runs each fuzz target briefly: the four-lane exponential on
 # arbitrary bit patterns, the fused RBF kernel row and its candidate-major
 # eight-candidate form on arbitrary small designs, all compared bitwise
-# with the scalar code, and the LML workspace on arbitrary small designs
+# with the scalar code, the LML workspace on arbitrary small designs
 # and log-hyperparameters, compared bitwise with the fresh-allocation
-# evaluation it replaced. A crasher is saved under the package's
-# testdata/fuzz and replays as a regression test.
+# evaluation it replaced, and the checkpoint journal decoder on arbitrary
+# bytes: no panic, and every rejection wraps exactly one ErrCheckpoint*
+# sentinel. Its seeds are kilobytes long, so new inputs are minimized for
+# at most a second each, leaving the rest of the 5 s to fuzzing. A
+# crasher is saved under the package's testdata/fuzz and replays as a
+# regression test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpLanes$$' -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFRow$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFLanes$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzLMLWorkspace$$' -fuzztime 5s ./internal/gp
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/online
 
 # Race runs use -short: the equivalence tests scale their sizes down so the
 # instrumented binary stays within CI time budgets. faults and online carry
@@ -49,17 +54,18 @@ fuzz-smoke:
 # and the policy, loop and golden tests; experiments carries the RunBatch
 # study driver; amr and dataset carry the reference snapshots that
 # concurrent campaigns and Generate's workers share. The second line re-runs
-# the streamed-pool engine tests, the concurrent PredictInto pins and the
-# concurrent surrogate-fit tests explicitly (-count=1, no -short): the
-# shard-parallel Select lanes, the side-by-side cost and memory fits of
-# replay and online campaigns, and their worker-count invariance pins must
-# face the race detector at full size on every CI pass, never satisfied
-# from the test cache.
+# the streamed-pool engine tests, the concurrent PredictInto pins, the
+# concurrent surrogate-fit tests and the checkpoint journal tests explicitly
+# (-count=1, no -short): the shard-parallel Select lanes, the side-by-side
+# cost and memory fits of replay and online campaigns, their worker-count
+# invariance pins, and the journal's resume from a torn tail at every byte
+# offset must face the race detector at full size on every CI pass, never
+# satisfied from the test cache.
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
 		./internal/engine ./internal/experiments ./internal/faults ./internal/online \
 		./internal/remotelab ./internal/report ./internal/amr ./internal/dataset
-	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair' \
+	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair|TestCheckpointJournal' \
 		./internal/engine ./internal/gp ./internal/online
 
 # sweep-smoke drives a tiny 2x2 policy-by-seed grid through the unified
@@ -71,7 +77,10 @@ sweep-smoke:
 
 # chaos stress-tests the fault-tolerant campaign runtime: high fault rates
 # across 10 seeds (CHAOS=1 widens TestOnlineChaos from 3 to 10 seeds), plus
-# every fault-injection, retry, and checkpoint/resume test, under -race.
+# every fault-injection, retry, and checkpoint/resume test, under -race —
+# the checkpoint journal's torn-tail, corrupt-line and version-1 tests and
+# the subprocess SIGKILLed before and after its journal's first appends
+# among them.
 chaos:
 	CHAOS=1 $(GO) test -race -count=1 \
 		-run 'Chaos|Fault|Retry|Censor|Checkpoint|Resume|Backoff' \
@@ -135,11 +144,12 @@ docs-check:
 # ci is the gate for every change: formatting, vet (native and arm64), full
 # build, full test suite, the lane-replay pins under GOAMD64=v3, a short
 # fuzz pass, then the race detector over the
-# parallel-heavy packages, then the observability, sweep, serving, docs, and
+# parallel-heavy packages, then the observability, sweep, serving, docs,
+# fault-tolerance (kill-and-resume, SIGKILL mid-journal), distributed and
 # pool-scaling gates. The race target already covers ./internal/gp and
 # ./internal/engine, so the cache-equivalence and streamed-pool tests run
 # under the race detector here too.
-ci: fmt vet vet-arm64 build test test-v3 fuzz-smoke race obs-check sweep-smoke fidelity-smoke serve-smoke docs-check chaos-remote bench-scale-smoke
+ci: fmt vet vet-arm64 build test test-v3 fuzz-smoke race obs-check sweep-smoke fidelity-smoke serve-smoke docs-check chaos chaos-remote bench-scale-smoke
 
 # bench runs the linear-algebra / GP hot-path benchmarks and emits the raw
 # `go test -json` event stream to BENCH_gp.json (one JSON object per line;

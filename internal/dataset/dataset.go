@@ -176,20 +176,32 @@ func ScaleFeaturesLog2P(j Job) [NumFeatures]float64 {
 // Features assembles the scaled design matrix X for a subset of job indices
 // (all jobs when idx is nil): row r is ScaleFeatures of job idx[r].
 func (d *Dataset) Features(idx []int) *mat.Dense {
-	return d.features(idx, false)
+	x, _ := d.features(idx, false, false)
+	return x
 }
 
 // FeaturesLog2P assembles the design matrix using the log2(p) transform:
 // row r is ScaleFeaturesLog2P of job idx[r].
 func (d *Dataset) FeaturesLog2P(idx []int) *mat.Dense {
-	return d.features(idx, true)
+	x, _ := d.features(idx, true, false)
+	return x
+}
+
+// CheckedFeatures assembles the design matrix of Features (FeaturesLog2P
+// when log2p is set) and, in the same pass over the jobs, verifies each
+// indexed job satisfies the log-transform precondition; see
+// CheckResponses. The error names the first bad job in index order and
+// wraps ErrBadResponse.
+func (d *Dataset) CheckedFeatures(idx []int, log2p bool) (*mat.Dense, error) {
+	return d.features(idx, log2p, true)
 }
 
 // features is the per-job scaling over many jobs, written straight into
 // the matrix: the grid bounds and spans are computed once, and each feature
 // keeps the per-job functions' subtraction and division, so it keeps their
-// bits.
-func (d *Dataset) features(idx []int, log2p bool) *mat.Dense {
+// bits. With check set, each job's responses are checked as its row is
+// built.
+func (d *Dataset) features(idx []int, log2p, check bool) (*mat.Dense, error) {
 	lo, hi := featureRange()
 	var span [NumFeatures]float64
 	for i := range span {
@@ -209,6 +221,9 @@ func (d *Dataset) features(idx []int, log2p bool) *mat.Dense {
 			i = idx[r]
 		}
 		j := &d.Jobs[i]
+		if check && (badResponse(j.WallSec) || badResponse(j.CostNH) || badResponse(j.MemMB)) {
+			return nil, fmt.Errorf("job %d: %w", i, j.CheckResponses())
+		}
 		f := data[r*NumFeatures : (r+1)*NumFeatures]
 		if log2p {
 			f[0] = (math.Log2(float64(j.P)) - plo) / pspan
@@ -220,7 +235,7 @@ func (d *Dataset) features(idx []int, log2p bool) *mat.Dense {
 		f[3] = (j.R0 - lo[3]) / span[3]
 		f[4] = (j.RhoIn - lo[4]) / span[4]
 	}
-	return x
+	return x, nil
 }
 
 // LogCost returns log10 of the cost response for the given indices (all

@@ -356,6 +356,8 @@ func TestFeaturesMatchPerJobBitwise(t *testing.T) {
 	}{
 		{"linear", d.Features, ScaleFeatures},
 		{"log2p", d.FeaturesLog2P, ScaleFeaturesLog2P},
+		{"checked linear", checked(t, d, false), ScaleFeatures},
+		{"checked log2p", checked(t, d, true), ScaleFeaturesLog2P},
 	} {
 		for _, order := range [][]int{nil, idx} {
 			x := tc.batch(order)
@@ -378,8 +380,22 @@ func TestFeaturesMatchPerJobBitwise(t *testing.T) {
 	}
 }
 
+// checked adapts CheckedFeatures to the unchecked signature, failing the
+// test on an error.
+func checked(t *testing.T, d *Dataset, log2p bool) func([]int) *mat.Dense {
+	return func(idx []int) *mat.Dense {
+		x, err := d.CheckedFeatures(idx, log2p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+}
+
 // A bad response anywhere in the index, the last position included, is
-// reported with its job index and classified as ErrBadResponse.
+// reported with its job index and classified as ErrBadResponse, by
+// CheckResponses and by the design-row pass of CheckedFeatures alike; with
+// two bad jobs, the first in index order is named.
 func TestCheckResponsesReportsJobIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	d := gridDataset(rng)
@@ -400,15 +416,45 @@ func TestCheckResponsesReportsJobIndex(t *testing.T) {
 				d.Jobs[last].MemMB = bad
 			}
 			for _, order := range [][]int{idx, nil} {
-				err := d.CheckResponses(order)
-				if !errors.Is(err, ErrBadResponse) {
-					t.Fatalf("response %v in field %d: err = %v, want ErrBadResponse", bad, field, err)
+				checks := map[string]func([]int) error{
+					"CheckResponses": d.CheckResponses,
+					"CheckedFeatures": func(idx []int) error {
+						x, err := d.CheckedFeatures(idx, false)
+						if x != nil {
+							t.Fatal("design matrix returned alongside a bad response")
+						}
+						return err
+					},
+					"CheckedFeatures log2p": func(idx []int) error {
+						_, err := d.CheckedFeatures(idx, true)
+						return err
+					},
 				}
-				if want := fmt.Sprintf("job %d: ", last); !strings.HasPrefix(err.Error(), want) {
-					t.Fatalf("response %v in field %d: %q does not start with %q", bad, field, err, want)
+				for name, check := range checks {
+					err := check(order)
+					if !errors.Is(err, ErrBadResponse) {
+						t.Fatalf("%s: response %v in field %d: err = %v, want ErrBadResponse", name, bad, field, err)
+					}
+					if want := fmt.Sprintf("job %d: ", last); !strings.HasPrefix(err.Error(), want) {
+						t.Fatalf("%s: response %v in field %d: %q does not start with %q", name, bad, field, err, want)
+					}
 				}
 			}
 			d.Jobs[last] = j
+		}
+	}
+
+	// Two bad jobs: each pass names the one it reaches first.
+	first, second := idx[len(idx)/3], idx[2*len(idx)/3]
+	d.Jobs[first].MemMB, d.Jobs[second].CostNH = 0, math.NaN()
+	for _, tc := range []struct {
+		order []int
+		want  int
+	}{{idx, first}, {nil, min(first, second)}} {
+		for _, err := range []error{d.CheckResponses(tc.order), func() error { _, err := d.CheckedFeatures(tc.order, false); return err }()} {
+			if want := fmt.Sprintf("job %d: ", tc.want); !errors.Is(err, ErrBadResponse) || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("two bad jobs: %v, want %q... wrapping ErrBadResponse", err, want)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"alamr/internal/dataset"
 	"alamr/internal/gp"
 	"alamr/internal/kernel"
 )
@@ -179,17 +178,4 @@ func ReadTrajectoryJSON(r io.Reader) (*Trajectory, error) {
 		return nil, fmt.Errorf("engine: decoding trajectory: %w", err)
 	}
 	return &t, nil
-}
-
-// checkLogPrecondition verifies every job a loop will log-transform (the
-// Init seeds and the Active pool) carries strictly positive, finite
-// responses. Rejecting up front turns a silent NaN in a surrogate's
-// training set into a classified dataset.ErrBadResponse.
-func checkLogPrecondition(ds *dataset.Dataset, part dataset.Partition) error {
-	for _, idx := range [][]int{part.Init, part.Active} {
-		if err := ds.CheckResponses(idx); err != nil {
-			return fmt.Errorf("engine: dataset fails the log-transform precondition: %w", err)
-		}
-	}
-	return nil
 }

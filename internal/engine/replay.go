@@ -205,8 +205,17 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 	if len(part.Init) == 0 || len(part.Active) == 0 || len(part.Test) == 0 {
 		return nil, errors.New("engine: partition must have non-empty Init, Active, and Test")
 	}
-	if err := checkLogPrecondition(ds, part); err != nil {
-		return nil, err
+	// The Init and Active design rows are built in one pass each that also
+	// checks every job a loop will log-transform, Init first and before any
+	// fit: a bad response is a classified dataset.ErrBadResponse, never a
+	// silent NaN in a surrogate's training set.
+	xInit, err := ds.CheckedFeatures(part.Init, cfg.Log2P)
+	var xActive *mat.Dense
+	if err == nil {
+		xActive, err = ds.CheckedFeatures(part.Active, cfg.Log2P)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: dataset fails the log-transform precondition: %w", err)
 	}
 	if fid := cfg.Fidelity; fid != nil {
 		if batch {
@@ -227,15 +236,12 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 		obs.FidelityLevels.Set(float64(len(fid.Levels)))
 	}
 
-	features := func(idx []int) *mat.Dense {
-		if cfg.Log2P {
-			return ds.FeaturesLog2P(idx)
-		}
-		return ds.Features(idx)
+	var xTest *mat.Dense
+	if cfg.Log2P {
+		xTest = ds.FeaturesLog2P(part.Test)
+	} else {
+		xTest = ds.Features(part.Test)
 	}
-
-	xInit := features(part.Init)
-	xTest := features(part.Test)
 	costTest := ds.Cost(part.Test)
 	memTest := ds.Mem(part.Test)
 
@@ -306,10 +312,10 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 			return nil, fmt.Errorf("engine: policy %q is not shortlist-safe; the streamed pool supports: %s",
 				cfg.Policy.Name(), strings.Join(RankerNames(), ", "))
 		}
-		sc = newStreamScorer(gpCost, gpMem, features(part.Active), cfg.Pool, rank,
+		sc = newStreamScorer(gpCost, gpMem, xActive, cfg.Pool, rank,
 			rankerIsMonotone(cfg.Policy.Name()))
 	} else {
-		sc = NewPoolScorer(gpCost, gpMem, features(part.Active))
+		sc = NewPoolScorer(gpCost, gpMem, xActive)
 	}
 	defer sc.Close()
 	env := &replayEnv{

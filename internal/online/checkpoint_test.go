@@ -1,11 +1,13 @@
 package online
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"alamr/internal/dataset"
@@ -177,7 +179,8 @@ func TestOnlineCheckpointCleanLab(t *testing.T) {
 // TestOnlineResumeExhaustedPool: a checkpoint taken after the last
 // candidate ran, but before the campaign was marked done, resumes into an
 // empty pool. The scorer builds no caches, and the campaign ends
-// pool-exhausted with the result it already had.
+// pool-exhausted with the result it already had. The journal is cut back to
+// that point by dropping its final line, the done delta.
 func TestOnlineResumeExhaustedPool(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "exhausted.ckpt")
 	cfg := Config{Policy: engine.RandUniform{}, MaxExperiments: 50, Seed: 4, CheckpointPath: path}
@@ -189,20 +192,17 @@ func TestOnlineResumeExhaustedPool(t *testing.T) {
 	if want.Reason != engine.StopPoolExhausted {
 		t.Fatalf("reason = %s, want %s", want.Reason, engine.StopPoolExhausted)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
+	lines := journalLines(t, path)
+	var last checkpointFile
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
 		t.Fatal(err)
 	}
-	var ck checkpointFile
-	if err := json.Unmarshal(data, &ck); err != nil {
-		t.Fatal(err)
+	if !last.Done || len(lines) < 2 {
+		t.Fatalf("journal of %d lines does not end in a done delta", len(lines))
 	}
-	ck.Done = false
-	if data, err = json.Marshal(ck); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	writeLines(t, path, lines[:len(lines)-1])
+	if ck, err := readCheckpoint(path); err != nil || ck.Done {
+		t.Fatalf("cut journal: done %v, err %v", ck != nil && ck.Done, err)
 	}
 	got, err := Run(small(), cfg)
 	if err != nil {
@@ -256,7 +256,9 @@ func TestReadCheckpointErrors(t *testing.T) {
 // restoration: a truncated file, garbled bytes, corrupted lab state, and a
 // surrogate-model mismatch each surface a distinct sentinel (errors.Is) so
 // operators can tell a crashed copy from a trashed disk from a
-// wrong-campaign resume.
+// wrong-campaign resume. A complete journal line that does not decode, does
+// not continue the journal or leaves the records unequal is corrupt; a cut
+// inside the snapshot line is truncation.
 func TestCheckpointRestoreErrorPaths(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
@@ -275,23 +277,6 @@ func TestCheckpointRestoreErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sentinels := map[string]error{
-		"corrupt":   ErrCheckpointCorrupt,
-		"truncated": ErrCheckpointTruncated,
-		"mismatch":  ErrCheckpointModelMismatch,
-	}
-	// check asserts err wraps exactly the named sentinel and none other.
-	check := func(t *testing.T, err error, want string) {
-		t.Helper()
-		if err == nil {
-			t.Fatal("damaged checkpoint resumed without error")
-		}
-		for name, sentinel := range sentinels {
-			if got := errors.Is(err, sentinel); got != (name == want) {
-				t.Fatalf("error %q: errors.Is(%s) = %v, want the %s sentinel only", err, name, got, want)
-			}
-		}
-	}
 	resume := func(t *testing.T, data []byte, cfg Config) error {
 		t.Helper()
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -301,38 +286,92 @@ func TestCheckpointRestoreErrorPaths(t *testing.T) {
 		return err
 	}
 
-	t.Run("truncated file", func(t *testing.T) {
-		check(t, resume(t, good[:len(good)/2], cfg), "truncated")
-	})
-	t.Run("empty file", func(t *testing.T) {
-		check(t, resume(t, nil, cfg), "truncated")
-	})
-	t.Run("corrupted bytes", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		copy(bad[4:], []byte("####")) // garble inside the JSON, same length
-		check(t, resume(t, bad, cfg), "corrupt")
-	})
-	t.Run("corrupted lab state", func(t *testing.T) {
-		var ck map[string]json.RawMessage
-		if err := json.Unmarshal(good, &ck); err != nil {
+	lines := journalLines(t, path)
+	if len(lines) < 4 {
+		t.Fatalf("journal holds %d lines, want a snapshot and at least three deltas", len(lines))
+	}
+	// edit returns the journal with line i's fields changed by f.
+	edit := func(i int, f func(map[string]json.RawMessage)) []byte {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(lines[i], &m); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := ck["lab_state"]; !ok {
-			t.Fatal("checkpoint carries no lab state to corrupt")
-		}
-		// Valid JSON (the outer decode succeeds) whose shape the faulty
-		// lab's RestoreLabState rejects.
-		ck["lab_state"] = json.RawMessage(`{"attempts": "not-a-list"}`)
-		bad, err := json.Marshal(ck)
+		f(m)
+		b, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, resume(t, bad, cfg), "corrupt")
-	})
+		out := slices.Clone(lines)
+		out[i] = append(b, '\n')
+		return bytes.Join(out, nil)
+	}
+	// editResult is edit on the line's Result fields.
+	editResult := func(i int, f func(map[string]json.RawMessage)) []byte {
+		return edit(i, func(m map[string]json.RawMessage) {
+			var r map[string]json.RawMessage
+			if err := json.Unmarshal(m["result"], &r); err != nil {
+				t.Fatal(err)
+			}
+			f(r)
+			m["result"], _ = json.Marshal(r)
+		})
+	}
+	last := len(lines) - 1
+	garbled := slices.Clone(lines)
+	garbled[2] = append(bytes.Repeat([]byte{'#'}, len(lines[2])-1), '\n')
+	corruptBytes := slices.Clone(good)
+	copy(corruptBytes[4:], "####") // garble inside the snapshot line, same length
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		// A cut inside the snapshot line leaves nothing to resume from.
+		{"truncated file", good[:len(lines[0])/2], ErrCheckpointTruncated},
+		{"snapshot line without newline", lines[0][:len(lines[0])-1], ErrCheckpointTruncated},
+		{"empty file", nil, ErrCheckpointTruncated},
+		{"corrupted bytes", corruptBytes, ErrCheckpointCorrupt},
+		// Valid JSON (the journal decodes) whose shape the faulty lab's
+		// RestoreLabState rejects, on the last line: the one restored.
+		{"corrupted lab state", edit(last, func(m map[string]json.RawMessage) {
+			if _, ok := m["lab_state"]; !ok {
+				t.Fatal("checkpoint carries no lab state to corrupt")
+			}
+			m["lab_state"] = json.RawMessage(`{"attempts": "not-a-list"}`)
+		}), ErrCheckpointCorrupt},
+		{"garbled delta line", bytes.Join(garbled, nil), ErrCheckpointCorrupt},
+		{"empty delta line", append(slices.Clone(good), '\n'), ErrCheckpointCorrupt},
+		{"dropped delta line", bytes.Join(slices.Delete(slices.Clone(lines), 2, 3), nil), ErrCheckpointCorrupt},
+		{"repeated delta line", bytes.Join(slices.Insert(slices.Clone(lines), 2, lines[2]), nil), ErrCheckpointCorrupt},
+		{"wrong continuation", edit(last, func(m map[string]json.RawMessage) {
+			m["after"] = json.RawMessage("1")
+		}), ErrCheckpointCorrupt},
+		{"second snapshot", edit(2, func(m map[string]json.RawMessage) {
+			m["version"] = json.RawMessage("2")
+		}), ErrCheckpointCorrupt},
+		{"delta without result", edit(last, func(m map[string]json.RawMessage) {
+			delete(m, "result")
+		}), ErrCheckpointCorrupt},
+		{"unequal records", editResult(last, func(r map[string]json.RawMessage) {
+			r["CumRegret"] = json.RawMessage("null")
+		}), ErrCheckpointCorrupt},
+		{"extra job", editResult(last, func(r map[string]json.RawMessage) {
+			var jobs []json.RawMessage
+			if err := json.Unmarshal(r["Jobs"], &jobs); err != nil {
+				t.Fatal(err)
+			}
+			r["Jobs"], _ = json.Marshal(append(jobs, jobs...))
+		}), ErrCheckpointCorrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkSentinel(t, resume(t, tc.data, cfg), tc.want)
+		})
+	}
 	t.Run("model mismatch", func(t *testing.T) {
 		mcfg := cfg
 		mcfg.Model = &engine.ModelSpec{Name: engine.ModelSparse, Inducing: 16}
-		check(t, resume(t, good, mcfg), "mismatch")
+		checkSentinel(t, resume(t, good, mcfg), ErrCheckpointModelMismatch)
 	})
 	t.Run("intact checkpoint still resumes", func(t *testing.T) {
 		if err := os.WriteFile(path, good, 0o644); err != nil {

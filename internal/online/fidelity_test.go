@@ -1,6 +1,7 @@
 package online
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
@@ -249,7 +250,9 @@ func TestFidelityCampaignHelper(t *testing.T) {
 // for multi-fidelity campaigns: a real OS process running the campaign is
 // SIGKILLed mid-round (no deferred cleanup, no atexit — the hard kill), and
 // a fresh process resuming from the surviving checkpoint must land on a
-// Result bitwise identical to an uninterrupted run.
+// Result bitwise identical to an uninterrupted run. The campaign is killed
+// twice over: as soon as the journal exists (its snapshot line alone), and
+// once it holds at least three appended lines.
 func TestOnlineFidelityChaosSIGKILLResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks a campaign subprocess; run directly or via make chaos")
@@ -259,8 +262,52 @@ func TestOnlineFidelityChaosSIGKILLResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name    string
+		appends int
+	}{
+		{"snapshot", 0},
+		{"three appends", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "chaos-fid.ckpt")
+			killWhenJournaled(t, path, tc.appends)
 
-	path := filepath.Join(t.TempDir(), "chaos-fid.ckpt")
+			ck, err := readCheckpoint(path)
+			if err != nil {
+				t.Fatalf("surviving checkpoint unreadable: %v", err)
+			}
+			if ck.Done {
+				t.Fatal("campaign finished before the kill; the chaos window is too narrow")
+			}
+			if got := len(ck.Result.PredictedCost); got < tc.appends {
+				t.Fatalf("killed journal holds %d selections, want at least %d", got, tc.appends)
+			}
+			if got, want := ck.Model, engine.ModelMultiFid; got != want {
+				t.Fatalf("checkpoint stamps model %q, want %q", got, want)
+			}
+
+			cfg := fidelityCampaignCfg(seed)
+			cfg.CheckpointPath = path
+			resumed, err := Run(newFakeLab(), cfg)
+			if err != nil {
+				t.Fatalf("resume after SIGKILL: %v", err)
+			}
+			if !reflect.DeepEqual(resumed, uninterrupted) {
+				t.Fatalf("post-SIGKILL resume diverged from the uninterrupted run\nresumed: %+v\nuninterrupted: %+v",
+					resumed, uninterrupted)
+			}
+		})
+	}
+}
+
+// killWhenJournaled runs the helper campaign in a subprocess against the
+// journal at path and SIGKILLs it once the journal holds its snapshot line
+// and at least appends more lines. The helper's per-job slowdown leaves
+// most of the campaign still to run, so the kill is mid-flight by a wide
+// margin.
+func killWhenJournaled(t *testing.T, path string, appends int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestFidelityCampaignHelper$")
 	cmd.Env = append(os.Environ(), "AL_FIDELITY_CKPT="+path)
 	if err := cmd.Start(); err != nil {
@@ -270,17 +317,13 @@ func TestOnlineFidelityChaosSIGKILLResume(t *testing.T) {
 		cmd.Process.Kill()
 		cmd.Wait()
 	}()
-
-	// Wait for the first checkpoint to land, then SIGKILL the campaign. The
-	// helper's per-job slowdown leaves most of the campaign still to run, so
-	// the kill is mid-flight by a wide margin.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, err := os.Stat(path); err == nil {
+		if data, err := os.ReadFile(path); err == nil && bytes.Count(data, []byte{'\n'}) > appends {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("campaign subprocess never wrote a checkpoint")
+			t.Fatalf("campaign subprocess never journaled %d appended lines", appends)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -288,26 +331,4 @@ func TestOnlineFidelityChaosSIGKILLResume(t *testing.T) {
 		t.Fatalf("SIGKILL: %v", err)
 	}
 	cmd.Wait()
-
-	ck, err := readCheckpoint(path)
-	if err != nil {
-		t.Fatalf("surviving checkpoint unreadable: %v", err)
-	}
-	if ck.Done {
-		t.Fatal("campaign finished before the kill; the chaos window is too narrow")
-	}
-	if got, want := ck.Model, engine.ModelMultiFid; got != want {
-		t.Fatalf("checkpoint stamps model %q, want %q", got, want)
-	}
-
-	cfg := fidelityCampaignCfg(seed)
-	cfg.CheckpointPath = path
-	resumed, err := Run(newFakeLab(), cfg)
-	if err != nil {
-		t.Fatalf("resume after SIGKILL: %v", err)
-	}
-	if !reflect.DeepEqual(resumed, uninterrupted) {
-		t.Fatalf("post-SIGKILL resume diverged from the uninterrupted run\nresumed: %+v\nuninterrupted: %+v",
-			resumed, uninterrupted)
-	}
 }

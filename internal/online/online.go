@@ -13,8 +13,9 @@
 // CC/CR, the §V-C "learns from its own failures" mechanism), and only fatal
 // errors or an exhausted retry budget stop a campaign — returning the
 // partial Result rather than discarding it. With Config.CheckpointPath set,
-// the loop state is atomically checkpointed after every experiment and a
-// killed campaign resumes bitwise-identically.
+// the loop state is journaled after every experiment (one snapshot line,
+// then one short appended line per save) and a killed campaign resumes
+// bitwise-identically.
 package online
 
 import (
@@ -238,9 +239,11 @@ type Config struct {
 	// jitter (see faults.RetryPolicy).
 	Retry faults.RetryPolicy
 	// CheckpointPath, when non-empty, enables campaign checkpoint/resume:
-	// the loop state is atomically serialized there (temp file + rename)
-	// and a fresh Run against an existing checkpoint resumes mid-campaign,
-	// reproducing the uninterrupted trajectory bit for bit.
+	// the loop state is journaled there — each Run's first save writes a
+	// snapshot line atomically (temp file + rename), every later save
+	// appends one line of what changed — and a fresh Run against an
+	// existing checkpoint resumes mid-campaign, reproducing the
+	// uninterrupted trajectory bit for bit.
 	CheckpointPath string
 	// CheckpointEvery writes the checkpoint every k-th experiment
 	// (default 1: after every experiment).
@@ -416,6 +419,10 @@ type campaign struct {
 
 	memLimitLog, memLimitRaw float64
 	cumCost, cumRegret       float64
+
+	// journal marks what the checkpoint file holds; the zero mark makes
+	// the next save, the first of this process, a snapshot.
+	journal journalMark
 }
 
 // feedRec is one entry of the model feed log: which scaled-feature row was
