@@ -30,20 +30,21 @@ test-v3:
 		./internal/mat ./internal/kernel ./internal/gp
 
 # fuzz-smoke runs each fuzz target briefly: the four-lane exponential on
-# arbitrary bit patterns, the fused RBF kernel row and its candidate-major
-# eight-candidate form on arbitrary small designs, all compared bitwise
-# with the scalar code, the LML workspace on arbitrary small designs
-# and log-hyperparameters, compared bitwise with the fresh-allocation
-# evaluation it replaced, and the checkpoint journal decoder on arbitrary
-# bytes: no panic, and every rejection wraps exactly one ErrCheckpoint*
-# sentinel. Its seeds are kilobytes long, so new inputs are minimized for
-# at most a second each, leaving the rest of the 5 s to fuzzing. A
-# crasher is saved under the package's testdata/fuzz and replays as a
-# regression test.
+# arbitrary bit patterns, the fused RBF kernel row, its candidate-major
+# eight-candidate form and its pool-column form on arbitrary small designs
+# and pools, all compared bitwise with the scalar code, the LML workspace
+# on arbitrary small designs and log-hyperparameters, compared bitwise with
+# the fresh-allocation evaluation it replaced, and the checkpoint journal
+# decoder on arbitrary bytes: no panic, and every rejection wraps exactly
+# one ErrCheckpoint* sentinel. Its seeds are kilobytes long, so new inputs
+# are minimized for at most a second each, leaving the rest of the 5 s to
+# fuzzing. A crasher is saved under the package's testdata/fuzz and
+# replays as a regression test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpLanes$$' -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFRow$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFLanes$$' -fuzztime 5s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzRBFColumn$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzLMLWorkspace$$' -fuzztime 5s ./internal/gp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/online
 
@@ -55,17 +56,19 @@ fuzz-smoke:
 # study driver; amr and dataset carry the reference snapshots that
 # concurrent campaigns and Generate's workers share. The second line re-runs
 # the streamed-pool engine tests, the concurrent PredictInto pins, the
-# concurrent surrogate-fit tests and the checkpoint journal tests explicitly
-# (-count=1, no -short): the shard-parallel Select lanes, the side-by-side
-# cost and memory fits of replay and online campaigns, their worker-count
-# invariance pins, and the journal's resume from a torn tail at every byte
-# offset must face the race detector at full size on every CI pass, never
-# satisfied from the test cache.
+# concurrent surrogate-fit tests, the scoring-cache tests and the checkpoint
+# journal tests explicitly (-count=1, no -short): the shard-parallel Select
+# lanes, the side-by-side cost and memory fits of replay and online
+# campaigns, their worker-count invariance pins, the scoring cache's
+# parallel column sweeps and eight-lane rebuilds over its shared slabs, and
+# the journal's resume from a torn tail at every byte offset must face the
+# race detector at full size on every CI pass, never satisfied from the test
+# cache.
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
 		./internal/engine ./internal/experiments ./internal/faults ./internal/online \
 		./internal/remotelab ./internal/report ./internal/amr ./internal/dataset
-	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair|TestCheckpointJournal' \
+	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair|TestScoringCache|TestCheckpointJournal' \
 		./internal/engine ./internal/gp ./internal/online
 
 # sweep-smoke drives a tiny 2x2 policy-by-seed grid through the unified
@@ -164,13 +167,15 @@ bench:
 
 # bench-al measures the active-learning scoring engine: per-iteration pool
 # re-scoring (both surrogates, direct Predict vs the incremental
-# ScoringCache) across training sizes n and pool sizes m, plus the
+# ScoringCache) across training sizes n and pool sizes m, one online
+# campaign's cache over the 1,920-configuration grid, plus the
 # allocation-free Predict hot path. Raw `go test -json` events go to
-# BENCH_al.json, same format as BENCH_gp.json.
+# BENCH_scoring.json, same format as BENCH_gp.json; BENCH_al.json holds the
+# scale ledger bench-scale writes.
 bench-al:
 	$(GO) test -run '^$$' -bench 'TrajectoryScoring|Predict' -benchmem -json \
-		./internal/gp > BENCH_al.json
-	@grep -o '"Output":".*ns/op[^"]*"' BENCH_al.json | sed 's/"Output":"//; s/\\t/\t/g; s/\\n"//' || true
+		./internal/gp > BENCH_scoring.json
+	@grep -o '"Output":".*ns/op[^"]*"' BENCH_scoring.json | sed 's/"Output":"//; s/\\t/\t/g; s/\\n"//' || true
 
 # bench-scale measures the million-candidate selection step: one full
 # pool-scoring pass per op across surrogate families, n in {2e3, 1e4}, m in

@@ -216,9 +216,8 @@ func goodness(mu, sigma []float64, idx []int, base float64) []float64 {
 			maxE = expo[i]
 		}
 	}
-	w := make([]float64, n)
 	for i, e := range expo {
-		w[i] = math.Pow(base, e-maxE)
+		expo[i] = math.Pow(base, e-maxE)
 	}
-	return w
+	return expo
 }

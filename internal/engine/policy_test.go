@@ -305,3 +305,26 @@ func TestBOLocalizesALGeneralizes(t *testing.T) {
 			al.CostRMSE[39], bo.CostRMSE[39])
 	}
 }
+
+// The goodness weights overwrite their exponents: one slice per call, so
+// an RGMA selection allocates the satisfying index list and the weights and
+// nothing else.
+func TestGoodnessAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := 500
+	mu, sigma, muM := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range mu {
+		mu[i], sigma[i], muM[i] = rng.NormFloat64(), rng.Float64(), rng.NormFloat64()
+	}
+	if a := testing.AllocsPerRun(20, func() { goodness(mu, sigma, nil, 10) }); a != 1 {
+		t.Fatalf("goodness allocates %.1f times per call, want 1", a)
+	}
+	c := cands(mu, sigma, muM, flat(n, 0.1), 0.5)
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := (RGMA{}).Select(c, rng); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 2 {
+		t.Fatalf("an RGMA selection allocates %.1f times, want 2", a)
+	}
+}

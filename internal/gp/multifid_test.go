@@ -360,3 +360,48 @@ func TestMultiFidLateLevelAppears(t *testing.T) {
 		t.Fatalf("observed candidate's sigma did not shrink: %v -> %v", top[10], sig[10])
 	}
 }
+
+// A pick must not cost the multi-fidelity cache its gains buffer: Remove
+// keeps it (its stale length forces the recombination), so Remove followed
+// by Scores and TopInfoGains allocates no more than Scores and
+// TopInfoGains alone, and the gains TopInfoGains then serves, recombined
+// without an explicit Scores, are a fresh cache's.
+func TestMultiFidCacheRemoveKeepsGains(t *testing.T) {
+	withWorkers(1, func() {
+		rng := rand.New(rand.NewSource(33))
+		ladder := []float64{0, 1}
+		x, y := multiFidData(rng, 30, 20, ladder)
+		m := newTestMultiFid(t, ladder, nil, Config{Noise: 0.05, Seed: 7, NormalizeY: true})
+		if err := m.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		pool, _ := multiFidData(rand.New(rand.NewSource(34)), 20, 20, ladder)
+		cache := NewMultiFidCache(m, pool)
+		defer cache.Close()
+		cache.Scores()
+		score := func() {
+			cache.Scores()
+			cache.TopInfoGains()
+		}
+		base := testing.AllocsPerRun(5, score)
+		pick := testing.AllocsPerRun(5, func() {
+			cache.Remove(0)
+			score()
+		})
+		if pick > base {
+			t.Fatalf("a pick allocates %.1f times, scoring alone %.1f", pick, base)
+		}
+		for i := 0; i < 6; i++ {
+			pool = pool.RemoveRow(0)
+		}
+		cache.Remove(5)
+		pool = pool.RemoveRow(5)
+		gains := cache.TopInfoGains()
+		fresh := NewMultiFidCache(m, pool)
+		defer fresh.Close()
+		fresh.Scores()
+		if !bitwiseEq(gains, fresh.TopInfoGains()) {
+			t.Fatal("gains recombined after a Remove differ from a fresh cache's")
+		}
+	})
+}

@@ -189,7 +189,8 @@ func (c *MultiFidCache) Remove(p int) {
 	}
 	c.xs = append(c.xs[:p], c.xs[p+1:]...)
 	c.levels = append(c.levels[:p], c.levels[p+1:]...)
-	c.gains = nil // force a recombination before the next TopInfoGains
+	// gains keeps its buffer: its length no longer matches the pool, which
+	// forces a recombination before the next TopInfoGains.
 }
 
 // rowsDenseAllowEmpty is rowsDense tolerating an empty pool (a drained

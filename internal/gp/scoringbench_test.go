@@ -105,13 +105,56 @@ func argmaxSum(a, b []float64) int {
 	return best
 }
 
+// serveTrajectory is the shape of one online campaign's surrogate: a
+// ScoringCache over the whole 1,920-configuration grid (d = 5, RBF) on a GP
+// grown from 1 to 26 training rows by appends, refitted every 10 rounds (so
+// the next Scores rebuilds), one Scores and one removal per round.
+func serveTrajectory(b *testing.B, pool [][]float64) float64 {
+	b.StopTimer()
+	x, y := benchTraining(1, 5)
+	g := New(kernel.NewRBF(1, 1), Config{Noise: 0.1, NoOptimize: true})
+	if err := g.Fit(x, y); err != nil {
+		b.Fatal(err)
+	}
+	xs := benchDense(pool)
+	live := append([][]float64(nil), pool...)
+	b.StartTimer()
+	c := NewScoringCache(g, xs)
+	defer c.Close()
+	var sum float64
+	for round := 1; round <= 25; round++ {
+		mu, sigma := c.Scores()
+		pick := argmaxSum(sigma, mu)
+		sum += sigma[pick]
+		if err := g.Append(live[pick], mu[pick]); err != nil {
+			b.Fatal(err)
+		}
+		if round%10 == 0 {
+			if err := g.Refit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		c.Remove(pick)
+		live = append(live[:pick], live[pick+1:]...)
+	}
+	mu, _ := c.Scores()
+	return sum + mu[0]
+}
+
 // BenchmarkTrajectoryScoring measures the per-iteration candidate-scoring
 // work of the AL loop (both surrogates over the whole pool) across training
 // sizes n and pool sizes m, direct Predict vs the incremental ScoringCache.
 // Each op is a trajIters-iteration trajectory starting from a freshly
-// fitted model pair (fitting excluded from the timing).
+// fitted model pair (fitting excluded from the timing). The serve case is
+// one online campaign's cache (serveTrajectory).
 func BenchmarkTrajectoryScoring(b *testing.B) {
 	const d = 5
+	b.Run("serve/m=1920/n=1-26", func(b *testing.B) {
+		pool := benchPool(1920, d, 99)
+		for i := 0; i < b.N; i++ {
+			benchSink += serveTrajectory(b, pool)
+		}
+	})
 	for _, n := range []int{50, 200, 600} {
 		for _, m := range []int{100, 400} {
 			for _, mode := range []string{"direct", "cached"} {

@@ -234,3 +234,271 @@ func TestScoringCacheClose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refCache is the per-candidate scoring cache the slab layout replaced,
+// kept as the oracle: one slice per candidate for kᵢ and vᵢ, grown by
+// append, every kernel entry through the GP's row evaluator and every prior
+// variance through kern.Eval. It is not registered with its GP; the test
+// extends it after each Append and invalidates it after each Refit.
+type refCache struct {
+	g          *GP
+	xs, ks, vs [][]float64
+	v2, kss    []float64
+	order      []int
+	stale      bool
+}
+
+func newRefCache(g *GP, pool [][]float64) *refCache {
+	c := &refCache{g: g, stale: true}
+	for i, x := range pool {
+		c.xs = append(c.xs, append([]float64(nil), x...))
+		c.ks = append(c.ks, nil)
+		c.vs = append(c.vs, nil)
+		c.v2 = append(c.v2, 0)
+		c.kss = append(c.kss, 0)
+		c.order = append(c.order, i)
+	}
+	return c
+}
+
+func (c *refCache) scores() (mu, sigma []float64) {
+	g := c.g
+	n := g.x.Rows()
+	if c.stale {
+		for s := range c.xs {
+			c.ks[s] = growVec(c.ks[s], n)
+			c.vs[s] = growVec(c.vs[s], n)
+			g.rowEval.Eval(c.xs[s], 0, c.ks[s])
+			c.v2[s] = g.chol.ForwardSolveFlatTo(c.vs[s], c.ks[s])
+			c.kss[s] = g.kern.Eval(c.xs[s], c.xs[s])
+		}
+		c.stale = false
+	}
+	for _, s := range c.order {
+		mu = append(mu, mat.DotBlocked(c.ks[s][:n], g.alpha)+g.yMean)
+		variance := c.kss[s] - c.v2[s]
+		if variance < 0 {
+			variance = 0
+		}
+		sigma = append(sigma, math.Sqrt(variance))
+	}
+	return mu, sigma
+}
+
+func (c *refCache) extend() {
+	if c.stale {
+		return
+	}
+	g := c.g
+	n := g.x.Rows()
+	var kNew [1]float64
+	for s := range c.xs {
+		g.rowEval.Eval(c.xs[s], n-1, kNew[:])
+		vNew := g.chol.BorderSolveStep(c.vs[s], kNew[0])
+		c.ks[s] = append(c.ks[s], kNew[0])
+		c.vs[s] = append(c.vs[s], vNew)
+		c.v2[s] += vNew * vNew
+	}
+}
+
+func (c *refCache) remove(p int) {
+	s := c.order[p]
+	c.order = append(c.order[:p], c.order[p+1:]...)
+	last := len(c.xs) - 1
+	if s != last {
+		c.xs[s], c.ks[s], c.vs[s] = c.xs[last], c.ks[last], c.vs[last]
+		c.v2[s], c.kss[s] = c.v2[last], c.kss[last]
+		for q, t := range c.order {
+			if t == last {
+				c.order[q] = s
+				break
+			}
+		}
+	}
+	c.xs, c.ks, c.vs = c.xs[:last], c.ks[:last], c.vs[:last]
+	c.v2, c.kss = c.v2[:last], c.kss[:last]
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The slab layout, the column sweep and the eight-lane rebuild keep every
+// bit of the per-candidate cache. One cost and one memory surrogate, each
+// with a cache, absorb appends (some memory-only, as censored feeds are)
+// across at least three stride growths, removals of slot 0, a middle slot
+// and the last slot, and hyperparameter refits. After every step each
+// cache's scores must equal, bit for bit, a fresh cache's and the oracle's,
+// and every stored prior variance must equal kern.Eval(x, x). The RBF
+// kernel takes the column sweep; ARD and Matérn the per-candidate rows.
+// The pool holds a row with an infinite feature.
+func TestScoringCacheSlabBitwise(t *testing.T) {
+	kernels := []struct {
+		name string
+		k    kernel.Kernel
+	}{
+		{"rbf", kernel.NewRBF(0.8, 1.2)},
+		{"ard", kernel.NewARDRBF([]float64{0.7, 1.3}, 1.1)},
+		{"matern", kernel.NewMatern(2.5, 0.9, 1.0)},
+	}
+	for _, kc := range kernels {
+		t.Run(kc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(43))
+			x, y := eqTrainingSet(rng, 2)
+			gs := make([]*GP, 2)
+			for i := range gs {
+				gs[i] = New(kc.k, Config{Noise: 0.05 * float64(i+1), NoOptimize: true})
+				if err := gs[i].Fit(x, y); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pool := poolRows(rng, 70, 2)
+			pool[23][1] = math.Inf(1)
+			caches := make([]*ScoringCache, 2)
+			refs := make([]*refCache, 2)
+			for i, g := range gs {
+				caches[i] = NewScoringCache(g, denseOf(pool))
+				defer caches[i].Close()
+				refs[i] = newRefCache(g, pool)
+			}
+			growths, stride := 0, 0
+			check := func(step int) {
+				t.Helper()
+				for i, g := range gs {
+					c := caches[i]
+					mu, sigma := c.Scores()
+					rMu, rSigma := refs[i].scores()
+					fresh := NewScoringCache(g, denseOf(pool))
+					fMu, fSigma := fresh.Scores()
+					fresh.Close()
+					if !sameBits(mu, rMu) || !sameBits(sigma, rSigma) {
+						t.Fatalf("step %d, surrogate %d: scores differ from the per-candidate oracle", step, i)
+					}
+					if !sameBits(mu, fMu) || !sameBits(sigma, fSigma) {
+						t.Fatalf("step %d, surrogate %d: scores differ from a fresh cache", step, i)
+					}
+					for s := range c.order {
+						if want := g.kern.Eval(c.row(s), c.row(s)); math.Float64bits(c.kss[s]) != math.Float64bits(want) {
+							t.Fatalf("step %d, surrogate %d, slot %d: prior variance %v, kern.Eval(x, x) %v", step, i, s, c.kss[s], want)
+						}
+					}
+				}
+				if caches[0].stride != stride {
+					growths++
+					stride = caches[0].stride
+				}
+			}
+			check(-1)
+			removeSlot := func(slot int) {
+				p := 0
+				for caches[0].order[p] != slot {
+					p++
+				}
+				for i := range gs {
+					if caches[i].order[p] != slot {
+						t.Fatalf("the two caches disagree on position %d's slot", p)
+					}
+					caches[i].Remove(p)
+					refs[i].remove(p)
+				}
+				pool = append(pool[:p], pool[p+1:]...)
+			}
+			for step := 0; step < 150; step++ {
+				switch {
+				case step%17 == 16:
+					for i, g := range gs {
+						hp := g.Hyperparams()
+						for h := range hp {
+							hp[h] += 0.05 * rng.NormFloat64()
+						}
+						g.SetHyperparams(hp)
+						if err := g.Refit(); err != nil {
+							t.Fatalf("step %d: Refit: %v", step, err)
+						}
+						refs[i].stale = true
+					}
+				case step%11 == 3:
+					removeSlot(0)
+				case step%11 == 6:
+					removeSlot(len(pool) / 2)
+				case step%11 == 9:
+					removeSlot(len(pool) - 1)
+				default:
+					xa := []float64{rng.Float64() * 4, rng.Float64() * 4}
+					ya := math.Sin(xa[0]) * math.Cos(xa[1])
+					for i, g := range gs {
+						if i == 0 && step%5 == 2 {
+							continue // censored: the memory surrogate alone learns
+						}
+						if err := g.Append(xa, ya+float64(i)); err != nil {
+							t.Fatalf("step %d: Append: %v", step, err)
+						}
+						refs[i].extend()
+					}
+				}
+				check(step)
+			}
+			if growths < 4 {
+				t.Fatalf("the cost cache's stride changed %d times (first build included), want at least 3 growths", growths)
+			}
+		})
+	}
+}
+
+// After warm-up the cache's own work allocates nothing: the extend step for
+// an append that fits the stride, and a Scores call on a current cache. The
+// pass runs inline (one worker); a dispatched pass pays the worker pool's
+// own synchronization.
+func TestScoringCacheSlabAllocs(t *testing.T) {
+	withWorkers(1, func() {
+		rng := rand.New(rand.NewSource(47))
+		for _, k := range []kernel.Kernel{kernel.NewRBF(0.8, 1.2), kernel.NewMatern(1.5, 0.9, 1.0)} {
+			x, y := eqTrainingSet(rng, 10)
+			g := New(k, Config{Noise: 0.05, NoOptimize: true})
+			if err := g.Fit(x, y); err != nil {
+				t.Fatal(err)
+			}
+			pool := poolRows(rng, 300, 2)
+			c := NewScoringCache(g, denseOf(pool))
+			c.Scores()
+			if a := testing.AllocsPerRun(10, func() { c.Scores() }); a != 0 {
+				t.Fatalf("%v: Scores on a current cache allocates %.1f times, want 0", k, a)
+			}
+			// Detach, append, and replay the cache's extend step from the
+			// same pre-append state each run.
+			c.Close()
+			if err := g.Append([]float64{1.5, 2.5}, 0.3); err != nil {
+				t.Fatal(err)
+			}
+			if g.x.Rows() > c.stride {
+				t.Fatalf("append outgrew the stride %d; the pin needs one that fits", c.stride)
+			}
+			v2 := append([]float64(nil), c.v2...)
+			n := c.n
+			extend := func() {
+				c.n = n
+				copy(c.v2, v2)
+				c.extendAppend()
+			}
+			if a := testing.AllocsPerRun(10, extend); a != 0 {
+				t.Fatalf("%v: extending for an append that fits the stride allocates %.1f times, want 0", k, a)
+			}
+			// The replayed step left the state one append makes.
+			mu, sigma := c.Scores()
+			fresh := NewScoringCache(g, denseOf(pool))
+			fMu, fSigma := fresh.Scores()
+			fresh.Close()
+			if !sameBits(mu, fMu) || !sameBits(sigma, fSigma) {
+				t.Fatalf("%v: scores after the replayed extend differ from a fresh cache", k)
+			}
+		}
+	})
+}

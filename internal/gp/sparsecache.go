@@ -201,3 +201,12 @@ func (c *SparseScoringCache) extendAppend(z []float64, denom float64) {
 		}
 	})
 }
+
+// growVec resizes b to length n, reusing capacity when possible and
+// over-allocating on growth so a run of appends amortizes.
+func growVec(b []float64, n int) []float64 {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]float64, n, n+n/2+8)
+}

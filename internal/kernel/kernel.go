@@ -363,6 +363,10 @@ func gradRowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, val [
 	}
 }
 
+// SqNorm returns Σ v_d² as the row evaluators compute it, for callers that
+// keep the norms of a candidate pool (the RBF evaluator's EvalColumn).
+func SqNorm(v []float64) float64 { return sqNorm(v) }
+
 // sqNorm returns Σ v_d², in the same left-to-right order rowSqNorms uses,
 // so that diagonal distances cancel exactly.
 func sqNorm(v []float64) float64 {

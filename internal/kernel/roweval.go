@@ -43,6 +43,7 @@ func NewRowEval(k Kernel, xs *mat.Dense) RowEval {
 			norms:  rowSqNorms(xs),
 			inv2l2: 1 / (2 * l * l),
 			amp2:   math.Exp(2 * kk.logAmp),
+			diag:   kk.Eval(nil, nil),
 		}
 	case *ARDRBF:
 		z, zn, invL := kk.scaledRows(xs)
@@ -73,13 +74,15 @@ func NewRowEval(k Kernel, xs *mat.Dense) RowEval {
 // bit for bit; the rows it leaves (the len mod 4 tail, groups whose
 // exponent needs math.Exp's special paths, every row on CPUs without the
 // vector kernels) take that scalar expression. EvalLanes runs the same
-// expression candidate-major over the row-major xs.
+// expression candidate-major over the row-major xs, and EvalColumn runs it
+// down one design row's column of a candidate pool.
 type rbfRowEval struct {
 	xs     *mat.Dense
 	cols   [][]float64
 	norms  []float64
 	inv2l2 float64
 	amp2   float64
+	diag   float64 // k(x, x) for every row x with finite features
 }
 
 func (e *rbfRowEval) Eval(x []float64, from int, out []float64) {
@@ -119,6 +122,36 @@ func (e *rbfRowEval) EvalLanes(xs *mat.Dense, lo int, w, xt, beta []float64) (mu
 	}
 	return mu
 }
+
+// EvalColumn is Eval turned sideways: instead of one candidate against many
+// design rows it evaluates many candidates against design row j, setting
+// out[t] = k(x_s, z_j) for s = off+t, t in [0, len(out)). Candidate s has
+// the features rows[s·d : (s+1)·d], the column-major copy cols[i][s] = x_s[i]
+// and the squared norm norms[s] = SqNorm(x_s). Every value has the bits
+// Eval(x_s, j, ·) gives: the fused row mat.RBFRows runs with z_j as its
+// probe and the pool as its design, computing (‖z_j‖² + ‖x_s‖²) − 2⟨z_j, x_s⟩
+// where Eval computes (‖x_s‖² + ‖z_j‖²) − 2⟨x_s, z_j⟩. The addition commutes,
+// each product commutes and the dot runs in the same index order, and the
+// fused row writes only groups whose exponent arguments lie in its finite
+// fast range, so the two agree bit for bit. The candidates it leaves take
+// Eval's own expression.
+func (e *rbfRowEval) EvalColumn(out []float64, j int, rows []float64, cols [][]float64, norms []float64, off int) {
+	z, nz := e.xs.Row(j), e.norms[j]
+	d := len(z)
+	for t := 0; t < len(out); {
+		t += mat.RBFRows(out[t:], z, cols, off+t, norms, nz, e.inv2l2, e.amp2)
+		for end := min(t+4, len(out)); t < end; t++ {
+			s := off + t
+			out[t] = e.amp2 * math.Exp(-sqDistVia(norms[s], nz, rows[s*d:(s+1)*d], z)*e.inv2l2)
+		}
+	}
+}
+
+// Diag returns k(x, x) for every row x whose features are all finite:
+// SqDist(x, x) is +0 for such a row, so RBF.Eval(x, x) is one number,
+// computed once when the evaluator is built. A row with a NaN or infinite
+// feature needs RBF.Eval(x, x) itself.
+func (e *rbfRowEval) Diag() float64 { return e.diag }
 
 // Extend appends the new row to every column: amortized O(d), the design
 // is never transposed again.

@@ -409,3 +409,171 @@ func FuzzRBFLanes(f *testing.F) {
 		checkRBFLanes(t, e, xs, beta, "fuzz")
 	})
 }
+
+// poolColumns lays a candidate pool out as EvalColumn reads it: the
+// slot-major rows, the column-major copy and the squared norms.
+func poolColumns(pool *mat.Dense) (rows []float64, cols [][]float64, norms []float64) {
+	norms = make([]float64, pool.Rows())
+	for s := range norms {
+		norms[s] = SqNorm(pool.Row(s))
+	}
+	return pool.RawData(), columns(pool), norms
+}
+
+// checkRBFColumn sweeps every design row's column over every window
+// [off, off+len) of the pool and compares each value's bits with the
+// per-candidate Eval.
+func checkRBFColumn(t *testing.T, e *rbfRowEval, pool *mat.Dense, label string) {
+	t.Helper()
+	rows, cols, norms := poolColumns(pool)
+	m := pool.Rows()
+	k := make([]float64, 1)
+	for j := 0; j < e.xs.Rows(); j++ {
+		for off := 0; off < m; off++ {
+			for _, l := range []int{m - off, (m - off) / 2, min(m-off, 5), min(m-off, 3)} {
+				out := make([]float64, l)
+				e.EvalColumn(out, j, rows, cols, norms, off)
+				for tt, got := range out {
+					e.Eval(pool.Row(off+tt), j, k)
+					if math.Float64bits(got) != math.Float64bits(k[0]) {
+						t.Fatalf("%s: design row %d, window %d+%d, candidate %d: column %v, Eval %v", label, j, off, l, off+tt, got, k[0])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRBFColumnMatchesEvalBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	newEval := func(ls, amp float64, xs *mat.Dense) *rbfRowEval {
+		return NewRowEval(NewRBF(ls, amp), xs).(*rbfRowEval)
+	}
+	for _, d := range []int{1, 2, 3, 5, 8} {
+		z := randRows(rng, 6, d)
+		e := newEval(0.3+rng.Float64(), 0.5+rng.Float64(), z)
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 23, 70} {
+			pool := randRows(rng, m, d)
+			// A candidate equal to a design row (r2 = 0) and an all-−0
+			// candidate.
+			copy(pool.Row(m/2), z.Row(m%6))
+			for i := range pool.Row(m - 1) {
+				pool.Row(m - 1)[i] = math.Copysign(0, -1)
+			}
+			checkRBFColumn(t, e, pool, "random")
+		}
+	}
+
+	// Large coordinates that nearly coincide: the distance cancels and
+	// often rounds below zero, which both paths clamp to +0.
+	z := mat.NewDense(5, 2, nil)
+	pool := mat.NewDense(17, 2, nil)
+	for j := 0; j < 5; j++ {
+		z.Set(j, 0, 1e8+float64(j%3)*1e-8)
+		z.Set(j, 1, 3+float64(j)*1e-9)
+	}
+	for s := 0; s < 17; s++ {
+		pool.Set(s, 0, 1e8+float64(s%4)*1e-8)
+		pool.Set(s, 1, 3+float64(s)*1e-9)
+	}
+	checkRBFColumn(t, newEval(0.7, 1.3, z), pool, "cancellation")
+
+	// Far candidates push exp's argument below −708, so their groups take
+	// the scalar expression mid-sweep while their neighbours stay
+	// vectorized.
+	z = randRows(rng, 4, 3)
+	pool = randRows(rng, 30, 3)
+	for _, s := range []int{5, 6, 17, 29} {
+		for i := 0; i < 3; i++ {
+			pool.Set(s, i, 60+float64(i))
+		}
+	}
+	e := newEval(0.5, 1.1, z)
+	checkRBFColumn(t, e, pool, "far")
+	if mat.HaveLanes() {
+		_, cols, norms := poolColumns(pool)
+		out := make([]float64, 30)
+		if done := mat.RBFRows(out, z.Row(0), cols, 0, norms, e.norms[0], e.inv2l2, e.amp2); done != 4 {
+			t.Fatalf("column sweep wrote %d candidates before the first far group, want 4", done)
+		}
+	}
+
+	// Non-finite and −0 features, in the pool and in the design.
+	pool = randRows(rng, 13, 3)
+	pool.Set(2, 1, math.NaN())
+	pool.Set(7, 0, math.Inf(1))
+	pool.Set(8, 2, math.Inf(-1))
+	pool.Set(11, 0, math.Copysign(0, -1))
+	checkRBFColumn(t, e, pool, "non-finite candidates")
+	z = randRows(rng, 4, 3)
+	z.Set(1, 2, math.NaN())
+	z.Set(2, 0, math.Inf(-1))
+	z.Set(3, 1, math.Copysign(0, -1))
+	checkRBFColumn(t, newEval(0.8, 0.9, z), randRows(rng, 11, 3), "non-finite design")
+
+	// A grown evaluator: Extend keeps the design and its norms in step.
+	z = randRows(rng, 2, 4)
+	e = newEval(0.9, 0.8, z)
+	pool = randRows(rng, 9, 4)
+	for a := 0; a < 10; a++ {
+		z = z.AppendRow(randRows(rng, 1, 4).Row(0))
+		e.Extend(z)
+		checkRBFColumn(t, e, pool, "grown")
+	}
+}
+
+// The hoisted prior variance: for every row with finite features Diag has
+// the bits of RBF.Eval(x, x), whatever the hyperparameters.
+func TestRBFDiagMatchesEvalBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, hp := range [][2]float64{{0, 0}, {-2, 1.5}, {3, -4}, {-400, 0}, {math.Inf(1), 0.2}, {math.Inf(-1), 0}, {0, math.Inf(1)}, {math.NaN(), 0}} {
+		k := &RBF{logLen: hp[0], logAmp: hp[1]}
+		e := NewRowEval(k, randRows(rng, 3, 2)).(*rbfRowEval)
+		for _, x := range [][]float64{{0, 0}, {1e300, -1e300}, {math.Copysign(0, -1), 5e-324}, randRows(rng, 1, 2).Row(0)} {
+			if got, want := e.Diag(), k.Eval(x, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("log hyperparameters %v, row %v: Diag %v, Eval(x, x) %v", hp, x, got, want)
+			}
+		}
+	}
+}
+
+// FuzzRBFColumn drives the column sweep with an arbitrary small pool and
+// design and arbitrary log-hyperparameters, non-finite ones included: every
+// value must equal the per-candidate Eval, bit for bit.
+func FuzzRBFColumn(f *testing.F) {
+	seed := func(d, n uint8, logLen, logAmp float64, vals ...float64) {
+		buf := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		f.Add(buf, d, n, logLen, logAmp)
+	}
+	ramp := func(n int, scale float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = scale * float64(i%7-3)
+		}
+		return v
+	}
+	seed(1, 3, 0, 0, ramp(20, 0.5)...)
+	seed(2, 2, -1, 0.3, ramp(40, 1)...)
+	seed(3, 1, 2, -1, append(ramp(45, 1e8), 1e300, math.NaN(), math.Inf(1))...)
+	seed(1, 4, math.Inf(1), 0, ramp(16, 2)...)
+	seed(2, 2, -3, 0, append(ramp(8, 1), 60, 61, 60, 61, 60, 61, 60, 61, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)...)
+	f.Fuzz(func(t *testing.T, data []byte, d, n uint8, logLen, logAmp float64) {
+		dim := 1 + int(d%4)
+		rows := 1 + int(n%6)
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		m := min(len(vals)/dim-rows, 17)
+		if m < 1 {
+			return
+		}
+		z := mat.NewDense(rows, dim, vals[:rows*dim])
+		pool := mat.NewDense(m, dim, vals[rows*dim:(rows+m)*dim])
+		e := NewRowEval(&RBF{logLen: logLen, logAmp: logAmp}, z).(*rbfRowEval)
+		checkRBFColumn(t, e, pool, "fuzz")
+	})
+}

@@ -60,6 +60,37 @@ func (c *Cholesky) ForwardSolveFlatTo(dst, b []float64) float64 {
 	return sum
 }
 
+// ForwardSolveFlatLanes is ForwardSolveFlatTo for eight right-hand sides
+// stored interleaved as ForwardSolveLanes stores them (y[8j+c] holds element
+// j of lane c, len(y) = 8·Size): it solves every lane in place and returns
+// ss[c], lane c's running Σ y_c[j]². Lane c ends with exactly the bits
+// ForwardSolveFlatTo gives for b_c, and ss[c] with those of its sum.
+//
+// Up to cholBlock rows the blocked sweep is a single block, whose rows are
+// the flat solve's full-prefix adot rows, and ForwardSolveLanes sums Σy² in
+// index order like the flat running sum; so the one-call lane sweep runs
+// there. Larger systems solve each lane flat.
+func (c *Cholesky) ForwardSolveFlatLanes(y []float64) (ss [8]float64) {
+	n := c.n
+	if len(y) != 8*n {
+		panic(fmt.Sprintf("mat: ForwardSolveFlatLanes length %d for size %d", len(y), n))
+	}
+	if n <= cholBlock {
+		return c.ForwardSolveLanes(y)
+	}
+	lane := make([]float64, n)
+	for l := range ss {
+		for j := range lane {
+			lane[j] = y[8*j+l]
+		}
+		ss[l] = c.ForwardSolveFlatTo(lane, lane)
+		for j, v := range lane {
+			y[8*j+l] = v
+		}
+	}
+	return ss
+}
+
 // BorderSolveStep extends a forward-solve vector by one entry after the
 // factor grew by a bordered row (Extend): given v = L_old⁻¹ k_old and the
 // new right-hand-side entry kNew, it returns

@@ -18,3 +18,7 @@ func TestExpLanesBitwiseScalarDispatch(t *testing.T) { withoutFMA(t, testExpLane
 func TestForwardSolveLanesBitwiseScalarDispatch(t *testing.T) {
 	withoutFMA(t, testForwardSolveLanes)
 }
+
+func TestForwardSolveFlatLanesBitwiseScalarDispatch(t *testing.T) {
+	withoutFMA(t, testForwardSolveFlatLanes)
+}

@@ -155,3 +155,47 @@ func FuzzExpLanes(f *testing.F) {
 		checkExpLanes(t, x[1:])
 	})
 }
+
+// testForwardSolveFlatLanes checks the eight-lane flat solve and its sums
+// of squares against ForwardSolveFlatTo, lane by lane, on both sides of
+// cholBlock (where it switches from the one-call sweep to per-lane solves)
+// and of asmDotMin.
+func testForwardSolveFlatLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, n := range []int{1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128} {
+		for trial := 0; trial < 3; trial++ {
+			ch, err := NewCholesky(randSPD(n, rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([][]float64, 8)
+			y := make([]float64, 8*n)
+			for c := range b {
+				b[c] = randomVec(rng, n)
+				if trial == 2 {
+					for j := range b[c] {
+						b[c][j] *= math.Pow(10, float64(rng.Intn(16)-8))
+					}
+				}
+				for j, v := range b[c] {
+					y[8*j+c] = v
+				}
+			}
+			ss := ch.ForwardSolveFlatLanes(y)
+			want := make([]float64, n)
+			for c := range b {
+				sum := ch.ForwardSolveFlatTo(want, b[c])
+				for j, w := range want {
+					if math.Float64bits(y[8*j+c]) != math.Float64bits(w) {
+						t.Fatalf("n=%d trial %d lane %d: y[%d] = %.17g, ForwardSolveFlatTo = %.17g", n, trial, c, j, y[8*j+c], w)
+					}
+				}
+				if math.Float64bits(ss[c]) != math.Float64bits(sum) {
+					t.Fatalf("n=%d trial %d lane %d: sum of squares %.17g, flat running sum %.17g", n, trial, c, ss[c], sum)
+				}
+			}
+		}
+	}
+}
+
+func TestForwardSolveFlatLanesBitwise(t *testing.T) { testForwardSolveFlatLanes(t) }
