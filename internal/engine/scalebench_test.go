@@ -144,7 +144,7 @@ func BenchmarkScaleScoring(b *testing.B) {
 						prev := mat.SetWorkers(wc)
 						defer mat.SetWorkers(prev)
 						poolX := mat.NewDense(m, scaleDim, nil)
-						src.Fill(0, m, poolX)
+						src.Fill(0, m, poolX.RawData())
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
@@ -165,7 +165,7 @@ func BenchmarkScaleScoring(b *testing.B) {
 								ShardSize: 4096, TopK: 64, Approx: mode.approx, Rank: rank,
 							})
 							_, ids := st.Select() // steady state: bounds primed before timing
-							row := mat.NewDense(1, scaleDim, nil)
+							row := make([]float64, scaleDim)
 							b.ReportAllocs()
 							b.ResetTimer()
 							for i := 0; i < b.N; i++ {
@@ -184,11 +184,10 @@ func BenchmarkScaleScoring(b *testing.B) {
 
 // absorbPick plays one campaign step between Selects: candidate id leaves
 // the pool and its synthetic measurement joins both models.
-func absorbPick(tb testing.TB, st *StreamState, src CandidateSource, cost, mem gp.Model, id int, row *mat.Dense) {
+func absorbPick(tb testing.TB, st *StreamState, src CandidateSource, cost, mem gp.Model, id int, x []float64) {
 	tb.Helper()
 	st.Remove(id)
-	src.Fill(id, id+1, row)
-	x := row.Row(0)
+	src.Fill(id, id+1, x)
 	if err := cost.Append(x, scaleTarget(x)); err != nil {
 		tb.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestScaleSmoke(t *testing.T) {
 	rank, _ := rankerFor("maxsigma")
 	src := scaleGrid(m)
 	poolX := mat.NewDense(m, scaleDim, nil)
-	src.Fill(0, m, poolX)
+	src.Fill(0, m, poolX.RawData())
 	for _, model := range []string{ModelExact, ModelSparse, ModelTreed} {
 		cost, mem := fitScaleModels(t, model, n)
 		wantID, wantRank := materializedPass(cost, mem, poolX, rank)

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"alamr/internal/gp"
@@ -261,9 +263,10 @@ func TestStreamedReplayWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestDenseSourceFillRows: the one-copy shard fill writes exactly the rows
-// a per-row copy would, for ranges at either end and inside, into a larger
-// slab whose tail it leaves alone, and after rows have left the pool.
+// TestDenseSourceFillRows: the one-copy range fill writes exactly the rows
+// a per-row copy would, for ranges at either end and inside, at a zero and
+// a nonzero offset into a larger slab whose other values it leaves alone,
+// and after rows have left the pool.
 func TestDenseSourceFillRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := mat.NewDense(23, 5, nil)
@@ -273,19 +276,21 @@ func TestDenseSourceFillRows(t *testing.T) {
 	x = x.RemoveRow(4).RemoveRow(21)
 	src := DenseSource{X: x}
 	for _, r := range [][2]int{{0, 21}, {0, 1}, {20, 21}, {3, 17}, {7, 7}} {
-		dst := mat.NewDense(22, 5, nil)
-		for i := range dst.RawData() {
-			dst.RawData()[i] = -1
-		}
-		src.Fill(r[0], r[1], dst)
-		for i := 0; i < dst.Rows(); i++ {
-			for j := 0; j < 5; j++ {
-				want := -1.0
-				if i < r[1]-r[0] {
-					want = x.At(r[0]+i, j)
-				}
-				if math.Float64bits(dst.At(i, j)) != math.Float64bits(want) {
-					t.Fatalf("rows [%d, %d): dst(%d, %d) = %v, want %v", r[0], r[1], i, j, dst.At(i, j), want)
+		for _, off := range []int{0, 3} {
+			slab := make([]float64, (off+22)*5)
+			for i := range slab {
+				slab[i] = -1
+			}
+			src.Fill(r[0], r[1], slab[off*5:])
+			for i := 0; i < len(slab)/5; i++ {
+				for j := 0; j < 5; j++ {
+					want := -1.0
+					if row := i - off; row >= 0 && row < r[1]-r[0] {
+						want = x.At(r[0]+row, j)
+					}
+					if got := slab[i*5+j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("rows [%d, %d) at offset %d: slab(%d, %d) = %v, want %v", r[0], r[1], off, i, j, got, want)
+					}
 				}
 			}
 		}
@@ -295,7 +300,90 @@ func TestDenseSourceFillRows(t *testing.T) {
 			t.Fatal("Fill past the last row did not panic")
 		}
 	}()
-	src.Fill(20, 22, mat.NewDense(2, 5, nil))
+	src.Fill(20, 22, make([]float64, 2*5))
+}
+
+// recordingSource wraps a CandidateSource and counts how often each row is
+// read. The lanes call Fill concurrently, so the counts are guarded.
+type recordingSource struct {
+	CandidateSource
+	mu    sync.Mutex
+	reads map[int]int
+}
+
+func (s *recordingSource) Fill(lo, hi int, dst []float64) {
+	s.mu.Lock()
+	for id := lo; id < hi; id++ {
+		s.reads[id]++
+	}
+	s.mu.Unlock()
+	s.CandidateSource.Fill(lo, hi, dst)
+}
+
+// TestStreamGathersOnlySurvivors: a primed approximate Select reads from
+// its source only the rows it predicts. Apart from the seed bound's k rows
+// and the shortlist's rows, it reads as many rows as the lanes scored
+// candidates; it never reads a tombstoned candidate or one whose bound is
+// below the seeded threshold; and the shortlist stays the exact top-k, at
+// every worker count.
+func TestStreamGathersOnlySurvivors(t *testing.T) {
+	const k = 8
+	rank, _ := rankerFor("maxsigma")
+	for _, w := range streamWorkerCounts() {
+		tag := fmt.Sprintf("workers=%d", w)
+		prev := mat.SetWorkers(w)
+		cost, mem, pool := streamFixture(t, 64, 40, 700)
+		src := &recordingSource{CandidateSource: DenseSource{X: pool}, reads: map[int]int{}}
+		st := NewStreamState(src, cost, mem, StreamConfig{
+			ShardSize: 64, TopK: k, Approx: true, RefreshEvery: 1 << 20, Rank: rank,
+		})
+		_, ids := st.Select() // primes the bounds and the seed's top k+1
+		top := map[int]bool{}
+		for _, id := range st.top {
+			top[id] = true
+		}
+		// Tombstone the winner, which leaves the seed k live candidates, and
+		// every fifth candidate outside the seed set.
+		removed := map[int]bool{}
+		for id := 0; id < pool.Rows(); id++ {
+			if id == ids[0] || (id%5 == 0 && !top[id]) {
+				st.Remove(id)
+				removed[id] = true
+			}
+		}
+		if err := cost.Append(pool.Row(ids[0]), 0.3); err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Append(pool.Row(ids[0]), 0.1); err != nil {
+			t.Fatal(err)
+		}
+		th := st.seedBound() // the threshold the next Select starts from
+		bounds := append([]float64(nil), st.bounds...)
+		src.reads = map[int]int{}
+		c, ids := st.Select()
+		mat.SetWorkers(prev)
+		checkShortlist(t, tag, c, ids, bruteTopK(cost, mem, pool, removed, rank, k))
+
+		var rows int64
+		for id, n := range src.reads {
+			if removed[id] {
+				t.Fatalf("%s: tombstoned candidate %d was read", tag, id)
+			}
+			if bounds[id] < th {
+				t.Fatalf("%s: candidate %d was read although its bound %g is below the seeded threshold %g",
+					tag, id, bounds[id], th)
+			}
+			rows += int64(n)
+		}
+		tot := laneTotals(st)
+		if tot.candPruned == 0 {
+			t.Fatalf("%s: the pass pruned no candidate on its bound", tag)
+		}
+		if want := tot.candScored + k + int64(len(ids)); rows != want {
+			t.Fatalf("%s: %d rows read, want %d scored + %d seed + %d shortlist",
+				tag, rows, tot.candScored, k, len(ids))
+		}
+	}
 }
 
 // TestGridSourceSingleAxis: the degenerate one-dimensional grid decodes to
@@ -306,11 +394,11 @@ func TestGridSourceSingleAxis(t *testing.T) {
 	if src.Len() != 5 || src.Dim() != 1 {
 		t.Fatalf("Len=%d Dim=%d, want 5 and 1", src.Len(), src.Dim())
 	}
-	dst := mat.NewDense(3, 1, nil)
+	dst := make([]float64, 3)
 	src.Fill(2, 5, dst)
 	for i := 0; i < 3; i++ {
-		if dst.Row(i)[0] != ax[2+i] {
-			t.Fatalf("candidate %d decoded to %v, want %v", 2+i, dst.Row(i)[0], ax[2+i])
+		if dst[i] != ax[2+i] {
+			t.Fatalf("candidate %d decoded to %v, want %v", 2+i, dst[i], ax[2+i])
 		}
 	}
 }

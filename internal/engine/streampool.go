@@ -25,42 +25,41 @@ import (
 //
 // Shard scoring is parallel: Select dispatches W = min(mat.Workers(),
 // shards) worker lanes over the internal/mat pool, each lane claiming
-// shards from a shared atomic cursor, scoring them serially (through
+// shards from a shared atomic cursor and scoring them serially (through
 // gp.Model.PredictInto — the lanes *are* the parallelism) into its own
-// slabs and bounded heap, while a per-lane filler goroutine generates the next
-// claimed shard into the other half of a double-buffered slab so
-// CandidateSource.Fill cost overlaps scoring. The shortlist is independent
-// of scheduling at every worker count: the top-k under the strict total
-// order (rank desc, id asc) is a unique set, each candidate's scores are
-// computed in full by exactly one lane (memory: by the one post-merge
-// Predict) with a floating-point evaluation order that depends on neither
-// the lane nor the row's position in the batch, and
-// the final merge sorts the union of the lanes' heaps under that same
-// order — so which lane scored which shard cannot change the result.
-// mat.SetWorkers(1) degrades to the fully serial reference path.
+// feature slab, score buffers and bounded heap. A lane gathers a claimed
+// shard's rows from the CandidateSource itself, in one pass. The shortlist
+// is independent of scheduling at every worker count: the top-k under the
+// strict total order (rank desc, id asc) is a unique set, each candidate's
+// scores are computed in full by exactly one lane (memory: by the one
+// post-merge Predict) with a floating-point evaluation order that depends on
+// neither the lane nor the row's position in the batch, and the final merge
+// sorts the union of the lanes' heaps under that same order — so which lane
+// scored which shard cannot change the result. mat.SetWorkers(1) degrades to
+// the fully serial reference path.
 //
 // The optional approximate mode keeps one prune bound per candidate — its
 // rank the last time it was scored, +Inf until then — and inside every
-// claimed shard predicts only the live candidates whose bound is not
-// strictly below the prune threshold; a shard with no such candidate is
-// skipped without being generated. The survivors are compacted to the
-// front of the lane's slab, and per-row prediction arithmetic does not
-// depend on row position, so their scores are bitwise what a full-shard
-// pass gives. For σ-monotone ranks (maxsigma: a candidate's posterior σ
-// never rises while observations are appended under fixed
-// hyperparameters) a stale bound is a true upper bound, and the threshold
-// is a shared monotone lower bound on the final k-th rank: seeded before
-// the lanes start by re-scoring the previous Select's top k+1 survivors
-// (k+1 so that one pick still leaves k), then raised by any lane whose
-// local heap holds k entries, via an atomic CAS-max. A stale read of the
-// bound is always a smaller value, so racing lanes can only prune less,
-// never more — pruning stays exact under any interleaving, even though
-// *which* candidates get pruned may vary with the schedule. Bounds are
-// cost ranks, so they reset whenever the cost model's posterior generation
-// moves (gp.Model.Generation: a refit, a sparse re-projection, a treed
-// re-split), the only events that can raise σ. For mean-coupled ranks
-// (minpred) a mid-call bound is not valid and a schedule-dependent prune
-// set would make the output depend on the worker count, so the prune
+// claimed shard generates and predicts only the live candidates whose
+// bound is not strictly below the prune threshold; a shard with no such
+// candidate is skipped whole. The survivors are gathered from the source
+// into the front of the lane's slab in id order, and per-row prediction
+// arithmetic does not depend on row position, so their scores are bitwise
+// what a full-shard pass gives. For σ-monotone ranks (maxsigma: a
+// candidate's posterior σ never rises while observations are appended
+// under fixed hyperparameters) a stale bound is a true upper bound, and the
+// threshold is a shared monotone lower bound on the final k-th rank:
+// seeded before the lanes start by re-scoring the previous Select's top
+// k+1 survivors (k+1 so that one pick still leaves k), then raised by any
+// lane whose local heap holds k entries, via an atomic CAS-max. A stale
+// read of the bound is always a smaller value, so racing lanes can only
+// prune less, never more — pruning stays exact under any interleaving,
+// even though *which* candidates get pruned may vary with the schedule.
+// Bounds are cost ranks, so they reset whenever the cost model's posterior
+// generation moves (gp.Model.Generation: a refit, a sparse re-projection,
+// a treed re-split), the only events that can raise σ. For mean-coupled
+// ranks (minpred) a mid-call bound is not valid and a schedule-dependent
+// prune set would make the output depend on the worker count, so the prune
 // threshold is instead the previous Select's final k-th rank —
 // deterministic by construction, boundedly stale, with RefreshEvery
 // forcing a full un-pruned rescore every k-th call. DESIGN.md §Surrogate
@@ -68,16 +67,16 @@ import (
 
 // CandidateSource yields candidate feature rows on demand, so a pool can
 // exist without ever materializing m×d storage. Fill must be safe for
-// concurrent use with distinct dst buffers: the parallel Select calls it
-// from per-worker filler goroutines (both built-in sources are read-only
-// during Fill).
+// concurrent use with distinct dst buffers: the parallel Select's lanes
+// call it directly (both built-in sources are read-only during Fill).
 type CandidateSource interface {
 	// Len is the total number of candidates.
 	Len() int
 	// Dim is the feature dimensionality.
 	Dim() int
-	// Fill writes rows [lo, hi) into the first hi-lo rows of dst.
-	Fill(lo, hi int, dst *mat.Dense)
+	// Fill writes rows [lo, hi), row-major, into the first (hi-lo)·Dim()
+	// values of dst.
+	Fill(lo, hi int, dst []float64)
 }
 
 // DenseSource adapts an already-materialized feature matrix (e.g. the
@@ -91,14 +90,14 @@ func (s DenseSource) Len() int { return s.X.Rows() }
 func (s DenseSource) Dim() int { return s.X.Cols() }
 
 // Fill implements CandidateSource. Rows [lo, hi) of a row-major matrix are
-// one contiguous run, so the shard is a single copy.
-func (s DenseSource) Fill(lo, hi int, dst *mat.Dense) {
+// one contiguous run, so the range is a single copy.
+func (s DenseSource) Fill(lo, hi int, dst []float64) {
 	d := s.X.Cols()
-	if lo < 0 || hi > s.X.Rows() || hi-lo > dst.Rows() || dst.Cols() != d {
-		panic(fmt.Sprintf("engine: DenseSource.Fill rows [%d, %d) of %dx%d into %dx%d",
-			lo, hi, s.X.Rows(), d, dst.Rows(), dst.Cols()))
+	if lo < 0 || hi > s.X.Rows() || (hi-lo)*d > len(dst) {
+		panic(fmt.Sprintf("engine: DenseSource.Fill rows [%d, %d) of %dx%d into %d values",
+			lo, hi, s.X.Rows(), d, len(dst)))
 	}
-	copy(dst.RawData()[:(hi-lo)*d], s.X.RawData()[lo*d:hi*d])
+	copy(dst, s.X.RawData()[lo*d:hi*d])
 }
 
 // GridSource is the lazy Cartesian grid: candidate i decodes mixed-radix
@@ -119,10 +118,10 @@ func (s GridSource) Len() int {
 func (s GridSource) Dim() int { return len(s.Axes) }
 
 // Fill implements CandidateSource. The last axis varies fastest.
-func (s GridSource) Fill(lo, hi int, dst *mat.Dense) {
+func (s GridSource) Fill(lo, hi int, dst []float64) {
 	d := len(s.Axes)
 	for i := lo; i < hi; i++ {
-		row := dst.Row(i - lo)
+		row := dst[(i-lo)*d : (i-lo+1)*d]
 		rem := i
 		for j := d - 1; j >= 0; j-- {
 			ax := s.Axes[j]
@@ -215,50 +214,18 @@ func (e streamEntry) better(o streamEntry) bool {
 	return e.id < o.id
 }
 
-// fillReq asks a worker lane's filler goroutine to generate rows [lo, hi)
-// into dst (one half of the lane's double-buffered slab).
-type fillReq struct {
-	lo, hi int
-	dst    *mat.Dense
-}
-
 // streamWorker is one scoring lane's private state, reused across Select
-// calls: a double-buffered feature slab (the second half allocated only
-// when prefetch runs), cost μ/σ buffers, the source ids of the rows
-// compacted into the slab, a bounded partial heap, and the lane's shard and
-// candidate counters (aggregated into the obs totals after the merge).
+// calls: a one-shard feature slab, cost μ/σ buffers, the source ids of the
+// rows gathered into the slab, a bounded partial heap, and the lane's shard
+// and candidate counters (aggregated into the obs totals after the merge).
 type streamWorker struct {
-	xbuf      [2]*mat.Dense
+	xs        []float64
 	mu, sigma []float64
 	ids       []int
 	heap      []streamEntry
 
 	scored, pruned         int64 // shards
 	candScored, candPruned int64 // live candidates
-
-	req  chan fillReq
-	done chan struct{}
-}
-
-// startFiller launches the lane's shard-generation goroutine. The protocol
-// allows one outstanding request: every req send is matched by one done
-// receive before the next send, so the capacity-1 channels never block the
-// filler.
-func (w *streamWorker) startFiller(src CandidateSource) {
-	w.req = make(chan fillReq, 1)
-	w.done = make(chan struct{}, 1)
-	go func(req chan fillReq, done chan struct{}) {
-		for r := range req {
-			src.Fill(r.lo, r.hi, r.dst)
-			done <- struct{}{}
-		}
-	}(w.req, w.done)
-}
-
-// stopFiller shuts the lane's filler down; all requests must be drained.
-func (w *streamWorker) stopFiller() {
-	close(w.req)
-	w.req, w.done = nil, nil
 }
 
 // kthBound is the shared monotone lower bound on the final k-th shortlist
@@ -428,30 +395,17 @@ func heapKth(h []streamEntry, k int) (float64, bool) {
 	return c.rank, true
 }
 
-// ensureWorkers sizes the lane pool to w, allocating each lane's slabs and
-// buffers once and reusing them across Select calls. The second slab half
-// exists only where prefetch runs (parallel lanes), keeping the serial
-// path's footprint at one shard.
-func (st *StreamState) ensureWorkers(w int, prefetch bool) {
+// ensureWorkers sizes the lane pool to at least w, allocating each lane's
+// slab and buffers once and reusing them across Select calls.
+func (st *StreamState) ensureWorkers(w int) {
 	shard := st.cfg.ShardSize
-	dim := st.src.Dim()
 	for len(st.workers) < w {
-		st.workers = append(st.workers, nil)
-	}
-	for i := 0; i < w; i++ {
-		sw := st.workers[i]
-		if sw == nil {
-			sw = &streamWorker{
-				mu:    make([]float64, shard),
-				sigma: make([]float64, shard),
-				ids:   make([]int, 0, shard),
-			}
-			sw.xbuf[0] = mat.NewDense(shard, dim, nil)
-			st.workers[i] = sw
-		}
-		if prefetch && sw.xbuf[1] == nil {
-			sw.xbuf[1] = mat.NewDense(shard, dim, nil)
-		}
+		st.workers = append(st.workers, &streamWorker{
+			xs:    make([]float64, shard*st.src.Dim()),
+			mu:    make([]float64, shard),
+			sigma: make([]float64, shard),
+			ids:   make([]int, 0, shard),
+		})
 	}
 }
 
@@ -484,13 +438,27 @@ func countLive(bounds []float64) int64 {
 	return n
 }
 
-// scoreShard compacts the filled shard's surviving candidates — live, with
-// a bound not strictly below the current threshold — to the front of the
-// slab, predicts them through the cost surrogate, reduces them into the
+// gather writes the feature rows of ids into dst, row-major and in the
+// order given, with one Fill per maximal run of consecutive ids.
+func (st *StreamState) gather(ids []int, dst []float64) {
+	dim := st.src.Dim()
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[j-1]+1 {
+			j++
+		}
+		st.src.Fill(ids[i], ids[j-1]+1, dst[i*dim:])
+		i = j
+	}
+}
+
+// scoreShard gathers the shard's surviving candidates — live, with a bound
+// not strictly below the current threshold — into the lane's slab in id
+// order, predicts them through the cost surrogate, reduces them into the
 // lane's bounded heap, and records their ranks as their new bounds. Writes
 // touch lane-private state plus bounds[lo:hi], which only this lane (the
 // shard's claimant) reads or writes during the call.
-func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, lim *pruneLimit) {
+func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *pruneLimit) {
 	th := lim.load()
 	w.ids = w.ids[:0]
 	for i, b := range st.bounds[lo:hi] {
@@ -503,9 +471,6 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, li
 			w.candPruned++
 			continue
 		}
-		if n := len(w.ids); n != i {
-			copy(xs.Row(n), xs.Row(i))
-		}
 		w.ids = append(w.ids, lo+i)
 	}
 	rows := len(w.ids)
@@ -513,11 +478,11 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, li
 		w.pruned++
 		return
 	}
+	dim := st.src.Dim()
+	st.gather(w.ids, w.xs)
 	obs.PoolShardsInflight.Add(1)
 	sp := obs.SpanShardScore.Start()
-	if rows != xs.Rows() {
-		xs = mat.NewDense(rows, xs.Cols(), xs.RawData()[:rows*xs.Cols()])
-	}
+	xs := mat.NewDense(rows, dim, w.xs[:rows*dim])
 	mu, sigma := w.mu[:rows], w.sigma[:rows]
 	st.cost.PredictInto(xs, mu, sigma)
 	k := st.cfg.TopK
@@ -541,61 +506,21 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, xs *mat.Dense, li
 }
 
 // scoreLoop is one lane's Select body: claim shards off the shared cursor,
-// skipping (ungenerated) every shard none of whose live candidates reaches
-// the prune threshold, then generate and score the rest. In parallel mode
-// the lane's filler generates the next claimed shard into the other slab
-// half while this goroutine scores the current one.
-func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *pruneLimit, parallel bool, nShards int) {
-	dim := st.src.Dim()
-	claim := func() int {
-		for {
-			s := int(next.Add(1)) - 1
-			if s >= nShards {
-				return -1
-			}
-			lo, hi := st.shardRange(s)
-			if survives(st.bounds[lo:hi], lim.load()) {
-				return s
-			}
+// skip (ungathered) every shard none of whose live candidates reaches the
+// prune threshold, and score the rest.
+func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *pruneLimit, nShards int) {
+	for {
+		s := int(next.Add(1)) - 1
+		if s >= nShards {
+			return
+		}
+		lo, hi := st.shardRange(s)
+		if !survives(st.bounds[lo:hi], lim.load()) {
 			w.pruned++
 			w.candPruned += countLive(st.bounds[lo:hi])
+			continue
 		}
-	}
-	view := func(buf, s int) (*mat.Dense, int, int) {
-		lo, hi := st.shardRange(s)
-		xs := w.xbuf[buf]
-		if hi-lo != st.cfg.ShardSize {
-			xs = mat.NewDense(hi-lo, dim, xs.RawData()[:(hi-lo)*dim])
-		}
-		return xs, lo, hi
-	}
-	if !parallel {
-		// Serial reference path: fill and score in place.
-		for s := claim(); s >= 0; s = claim() {
-			xs, lo, hi := view(0, s)
-			st.src.Fill(lo, hi, xs)
-			st.scoreShard(w, lo, hi, xs, lim)
-		}
-		return
-	}
-	w.startFiller(st.src)
-	defer w.stopFiller()
-	cur := claim()
-	if cur < 0 {
-		return
-	}
-	buf := 0
-	xs, lo, hi := view(buf, cur)
-	w.req <- fillReq{lo: lo, hi: hi, dst: xs}
-	for cur >= 0 {
-		<-w.done // the current shard's slab is ready
-		curXS, curLo, curHi := xs, lo, hi
-		if cur = claim(); cur >= 0 {
-			buf = 1 - buf
-			xs, lo, hi = view(buf, cur)
-			w.req <- fillReq{lo: lo, hi: hi, dst: xs}
-		}
-		st.scoreShard(w, curLo, curHi, curXS, lim)
+		st.scoreShard(w, lo, hi, lim)
 	}
 }
 
@@ -664,20 +589,16 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	if w < 1 {
 		w = 1
 	}
-	st.ensureWorkers(w, w > 1)
+	st.ensureWorkers(w)
 	for _, sw := range st.workers[:w] {
 		sw.heap = sw.heap[:0]
 		sw.scored, sw.pruned = 0, 0
 		sw.candScored, sw.candPruned = 0, 0
 	}
 	var next atomic.Int64
-	if w == 1 {
-		st.scoreLoop(st.workers[0], &next, &lim, false, nShards)
-	} else {
-		mat.ParallelWorkers(w, func(lane int) {
-			st.scoreLoop(st.workers[lane], &next, &lim, true, nShards)
-		})
-	}
+	mat.ParallelWorkers(w, func(lane int) {
+		st.scoreLoop(st.workers[lane], &next, &lim, nShards)
+	})
 
 	var scored, pruned, candScored, candPruned int64
 	for _, sw := range st.workers[:w] {
@@ -743,13 +664,8 @@ func (st *StreamState) Select() (*Candidates, []int) {
 
 // fillRows generates the feature rows of the given source ids, in order.
 func (st *StreamState) fillRows(ids []int) *mat.Dense {
-	dim := st.src.Dim()
-	xs := mat.NewDense(len(ids), dim, nil)
-	one := mat.NewDense(1, dim, nil)
-	for i, id := range ids {
-		st.src.Fill(id, id+1, one)
-		copy(xs.Row(i), one.Row(0))
-	}
+	xs := mat.NewDense(len(ids), st.src.Dim(), nil)
+	st.gather(ids, xs.RawData())
 	return xs
 }
 

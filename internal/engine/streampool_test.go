@@ -141,28 +141,36 @@ func TestStreamApproxExactForSigmaMonotoneRank(t *testing.T) {
 }
 
 // TestGridSourceDecode: mixed-radix decoding against an explicitly
-// materialized Cartesian product, last axis fastest.
+// materialized Cartesian product, last axis fastest, in unaligned chunks
+// written at a zero and a nonzero offset into a larger slab whose other
+// values Fill leaves alone.
 func TestGridSourceDecode(t *testing.T) {
 	src := GridSource{Axes: [][]float64{{1, 2}, {10, 20, 30}, {0.5}}}
 	if src.Len() != 6 || src.Dim() != 3 {
 		t.Fatalf("Len=%d Dim=%d, want 6 and 3", src.Len(), src.Dim())
 	}
-	var want [][]float64
+	var want []float64
 	for _, a := range []float64{1, 2} {
 		for _, b := range []float64{10, 20, 30} {
-			want = append(want, []float64{a, b, 0.5})
+			want = append(want, a, b, 0.5)
 		}
 	}
-	// Decode in two unaligned chunks to exercise the lo offset.
-	got := mat.NewDense(6, 3, nil)
-	src.Fill(0, 4, got)
-	chunk := mat.NewDense(2, 3, nil)
-	src.Fill(4, 6, chunk)
-	copy(got.Row(4), chunk.Row(0))
-	copy(got.Row(5), chunk.Row(1))
-	for i := range want {
-		if !reflect.DeepEqual(got.Row(i), want[i]) {
-			t.Fatalf("candidate %d decoded to %v, want %v", i, got.Row(i), want[i])
+	for _, r := range [][2]int{{0, 6}, {0, 4}, {4, 6}, {1, 2}, {3, 3}} {
+		for _, off := range []int{0, 2} {
+			slab := make([]float64, (off+7)*3)
+			for i := range slab {
+				slab[i] = -1
+			}
+			src.Fill(r[0], r[1], slab[off*3:])
+			for i, got := range slab {
+				w := -1.0
+				if v := i - off*3; v >= 0 && v < (r[1]-r[0])*3 {
+					w = want[r[0]*3+v]
+				}
+				if got != w {
+					t.Fatalf("rows [%d, %d) at offset %d: slab[%d] = %v, want %v", r[0], r[1], off, i, got, w)
+				}
+			}
 		}
 	}
 }

@@ -244,11 +244,10 @@ func (g *GP) optimizeHyperparams() {
 	}
 	rng := rand.New(rand.NewSource(g.cfg.Seed))
 	res := optimize.MultiStart(g.nlmlObjective(), [][]float64{warm}, optimize.MultiStartConfig{
-		Restarts:   g.cfg.Restarts,
-		Lower:      lower,
-		Upper:      upper,
-		LBFGS:      optimize.LBFGSConfig{MaxIter: g.cfg.MaxIter, GradTol: 1e-5},
-		FallbackNM: true,
+		Restarts: g.cfg.Restarts,
+		Lower:    lower,
+		Upper:    upper,
+		LBFGS:    optimize.LBFGSConfig{MaxIter: g.cfg.MaxIter, GradTol: 1e-5},
 	}, rng)
 	if res.X != nil && mat.AllFinite(res.X) && !math.IsInf(res.F, 0) {
 		g.kern.SetParams(res.X[:nk])
@@ -354,7 +353,7 @@ func (g *GP) predictOneInto(x, ks, v []float64) (float64, float64) {
 	// σ² = k** − vᵀv with v = L⁻¹ k*. The serial solve is bitwise-identical
 	// to the parallel one; callers of this method are themselves chunks of a
 	// ParallelFor, so nested dispatch would only allocate.
-	g.chol.ForwardSolveVecToSerial(v, ks)
+	g.chol.ForwardSolveVecTo(v, ks)
 	variance := g.kern.Eval(x, x) - mat.Dot(v, v)
 	if variance < 0 {
 		variance = 0

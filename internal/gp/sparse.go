@@ -293,7 +293,7 @@ func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	for ; i < hi; i++ {
 		s.zEval(xs.Row(i), 0, km)
 		mean[i] = mat.Dot(km, s.beta) + s.yMean
-		s.aChol.ForwardSolveVecToSerial(w[:m], km)
+		s.aChol.ForwardSolveVecTo(w[:m], km)
 		std[i] = math.Sqrt(max0(mat.Dot(w[:m], w[:m])))
 	}
 }

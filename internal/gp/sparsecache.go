@@ -170,7 +170,7 @@ func (c *SparseScoringCache) rebuild() {
 			// Variance through Predict's forward half-solve (bitwise
 			// contract); the full solve vector is kept separately because
 			// the Sherman-Morrison extend updates it in O(k).
-			s.aChol.ForwardSolveVecToSerial(fwd, c.km[i])
+			s.aChol.ForwardSolveVecTo(fwd, c.km[i])
 			c.v[i] = mat.Dot(fwd, fwd)
 			s.aChol.SolveVecToSerial(c.w[i], c.km[i])
 		}

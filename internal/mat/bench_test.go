@@ -161,7 +161,7 @@ func BenchmarkCholInverse(b *testing.B) {
 // BenchmarkForwardSolveLanes times one forward solve of eight right-hand
 // sides against the inducing-set factor sizes of the sparse surrogate:
 // "lanes" is one ForwardSolveLanes call (solve plus the eight sums of
-// squares), "rows" the eight ForwardSolveVecToSerial and Dot calls it
+// squares), "rows" the eight ForwardSolveVecTo and Dot calls it
 // replaces.
 func BenchmarkForwardSolveLanes(b *testing.B) {
 	for _, n := range []int{50, 60, 64, 128} {
@@ -183,7 +183,7 @@ func BenchmarkForwardSolveLanes(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for c := 0; c < 8; c++ {
 					yc := y[c*n : (c+1)*n]
-					ch.ForwardSolveVecToSerial(yc, rhs[c*n:(c+1)*n])
+					ch.ForwardSolveVecTo(yc, rhs[c*n:(c+1)*n])
 					sinkFloat += Dot(yc, yc)
 				}
 			}

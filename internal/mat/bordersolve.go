@@ -15,25 +15,15 @@ import "fmt"
 // the factor grows — which is what lets a cache rebuilt at checkpoint-resume
 // time agree bitwise with one maintained incrementally across appends.
 
-// ForwardSolveVecTo solves L y = b into dst without allocating, the
-// scratch-buffer form of ForwardSolveVec used by the prediction hot path.
-// dst and b must both have length Size; dst may alias b.
+// ForwardSolveVecTo solves L y = b into dst without allocating, on the
+// calling goroutine: the blocked sweep and adot groupings of
+// ForwardSolveVec, bitwise-identical result. dst and b must both have
+// length Size; dst may alias b. Per-candidate solves that already run
+// inside an outer ParallelFor (the prediction hot path) use it so the inner
+// solve never pays a nested dispatch allocation.
 func (c *Cholesky) ForwardSolveVecTo(dst, b []float64) {
 	if len(b) != c.n || len(dst) != c.n {
 		panic(fmt.Sprintf("mat: ForwardSolveVecTo lengths %d/%d do not match size %d", len(dst), len(b), c.n))
-	}
-	copy(dst, b)
-	c.forwardInPlace(dst)
-}
-
-// ForwardSolveVecToSerial is ForwardSolveVecTo restricted to the calling
-// goroutine: same blocked sweep, same adot groupings, bitwise-identical
-// result. Per-candidate solves that already run inside an outer ParallelFor
-// (the prediction hot path) use it so the inner solve never pays a nested
-// dispatch allocation.
-func (c *Cholesky) ForwardSolveVecToSerial(dst, b []float64) {
-	if len(b) != c.n || len(dst) != c.n {
-		panic(fmt.Sprintf("mat: ForwardSolveVecToSerial lengths %d/%d do not match size %d", len(dst), len(b), c.n))
 	}
 	copy(dst, b)
 	c.forwardBlocked(dst, false)

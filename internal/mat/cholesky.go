@@ -73,7 +73,7 @@ func newCholesky(a *Dense, jitter float64) (*Cholesky, error) {
 	}
 	n := a.rows
 	c := &Cholesky{n: n, data: make([]float64, n*(n+1)/2), jitter: jitter}
-	ParallelFor(n, chunkFor(n), func(lo, hi int) {
+	ParallelFor(n, ChunkFor(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			copy(c.row(i), a.data[i*a.cols:i*a.cols+i+1])
 		}
@@ -118,7 +118,7 @@ func (c *Cholesky) factor() error {
 		// Panel solve: L[kend:, kb:kend] = A[kend:, kb:kend]·L_bbᵀ⁻¹,
 		// forward substitution per row; rows are independent.
 		bw := kend - kb
-		ParallelFor(n-kend, chunkFor(bw*bw), func(lo, hi int) {
+		ParallelFor(n-kend, ChunkFor(bw*bw), func(lo, hi int) {
 			for i := kend + lo; i < kend+hi; i++ {
 				ri := c.row(i)
 				for j := kb; j < kend; j++ {
@@ -135,7 +135,7 @@ func (c *Cholesky) factor() error {
 		// the numerical contract and each element is updated once per
 		// block.
 		const iTile = 8
-		ParallelFor(n-kend, chunkFor(bw*(n-kend)/2+1), func(lo, hi int) {
+		ParallelFor(n-kend, ChunkFor(bw*(n-kend)/2+1), func(lo, hi int) {
 			for it := kend + lo; it < kend+hi; it += iTile {
 				itEnd := it + iTile
 				if itEnd > kend+hi {
@@ -339,7 +339,7 @@ func (c *Cholesky) forwardBlocked(y []float64, parallel bool) {
 		}
 		if parallel {
 			bw := kend - kb
-			ParallelFor(n-kend, chunkFor(2*bw), func(lo, hi int) {
+			ParallelFor(n-kend, ChunkFor(2*bw), func(lo, hi int) {
 				for i := kend + lo; i < kend+hi; i++ {
 					y[i] -= adot(c.row(i)[kb:kend], y[kb:kend])
 				}
@@ -377,7 +377,7 @@ func (c *Cholesky) backwardInPlace(x []float64) {
 			break
 		}
 		bw := kend - kb
-		ParallelFor(kb, chunkFor(2*bw), func(lo, hi int) {
+		ParallelFor(kb, ChunkFor(2*bw), func(lo, hi int) {
 			for k := kb; k < kend; k++ {
 				rk := c.row(k)[lo:hi]
 				xs := x[lo:hi]
@@ -398,7 +398,7 @@ func (c *Cholesky) Solve(b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: Solve rows %d does not match size %d", b.rows, n))
 	}
 	x := NewDense(n, b.cols, nil)
-	ParallelFor(b.cols, chunkFor(2*n*n), func(lo, hi int) {
+	ParallelFor(b.cols, ChunkFor(2*n*n), func(lo, hi int) {
 		col := make([]float64, n)
 		for j := lo; j < hi; j++ {
 			for i := 0; i < n; i++ {
@@ -432,7 +432,7 @@ func (c *Cholesky) InverseTo(u, dst *Dense) *Dense {
 	if u.rows != n || u.cols != n || dst.rows != n || dst.cols != n {
 		panic(fmt.Sprintf("mat: InverseTo buffers %dx%d and %dx%d for size %d", u.rows, u.cols, dst.rows, dst.cols, n))
 	}
-	ParallelFor(n, chunkFor(n*n/2+1), func(lo, hi int) {
+	ParallelFor(n, ChunkFor(n*n/2+1), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			uj := u.data[j*n : (j+1)*n]
 			uj[j] = 1 / c.row(j)[j]
@@ -442,7 +442,7 @@ func (c *Cholesky) InverseTo(u, dst *Dense) *Dense {
 			}
 		}
 	})
-	ParallelFor(n, chunkFor(n*n/2+1), func(lo, hi int) {
+	ParallelFor(n, ChunkFor(n*n/2+1), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ui := u.data[i*n : (i+1)*n]
 			for j := i; j < n; j++ {
@@ -452,7 +452,7 @@ func (c *Cholesky) InverseTo(u, dst *Dense) *Dense {
 		}
 	})
 	// Mirror the upper triangle into the lower.
-	ParallelFor(n, chunkFor(n), func(lo, hi int) {
+	ParallelFor(n, ChunkFor(n), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			for i := 0; i < j; i++ {
 				dst.data[j*n+i] = dst.data[i*n+j]

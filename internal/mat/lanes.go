@@ -93,8 +93,8 @@ func RBFLanes(w, x, xt, z, norms, beta []float64, from int, inv2l2, amp2 float64
 // sums. With the vector kernels the whole cholBlock-blocked sweep is one
 // call: lanes 0–3 and 4–7 run as two four-lane groups that share each load
 // of L, and every per-lane dot replays adot's order for its length.
-// Without them each lane runs ForwardSolveVecToSerial's sweep. Either way
-// lane c ends with exactly the bits ForwardSolveVecToSerial gives for b_c,
+// Without them each lane runs ForwardSolveVecTo's sweep. Either way
+// lane c ends with exactly the bits ForwardSolveVecTo gives for b_c,
 // and ss[c] with those of Dot(y_c, y_c).
 func (c *Cholesky) ForwardSolveLanes(y []float64) (ss [8]float64) {
 	n := c.n

@@ -87,7 +87,7 @@ func TestExpLanesBitwise(t *testing.T) { testExpLanes(t) }
 var lanesSizes = []int{1, 2, 3, 15, 16, 17, 31, 32, 33, 50, 60, 63, 64, 65, 128, 129, 200}
 
 // testForwardSolveLanes checks the eight-lane sweep and its sums of squares
-// against ForwardSolveVecToSerial and Dot, lane by lane.
+// against ForwardSolveVecTo and Dot, lane by lane.
 func testForwardSolveLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, n := range lanesSizes {
@@ -114,10 +114,10 @@ func testForwardSolveLanes(t *testing.T) {
 			ss := ch.ForwardSolveLanes(y)
 			want := make([]float64, n)
 			for c := range b {
-				ch.ForwardSolveVecToSerial(want, b[c])
+				ch.ForwardSolveVecTo(want, b[c])
 				for j, w := range want {
 					if math.Float64bits(y[8*j+c]) != math.Float64bits(w) {
-						t.Fatalf("n=%d trial %d lane %d: y[%d] = %.17g, ForwardSolveVecToSerial = %.17g", n, trial, c, j, y[8*j+c], w)
+						t.Fatalf("n=%d trial %d lane %d: y[%d] = %.17g, ForwardSolveVecTo = %.17g", n, trial, c, j, y[8*j+c], w)
 					}
 				}
 				if w := Dot(want, want); math.Float64bits(ss[c]) != math.Float64bits(w) {

@@ -177,7 +177,7 @@ func Mul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: Mul shape mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.rows, b.cols, nil)
-	ParallelFor(a.rows, chunkFor(a.cols*b.cols), func(lo, hi int) {
+	ParallelFor(a.rows, ChunkFor(a.cols*b.cols), func(lo, hi int) {
 		for kb := 0; kb < a.cols; kb += mulKC {
 			kend := kb + mulKC
 			if kend > a.cols {
@@ -203,7 +203,7 @@ func (m *Dense) MulVec(x []float64) []float64 {
 		panic(fmt.Sprintf("mat: MulVec length %d does not match cols %d", len(x), m.cols))
 	}
 	out := make([]float64, m.rows)
-	ParallelFor(m.rows, chunkFor(2*m.cols), func(lo, hi int) {
+	ParallelFor(m.rows, ChunkFor(2*m.cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = adot(m.data[i*m.cols:(i+1)*m.cols], x)
 		}
@@ -220,7 +220,7 @@ func (m *Dense) MulVecT(x []float64) []float64 {
 		panic(fmt.Sprintf("mat: MulVecT length %d does not match rows %d", len(x), m.rows))
 	}
 	out := make([]float64, m.cols)
-	ParallelFor(m.cols, chunkFor(2*m.rows), func(lo, hi int) {
+	ParallelFor(m.cols, ChunkFor(2*m.rows), func(lo, hi int) {
 		for i := 0; i < m.rows; i++ {
 			axpy(x[i], m.data[i*m.cols+lo:i*m.cols+hi], out[lo:hi])
 		}

@@ -246,9 +246,6 @@ func ChunkFor(workPerItem int) int {
 	return mc
 }
 
-// chunkFor is the internal alias used by this package's kernels.
-func chunkFor(workPerItem int) int { return ChunkFor(workPerItem) }
-
 // dot4 is the unrolled inner product used by the dense kernels in this
 // package: four independent accumulators combined as (s0+s1)+(s2+s3), with
 // the tail folded into s0. The evaluation order is a fixed function of the

@@ -15,19 +15,18 @@ type MultiStartConfig struct {
 	Lower    []float64 // per-dimension lower bound for random starts
 	Upper    []float64 // per-dimension upper bound for random starts
 	LBFGS    LBFGSConfig
-	// FallbackNM enables a Nelder–Mead polish whenever L-BFGS fails its
-	// line search (e.g. on noisy or barely-differentiable objectives).
-	FallbackNM bool
 }
 
 // MultiStart minimizes obj from each warm start and from cfg.Restarts random
-// points, returning the best result found. rng must be non-nil when
+// points, returning the best result found. Whenever L-BFGS fails its line
+// search (e.g. on noisy or barely-differentiable objectives), a Nelder–Mead
+// polish from the same start competes with it. rng must be non-nil when
 // cfg.Restarts > 0.
 func MultiStart(obj Objective, warmStarts [][]float64, cfg MultiStartConfig, rng *rand.Rand) Result {
 	best := Result{F: math.Inf(1)}
 	try := func(x0 []float64) {
 		r, err := LBFGS(obj, x0, cfg.LBFGS)
-		if err != nil && cfg.FallbackNM {
+		if err != nil {
 			nm := NelderMead(func(x []float64) float64 { f, _ := obj(x); return f }, x0, NelderMeadConfig{})
 			if nm.F < r.F {
 				r = nm
