@@ -179,8 +179,9 @@ bench-al:
 
 # bench-scale measures the million-candidate selection step: one full
 # pool-scoring pass per op across surrogate families, n in {2e3, 1e4}, m in
-# {1e5, 1e6}, pool layouts (materialized vs streamed vs streamed+approximate
-# shard pruning), and mat worker counts {1, 2, 4, GOMAXPROCS}. The B/op
+# {1e5, 1e6}, pool layouts (materialized, the streamed full pass with the
+# prune bounds reset, and the streamed pruned pass, tagged streamed-approx),
+# and mat worker counts {1, 2, 4, GOMAXPROCS}. The B/op
 # column is the pool-scoring working set: materialized pools allocate O(m),
 # streamed pools O(workers·shard + k). Exact-model cases are skipped by
 # default (the O(m·n²) pass is tens of minutes); run bench-scale-full to
@@ -200,13 +201,14 @@ bench-scale-full:
 
 # bench-scale-smoke is the CI-sized correctness twin of bench-scale
 # (n=500, m=1e4): every surrogate family's streamed shortlist winner must
-# equal the materialized argmax, with and without approximate pruning, the
+# equal the materialized argmax on the full first pass and on the pruned
+# passes after it, the
 # parallel Select must reproduce the serial shortlist bit for bit at 1, 2,
 # 4, and GOMAXPROCS worker lanes (the worker-invariance pins), the
 # per-candidate prune bounds must match the full scan bitwise across
 # appends, removals, refits, and treed re-splits, and the memory surrogate
 # must be predicted for the shortlist rows only, its refits leaving the
-# cost-rank bounds in force.
+# cost-σ bounds in force.
 bench-scale-smoke:
 	$(GO) test -count=1 -run 'TestScaleSmoke|TestStreamSelectWorkerCountInvariant|TestStreamedReplayWorkerCountInvariant|TestStreamPerCandidateBoundsExact|TestStreamTreedResplitResetsBounds|TestStreamRefitResetsBounds|TestStreamMemoryShortlistOnly|TestStreamMemoryRefitKeepsBounds' \
 		./internal/engine

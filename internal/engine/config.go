@@ -51,10 +51,9 @@ type LoopConfig struct {
 	// single-fidelity code paths exactly.
 	Fidelity *FidelitySpec
 	// Pool optionally replaces the materialized candidate pool with the
-	// streamed/sharded top-k pool (see StreamSelect): candidates are scored
-	// shard by shard into a bounded shortlist, so peak pool memory is
-	// O(shard + k) instead of O(m). Only shortlist-safe policies (pure
-	// argmax rankers: maxsigma, minpred) are supported.
+	// streamed/sharded top-k pool: candidates are scored shard by shard
+	// into a bounded shortlist, so peak pool memory is O(shard + k)
+	// instead of O(m). The streamed pool serves maxsigma only.
 	Pool *PoolSpec
 	// Campaign optionally attaches per-campaign labeled instruments so
 	// concurrent sweeps keep separable metric series; nil records into the

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 
 	"alamr/internal/dataset"
 	"alamr/internal/gp"
@@ -307,13 +306,10 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 		if batch {
 			return nil, errors.New("engine: streamed pool and batch selection are mutually exclusive")
 		}
-		rank, ok := rankerFor(cfg.Policy.Name())
-		if !ok {
-			return nil, fmt.Errorf("engine: policy %q is not shortlist-safe; the streamed pool supports: %s",
-				cfg.Policy.Name(), strings.Join(RankerNames(), ", "))
+		if err := checkStreamedPolicy(cfg.Policy.Name()); err != nil {
+			return nil, err
 		}
-		sc = newStreamScorer(gpCost, gpMem, xActive, cfg.Pool, rank,
-			rankerIsMonotone(cfg.Policy.Name()))
+		sc = newStreamScorer(gpCost, gpMem, xActive, cfg.Pool)
 	} else {
 		sc = NewPoolScorer(gpCost, gpMem, xActive)
 	}

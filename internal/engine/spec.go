@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"strings"
 
 	"alamr/internal/dataset"
 	"alamr/internal/stats"
@@ -89,8 +88,8 @@ type ReplaySpec struct {
 	Stable        *StableStopConfig `json:"stable,omitempty"`
 	Batch         *BatchSelectSpec  `json:"batch,omitempty"`
 	// Pool switches candidate scoring to the streamed/sharded top-k pool
-	// (peak pool memory O(shard + top_k) instead of O(pool)). Requires a
-	// shortlist-safe policy (maxsigma, minpred) and no batch section.
+	// (peak pool memory O(shard + top_k) instead of O(pool)). The streamed
+	// pool serves maxsigma only and excludes a batch section.
 	Pool *PoolSpec `json:"pool,omitempty"`
 }
 
@@ -101,15 +100,6 @@ type PoolSpec struct {
 	Shard int `json:"shard,omitempty"`
 	// TopK is the shortlist size handed to the policy (default 64).
 	TopK int `json:"top_k,omitempty"`
-	// Approx enables per-candidate upper-bound pruning: candidates whose
-	// last rank cannot reach the current k-th best are not re-scored.
-	// Exact for σ-monotone ranks (maxsigma); bounded-staleness otherwise
-	// (see RefreshEvery and DESIGN.md).
-	Approx bool `json:"approx,omitempty"`
-	// RefreshEvery forces a full un-pruned rescore every k-th iteration in
-	// approximate mode (default 16), bounding prune-bound staleness for
-	// non-monotone ranks; σ-monotone ranks prune exactly and ignore it.
-	RefreshEvery int `json:"refresh_every,omitempty"`
 }
 
 // BatchSelectSpec enables q-batch selection in replay mode.
@@ -183,12 +173,11 @@ func (s *CampaignSpec) Validate() error {
 			if s.Replay.Batch != nil {
 				return fmt.Errorf("engine: streamed pool and batch selection are mutually exclusive")
 			}
-			if p.Shard < 0 || p.TopK < 0 || p.RefreshEvery < 0 {
+			if p.Shard < 0 || p.TopK < 0 {
 				return fmt.Errorf("engine: pool spec fields must be >= 0")
 			}
-			if _, ok := rankerFor(s.Policy.Name); !ok {
-				return fmt.Errorf("engine: policy %q is not shortlist-safe; the streamed pool supports: %s",
-					s.Policy.Name, strings.Join(RankerNames(), ", "))
+			if err := checkStreamedPolicy(s.Policy.Name); err != nil {
+				return err
 			}
 		}
 	case ModeOnline:

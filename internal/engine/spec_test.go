@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,7 +35,7 @@ func TestSpecRoundTripByteStable(t *testing.T) {
 			Seed:   4,
 			Replay: &ReplaySpec{
 				NInit: 20, NTest: 40,
-				Pool: &PoolSpec{Shard: 8192, TopK: 32, Approx: true, RefreshEvery: 8},
+				Pool: &PoolSpec{Shard: 8192, TopK: 32},
 			},
 		},
 		{
@@ -88,6 +89,14 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	_, err := ParseCampaignSpec([]byte(`{"version":1,"mode":"replay","policy":{"name":"rgma"},"replay":{"n_init":5},"bogus":1}`))
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown field accepted: %v", err)
+	}
+	// The streamed pool has no pruning switch: pruning is always on.
+	for name, value := range map[string]string{"approx": "true", "refresh_every": "16"} {
+		raw := fmt.Sprintf(`{"version":1,"mode":"replay","policy":{"name":"maxsigma"},"replay":{"n_init":5,"pool":{"top_k":8,%q:%s}}}`, name, value)
+		_, err := ParseCampaignSpec([]byte(raw))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") || !strings.Contains(err.Error(), name) {
+			t.Fatalf("pool field %s: got %v, want an unknown-field error naming it", name, err)
+		}
 	}
 }
 

@@ -20,21 +20,18 @@ import (
 // kept, they prune candidates that now belong in the maxsigma shortlist
 // (the first Select after the re-split diverges from the full scan).
 func TestStreamTreedResplitResetsBounds(t *testing.T) {
-	rank, _ := rankerFor("maxsigma")
 	for seed := int64(1); seed <= 8; seed++ {
 		// Leaf 24, rebalance 2: the single 20-row leaf re-splits on the
 		// append that takes it past 48 rows.
 		cost, mem, pool := streamFamilyFixture(t, "treed", seed, 20, 160)
-		st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{
-			ShardSize: 16, TopK: 4, Approx: true, Rank: rank,
-		})
+		st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 16, TopK: 4})
 		removed := map[int]bool{}
 		rng := rand.New(rand.NewSource(seed))
 		leaves, resplits := cost.(*gp.Treed).NumLeaves(), 0
 		for round := 0; round < 34; round++ {
 			c, ids := st.Select()
 			checkShortlist(t, fmt.Sprintf("seed %d round %d (after %d re-splits)", seed, round, resplits),
-				c, ids, bruteTopK(cost, mem, pool, removed, rank, 4))
+				c, ids, bruteTopK(cost, mem, pool, removed, 4))
 			pick := ids[0]
 			st.Remove(pick)
 			removed[pick] = true
@@ -67,7 +64,6 @@ func TestStreamTreedResplitResetsBounds(t *testing.T) {
 // the threshold before it scores a shard, so with the whole pool in one
 // shard every prune there comes from the re-scored previous top k+1.
 func TestStreamPerCandidateBoundsExact(t *testing.T) {
-	rank, _ := rankerFor("maxsigma")
 	const poolSize = 300
 	type layout struct{ workers, shard int }
 	layouts := []layout{{1, poolSize}, {1, 32}, {2, 32}}
@@ -87,9 +83,7 @@ func TestStreamPerCandidateBoundsExact(t *testing.T) {
 					tr.SetRebalance(1)
 					mem.(*gp.Treed).SetRebalance(1)
 				}
-				st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{
-					ShardSize: l.shard, TopK: 6, Approx: true, Rank: rank,
-				})
+				st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: l.shard, TopK: 6})
 				removed := map[int]bool{}
 				rng := rand.New(rand.NewSource(92))
 				gen := cost.Generation()
@@ -97,7 +91,7 @@ func TestStreamPerCandidateBoundsExact(t *testing.T) {
 				for round := 0; round < 14; round++ {
 					c, ids := st.Select()
 					checkShortlist(t, fmt.Sprintf("round %d", round), c, ids,
-						bruteTopK(cost, mem, pool, removed, rank, 6))
+						bruteTopK(cost, mem, pool, removed, 6))
 					candPruned += laneTotals(st).candPruned
 					drop := []int{ids[0]}
 					for {
@@ -151,15 +145,12 @@ func TestStreamPerCandidateBoundsExact(t *testing.T) {
 // posterior generation alone, with no caller resetting it, and re-score
 // instead of trusting bounds recorded under the old posterior.
 func TestStreamRefitResetsBounds(t *testing.T) {
-	rank, _ := rankerFor("maxsigma")
 	cost, mem, pool := streamFixture(t, 93, 40, 300)
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{
-		ShardSize: 32, TopK: 6, Approx: true, Rank: rank,
-	})
+	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 32, TopK: 6})
 	removed := map[int]bool{}
 	for round := 0; round < 4; round++ {
 		c, ids := st.Select()
-		checkShortlist(t, fmt.Sprintf("round %d", round), c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+		checkShortlist(t, fmt.Sprintf("round %d", round), c, ids, bruteTopK(cost, mem, pool, removed, 6))
 		st.Remove(ids[0])
 		removed[ids[0]] = true
 		if err := cost.Append(pool.Row(ids[0]), 0.1*float64(round)); err != nil {
@@ -209,7 +200,6 @@ func (m *countingModel) PredictInto(xs *mat.Dense, mean, std []float64) {
 // lane — for every surrogate family at workers {1, 2, GOMAXPROCS} — while
 // the shortlist's memory scores stay bitwise those of a full-pool Predict.
 func TestStreamMemoryShortlistOnly(t *testing.T) {
-	rank, _ := rankerFor("maxsigma")
 	const topK = 6
 	workers := []int{1, 2}
 	if p := runtime.GOMAXPROCS(0); p > 2 {
@@ -223,9 +213,7 @@ func TestStreamMemoryShortlistOnly(t *testing.T) {
 				cfg := gp.Config{Noise: 0.1, FixedNoise: true, Restarts: -1}
 				cost, mem, pool := streamFamilyFixtureCfg(t, family, cfg, 94, 40, 300)
 				probe := &countingModel{Model: mem}
-				st := NewStreamState(DenseSource{X: pool}, cost, probe, StreamConfig{
-					ShardSize: 32, TopK: topK, Approx: true, Rank: rank,
-				})
+				st := NewStreamState(DenseSource{X: pool}, cost, probe, StreamConfig{ShardSize: 32, TopK: topK})
 				removed := map[int]bool{}
 				rng := rand.New(rand.NewSource(95))
 				for round := 0; round < 8; round++ {
@@ -239,7 +227,7 @@ func TestStreamMemoryShortlistOnly(t *testing.T) {
 							round, rows, calls, topK)
 					}
 					checkShortlist(t, fmt.Sprintf("round %d", round), c, ids,
-						bruteTopK(cost, mem, pool, removed, rank, topK))
+						bruteTopK(cost, mem, pool, removed, topK))
 					for _, id := range []int{ids[0], ids[len(ids)-1]} {
 						st.Remove(id)
 						removed[id] = true
@@ -265,23 +253,20 @@ func TestStreamMemoryShortlistOnly(t *testing.T) {
 	}
 }
 
-// TestStreamMemoryRefitKeepsBounds: the prune bounds are cost ranks, so a
+// TestStreamMemoryRefitKeepsBounds: the prune bounds are cost σ, so a
 // refit of the memory surrogate alone — which moves only the memory
 // generation — must leave them in force: the next Select still prunes, and
 // its shortlist, memory scores included, equals the full scan bitwise.
 func TestStreamMemoryRefitKeepsBounds(t *testing.T) {
-	rank, _ := rankerFor("maxsigma")
 	for _, family := range []string{"exact", "sparse", "treed"} {
 		t.Run(family, func(t *testing.T) {
 			cfg := gp.Config{Noise: 0.1, FixedNoise: true, Restarts: -1}
 			cost, mem, pool := streamFamilyFixtureCfg(t, family, cfg, 96, 40, 300)
-			st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{
-				ShardSize: 32, TopK: 6, Approx: true, Rank: rank,
-			})
+			st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 32, TopK: 6})
 			removed := map[int]bool{}
 			for round := 0; round < 3; round++ {
 				c, ids := st.Select()
-				checkShortlist(t, fmt.Sprintf("round %d", round), c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+				checkShortlist(t, fmt.Sprintf("round %d", round), c, ids, bruteTopK(cost, mem, pool, removed, 6))
 				st.Remove(ids[0])
 				removed[ids[0]] = true
 				if err := cost.Append(pool.Row(ids[0]), 0.2*float64(round)); err != nil {
@@ -300,7 +285,7 @@ func TestStreamMemoryRefitKeepsBounds(t *testing.T) {
 					costGen, cost.Generation(), memGen, mem.Generation())
 			}
 			c, ids := st.Select()
-			checkShortlist(t, "after memory refit", c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+			checkShortlist(t, "after memory refit", c, ids, bruteTopK(cost, mem, pool, removed, 6))
 			if scored := laneTotals(st).candScored; scored >= int64(st.Live()) {
 				t.Fatalf("Select after a memory-only refit scored %d of %d live candidates, want pruning", scored, st.Live())
 			}

@@ -97,19 +97,12 @@ func shortlistRecord(c *Candidates, ids []int) []scoredRow {
 // scratch so every run starts from an identical posterior, and returns the
 // per-round shortlist records. Round 2 refits both models; the cost
 // model's moved posterior generation resets the prune bounds.
-func runStreamScript(t *testing.T, family, rankName string, approx bool, workers int) [][]scoredRow {
+func runStreamScript(t *testing.T, family string, workers int) [][]scoredRow {
 	t.Helper()
 	prev := mat.SetWorkers(workers)
 	defer mat.SetWorkers(prev)
 	cost, mem, pool := streamFamilyFixture(t, family, 77, 40, 500)
-	rank, ok := rankerFor(rankName)
-	if !ok {
-		t.Fatalf("unknown ranker %q", rankName)
-	}
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{
-		ShardSize: 64, TopK: 8, Approx: approx, RefreshEvery: 3,
-		Rank: rank, NonMonotoneRank: !rankerIsMonotone(rankName),
-	})
+	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 64, TopK: 8})
 	rng := rand.New(rand.NewSource(99))
 	var script [][]scoredRow
 	for round := 0; round < 5; round++ {
@@ -137,24 +130,18 @@ func runStreamScript(t *testing.T, family, rankName string, approx bool, workers
 }
 
 // TestStreamSelectWorkerCountInvariant is the tentpole acceptance pin: for
-// every surrogate family, both ranker classes (σ-monotone maxsigma, mean-
-// coupled minpred), with pruning on and off, the shortlist — ids, order,
-// and all four score fields, bitwise — is identical at every worker count.
-// Runs under -race via the race make target, which also makes it the data-
-// race pin for the parallel lanes.
+// every surrogate family the shortlist — ids, order, and all four score
+// fields, bitwise — is identical at every worker count, across pruned
+// passes and the full pass after a refit. Runs under -race via the race
+// make target, which also makes it the data-race pin for the parallel
+// lanes.
 func TestStreamSelectWorkerCountInvariant(t *testing.T) {
 	counts := streamWorkerCounts()
 	for _, family := range []string{"exact", "sparse", "treed"} {
-		for _, rankName := range []string{"maxsigma", "minpred"} {
-			for _, approx := range []bool{false, true} {
-				want := runStreamScript(t, family, rankName, approx, counts[0])
-				for _, w := range counts[1:] {
-					got := runStreamScript(t, family, rankName, approx, w)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s approx=%v: shortlists at %d workers diverge from %d workers",
-							family, rankName, approx, w, counts[0])
-					}
-				}
+		want := runStreamScript(t, family, counts[0])
+		for _, w := range counts[1:] {
+			if got := runStreamScript(t, family, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: shortlists at %d workers diverge from %d workers", family, w, counts[0])
 			}
 		}
 	}
@@ -164,16 +151,12 @@ func TestStreamSelectWorkerCountInvariant(t *testing.T) {
 // rebuildAt (if >= 0) the StreamState is discarded and rebuilt from
 // scratch — the restore path, which persists only the tombstone set — and
 // every tombstone is re-applied before the schedule continues.
-func runResumeScript(t *testing.T, rankName string, approx bool, workers, rebuildAt int) [][]scoredRow {
+func runResumeScript(t *testing.T, workers, rebuildAt int) [][]scoredRow {
 	t.Helper()
 	prev := mat.SetWorkers(workers)
 	defer mat.SetWorkers(prev)
 	cost, mem, pool := streamFamilyFixture(t, "exact", 78, 40, 400)
-	rank, _ := rankerFor(rankName)
-	cfg := StreamConfig{
-		ShardSize: 64, TopK: 8, Approx: approx, RefreshEvery: 1 << 20,
-		Rank: rank, NonMonotoneRank: !rankerIsMonotone(rankName),
-	}
+	cfg := StreamConfig{ShardSize: 64, TopK: 8}
 	st := NewStreamState(DenseSource{X: pool}, cost, mem, cfg)
 	rng := rand.New(rand.NewSource(101))
 	var tombstones []int
@@ -203,27 +186,13 @@ func runResumeScript(t *testing.T, rankName string, approx bool, workers, rebuil
 
 // TestStreamStateRebuildMatches: a StreamState rebuilt mid-campaign from
 // the tombstone set alone (the checkpoint-resume path — prune bounds and
-// the previous k-th rank are not persisted) continues the identical
-// shortlist sequence, at every worker count. For the σ-monotone rank this
-// holds even with pruning enabled, because pruning is exact there; for the
-// mean-coupled rank it holds in exact mode, where the prune threshold is
-// never consulted.
+// the previous top k+1 are not persisted) continues the identical shortlist
+// sequence, at every worker count, because pruning is exact.
 func TestStreamStateRebuildMatches(t *testing.T) {
-	cases := []struct {
-		rankName string
-		approx   bool
-	}{
-		{"maxsigma", true},
-		{"minpred", false},
-	}
-	for _, tc := range cases {
-		want := runResumeScript(t, tc.rankName, tc.approx, 1, -1)
-		for _, w := range streamWorkerCounts() {
-			got := runResumeScript(t, tc.rankName, tc.approx, w, 3)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s approx=%v: resumed run at %d workers diverges from uninterrupted serial run",
-					tc.rankName, tc.approx, w)
-			}
+	want := runResumeScript(t, 1, -1)
+	for _, w := range streamWorkerCounts() {
+		if got := runResumeScript(t, w, 3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("resumed run at %d workers diverges from uninterrupted serial run", w)
 		}
 	}
 }
@@ -235,30 +204,23 @@ func TestStreamStateRebuildMatches(t *testing.T) {
 // invalidation, parallel Select, shortlist translation, feedback.
 func TestStreamedReplayWorkerCountInvariant(t *testing.T) {
 	ds := synthDS(150, 60)
-	specs := map[string]CampaignSpec{}
-	maxs := replaySpec("wc/maxsigma", "maxsigma", 9, 10, 12)
-	maxs.Replay.Pool = &PoolSpec{Shard: 16, TopK: 4, Approx: true, RefreshEvery: 1 << 20}
-	specs["maxsigma"] = maxs
-	minp := replaySpec("wc/minpred", "minpred", 9, 10, 12)
-	minp.Replay.Pool = &PoolSpec{Shard: 16, TopK: 4, Approx: true, RefreshEvery: 4}
-	specs["minpred"] = minp
+	spec := replaySpec("wc/maxsigma", "maxsigma", 9, 10, 12)
+	spec.Replay.Pool = &PoolSpec{Shard: 16, TopK: 4}
 
-	for name, spec := range specs {
-		var want *Trajectory
-		for i, w := range streamWorkerCounts() {
-			prev := mat.SetWorkers(w)
-			got, err := RunReplaySpec(ds, spec)
-			mat.SetWorkers(prev)
-			if err != nil {
-				t.Fatalf("%s at %d workers: %v", name, w, err)
-			}
-			if i == 0 {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: trajectory at %d workers diverges from serial", name, w)
-			}
+	var want *Trajectory
+	for i, w := range streamWorkerCounts() {
+		prev := mat.SetWorkers(w)
+		got, err := RunReplaySpec(ds, spec)
+		mat.SetWorkers(prev)
+		if err != nil {
+			t.Fatalf("at %d workers: %v", w, err)
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trajectory at %d workers diverges from serial", w)
 		}
 	}
 }
@@ -320,7 +282,7 @@ func (s *recordingSource) Fill(lo, hi int, dst []float64) {
 	s.CandidateSource.Fill(lo, hi, dst)
 }
 
-// TestStreamGathersOnlySurvivors: a primed approximate Select reads from
+// TestStreamGathersOnlySurvivors: a primed Select reads from
 // its source only the rows it predicts. Apart from the seed bound's k rows
 // and the shortlist's rows, it reads as many rows as the lanes scored
 // candidates; it never reads a tombstoned candidate or one whose bound is
@@ -328,15 +290,12 @@ func (s *recordingSource) Fill(lo, hi int, dst []float64) {
 // every worker count.
 func TestStreamGathersOnlySurvivors(t *testing.T) {
 	const k = 8
-	rank, _ := rankerFor("maxsigma")
 	for _, w := range streamWorkerCounts() {
 		tag := fmt.Sprintf("workers=%d", w)
 		prev := mat.SetWorkers(w)
 		cost, mem, pool := streamFixture(t, 64, 40, 700)
 		src := &recordingSource{CandidateSource: DenseSource{X: pool}, reads: map[int]int{}}
-		st := NewStreamState(src, cost, mem, StreamConfig{
-			ShardSize: 64, TopK: k, Approx: true, RefreshEvery: 1 << 20, Rank: rank,
-		})
+		st := NewStreamState(src, cost, mem, StreamConfig{ShardSize: 64, TopK: k})
 		_, ids := st.Select() // primes the bounds and the seed's top k+1
 		top := map[int]bool{}
 		for _, id := range st.top {
@@ -362,7 +321,7 @@ func TestStreamGathersOnlySurvivors(t *testing.T) {
 		src.reads = map[int]int{}
 		c, ids := st.Select()
 		mat.SetWorkers(prev)
-		checkShortlist(t, tag, c, ids, bruteTopK(cost, mem, pool, removed, rank, k))
+		checkShortlist(t, tag, c, ids, bruteTopK(cost, mem, pool, removed, k))
 
 		var rows int64
 		for id, n := range src.reads {
@@ -407,14 +366,12 @@ func TestGridSourceSingleAxis(t *testing.T) {
 // of the shard size (no tail shard) and one with a single-candidate tail
 // shard both produce the exact top-k, serial and parallel.
 func TestStreamShardBoundaryAlignment(t *testing.T) {
-	rank, _ := rankerFor("maxsigma")
 	for _, m := range []int{256, 257} { // 256: boundary exactly at pool end; 257: 1-row tail
 		cost, mem, pool := streamFixture(t, 61, 40, m)
-		want := bruteTopK(cost, mem, pool, nil, rank, 10)
+		want := bruteTopK(cost, mem, pool, nil, 10)
 		for _, w := range streamWorkerCounts() {
 			prev := mat.SetWorkers(w)
-			st := NewStreamState(DenseSource{X: pool}, cost, mem,
-				StreamConfig{ShardSize: 64, TopK: 10, Rank: rank})
+			st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 64, TopK: 10})
 			c, ids := st.Select()
 			mat.SetWorkers(prev)
 			checkShortlist(t, "boundary", c, ids, want)
@@ -427,20 +384,17 @@ func TestStreamShardBoundaryAlignment(t *testing.T) {
 // then on, even on a forced full rescore, and the shortlist stays exact.
 func TestStreamRemoveLastLiveInShard(t *testing.T) {
 	cost, mem, pool := streamFixture(t, 62, 40, 128)
-	rank, _ := rankerFor("maxsigma")
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{
-		ShardSize: 32, TopK: 6, Approx: true, RefreshEvery: 1 << 20, Rank: rank,
-	})
+	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 32, TopK: 6})
 	removed := map[int]bool{}
 	c, ids := st.Select() // primes the bounds
-	checkShortlist(t, "primed", c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+	checkShortlist(t, "primed", c, ids, bruteTopK(cost, mem, pool, removed, 6))
 	for id := 32; id < 64; id++ { // empty out shard 1 entirely
 		st.Remove(id)
 		removed[id] = true
 	}
 	st.invalidateBounds() // force a full rescore: only the emptied shard may skip
 	c, ids = st.Select()
-	checkShortlist(t, "emptied", c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+	checkShortlist(t, "emptied", c, ids, bruteTopK(cost, mem, pool, removed, 6))
 	for id := 32; id < 64; id++ {
 		if !isTombstone(st.bounds[id]) {
 			t.Fatalf("removed candidate %d bound %g, want a tombstone", id, st.bounds[id])
@@ -454,7 +408,7 @@ func TestStreamRemoveLastLiveInShard(t *testing.T) {
 		t.Fatalf("live %d, want %d", st.Live(), 128-32)
 	}
 	c, ids = st.Select() // the empty shard must skip, not corrupt, the shortlist
-	checkShortlist(t, "pruned", c, ids, bruteTopK(cost, mem, pool, removed, rank, 6))
+	checkShortlist(t, "pruned", c, ids, bruteTopK(cost, mem, pool, removed, 6))
 }
 
 // laneTotals sums the lanes' shard and candidate counters of the last

@@ -13,15 +13,16 @@ import (
 )
 
 // The streamed candidate pool replaces materialize-everything scoring for
-// pools too large to hold per-candidate state: candidates are generated
-// and ranked shard by shard through the cost surrogate alone (a RankFunc
-// cannot read memory), every shard reduces into a bounded top-k heap, and
-// the heaps merge into one exact global top-k shortlist, for whose ≤k rows
-// alone the memory surrogate is then predicted. Peak pool memory is
-// O(workers·shard + k) — per-worker feature slabs, μ/σ score vectors, and
-// partial heaps, plus the shortlist — and 8 bytes per candidate for its
-// prune bound, instead of the O(m·n) a ScoringCache pins or the O(m)
-// feature and score arrays a materialized pass allocates.
+// pools too large to hold per-candidate state. It serves maxsigma, the
+// paper's MaxSigma step: candidates are generated and ranked shard by shard
+// by the cost surrogate's posterior σ alone, every shard reduces into a
+// bounded top-k heap, and the heaps merge into one exact global top-k
+// shortlist, for whose ≤k rows alone the memory surrogate is then
+// predicted. Peak pool memory is O(workers·shard + k) — per-worker feature
+// slabs, μ/σ score vectors, and partial heaps, plus the shortlist — and 8
+// bytes per candidate for its prune bound, instead of the O(m·n) a
+// ScoringCache pins or the O(m) feature and score arrays a materialized
+// pass allocates.
 //
 // Shard scoring is parallel: Select dispatches W = min(mat.Workers(),
 // shards) worker lanes over the internal/mat pool, each lane claiming
@@ -30,7 +31,7 @@ import (
 // feature slab, score buffers and bounded heap. A lane gathers a claimed
 // shard's rows from the CandidateSource itself, in one pass. The shortlist
 // is independent of scheduling at every worker count: the top-k under the
-// strict total order (rank desc, id asc) is a unique set, each candidate's
+// strict total order (σ desc, id asc) is a unique set, each candidate's
 // scores are computed in full by exactly one lane (memory: by the one
 // post-merge Predict) with a floating-point evaluation order that depends on
 // neither the lane nor the row's position in the batch, and the final merge
@@ -38,32 +39,26 @@ import (
 // scored which shard cannot change the result. mat.SetWorkers(1) degrades to
 // the fully serial reference path.
 //
-// The optional approximate mode keeps one prune bound per candidate — its
-// rank the last time it was scored, +Inf until then — and inside every
-// claimed shard generates and predicts only the live candidates whose
-// bound is not strictly below the prune threshold; a shard with no such
-// candidate is skipped whole. The survivors are gathered from the source
-// into the front of the lane's slab in id order, and per-row prediction
-// arithmetic does not depend on row position, so their scores are bitwise
-// what a full-shard pass gives. For σ-monotone ranks (maxsigma: a
-// candidate's posterior σ never rises while observations are appended
-// under fixed hyperparameters) a stale bound is a true upper bound, and the
-// threshold is a shared monotone lower bound on the final k-th rank:
-// seeded before the lanes start by re-scoring the previous Select's top
-// k+1 survivors (k+1 so that one pick still leaves k), then raised by any
-// lane whose local heap holds k entries, via an atomic CAS-max. A stale
+// Every Select prunes. The pool keeps one bound per candidate — its σ the
+// last time it was scored, +Inf until then — and inside every claimed shard
+// generates and predicts only the live candidates whose bound is not
+// strictly below the prune threshold; a shard with no such candidate is
+// skipped whole. The survivors are gathered from the source into the front
+// of the lane's slab in id order, and per-row prediction arithmetic does not
+// depend on row position, so their scores are bitwise what a full-shard pass
+// gives. A candidate's posterior σ never rises while observations are
+// appended under fixed hyperparameters, so a stale bound is a true upper
+// bound, and the threshold is a shared monotone lower bound on the final
+// k-th σ: seeded before the lanes start by re-scoring the previous Select's
+// top k+1 survivors (k+1 so that one pick still leaves k), then raised by
+// any lane whose local heap holds k entries, via an atomic CAS-max. A stale
 // read of the bound is always a smaller value, so racing lanes can only
-// prune less, never more — pruning stays exact under any interleaving,
-// even though *which* candidates get pruned may vary with the schedule.
-// Bounds are cost ranks, so they reset whenever the cost model's posterior
-// generation moves (gp.Model.Generation: a refit, a sparse re-projection,
-// a treed re-split), the only events that can raise σ. For mean-coupled
-// ranks (minpred) a mid-call bound is not valid and a schedule-dependent
-// prune set would make the output depend on the worker count, so the prune
-// threshold is instead the previous Select's final k-th rank —
-// deterministic by construction, boundedly stale, with RefreshEvery
-// forcing a full un-pruned rescore every k-th call. DESIGN.md §Surrogate
-// scaling states both bounds precisely.
+// prune less, never more — pruning stays exact under any interleaving, even
+// though *which* candidates get pruned may vary with the schedule. Bounds
+// reset whenever the cost model's posterior generation moves
+// (gp.Model.Generation: a refit, a sparse re-projection, a treed re-split),
+// the only events that can raise σ. DESIGN.md §Surrogate scaling states the
+// bound precisely.
 
 // CandidateSource yields candidate feature rows on demand, so a pool can
 // exist without ever materializing m×d storage. Fill must be safe for
@@ -131,59 +126,10 @@ func (s GridSource) Fill(lo, hi int, dst []float64) {
 	}
 }
 
-// RankFunc scores one candidate for shortlist ordering from the cost
-// surrogate's posterior μ and σ; higher is better. It must be the same
-// criterion the policy maximizes, so the policy's argmax over the
-// shortlist equals its argmax over the full pool.
-type RankFunc func(mu, sigma float64) float64
-
-// rankerSpec pairs a shortlist criterion with its pruning class: monotone
-// ranks can only decrease as observations are appended (they depend on σ
-// alone), so stale per-candidate ranks are true upper bounds and
-// approximate pruning stays exact.
-type rankerSpec struct {
-	fn       RankFunc
-	monotone bool
-}
-
-// rankers maps shortlist-safe policy names to their selection criterion.
-// Only pure argmax policies qualify: sampling policies (randuniform,
-// randgoodness, rgma) draw from the whole pool and cannot run on a
-// shortlist.
-var rankers = map[string]rankerSpec{
-	"maxsigma": {fn: func(mu, sigma float64) float64 { return sigma }, monotone: true},
-	"minpred":  {fn: func(mu, sigma float64) float64 { return sigma - mu }},
-}
-
-func rankerFor(name string) (RankFunc, bool) {
-	r, ok := rankers[normName(name)]
-	return r.fn, ok
-}
-
-// rankerIsMonotone reports whether the named criterion is σ-monotone (see
-// rankerSpec); unknown names report false.
-func rankerIsMonotone(name string) bool { return rankers[normName(name)].monotone }
-
-// RankerNames lists the shortlist-safe policy names, sorted.
-func RankerNames() []string { return sortedKeys(rankers) }
-
 // StreamConfig tunes StreamState; the zero value gets defaults.
 type StreamConfig struct {
-	ShardSize int  // candidates per slab (default 4096)
-	TopK      int  // shortlist size (default 64)
-	Approx    bool // enable per-candidate upper-bound pruning
-	// RefreshEvery forces a full un-pruned rescore every k-th call
-	// (default 16). Only non-monotone ranks consult it: pruning is exact
-	// for σ-monotone ones, so a refresh could not change their shortlist.
-	RefreshEvery int
-	Rank         RankFunc
-	// NonMonotoneRank declares that Rank is not σ-monotone (its value can
-	// rise for a fixed candidate as observations accumulate, e.g. minpred's
-	// mean term). Approximate pruning then thresholds against the previous
-	// Select's final k-th rank — a deterministic, boundedly-stale test —
-	// instead of the in-call shared lower bound, which is exact only for
-	// monotone ranks. Leave false for σ-only criteria like maxsigma.
-	NonMonotoneRank bool
+	ShardSize int // candidates per slab (default 4096)
+	TopK      int // shortlist size (default 64)
 }
 
 func (c *StreamConfig) setDefaults() {
@@ -193,23 +139,19 @@ func (c *StreamConfig) setDefaults() {
 	if c.TopK <= 0 {
 		c.TopK = 64
 	}
-	if c.RefreshEvery <= 0 {
-		c.RefreshEvery = 16
-	}
 }
 
-// streamEntry is one candidate's source id, rank, and cost posterior.
+// streamEntry is one candidate's source id and cost posterior.
 type streamEntry struct {
 	id        int
-	rank      float64
 	mu, sigma float64
 }
 
-// better orders entries like a first-max full scan: higher rank wins, ties
-// go to the smaller source id.
+// better orders entries like a first-max full scan: higher σ wins, ties go
+// to the smaller source id.
 func (e streamEntry) better(o streamEntry) bool {
-	if e.rank != o.rank {
-		return e.rank > o.rank
+	if e.sigma != o.sigma {
+		return e.sigma > o.sigma
 	}
 	return e.id < o.id
 }
@@ -229,10 +171,10 @@ type streamWorker struct {
 }
 
 // kthBound is the shared monotone lower bound on the final k-th shortlist
-// rank, published across lanes with a CAS-max. Any lane whose local heap
-// holds k entries knows the merged top-k ranks at least as high as its
-// k-th best, so raising the bound to that rank is always sound; a stale
-// (lower) read by another lane only prunes less.
+// σ, published across lanes with a CAS-max. Any lane whose local heap holds
+// k entries knows the merged top-k reaches at least its k-th best σ, so
+// raising the bound to that value is always sound; a stale (lower) read by
+// another lane only prunes less.
 type kthBound struct{ bits atomic.Uint64 }
 
 func (b *kthBound) store(v float64) { b.bits.Store(math.Float64bits(v)) }
@@ -253,15 +195,6 @@ func (b *kthBound) raise(v float64) {
 	}
 }
 
-// pruneLimit is one Select's prune threshold. It holds a fixed value (the
-// previous k-th rank for non-monotone ranks, -Inf for an unpruned pass)
-// unless shared is set, in which case lanes raise it in-call as their
-// heaps fill (σ-monotone ranks).
-type pruneLimit struct {
-	kthBound
-	shared bool
-}
-
 // tombstone is a removed candidate's bound. NaN fails every comparison, so
 // the survivor test b >= lim drops tombstones without a separate lookup.
 var tombstone = math.NaN()
@@ -270,7 +203,7 @@ func isTombstone(b float64) bool { return b != b }
 
 // StreamState is a streamed candidate pool usable across AL iterations: it
 // keeps one prune bound per candidate (tombstones included) and produces
-// one exact (or boundedly approximate) top-k shortlist per Select call.
+// one exact top-k shortlist per Select call.
 // Select and Remove must not overlap (one selection loop owns the state);
 // Select parallelizes internally.
 type StreamState struct {
@@ -278,35 +211,29 @@ type StreamState struct {
 	cost, mem gp.Model
 	cfg       StreamConfig
 
-	// bounds[id] is candidate id's last scored rank: +Inf until scored,
+	// bounds[id] is candidate id's last scored σ: +Inf until scored,
 	// tombstone once removed. 8 bytes per candidate.
-	bounds  []float64
-	live    int
-	gen     uint64 // cost posterior generation the bounds hold under
-	calls   int
-	lastKth float64 // previous Select's final k-th rank (non-monotone prune threshold)
-	top     []int   // previous Select's top k+1 ids (σ-monotone seed bound)
+	bounds []float64
+	live   int
+	gen    uint64 // cost posterior generation the bounds hold under
+	top    []int  // previous Select's top k+1 ids (seed bound)
 
 	workers []*streamWorker
 }
 
 // NewStreamState builds a streamed pool over src ranked by the fitted cost
-// surrogate, with mem predicted for the shortlist.
+// surrogate's σ, with mem predicted for the shortlist.
 func NewStreamState(src CandidateSource, cost, mem gp.Model, cfg StreamConfig) *StreamState {
 	cfg.setDefaults()
-	if cfg.Rank == nil {
-		cfg.Rank = rankers["maxsigma"].fn
-	}
 	n := src.Len()
 	st := &StreamState{
-		src:     src,
-		cost:    cost,
-		mem:     mem,
-		cfg:     cfg,
-		bounds:  make([]float64, n),
-		live:    n,
-		gen:     cost.Generation(),
-		lastKth: math.Inf(-1),
+		src:    src,
+		cost:   cost,
+		mem:    mem,
+		cfg:    cfg,
+		bounds: make([]float64, n),
+		live:   n,
+		gen:    cost.Generation(),
 	}
 	for i := range st.bounds {
 		st.bounds[i] = math.Inf(1) // never prune an unscored candidate
@@ -337,7 +264,6 @@ func (st *StreamState) invalidateBounds() {
 			st.bounds[i] = math.Inf(1)
 		}
 	}
-	st.lastKth = math.Inf(-1)
 }
 
 // pushBounded maintains a bounded worst-at-root heap of the best k entries.
@@ -378,21 +304,21 @@ func pushBounded(h []streamEntry, e streamEntry, k int) []streamEntry {
 	return h
 }
 
-// heapKth returns the k-th best rank held in a lane heap of capacity
-// k+1, or false while it holds fewer than k entries. A full heap's root is
-// its (k+1)-th best, so the k-th is the worse of the root's children.
+// heapKth returns the k-th best σ held in a lane heap of capacity k+1, or
+// false while it holds fewer than k entries. A full heap's root is its
+// (k+1)-th best, so the k-th is the worse of the root's children.
 func heapKth(h []streamEntry, k int) (float64, bool) {
 	switch {
 	case len(h) < k:
 		return 0, false
 	case len(h) == k:
-		return h[0].rank, true
+		return h[0].sigma, true
 	}
 	c := h[1]
 	if len(h) > 2 && c.better(h[2]) {
 		c = h[2]
 	}
-	return c.rank, true
+	return c.sigma, true
 }
 
 // ensureWorkers sizes the lane pool to at least w, allocating each lane's
@@ -455,10 +381,11 @@ func (st *StreamState) gather(ids []int, dst []float64) {
 // scoreShard gathers the shard's surviving candidates — live, with a bound
 // not strictly below the current threshold — into the lane's slab in id
 // order, predicts them through the cost surrogate, reduces them into the
-// lane's bounded heap, and records their ranks as their new bounds. Writes
-// touch lane-private state plus bounds[lo:hi], which only this lane (the
-// shard's claimant) reads or writes during the call.
-func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *pruneLimit) {
+// lane's bounded heap, records their σ as their new bounds, and raises the
+// shared threshold once the lane's heap holds k entries. Writes touch
+// lane-private state plus bounds[lo:hi], which only this lane (the shard's
+// claimant) reads or writes during the call.
+func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *kthBound) {
 	th := lim.load()
 	w.ids = w.ids[:0]
 	for i, b := range st.bounds[lo:hi] {
@@ -466,8 +393,8 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *pruneLimit) 
 			continue
 		}
 		if b < th {
-			// Ranked below the threshold the last time it was scored; for
-			// σ-monotone ranks its rank cannot have risen since.
+			// σ was below the threshold the last time it was scored, and it
+			// cannot have risen since.
 			w.candPruned++
 			continue
 		}
@@ -487,19 +414,16 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *pruneLimit) 
 	st.cost.PredictInto(xs, mu, sigma)
 	k := st.cfg.TopK
 	for i, id := range w.ids {
-		r := st.cfg.Rank(mu[i], sigma[i])
-		st.bounds[id] = r
-		if math.IsNaN(r) {
-			st.bounds[id] = math.Inf(1) // a NaN rank must not read as a tombstone
+		st.bounds[id] = sigma[i]
+		if math.IsNaN(sigma[i]) {
+			st.bounds[id] = math.Inf(1) // a NaN σ must not read as a tombstone
 		}
-		w.heap = pushBounded(w.heap, streamEntry{id: id, rank: r, mu: mu[i], sigma: sigma[i]}, k+1)
+		w.heap = pushBounded(w.heap, streamEntry{id: id, mu: mu[i], sigma: sigma[i]}, k+1)
 	}
 	w.scored++
 	w.candScored += int64(rows)
-	if lim.shared {
-		if r, ok := heapKth(w.heap, k); ok {
-			lim.raise(r)
-		}
+	if kth, ok := heapKth(w.heap, k); ok {
+		lim.raise(kth)
 	}
 	sp.End()
 	obs.PoolShardsInflight.Add(-1)
@@ -508,7 +432,7 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *pruneLimit) 
 // scoreLoop is one lane's Select body: claim shards off the shared cursor,
 // skip (ungathered) every shard none of whose live candidates reaches the
 // prune threshold, and score the rest.
-func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *pruneLimit, nShards int) {
+func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *kthBound, nShards int) {
 	for {
 		s := int(next.Add(1)) - 1
 		if s >= nShards {
@@ -525,10 +449,10 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *prune
 }
 
 // seedBound re-scores the previous Select's top k+1 candidates that are
-// still live and returns the k-th best of their current ranks: k live
-// candidates rank at least that high, so the final k-th rank does too,
-// whatever the posterior did since. Holding k+1 lets one pick still leave
-// k. -Inf (never prunes) when fewer than k survive.
+// still live and returns the k-th best of their current σ: k live
+// candidates reach at least that σ, so the final k-th does too, whatever
+// the posterior did since. Holding k+1 lets one pick still leave k. -Inf
+// (never prunes) when fewer than k survive.
 func (st *StreamState) seedBound() float64 {
 	k := st.cfg.TopK
 	var ids []int
@@ -540,46 +464,33 @@ func (st *StreamState) seedBound() float64 {
 	if len(ids) < k {
 		return math.Inf(-1)
 	}
-	mu, sigma := st.cost.Predict(st.fillRows(ids))
-	ranks := make([]float64, len(ids))
-	for i := range ranks {
-		ranks[i] = st.cfg.Rank(mu[i], sigma[i])
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ranks)))
-	return ranks[k-1]
+	_, sigma := st.cost.Predict(st.fillRows(ids))
+	sort.Sort(sort.Reverse(sort.Float64Slice(sigma)))
+	return sigma[k-1]
 }
 
-// Select ranks the pool shard by shard — fanned out over min(Workers,
-// shards) lanes, see the package comment for the determinism argument —
-// and returns the top-k shortlist as a Candidates block plus the
-// shortlist's source ids, both ordered by (rank desc, id asc) so a
-// first-max policy scan picks the same candidate a full-pool scan would.
-// The Candidates' slices are freshly allocated (size k); the X matrix
-// holds the shortlist rows only, nil when no candidate is live.
+// Select ranks the pool by cost σ shard by shard — fanned out over
+// min(Workers, shards) lanes, see the package comment for the determinism
+// argument — and returns the top-k shortlist as a Candidates block plus the
+// shortlist's source ids, both ordered by (σ desc, id asc) so a first-max
+// maxsigma scan picks the same candidate a full-pool scan would. The
+// Candidates' slices are freshly allocated (size k); the X matrix holds the
+// shortlist rows only, nil when no candidate is live.
 func (st *StreamState) Select() (*Candidates, []int) {
 	n := st.src.Len()
 	shard := st.cfg.ShardSize
 	k := st.cfg.TopK
 	nShards := (n + shard - 1) / shard
-	st.calls++
-	reset := false
+
+	// -Inf never prunes (strict <). Reset bounds are all +Inf, so after a
+	// generation move a seed could prune nothing.
+	var lim kthBound
 	if g := st.cost.Generation(); g != st.gen {
 		st.invalidateBounds()
 		st.gen = g
-		reset = true
-	}
-
-	var lim pruneLimit
-	lim.store(math.Inf(-1)) // -Inf never prunes (strict <)
-	switch {
-	case !st.cfg.Approx:
-	case !st.cfg.NonMonotoneRank:
-		lim.shared = true
-		if !reset { // reset bounds are all +Inf: a seed could prune nothing
-			lim.store(st.seedBound())
-		}
-	case st.cfg.RefreshEvery > 1 && st.calls%st.cfg.RefreshEvery != 1:
-		lim.store(st.lastKth)
+		lim.store(math.Inf(-1))
+	} else {
+		lim.store(st.seedBound())
 	}
 
 	w := mat.Workers()
@@ -639,11 +550,6 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	if len(out) > k {
 		out = out[:k]
 	}
-	if len(out) == k {
-		st.lastKth = out[k-1].rank
-	} else {
-		st.lastKth = math.Inf(-1)
-	}
 
 	ids := make([]int, len(out))
 	c := &Candidates{
@@ -679,15 +585,22 @@ type streamScorer struct {
 	shortX   *mat.Dense // shortlist feature rows, from the last Select
 }
 
-func newStreamScorer(cost, mem gp.Model, x *mat.Dense, spec *PoolSpec, rank RankFunc, monotone bool) *streamScorer {
-	cfg := StreamConfig{Rank: rank, NonMonotoneRank: !monotone}
+func newStreamScorer(cost, mem gp.Model, x *mat.Dense, spec *PoolSpec) *streamScorer {
+	var cfg StreamConfig
 	if spec != nil {
-		cfg.ShardSize = spec.Shard
-		cfg.TopK = spec.TopK
-		cfg.Approx = spec.Approx
-		cfg.RefreshEvery = spec.RefreshEvery
+		cfg = StreamConfig{ShardSize: spec.Shard, TopK: spec.TopK}
 	}
 	return &streamScorer{st: NewStreamState(DenseSource{X: x}, cost, mem, cfg)}
+}
+
+// checkStreamedPolicy rejects every policy but maxsigma for the streamed
+// pool, whose shortlist is the top k by cost σ: only a pure σ argmax picks
+// the same candidate from it as from the whole pool. The check is by name.
+func checkStreamedPolicy(name string) error {
+	if normName(name) != "maxsigma" {
+		return fmt.Errorf("engine: the streamed pool serves maxsigma only, got policy %q", name)
+	}
+	return nil
 }
 
 func (s *streamScorer) Candidates(memLimitLog float64) *Candidates {
@@ -712,7 +625,7 @@ func (s *streamScorer) Remove(id int) { s.st.Remove(id) }
 func (s *streamScorer) Len() int { return s.st.Live() }
 
 // FidelityGains is unavailable on the shortlist path: the streamed pool
-// supports shortlist-safe rankers only, none of which consume gains.
+// serves maxsigma only, which consumes no gains.
 func (s *streamScorer) FidelityGains() []float64 { return nil }
 
 func (s *streamScorer) Close() {}

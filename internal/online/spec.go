@@ -36,14 +36,10 @@ func RunSpec(spec engine.CampaignSpec, ds *dataset.Dataset) (*Result, error) {
 	return RunSpecCtx(nil, spec, ds, nil)
 }
 
-// RunSpecScoped is RunSpec with a per-campaign obs scope attached (the sweep
-// runner passes each item's scope through here).
-func RunSpecScoped(spec engine.CampaignSpec, ds *dataset.Dataset, scope *engine.CampaignObs) (*Result, error) {
-	return RunSpecCtx(nil, spec, ds, scope)
-}
-
-// RunSpecCtx is RunSpecScoped with cooperative cancellation: a cancelled
-// context ends the campaign with StopCancelled at the next round boundary.
+// RunSpecCtx is RunSpec with a per-campaign obs scope attached (nil records
+// into the shared campaign gauges only) and cooperative cancellation: a
+// cancelled context ends the campaign with StopCancelled at the next round
+// boundary.
 func RunSpecCtx(ctx context.Context, spec engine.CampaignSpec, ds *dataset.Dataset, scope *engine.CampaignObs) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -42,9 +42,9 @@ type Config struct {
 type campaign struct {
 	mu        sync.Mutex
 	meta      Meta
-	spec      engine.CampaignSpec
-	rawSpec   []byte        // canonical bytes as persisted
-	changed   chan struct{} // closed and replaced on every meta mutation
+	spec      engine.CampaignSpec // parsed; zero for one recovered terminal
+	rawSpec   []byte              // canonical bytes as persisted
+	changed   chan struct{}       // closed and replaced on every meta mutation
 	cancelRun context.CancelFunc
 	cancelled bool // cancellation requested (any state)
 }
@@ -113,22 +113,29 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// recover reloads the store and requeues non-terminal campaigns.
+// recover reloads the store and requeues non-terminal campaigns. Only
+// their specs are parsed, because only execute reads a parsed spec: a
+// terminal campaign keeps its stored bytes whatever the parser now says of
+// them, and a non-terminal one whose spec no longer parses finishes failed
+// with the parse error, so one stale spec cannot keep the daemon down.
 func (d *Daemon) recover() error {
 	stored, err := d.store.LoadAll()
 	if err != nil {
 		return err
 	}
 	for _, s := range stored {
-		spec, err := engine.ParseCampaignSpec(s.Spec)
-		if err != nil {
-			return fmt.Errorf("serve: recovering %s: %w", s.Meta.ID, err)
-		}
-		c := &campaign{meta: s.Meta, spec: spec, rawSpec: s.Spec, changed: make(chan struct{})}
+		c := &campaign{meta: s.Meta, rawSpec: s.Spec, changed: make(chan struct{})}
 		d.campaigns[s.Meta.ID] = c
 		if s.Meta.State.Terminal() {
 			continue
 		}
+		spec, err := engine.ParseCampaignSpec(s.Spec)
+		if err != nil {
+			d.logf("serve: recovering %s: %v", s.Meta.ID, err)
+			d.finish(c, StateFailed, err.Error(), nil)
+			continue
+		}
+		c.spec = spec
 		// queued and running both go back to queued: the run slot was lost
 		// with the old process; the checkpoint (if any) carries the progress.
 		if s.Meta.State != StateQueued {
@@ -483,9 +490,6 @@ func (c *campaign) isCancelled() bool {
 	defer c.mu.Unlock()
 	return c.cancelled
 }
-
-// QueueDepth reports the scheduler backlog (tests and ops).
-func (d *Daemon) QueueDepth() int { return d.sched.depth() }
 
 // marshalJSON is a small helper for HTTP responses.
 func marshalJSON(v any) []byte {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,6 +221,62 @@ func TestDaemonRestartResume(t *testing.T) {
 		if want := directResult(t, specs[i], ds); string(got) != string(want) {
 			t.Fatalf("campaign %s: restarted result differs from direct run", id)
 		}
+	}
+}
+
+// TestDaemonRecoverStaleSpecs: a stored spec the parser does not accept
+// must not keep the daemon down. A terminal campaign keeps its state and
+// its stored bytes; a queued one (here a streamed pool that still carries
+// the removed "approx" switch) finishes failed with the parse error; the
+// rest of the store recovers and runs.
+func TestDaemonRecoverStaleSpecs(t *testing.T) {
+	ds := testDataset(90, 52)
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := []byte(`{"version":1,"name":"unknown","mode":"replay","policy":{"name":"maxsigma"},"replay":{"n_init":8,"n_test":20},"retired_option":true}`)
+	stale := []byte(`{"version":1,"name":"stale","mode":"replay","policy":{"name":"maxsigma"},"replay":{"n_init":8,"n_test":20,"pool":{"top_k":8,"approx":true}}}`)
+	valid := replaySpecJSON("valid", 64, 4)
+	stored := []struct {
+		id    string
+		spec  []byte
+		state State
+	}{
+		{"c000001", unknown, StateDone},
+		{"c000002", stale, StateQueued},
+		{"c000003", valid, StateQueued},
+	}
+	for _, c := range stored {
+		if err := st.WriteSpec(c.id, c.spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.WriteState(Meta{ID: c.id, Tenant: "t", Priority: DefaultPriority, State: c.state, Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d, client := newTestDaemon(t, Config{StoreDir: dir, Workers: 1, Dataset: ds})
+	if m, _ := d.Get("c000001"); m.State != StateDone {
+		t.Fatalf("done campaign with a stale spec recovered as %s (%s)", m.State, m.Error)
+	}
+	if raw, ok := d.Spec("c000001"); !ok || string(raw) != string(unknown) {
+		t.Fatalf("done campaign's stored spec = %q (ok=%v), want its stored bytes", raw, ok)
+	}
+	m, err := client.WaitTerminal("c000002", 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.State != StateFailed || !strings.Contains(m.Error, `unknown field "approx"`) {
+		t.Fatalf("queued campaign with a stale spec: %s (%q), want failed naming the field", m.State, m.Error)
+	}
+	m, err = client.WaitTerminal("c000003", 120*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.State != StateDone {
+		t.Fatalf("valid campaign next to stale ones: %s (%s)", m.State, m.Error)
 	}
 }
 
