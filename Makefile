@@ -24,13 +24,16 @@ vet-arm64:
 # test-v3 re-runs the lane-replay pins with the compiler targeting x86-64-v3
 # (AVX2, FMA, BMI). The vector kernels replay the scalar Go code's unfused
 # multiply-adds; a toolchain that starts fusing `s += a*b` under v3 would
-# change the scalar bits, and these tests would fail here first.
+# change the scalar bits, and these tests would fail here first. The lane
+# pow's pins (TestPowLanes*) run here too: it replays math.Pow's Go code,
+# compiled under the same flags.
 test-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'Bitwise|PositionIndependent|Lanes' \
 		./internal/mat ./internal/kernel ./internal/gp
 
 # fuzz-smoke runs each fuzz target briefly: the four-lane exponential on
-# arbitrary bit patterns, the fused RBF kernel row, its candidate-major
+# arbitrary bit patterns, the lane pow on an arbitrary base and exponents,
+# the fused RBF kernel row, its candidate-major
 # eight-candidate form and its pool-column form on arbitrary small designs
 # and pools, all compared bitwise with the scalar code, the LML workspace
 # on arbitrary small designs and log-hyperparameters, compared bitwise with
@@ -42,6 +45,7 @@ test-v3:
 # replays as a regression test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpLanes$$' -fuzztime 5s ./internal/mat
+	$(GO) test -run '^$$' -fuzz '^FuzzPowLanes$$' -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFRow$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFLanes$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFColumn$$' -fuzztime 5s ./internal/kernel
@@ -56,19 +60,20 @@ fuzz-smoke:
 # study driver; amr and dataset carry the reference snapshots that
 # concurrent campaigns and Generate's workers share. The second line re-runs
 # the streamed-pool engine tests, the concurrent PredictInto pins, the
-# concurrent surrogate-fit tests, the scoring-cache tests and the checkpoint
-# journal tests explicitly (-count=1, no -short): the shard-parallel Select
-# lanes, the side-by-side cost and memory fits of replay and online
-# campaigns, their worker-count invariance pins, the scoring cache's
-# parallel column sweeps and eight-lane rebuilds over its shared slabs, and
-# the journal's resume from a torn tail at every byte offset must face the
-# race detector at full size on every CI pass, never satisfied from the test
-# cache.
+# concurrent surrogate-fit tests, the scoring-cache tests, the checkpoint
+# journal tests and the sim lab's emulation-cache tests explicitly
+# (-count=1, no -short): the shard-parallel Select lanes, the side-by-side
+# cost and memory fits of replay and online campaigns, their worker-count
+# invariance pins, the scoring cache's parallel column sweeps and
+# eight-lane rebuilds over its shared slabs, the journal's resume from a
+# torn tail at every byte offset, and eight goroutines emulating the grid
+# through two labs over one shared cache must face the race detector at
+# full size on every CI pass, never satisfied from the test cache.
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
 		./internal/engine ./internal/experiments ./internal/faults ./internal/online \
 		./internal/remotelab ./internal/report ./internal/amr ./internal/dataset
-	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair|TestScoringCache|TestCheckpointJournal' \
+	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair|TestScoringCache|TestCheckpointJournal|TestSimLabEmulationCache|TestEmulationCacheBudget' \
 		./internal/engine ./internal/gp ./internal/online
 
 # sweep-smoke drives a tiny 2x2 policy-by-seed grid through the unified

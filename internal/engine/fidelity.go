@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"alamr/internal/dataset"
+	"alamr/internal/mat"
 	"alamr/internal/stats"
 )
 
@@ -196,15 +197,27 @@ func (CostPerInfo) Select(c *Candidates, rng *rand.Rand) (int, error) {
 	if c.Fid == nil || len(c.Fid.TopGain) != c.Len() {
 		return 0, errors.New("engine: CostPerInfo needs per-candidate fidelity gains (multi-fidelity campaigns only)")
 	}
-	satisfying := c.Satisfying()
-	if len(satisfying) == 0 {
-		return 0, ErrAllExceedLimit
-	}
-	best, bestIdx := math.Inf(-1), satisfying[0]
-	for _, i := range satisfying {
-		if v := c.Fid.TopGain[i] / math.Pow(10, c.MuCost[i]); v > best {
-			best, bestIdx = v, i
+	// The predicted costs 10^μ, a stack block at a time; the argmax starts
+	// from the first candidate predicted to satisfy the memory limit.
+	var cost [256]float64
+	best, bestIdx := math.Inf(-1), -1
+	for lo := 0; lo < c.Len(); lo += len(cost) {
+		hi := min(lo+len(cost), c.Len())
+		mat.PowLanes(cost[:hi-lo], c.MuCost[lo:hi], 10)
+		for i := lo; i < hi; i++ {
+			if !(c.MuMem[i] < c.MemLimitLog) {
+				continue
+			}
+			if bestIdx < 0 {
+				bestIdx = i
+			}
+			if v := c.Fid.TopGain[i] / cost[i-lo]; v > best {
+				best, bestIdx = v, i
+			}
 		}
+	}
+	if bestIdx < 0 {
+		return 0, ErrAllExceedLimit
 	}
 	return bestIdx, nil
 }

@@ -62,18 +62,6 @@ func (c *Candidates) validate() error {
 	return nil
 }
 
-// Satisfying returns the indices whose predicted memory lies strictly below
-// the limit (the classification step of Algorithm 2).
-func (c *Candidates) Satisfying() []int {
-	out := make([]int, 0, c.Len())
-	for i, m := range c.MuMem {
-		if m < c.MemLimitLog {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ErrAllExceedLimit is returned by memory-aware policies when every
 // remaining candidate is predicted to violate the memory limit; the AL loop
 // treats it as the early-termination signal discussed in the paper (§V-D).
@@ -163,12 +151,13 @@ func (p RandGoodness) Select(c *Candidates, rng *rand.Rand) (int, error) {
 	if err := c.validate(); err != nil {
 		return 0, err
 	}
-	w := goodness(c.MuCost, c.SigmaCost, nil, p.base())
+	w, _ := goodness(c.MuCost, c.SigmaCost, nil, 0, p.base())
 	return stats.SampleDiscrete(rng, w), nil
 }
 
 // RGMA is RandGoodness with Memory Awareness (Algorithm 2): candidates whose
-// predicted memory exceeds L_mem are filtered out before the goodness draw.
+// predicted memory is not strictly below L_mem (the classification step)
+// are filtered out before the goodness draw.
 type RGMA struct {
 	Base float64
 }
@@ -188,36 +177,41 @@ func (p RGMA) Select(c *Candidates, rng *rand.Rand) (int, error) {
 	if err := c.validate(); err != nil {
 		return 0, err
 	}
-	satisfying := c.Satisfying()
-	if len(satisfying) == 0 {
+	w, ok := goodness(c.MuCost, c.SigmaCost, c.MuMem, c.MemLimitLog, p.base())
+	if !ok {
 		return 0, ErrAllExceedLimit
 	}
-	w := goodness(c.MuCost, c.SigmaCost, satisfying, p.base())
-	return satisfying[stats.SampleDiscrete(rng, w)], nil
+	return stats.SampleDiscrete(rng, w), nil
 }
 
-// goodness computes Base^(σ−μ) over the selected indices (all when idx is
-// nil), guarding against overflow by shifting the exponent: the shift
-// cancels after normalization in the discrete draw.
-func goodness(mu, sigma []float64, idx []int, base float64) []float64 {
-	n := len(mu)
-	if idx != nil {
-		n = len(idx)
-	}
-	expo := make([]float64, n)
+// goodness computes the goodness weights Base^(σ−μ), guarding against
+// overflow by shifting the exponents by their maximum: the shift cancels
+// after normalization in the discrete draw. With a memory filter (muMem
+// non-nil) a candidate whose predicted memory is not strictly below limit
+// gets exponent −Inf and so weight +0, and the shift is the feasible
+// candidates' maximum: a +0 leaves SampleDiscrete's total, its one draw and
+// its pick exactly where they would be over the feasible candidates alone.
+// ok reports whether any candidate is feasible.
+func goodness(mu, sigma, muMem []float64, limit, base float64) (w []float64, ok bool) {
+	w = make([]float64, len(mu))
 	maxE := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		j := i
-		if idx != nil {
-			j = idx[i]
+	for i := range w {
+		if muMem != nil && !(muMem[i] < limit) {
+			w[i] = math.Inf(-1)
+			continue
 		}
-		expo[i] = sigma[j] - mu[j]
-		if expo[i] > maxE {
-			maxE = expo[i]
+		ok = true
+		w[i] = sigma[i] - mu[i]
+		if w[i] > maxE {
+			maxE = w[i]
 		}
 	}
-	for i, e := range expo {
-		expo[i] = math.Pow(base, e-maxE)
+	if !ok {
+		return nil, false
 	}
-	return expo
+	for i := range w {
+		w[i] -= maxE
+	}
+	mat.PowLanes(w, w, base)
+	return w, true
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"alamr/internal/stats"
 )
 
 func cands(muC, sigC, muM, sigM []float64, limitLog float64) *Candidates {
@@ -13,6 +15,20 @@ func cands(muC, sigC, muM, sigM []float64, limitLog float64) *Candidates {
 		MuCost: muC, SigmaCost: sigC, MuMem: muM, SigmaMem: sigM,
 		MemLimitLog: limitLog,
 	}
+}
+
+// Satisfying returns the indices whose predicted memory lies strictly below
+// the limit (the classification step of Algorithm 2): the list the
+// memory-aware policies filtered through before testing μ_mem < L_mem
+// inline, kept as their oracle.
+func (c *Candidates) Satisfying() []int {
+	out := make([]int, 0, c.Len())
+	for i, m := range c.MuMem {
+		if m < c.MemLimitLog {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 func flat(n int, v float64) []float64 {
@@ -316,7 +332,7 @@ func TestGoodnessAllocs(t *testing.T) {
 	for i := range mu {
 		mu[i], sigma[i], muM[i] = rng.NormFloat64(), rng.Float64(), rng.NormFloat64()
 	}
-	if a := testing.AllocsPerRun(20, func() { goodness(mu, sigma, nil, 10) }); a != 1 {
+	if a := testing.AllocsPerRun(20, func() { goodness(mu, sigma, nil, 0, 10) }); a != 1 {
 		t.Fatalf("goodness allocates %.1f times per call, want 1", a)
 	}
 	c := cands(mu, sigma, muM, flat(n, 0.1), 0.5)
@@ -324,7 +340,88 @@ func TestGoodnessAllocs(t *testing.T) {
 		if _, err := (RGMA{}).Select(c, rng); err != nil {
 			t.Fatal(err)
 		}
-	}); a != 2 {
-		t.Fatalf("an RGMA selection allocates %.1f times, want 2", a)
+	}); a != 1 {
+		t.Fatalf("an RGMA selection allocates %.1f times, want 1", a)
+	}
+	c.Fid = &FidelityView{TopGain: sigma}
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := (CostPerInfo{}).Select(c, rng); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("a CostPerInfo selection allocates %.1f times, want 0", a)
+	}
+}
+
+// filteredRGMA is the RGMA draw over the satisfying list: goodness weights
+// math.Pow(base, e−max e) over the feasible candidates alone, one
+// SampleDiscrete, the pick mapped back through the list.
+func filteredRGMA(c *Candidates, base float64, rng *rand.Rand) (int, error) {
+	sat := c.Satisfying()
+	if len(sat) == 0 {
+		return 0, ErrAllExceedLimit
+	}
+	w := make([]float64, len(sat))
+	maxE := math.Inf(-1)
+	for k, i := range sat {
+		w[k] = c.SigmaCost[i] - c.MuCost[i]
+		maxE = math.Max(maxE, w[k])
+	}
+	for k, e := range w {
+		w[k] = math.Pow(base, e-maxE)
+	}
+	return sat[stats.SampleDiscrete(rng, w)], nil
+}
+
+// filteredCostPerInfo is CostPerInfo's argmax over the satisfying list with
+// math.Pow, starting from the list's first candidate.
+func filteredCostPerInfo(c *Candidates) (int, error) {
+	sat := c.Satisfying()
+	if len(sat) == 0 {
+		return 0, ErrAllExceedLimit
+	}
+	best, bestIdx := math.Inf(-1), sat[0]
+	for _, i := range sat {
+		if v := c.Fid.TopGain[i] / math.Pow(10, c.MuCost[i]); v > best {
+			best, bestIdx = v, i
+		}
+	}
+	return bestIdx, nil
+}
+
+// The memory-aware policies test μ_mem < L_mem inline: RGMA gives an
+// infeasible candidate weight +0 and CostPerInfo skips it, and both make
+// exactly the pick (and the random draw) of the satisfying-list forms they
+// replaced, across pools from all-feasible to all-infeasible, limits equal
+// to some predictions, and pools longer than CostPerInfo's stack block.
+func TestMemoryAwarePicksMatchFilteredForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(700)
+		mu, sigma, muM := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range mu {
+			mu[i], sigma[i], muM[i] = 3*rng.NormFloat64(), rng.Float64(), rng.NormFloat64()
+		}
+		limit := []float64{rng.NormFloat64(), math.Inf(1), math.Inf(-1), muM[rng.Intn(n)]}[trial%4]
+		c := cands(mu, sigma, muM, flat(n, 0.1), limit)
+		c.Fid = &FidelityView{TopGain: sigma}
+		base := []float64{10, 2, 37.5}[trial%3]
+		seed := rng.Int63()
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for k := 0; k < 5; k++ {
+			got, gotErr := (RGMA{Base: base}).Select(c, a)
+			want, wantErr := filteredRGMA(c, base, b)
+			if got != want || gotErr != wantErr {
+				t.Fatalf("trial %d draw %d: RGMA picked %d (%v), filtered form %d (%v)", trial, k, got, gotErr, want, wantErr)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("trial %d: RGMA consumed the random stream differently", trial)
+		}
+		got, gotErr := (CostPerInfo{}).Select(c, a)
+		want, wantErr := filteredCostPerInfo(c)
+		if got != want || gotErr != wantErr {
+			t.Fatalf("trial %d: CostPerInfo picked %d (%v), filtered form %d (%v)", trial, got, gotErr, want, wantErr)
+		}
 	}
 }

@@ -164,28 +164,30 @@ func (e *replayEnv) Refit() error {
 
 func (e *replayEnv) RoundEnd(selDone, picked int) (StopReason, bool, error) {
 	// One post-round RMSE value; in batch mode it is replicated across the
-	// round's picks (the sequential loop has picked == 1).
-	cr := nonLogRMSE(e.gpCost, e.xTest, e.costTest)
-	mr := nonLogRMSE(e.gpMem, e.xTest, e.memTest)
+	// round's picks (the sequential loop has picked == 1). The cost
+	// surrogate's test-set means also feed the stability check.
+	muCost, _ := e.gpCost.Predict(e.xTest)
+	muMem, _ := e.gpMem.Predict(e.xTest)
+	cr := nonLogRMSE(muCost, e.costTest)
+	mr := nonLogRMSE(muMem, e.memTest)
 	for i := 0; i < picked; i++ {
 		e.tr.CostRMSE = append(e.tr.CostRMSE, cr)
 		e.tr.MemRMSE = append(e.tr.MemRMSE, mr)
 	}
 
 	if !e.batch && e.stable != nil {
-		muTest, _ := e.gpCost.Predict(e.xTest)
 		if e.prevTestMu != nil {
-			if meanAbsDiff(muTest, e.prevTestMu) < e.stable.Tol {
+			if meanAbsDiff(muCost, e.prevTestMu) < e.stable.Tol {
 				e.stableRun++
 			} else {
 				e.stableRun = 0
 			}
 			if e.stableRun >= e.stable.Window {
-				e.prevTestMu = muTest
+				e.prevTestMu = muCost
 				return StopStable, true, nil
 			}
 		}
-		e.prevTestMu = muTest
+		e.prevTestMu = muCost
 	}
 	return "", false, nil
 }
@@ -283,8 +285,10 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 		NInit:  len(part.Init),
 		Seed:   cfg.Seed,
 	}
-	tr.InitCostRMSE = nonLogRMSE(gpCost, xTest, costTest)
-	tr.InitMemRMSE = nonLogRMSE(gpMem, xTest, memTest)
+	muCost, _ := gpCost.Predict(xTest)
+	muMem, _ := gpMem.Predict(xTest)
+	tr.InitCostRMSE = nonLogRMSE(muCost, costTest)
+	tr.InitMemRMSE = nonLogRMSE(muMem, memTest)
 
 	rng := rand.New(rand.NewSource(stats.SplitSeed(cfg.Seed, 0)))
 
@@ -364,15 +368,12 @@ func appendAndRefit(g gp.Model, x []float64, y float64) error {
 	return g.Refit()
 }
 
-// nonLogRMSE evaluates the paper's error metric (eq. 10): predictions are
-// exponentiated back to the raw response scale and compared with the
-// unmodified test measurements.
-func nonLogRMSE(g gp.Model, xTest *mat.Dense, actual []float64) float64 {
-	mu, _ := g.Predict(xTest)
+// nonLogRMSE evaluates the paper's error metric (eq. 10): the predicted
+// test-set means mu are exponentiated back to the raw response scale and
+// compared with the unmodified test measurements. mu is left unchanged.
+func nonLogRMSE(mu, actual []float64) float64 {
 	pred := make([]float64, len(mu))
-	for i, m := range mu {
-		pred[i] = math.Pow(10, m)
-	}
+	mat.PowLanes(pred, mu, 10)
 	return stats.RMSE(pred, actual)
 }
 

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"alamr/internal/gp"
 	"alamr/internal/kernel"
+	"alamr/internal/mat"
 )
 
 // directOnly hides a built-in surrogate's type from gp.NewPoolCache, so the
@@ -108,6 +110,66 @@ func TestCachedLoopStableStopMatchesDirect(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cached, direct) {
 		t.Fatalf("stable-stop trajectories diverged\ncached: %+v\ndirect: %+v", cached, direct)
+	}
+}
+
+// testPredicts wraps a surrogate and counts its Predict calls on a matrix
+// of testRows rows: the held-out test set, in a run whose pool never has
+// that many rows.
+type testPredicts struct {
+	gp.Model
+	testRows int
+	calls    *atomic.Int64
+}
+
+func (m testPredicts) Predict(xs *mat.Dense) ([]float64, []float64) {
+	if xs.Rows() == m.testRows {
+		m.calls.Add(1)
+	}
+	return m.Model.Predict(xs)
+}
+
+// Each replay round predicts the test set once per surrogate, the stability
+// check reusing the cost means the RMSE took, and the trajectories keep
+// their bits: the counted run (scored directly, since the wrapper hides the
+// surrogate's type) equals the cached run, with and without the check.
+func TestReplayPredictsTestSetOncePerRound(t *testing.T) {
+	ds := synthDS(140, 44)
+	part := smallPartition(t, ds, 12, 40, 11) // 88 pool rows down to 48
+	for _, stable := range []bool{false, true} {
+		cfg := LoopConfig{Policy: MaxSigma{}, MaxIterations: 40, Seed: 3}
+		if stable {
+			cfg.Stable = &StableStopConfig{Window: 3, Tol: 0.02}
+		}
+		cached, err := RunReplay(ds, part, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls [2]atomic.Int64
+		built := 0
+		cfg.NewModel = func() gp.Model {
+			built++
+			return testPredicts{Model: newDirectExact(), testRows: len(part.Test), calls: &calls[built-1]}
+		}
+		if stable {
+			cfg.Stable = &StableStopConfig{Window: 3, Tol: 0.02}
+		}
+		counted, err := RunReplay(ds, part, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cached, counted) {
+			t.Fatalf("stable %v: trajectories diverged\ncached: %+v\ncounted: %+v", stable, cached, counted)
+		}
+		if stable != (cached.Reason == StopStable) {
+			t.Fatalf("stable %v: run stopped with %s", stable, cached.Reason)
+		}
+		rounds := int64(len(cached.CostRMSE))
+		for i, name := range []string{"cost", "memory"} {
+			if n := calls[i].Load(); n != rounds+1 {
+				t.Fatalf("stable %v: %d test-set predictions by the %s surrogate over %d rounds, want %d", stable, n, name, rounds, rounds+1)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -189,4 +190,30 @@ func BenchmarkForwardSolveLanes(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPowLanes times 10^y over an online pool's 1,920 goodness
+// exponents (σ−μ shifted to a maximum of 0): "lanes" is one PowLanes call,
+// "scalar" the math.Pow loop it replaces.
+func BenchmarkPowLanes(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	y := make([]float64, 1920)
+	for i := range y {
+		y[i] = -4 * rng.Float64()
+	}
+	dst := make([]float64, len(y))
+	b.Run("lanes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PowLanes(dst, y, 10)
+		}
+		sinkFloat += dst[0]
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, v := range y {
+				dst[j] = math.Pow(10, v)
+			}
+		}
+		sinkFloat += dst[0]
+	})
 }

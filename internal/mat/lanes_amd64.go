@@ -2,7 +2,9 @@
 
 package mat
 
+//go:noescape
 func expAsm(dst, src *float64, n int) int
+
 func rbfRowsAsm(out, x *float64, d int, cols *[]float64, off int, norms *float64, n int, nx, inv2l2, amp2 float64) int
 
 //go:noescape

@@ -22,3 +22,5 @@ func TestForwardSolveLanesBitwiseScalarDispatch(t *testing.T) {
 func TestForwardSolveFlatLanesBitwiseScalarDispatch(t *testing.T) {
 	withoutFMA(t, testForwardSolveFlatLanes)
 }
+
+func TestPowLanesMatchesPowScalarDispatch(t *testing.T) { withoutFMA(t, testPowLanes) }

@@ -181,9 +181,11 @@ var (
 	FaultByClass  CounterVecHandle
 	FaultBackoff  HistogramHandle
 
-	// Sim lab reference cache.
-	SimReferenceRuns   CounterHandle
-	SimReferenceShared CounterHandle
+	// Sim lab reference and emulation cache.
+	SimReferenceRuns    CounterHandle
+	SimReferenceShared  CounterHandle
+	SimEmulations       CounterHandle
+	SimEmulationsShared CounterHandle
 
 	// Checkpointing (spans carry both the counter-adjacent trace event and
 	// the duration histogram; the counters count completed operations).
@@ -292,6 +294,8 @@ func bindHandles(r *Registry) {
 
 	SimReferenceRuns.p.Store(r.Counter(MetricSimReferenceRuns, "physics references the sim lab's shared cache computed"))
 	SimReferenceShared.p.Store(r.Counter(MetricSimReferenceShared, "reference lookups answered by an entry already cached or being computed"))
+	SimEmulations.p.Store(r.Counter(MetricSimEmulations, "mesh emulations the sim lab computed"))
+	SimEmulationsShared.p.Store(r.Counter(MetricSimEmulationsShared, "emulations answered from a cached reference's stored stats"))
 
 	CheckpointWrites.p.Store(r.Counter(MetricCheckpointWrites, "checkpoints written"))
 	CheckpointRestores.p.Store(r.Counter(MetricCheckpointRestores, "campaigns resumed from a checkpoint"))
@@ -335,7 +339,7 @@ func unbindHandles() {
 		&PoolShardsScored, &PoolShardsPruned, &PoolCandidatesScored, &PoolCandidatesPruned,
 		&MatDispatch, &MatInline,
 		&FaultAttempts, &FaultRetries, &FaultSuccess, &FaultCensored, &FaultFatal,
-		&SimReferenceRuns, &SimReferenceShared,
+		&SimReferenceRuns, &SimReferenceShared, &SimEmulations, &SimEmulationsShared,
 		&CheckpointWrites, &CheckpointRestores,
 		&RemoteJobsDispatched, &RemoteJobsCompleted, &RemoteJobsStolen, &RemoteJobsLost,
 		&ServeSubmitted, &ServeResumed,

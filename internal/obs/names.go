@@ -75,9 +75,12 @@ const (
 
 	// Sim lab reference cache (internal/online): references the
 	// process-wide cache computed, and lookups it answered with an entry
-	// already cached or being computed.
-	MetricSimReferenceRuns   = "alamr_sim_reference_runs_total"
-	MetricSimReferenceShared = "alamr_sim_reference_shared_total"
+	// already cached or being computed; emulations the sim lab computed,
+	// and those its cached references answered with stored stats.
+	MetricSimReferenceRuns    = "alamr_sim_reference_runs_total"
+	MetricSimReferenceShared  = "alamr_sim_reference_shared_total"
+	MetricSimEmulations       = "alamr_sim_emulations_total"
+	MetricSimEmulationsShared = "alamr_sim_emulations_shared_total"
 
 	// Checkpointing.
 	MetricCheckpointWrites         = "alamr_checkpoint_writes_total"
@@ -237,6 +240,8 @@ var AllMetricNames = []string{
 	MetricFaultBackoffSeconds,
 	MetricSimReferenceRuns,
 	MetricSimReferenceShared,
+	MetricSimEmulations,
+	MetricSimEmulationsShared,
 	MetricCheckpointWrites,
 	MetricCheckpointRestores,
 	MetricCheckpointWriteSeconds,

@@ -42,7 +42,9 @@ import (
 // SimLab is an engine.Lab backed by the AMR emulator + machine model.
 // Reference solutions are fetched lazily (one per physical parameter pair)
 // from a cache every SimLab in the process shares, so only the physics the
-// learner actually explores is simulated, and only once per process.
+// learner actually explores is simulated, and only once per process; the
+// cache also keeps each reference's emulations, so a mesh configuration
+// is emulated once per process too.
 type SimLab struct {
 	machine  cluster.Machine
 	refNx    int
@@ -54,8 +56,9 @@ type SimLab struct {
 	seed     int64
 
 	mu sync.Mutex
-	// refs records the references this lab used, by physics pair.
-	refs map[[2]float64]*amr.Reference
+	// refs records the references this lab used, by physics pair: the
+	// shared cache's entries, which hold their emulations too.
+	refs map[[2]float64]*refEntry
 	runs int
 }
 
@@ -101,7 +104,7 @@ func NewSimLab(cfg SimLabConfig) *SimLab {
 		rootsY:   cfg.RootsY,
 		subcycle: cfg.Subcycle,
 		seed:     cfg.Seed,
-		refs:     make(map[[2]float64]*amr.Reference),
+		refs:     make(map[[2]float64]*refEntry),
 	}
 }
 
@@ -137,7 +140,7 @@ func (l *SimLab) RunSeeded(c dataset.Combo, noiseSeed int64) (dataset.Job, error
 	if err != nil {
 		return dataset.Job{}, err
 	}
-	st, err := amr.Emulate(ref, amr.EmulateConfig{
+	st, err := sharedRefs.emulate(ref, amr.EmulateConfig{
 		Mx: c.Mx, MaxLevel: c.MaxLevel,
 		RootsX: l.rootsX, RootsY: l.rootsY,
 		Subcycle: l.subcycle,
@@ -145,8 +148,9 @@ func (l *SimLab) RunSeeded(c dataset.Combo, noiseSeed int64) (dataset.Job, error
 	if err != nil {
 		return dataset.Job{}, err
 	}
-	noise := rand.New(rand.NewSource(noiseSeed))
+	noise := stats.SeededRand(noiseSeed)
 	acc, err := l.machine.Simulate(cluster.JobSpec{Nodes: c.P, Mx: c.Mx, Stats: st}, noise)
+	stats.PutRand(noise)
 	if err != nil {
 		return dataset.Job{}, err
 	}
@@ -185,7 +189,7 @@ func (l *SimLab) RestoreLabState(state []byte) error {
 	return nil
 }
 
-func (l *SimLab) reference(r0, rhoin float64) (*amr.Reference, error) {
+func (l *SimLab) reference(r0, rhoin float64) (*refEntry, error) {
 	key := [2]float64{r0, rhoin}
 	l.mu.Lock()
 	ref, ok := l.refs[key]

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"alamr/internal/amr"
+	"alamr/internal/cluster"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 	"alamr/internal/obs"
@@ -105,7 +108,11 @@ func lookupAll(t *testing.T, reg *obs.Registry, c *refCache, cc *countingCompute
 		go func() {
 			defer wg.Done()
 			defer func() { out[i].pan = recover() }()
-			out[i].ref, out[i].err = c.get(prob, nx, tEnd, nsnap)
+			e, err := c.get(prob, nx, tEnd, nsnap)
+			if e != nil {
+				out[i].ref = e.ref
+			}
+			out[i].err = err
 		}()
 	}
 	waitShared(t, reg, base+int64(n-1))
@@ -149,12 +156,12 @@ func TestRefCacheOneComputationPerKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other == got[0].ref || len(other.Snapshots) != 4 {
-		t.Fatalf("second config shared the first's reference (%d snapshots)", len(other.Snapshots))
+	if other.ref == got[0].ref || len(other.ref.Snapshots) != 4 {
+		t.Fatalf("second config shared the first's reference (%d snapshots)", len(other.ref.Snapshots))
 	}
 	again, err := c.get(cacheProb, 32, 0.02, 3)
-	if err != nil || again != got[0].ref {
-		t.Fatalf("repeat lookup: err %v, same reference %v", err, again == got[0].ref)
+	if err != nil || again.ref != got[0].ref {
+		t.Fatalf("repeat lookup: err %v, same reference %v", err, again.ref == got[0].ref)
 	}
 	if n := cc.calls.Load(); n != 2 {
 		t.Fatalf("%d computations for two keys, want 2", n)
@@ -172,7 +179,7 @@ func TestRefCacheOneComputationPerKey(t *testing.T) {
 		if _, err := lab.Run(combo); err != nil {
 			t.Fatal(err)
 		}
-		return lab.refs[[2]float64{combo.R0, combo.RhoIn}]
+		return lab.refs[[2]float64{combo.R0, combo.RhoIn}].ref
 	}
 	a := refOf(SimLabConfig{RefNx: 32, RefTEnd: 0.05, RefSnaps: 3, Seed: 1})
 	b := refOf(SimLabConfig{RefNx: 32, RefTEnd: 0.05, RefSnaps: 3, Seed: 2})
@@ -277,8 +284,8 @@ func TestRefCacheBudget(t *testing.T) {
 	}
 	get := func(prob amr.ShockBubble, nx int) {
 		t.Helper()
-		ref, err := c.get(prob, nx, 0.1, 2)
-		if err != nil || len(ref.Snapshots[0].Grad) != nx {
+		e, err := c.get(prob, nx, 0.1, 2)
+		if err != nil || len(e.ref.Snapshots[0].Grad) != nx {
 			t.Fatalf("get nx=%d: %v", nx, err)
 		}
 	}
@@ -438,4 +445,192 @@ func TestSimLabBitsPinned(t *testing.T) {
 	checkSpecs("warm cache", false)
 	clearSharedRefs(t)
 	checkSpecs("concurrent campaigns", true)
+}
+
+// TestSimLabEmulationCache: eight goroutines run the whole grid through two
+// labs at once. Each (reference, configuration) is emulated once — the
+// goroutines split the grid by that key, so no two ask for one key at the
+// same time and "once" is exact — and every other run is answered from
+// the cache; every stored emulation equals a direct amr.Emulate on its
+// reference; and every job equals a fresh computation with a fresh noise
+// source, bit for bit.
+func TestSimLabEmulationCache(t *testing.T) {
+	reg := enableCounters(t)
+	clearSharedRefs(t)
+	cfg := SimLabConfig{RefNx: 32, RefTEnd: 0.05, RefSnaps: 3}
+	labs := [2]*SimLab{NewSimLab(cfg), NewSimLab(cfg)}
+	type emuKey struct {
+		pair    [2]float64
+		mx, lvl int
+	}
+	combos := dataset.AllCombos()
+	var keys []emuKey
+	byKey := make(map[emuKey][]int)
+	for i, c := range combos {
+		k := emuKey{[2]float64{c.R0, c.RhoIn}, c.Mx, c.MaxLevel}
+		if byKey[k] == nil {
+			keys = append(keys, k)
+		}
+		byKey[k] = append(byKey[k], i)
+	}
+	jobs := make([][2]dataset.Job, len(combos))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := g; k < len(keys); k += 8 {
+				for _, i := range byKey[keys[k]] {
+					for l, lab := range labs {
+						job, err := lab.RunSeeded(combos[i], stats.SplitSeed(2018, i))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						jobs[i][l] = job
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	runs := int64(2 * len(combos))
+	if got, shared := counter(reg, obs.MetricSimEmulations), counter(reg, obs.MetricSimEmulationsShared); got != int64(len(keys)) || shared != runs-int64(len(keys)) {
+		t.Fatalf("%d emulations computed and %d shared over %d runs, want %d and %d", got, shared, runs, len(keys), runs-int64(len(keys)))
+	}
+
+	sharedRefs.mu.Lock()
+	defer sharedRefs.mu.Unlock()
+	stored := 0
+	for k, e := range sharedRefs.entries {
+		if k.nx != 32 {
+			continue
+		}
+		for c, st := range e.emu {
+			want, err := amr.Emulate(e.ref, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st, want) {
+				t.Fatalf("stored emulation %+v differs from amr.Emulate: %+v vs %+v", c, st, want)
+			}
+			stored++
+		}
+		if want := refBytes(e.ref) + int64(len(e.emu))*emulationBytes; e.size != want {
+			t.Fatalf("entry charged %d bytes, want %d", e.size, want)
+		}
+	}
+	if stored != len(keys) {
+		t.Fatalf("%d emulations stored, want %d", stored, len(keys))
+	}
+	machine := NewSimLab(cfg).machine
+	for i, c := range combos {
+		e := labs[0].refs[[2]float64{c.R0, c.RhoIn}]
+		if labs[1].refs[[2]float64{c.R0, c.RhoIn}] != e {
+			t.Fatalf("the two labs hold different entries for (%g, %g)", c.R0, c.RhoIn)
+		}
+		st, err := amr.Emulate(e.ref, amr.EmulateConfig{Mx: c.Mx, MaxLevel: c.MaxLevel, RootsX: 8, RootsY: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := machine.Simulate(cluster.JobSpec{Nodes: c.P, Mx: c.Mx, Stats: st}, rand.New(rand.NewSource(stats.SplitSeed(2018, i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dataset.Job{P: c.P, Mx: c.Mx, MaxLevel: c.MaxLevel, R0: c.R0, RhoIn: c.RhoIn,
+			WallSec: acc.WallClockSec, CostNH: acc.CostNodeHours, MemMB: acc.MaxRSSBytes / (1 << 20)}
+		for l := range labs {
+			if jobs[i][l] != want {
+				t.Fatalf("combo %d lab %d: job %+v, fresh computation %+v", i, l, jobs[i][l], want)
+			}
+		}
+	}
+}
+
+// TestEmulationCacheBudget: emulations are charged to their reference's
+// entry and leave with it when the budget evicts it, after which that
+// reference emulates directly; a reference the cache does not keep (over
+// the whole budget, or under a non-finite key) stores nothing.
+func TestEmulationCacheBudget(t *testing.T) {
+	reg := enableCounters(t)
+	// Every reference is the nx 16 solution of cacheProb (2 snapshots of
+	// 16×8 cells, 2,048 bytes), whatever problem the key names.
+	solve := func(_ amr.ShockBubble, nx int, tEnd float64, nsnap int) (*amr.Reference, error) {
+		return amr.ReferenceRun(cacheProb, nx, tEnd, nsnap)
+	}
+	const refSize = 2 * 16 * 8 * 8
+	cfgs := []amr.EmulateConfig{{Mx: 8, MaxLevel: 3, RootsX: 8, RootsY: 4}, {Mx: 16, MaxLevel: 2, RootsX: 8, RootsY: 4}}
+	c := newRefCache(2*refSize+2*emulationBytes, solve)
+	get := func(r0 float64) *refEntry {
+		t.Helper()
+		e, err := c.get(amr.ShockBubble{R0: r0, RhoIn: 0.1}, 16, 0.02, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	emulate := func(c *refCache, e *refEntry, cfg amr.EmulateConfig, computed, shared int64) {
+		t.Helper()
+		before, beforeShared := counter(reg, obs.MetricSimEmulations), counter(reg, obs.MetricSimEmulationsShared)
+		st, err := c.emulate(e, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := amr.Emulate(e.ref, cfg)
+		if err != nil || !reflect.DeepEqual(st, want) {
+			t.Fatalf("emulate %+v: %+v, amr.Emulate %+v (%v)", cfg, st, want, err)
+		}
+		if d, ds := counter(reg, obs.MetricSimEmulations)-before, counter(reg, obs.MetricSimEmulationsShared)-beforeShared; d != computed || ds != shared {
+			t.Fatalf("emulate %+v: %d computed and %d shared, want %d and %d", cfg, d, ds, computed, shared)
+		}
+	}
+	holding := func(want int64) {
+		t.Helper()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var sum int64
+		for _, k := range c.order {
+			sum += c.entries[k].size
+		}
+		if sum != c.bytes || c.bytes != want || c.bytes > c.budget {
+			t.Fatalf("cache holds %d bytes (entries sum to %d), want %d within %d", c.bytes, sum, want, c.budget)
+		}
+	}
+
+	a := get(0.2)
+	emulate(c, a, cfgs[0], 1, 0)
+	emulate(c, a, cfgs[1], 1, 0)
+	emulate(c, a, cfgs[0], 0, 1)
+	holding(refSize + 2*emulationBytes)
+	b := get(0.3)
+	holding(2*refSize + 2*emulationBytes)
+	emulate(c, b, cfgs[0], 1, 0) // one emulation over the budget: a goes
+	holding(refSize + emulationBytes)
+	if a.emu != nil || a.size != 0 {
+		t.Fatalf("evicted entry kept %d emulations, %d bytes", len(a.emu), a.size)
+	}
+	emulate(c, a, cfgs[0], 1, 0)
+	emulate(c, a, cfgs[0], 1, 0)
+	holding(refSize + emulationBytes)
+
+	// Under a NaN key, and over the whole budget: kept by the caller only.
+	nan := cacheProb
+	nan.RhoIn = math.NaN()
+	e, err := c.get(nan, 16, 0.02, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emulate(c, e, cfgs[1], 1, 0)
+	emulate(c, e, cfgs[1], 1, 0)
+	holding(refSize + emulationBytes)
+	small := newRefCache(refSize-1, solve)
+	if e, err = small.get(cacheProb, 16, 0.02, 2); err != nil {
+		t.Fatal(err)
+	}
+	emulate(small, e, cfgs[1], 1, 0)
+	emulate(small, e, cfgs[1], 1, 0)
+	assertEmpty(t, small)
 }

@@ -3,6 +3,8 @@ package remotelab
 import (
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
@@ -474,5 +476,38 @@ func TestFrameGuards(t *testing.T) {
 
 	if err := writeFrame(a, message{Type: strings.Repeat("x", maxFrame)}); err == nil {
 		t.Fatal("oversized write accepted")
+	}
+}
+
+// TestSynthLabConcurrentMatchesFreshSource: SynthLab measurements made from
+// eight goroutines at once, on pooled noise generators, equal the formula
+// evaluated with a fresh noise source, bit for bit.
+func TestSynthLabConcurrentMatchesFreshSource(t *testing.T) {
+	combos := dataset.AllCombos()
+	got := make([]dataset.Job, len(combos))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(combos); i += 8 {
+				got[i], _ = SynthLab{}.RunSeeded(combos[i], stats.SplitSeed(5, i))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, c := range combos {
+		wall := 2.0 * math.Pow(float64(c.Mx)/8, 1.5) * math.Pow(2, float64(c.MaxLevel-3)) *
+			(1 + c.R0) / (0.3 + c.RhoIn)
+		mem := 0.05 * float64(c.Mx) * float64(c.Mx) / 64 *
+			math.Pow(2, float64(c.MaxLevel-3)) / math.Sqrt(float64(c.P))
+		noise := rand.New(rand.NewSource(stats.SplitSeed(5, i)))
+		wall *= 1 + 0.02*noise.NormFloat64()
+		mem *= 1 + 0.01*noise.NormFloat64()
+		want := dataset.Job{P: c.P, Mx: c.Mx, MaxLevel: c.MaxLevel, R0: c.R0, RhoIn: c.RhoIn,
+			WallSec: math.Max(wall, 1e-9), CostNH: math.Max(wall, 1e-9) * float64(c.P) / 3600, MemMB: math.Max(mem, 1e-9)}
+		if got[i] != want {
+			t.Fatalf("combo %d: %+v, fresh source %+v", i, got[i], want)
+		}
 	}
 }

@@ -2,9 +2,9 @@ package remotelab
 
 import (
 	"math"
-	"math/rand"
 
 	"alamr/internal/dataset"
+	"alamr/internal/stats"
 )
 
 // SynthLab is an analytic executor: cost grows with resolution and depth
@@ -23,9 +23,10 @@ func (SynthLab) RunSeeded(c dataset.Combo, noiseSeed int64) (dataset.Job, error)
 		(1 + c.R0) / (0.3 + c.RhoIn)
 	mem := 0.05 * float64(c.Mx) * float64(c.Mx) / 64 *
 		math.Pow(2, float64(c.MaxLevel-3)) / math.Sqrt(float64(c.P))
-	noise := rand.New(rand.NewSource(noiseSeed))
+	noise := stats.SeededRand(noiseSeed)
 	wall *= 1 + 0.02*noise.NormFloat64()
 	mem *= 1 + 0.01*noise.NormFloat64()
+	stats.PutRand(noise)
 	if wall < 1e-9 {
 		wall = 1e-9
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Mean returns the arithmetic mean of x. It panics on an empty slice.
@@ -333,6 +334,22 @@ func SplitSeed(base int64, stream int) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
+
+// seededRands holds generators between SeededRand uses: re-seeding one
+// costs a fraction of building the ~5 KB source rand.NewSource allocates.
+var seededRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// SeededRand returns a generator, taken from a pool, whose stream is
+// exactly rand.New(rand.NewSource(seed))'s. Hand it back with PutRand when
+// done, and use it no more after that.
+func SeededRand(seed int64) *rand.Rand {
+	r := seededRands.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
+// PutRand returns a generator SeededRand gave out to its pool.
+func PutRand(r *rand.Rand) { seededRands.Put(r) }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.
 func Linspace(lo, hi float64, n int) []float64 {

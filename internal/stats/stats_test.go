@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -460,4 +461,36 @@ func TestSpearmanInvarianceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSeededRandMatchesFreshSource: a pooled generator re-seeded by
+// SeededRand yields exactly rand.New(rand.NewSource(seed))'s stream, even
+// when its last user left it mid-stream (Read keeps a partial word), from
+// eight goroutines at once.
+func TestSeededRandMatchesFreshSource(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 3)
+			for i := 0; i < 200; i++ {
+				seed := SplitSeed(int64(g), i)
+				r, fresh := SeededRand(seed), rand.New(rand.NewSource(seed))
+				for k := 0; k < 1+i%7; k++ {
+					if a, b := r.NormFloat64(), fresh.NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
+						t.Errorf("seed %d draw %d: %v, fresh source %v", seed, k, a, b)
+						return
+					}
+				}
+				if a, b := r.Int63(), fresh.Int63(); a != b {
+					t.Errorf("seed %d: Int63 %d, fresh source %d", seed, a, b)
+					return
+				}
+				r.Read(buf) // leave the generator mid-word for its next user
+				PutRand(r)
+			}
+		}()
+	}
+	wg.Wait()
 }
