@@ -13,8 +13,14 @@ test:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# vet also keeps every generator on stats.Source: outside internal/stats, no
+# non-test Go file under internal/ or cmd/ may build a math/rand source
+# (use stats.NewRand, or stats.SeededRand and PutRand for one call's draws;
+# the streams are the same, the seeding O(1)).
 vet:
 	$(GO) vet ./...
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' 'rand\.NewSource' internal cmd | grep -v '^internal/stats/'); \
+	if [ -n "$$out" ]; then echo "rand.NewSource outside internal/stats (use stats.NewRand or stats.SeededRand):"; echo "$$out"; exit 1; fi
 
 # vet-arm64 cross-compiles and vets the tree for arm64, so the portable
 # (!amd64) fallbacks of the assembly kernels build; nothing runs.
@@ -41,7 +47,9 @@ test-v3:
 # decoder on arbitrary bytes: no panic, and every rejection wraps exactly
 # one ErrCheckpoint* sentinel. Its seeds are kilobytes long, so new inputs
 # are minimized for at most a second each, leaving the rest of the 5 s to
-# fuzzing. A crasher is saved under the package's testdata/fuzz and
+# fuzzing. The last target compares stats.Source's stream, re-seeded at an
+# arbitrary draw, with math/rand's for an arbitrary seed and length.
+# A crasher is saved under the package's testdata/fuzz and
 # replays as a regression test.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpLanes$$' -fuzztime 5s ./internal/mat
@@ -51,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFColumn$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzLMLWorkspace$$' -fuzztime 5s ./internal/gp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/online
+	$(GO) test -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 5s ./internal/stats
 
 # Race runs use -short: the equivalence tests scale their sizes down so the
 # instrumented binary stays within CI time budgets. faults and online carry
@@ -58,7 +67,9 @@ fuzz-smoke:
 # the process-wide reference cache; engine carries the sweep worker pool
 # and the policy, loop and golden tests; experiments carries the RunBatch
 # study driver; amr and dataset carry the reference snapshots that
-# concurrent campaigns and Generate's workers share. The second line re-runs
+# concurrent campaigns and Generate's workers share; stats carries the
+# generator pool, drawn from by eight goroutines against fresh math/rand
+# sources. The second line re-runs
 # the streamed-pool engine tests, the concurrent PredictInto pins, the
 # concurrent surrogate-fit tests, the scoring-cache tests, the checkpoint
 # journal tests and the sim lab's emulation-cache tests explicitly
@@ -72,7 +83,7 @@ fuzz-smoke:
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
 		./internal/engine ./internal/experiments ./internal/faults ./internal/online \
-		./internal/remotelab ./internal/report ./internal/amr ./internal/dataset
+		./internal/remotelab ./internal/report ./internal/amr ./internal/dataset ./internal/stats
 	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictInto|TestFitPair|TestOnlineFitPair|TestScoringCache|TestCheckpointJournal|TestSimLabEmulationCache|TestEmulationCacheBudget' \
 		./internal/engine ./internal/gp ./internal/online
 

@@ -162,17 +162,6 @@ func ScaleFeatures(j Job) [NumFeatures]float64 {
 	return out
 }
 
-// ScaleFeaturesLog2P behaves like ScaleFeatures but uses log2(p) as the
-// node-count feature, the preprocessing variant the paper's Discussion
-// (§V-D) proposes for exponentially spaced machine sizes.
-func ScaleFeaturesLog2P(j Job) [NumFeatures]float64 {
-	out := ScaleFeatures(j)
-	lo := math.Log2(float64(GridP[0]))
-	hi := math.Log2(float64(GridP[len(GridP)-1]))
-	out[0] = (math.Log2(float64(j.P)) - lo) / (hi - lo)
-	return out
-}
-
 // Features assembles the scaled design matrix X for a subset of job indices
 // (all jobs when idx is nil): row r is ScaleFeatures of job idx[r].
 func (d *Dataset) Features(idx []int) *mat.Dense {
@@ -180,8 +169,11 @@ func (d *Dataset) Features(idx []int) *mat.Dense {
 	return x
 }
 
-// FeaturesLog2P assembles the design matrix using the log2(p) transform:
-// row r is ScaleFeaturesLog2P of job idx[r].
+// FeaturesLog2P assembles the design matrix using the log2(p) transform,
+// the preprocessing variant the paper's Discussion (§V-D) proposes for
+// exponentially spaced machine sizes: row r is ScaleFeatures of job idx[r]
+// except that the node-count feature is log2(p), scaled over the log2 of
+// GridP's range.
 func (d *Dataset) FeaturesLog2P(idx []int) *mat.Dense {
 	x, _ := d.features(idx, true, false)
 	return x

@@ -53,10 +53,20 @@ func TestScaleFeaturesUnitCube(t *testing.T) {
 	}
 }
 
+// scaleFeaturesLog2P is one row of FeaturesLog2P: ScaleFeatures with
+// log2(p) as the node-count feature.
+func scaleFeaturesLog2P(j Job) [NumFeatures]float64 {
+	out := ScaleFeatures(j)
+	lo := math.Log2(float64(GridP[0]))
+	hi := math.Log2(float64(GridP[len(GridP)-1]))
+	out[0] = (math.Log2(float64(j.P)) - lo) / (hi - lo)
+	return out
+}
+
 func TestScaleFeaturesLog2P(t *testing.T) {
 	j := testJob()
 	j.P = 8 // log2 8 = 3 → (3-2)/(5-2) = 1/3
-	f := ScaleFeaturesLog2P(j)
+	f := scaleFeaturesLog2P(j)
 	if math.Abs(f[0]-1.0/3.0) > 1e-12 {
 		t.Fatalf("log2 p feature = %g want 1/3", f[0])
 	}
@@ -355,9 +365,9 @@ func TestFeaturesMatchPerJobBitwise(t *testing.T) {
 		job   func(Job) [NumFeatures]float64
 	}{
 		{"linear", d.Features, ScaleFeatures},
-		{"log2p", d.FeaturesLog2P, ScaleFeaturesLog2P},
+		{"log2p", d.FeaturesLog2P, scaleFeaturesLog2P},
 		{"checked linear", checked(t, d, false), ScaleFeatures},
-		{"checked log2p", checked(t, d, true), ScaleFeaturesLog2P},
+		{"checked log2p", checked(t, d, true), scaleFeaturesLog2P},
 	} {
 		for _, order := range [][]int{nil, idx} {
 			x := tc.batch(order)

@@ -129,7 +129,7 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 	}
 
 	// Cost-biased sampling of unique combinations without replacement.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := stats.NewRand(cfg.Seed)
 	weights := make([]float64, len(ems))
 	for i, e := range ems {
 		weights[i] = math.Pow(e.base.CostNodeHours, -cfg.CostBias)
@@ -147,8 +147,9 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 	ds := &Dataset{Jobs: make([]Job, 0, cfg.NumJobs)}
 	for n, ei := range jobsIdx {
 		e := ems[ei]
-		noise := rand.New(rand.NewSource(stats.SplitSeed(cfg.Seed, n+1)))
+		noise := stats.SeededRand(stats.SplitSeed(cfg.Seed, n+1))
 		acc, err := cfg.Machine.Simulate(cluster.JobSpec{Nodes: e.combo.P, Mx: e.combo.Mx, Stats: e.stats}, noise)
+		stats.PutRand(noise)
 		if err != nil {
 			return nil, err
 		}

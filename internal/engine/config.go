@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"alamr/internal/gp"
@@ -168,13 +167,4 @@ func (t *Trajectory) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(t)
-}
-
-// ReadTrajectoryJSON reads a trajectory written by WriteJSON.
-func ReadTrajectoryJSON(r io.Reader) (*Trajectory, error) {
-	var t Trajectory
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("engine: decoding trajectory: %w", err)
-	}
-	return &t, nil
 }

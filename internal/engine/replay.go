@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 
@@ -290,7 +289,7 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 	tr.InitCostRMSE = nonLogRMSE(muCost, costTest)
 	tr.InitMemRMSE = nonLogRMSE(muMem, memTest)
 
-	rng := rand.New(rand.NewSource(stats.SplitSeed(cfg.Seed, 0)))
+	rng := stats.NewRand(stats.SplitSeed(cfg.Seed, 0))
 
 	maxSel := len(part.Active)
 	if cfg.MaxIterations > 0 && cfg.MaxIterations < maxSel {

@@ -145,8 +145,7 @@ func BenchmarkScaleScoring(b *testing.B) {
 					b.Run(fmt.Sprintf("%s/pool=materialized/workers=%d", name, wc), func(b *testing.B) {
 						prev := mat.SetWorkers(wc)
 						defer mat.SetWorkers(prev)
-						poolX := mat.NewDense(m, scaleDim, nil)
-						src.Fill(0, m, poolX.RawData())
+						poolX := mat.NewDense(m, scaleDim, src.Rows(0, m, make([]float64, m*scaleDim)))
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
@@ -190,7 +189,7 @@ func BenchmarkScaleScoring(b *testing.B) {
 func absorbPick(tb testing.TB, st *StreamState, src CandidateSource, cost, mem gp.Model, id int, x []float64) {
 	tb.Helper()
 	st.Remove(id)
-	src.Fill(id, id+1, x)
+	x = src.Rows(id, id+1, x)
 	if err := cost.Append(x, scaleTarget(x)); err != nil {
 		tb.Fatal(err)
 	}
@@ -205,8 +204,7 @@ func absorbPick(tb testing.TB, st *StreamState, src CandidateSource, cost, mem g
 func TestScaleSmoke(t *testing.T) {
 	const n, m = 500, 10000
 	src := scaleGrid(m)
-	poolX := mat.NewDense(m, scaleDim, nil)
-	src.Fill(0, m, poolX.RawData())
+	poolX := mat.NewDense(m, scaleDim, src.Rows(0, m, make([]float64, m*scaleDim)))
 	for _, model := range []string{ModelExact, ModelSparse, ModelTreed} {
 		cost, mem := fitScaleModels(t, model, n)
 		wantID, wantSigma := materializedPass(cost, mem, poolX)

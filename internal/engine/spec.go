@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 
 	"alamr/internal/dataset"
@@ -308,9 +307,9 @@ func (s *CampaignSpec) ReplayPlan(ds *dataset.Dataset) (dataset.Partition, LoopC
 		// seeded per rung. The dataset must already be ladder-only (callers
 		// filter with FidelitySpec.Filter; runReplaySpecCtx does this), so
 		// Trajectory.Selected indices refer to the filtered dataset.
-		part, err = s.Fidelity.split(ds, r.NInit, nTest, rand.New(rand.NewSource(pseed)))
+		part, err = s.Fidelity.split(ds, r.NInit, nTest, stats.NewRand(pseed))
 	} else {
-		part, err = dataset.Split(ds, r.NInit, nTest, rand.New(rand.NewSource(pseed)))
+		part, err = dataset.Split(ds, r.NInit, nTest, stats.NewRand(pseed))
 	}
 	if err != nil {
 		return dataset.Partition{}, LoopConfig{}, err

@@ -225,10 +225,10 @@ func TestStreamedReplayWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestDenseSourceFillRows: the one-copy range fill writes exactly the rows
-// a per-row copy would, for ranges at either end and inside, at a zero and
-// a nonzero offset into a larger slab whose other values it leaves alone,
-// and after rows have left the pool.
+// TestDenseSourceFillRows: Rows lends a range of the matrix in place —
+// exactly the rows a per-row read gives, for ranges at either end and
+// inside, and after rows have left the pool — without writing the buffer
+// it is handed, and capped so an append cannot write past the range.
 func TestDenseSourceFillRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := mat.NewDense(23, 5, nil)
@@ -237,49 +237,54 @@ func TestDenseSourceFillRows(t *testing.T) {
 	}
 	x = x.RemoveRow(4).RemoveRow(21)
 	src := DenseSource{X: x}
+	buf := make([]float64, 22*5)
+	for i := range buf {
+		buf[i] = -1
+	}
 	for _, r := range [][2]int{{0, 21}, {0, 1}, {20, 21}, {3, 17}, {7, 7}} {
-		for _, off := range []int{0, 3} {
-			slab := make([]float64, (off+22)*5)
-			for i := range slab {
-				slab[i] = -1
-			}
-			src.Fill(r[0], r[1], slab[off*5:])
-			for i := 0; i < len(slab)/5; i++ {
-				for j := 0; j < 5; j++ {
-					want := -1.0
-					if row := i - off; row >= 0 && row < r[1]-r[0] {
-						want = x.At(r[0]+row, j)
-					}
-					if got := slab[i*5+j]; math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("rows [%d, %d) at offset %d: slab(%d, %d) = %v, want %v", r[0], r[1], off, i, j, got, want)
-					}
+		rows := src.Rows(r[0], r[1], buf)
+		if len(rows) != (r[1]-r[0])*5 || cap(rows) != len(rows) {
+			t.Fatalf("rows [%d, %d): len %d cap %d, want %d", r[0], r[1], len(rows), cap(rows), (r[1]-r[0])*5)
+		}
+		if len(rows) > 0 && &rows[0] != &x.RawData()[r[0]*5] {
+			t.Fatalf("rows [%d, %d) are not the matrix's own", r[0], r[1])
+		}
+		for i := 0; i < r[1]-r[0]; i++ {
+			for j := 0; j < 5; j++ {
+				if got, want := rows[i*5+j], x.At(r[0]+i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("rows [%d, %d): (%d, %d) = %v, want %v", r[0], r[1], i, j, got, want)
 				}
 			}
 		}
 	}
+	for i, v := range buf {
+		if v != -1 {
+			t.Fatalf("Rows wrote buf[%d] = %v", i, v)
+		}
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Fill past the last row did not panic")
+			t.Fatal("Rows past the last row did not panic")
 		}
 	}()
-	src.Fill(20, 22, make([]float64, 2*5))
+	src.Rows(20, 22, buf)
 }
 
 // recordingSource wraps a CandidateSource and counts how often each row is
-// read. The lanes call Fill concurrently, so the counts are guarded.
+// read. The lanes call Rows concurrently, so the counts are guarded.
 type recordingSource struct {
 	CandidateSource
 	mu    sync.Mutex
 	reads map[int]int
 }
 
-func (s *recordingSource) Fill(lo, hi int, dst []float64) {
+func (s *recordingSource) Rows(lo, hi int, buf []float64) []float64 {
 	s.mu.Lock()
 	for id := lo; id < hi; id++ {
 		s.reads[id]++
 	}
 	s.mu.Unlock()
-	s.CandidateSource.Fill(lo, hi, dst)
+	return s.CandidateSource.Rows(lo, hi, buf)
 }
 
 // TestStreamGathersOnlySurvivors: a primed Select reads from
@@ -345,16 +350,67 @@ func TestStreamGathersOnlySurvivors(t *testing.T) {
 	}
 }
 
+// rowRecorder wraps a cost model and records where the rows of every
+// matrix PredictInto is handed start.
+type rowRecorder struct {
+	gp.Model
+	mu    sync.Mutex
+	first []*float64
+}
+
+func (m *rowRecorder) PredictInto(xs *mat.Dense, mean, std []float64) {
+	m.mu.Lock()
+	m.first = append(m.first, &xs.RawData()[0])
+	m.mu.Unlock()
+	m.Model.PredictInto(xs, mean, std)
+}
+
+// TestStreamFullPassLendsDenseRows: a full pass over a DenseSource — the
+// first Select, and the first after a refit — hands PredictInto each
+// shard's rows of the source's own matrix, not a copy, at every worker
+// count.
+func TestStreamFullPassLendsDenseRows(t *testing.T) {
+	const shard = 64
+	for _, w := range streamWorkerCounts() {
+		prev := mat.SetWorkers(w)
+		cost, mem, pool := streamFixture(t, 64, 40, 300)
+		rec := &rowRecorder{Model: cost}
+		st := NewStreamState(DenseSource{X: pool}, rec, mem, StreamConfig{ShardSize: shard, TopK: 8})
+		want := map[*float64]bool{}
+		for lo := 0; lo < pool.Rows(); lo += shard {
+			want[&pool.RawData()[lo*pool.Cols()]] = true
+		}
+		for pass := 0; pass < 2; pass++ {
+			rec.first = nil
+			st.Select()
+			if len(rec.first) != len(want) {
+				t.Fatalf("workers=%d pass %d: %d shard predictions, want %d", w, pass, len(rec.first), len(want))
+			}
+			for _, p := range rec.first {
+				if !want[p] {
+					t.Fatalf("workers=%d pass %d: a shard was predicted from a copy of its rows", w, pass)
+				}
+			}
+			if err := cost.Refit(); err != nil { // moves the generation: the next pass is full
+				t.Fatal(err)
+			}
+		}
+		mat.SetWorkers(prev)
+	}
+}
+
 // TestGridSourceSingleAxis: the degenerate one-dimensional grid decodes to
-// the axis itself, across unaligned Fill windows.
+// the axis itself, across unaligned Rows windows.
 func TestGridSourceSingleAxis(t *testing.T) {
 	ax := []float64{-1, 0, 2.5, 7, 11}
 	src := GridSource{Axes: [][]float64{ax}}
 	if src.Len() != 5 || src.Dim() != 1 {
 		t.Fatalf("Len=%d Dim=%d, want 5 and 1", src.Len(), src.Dim())
 	}
-	dst := make([]float64, 3)
-	src.Fill(2, 5, dst)
+	dst := src.Rows(2, 5, make([]float64, 4))
+	if len(dst) != 3 {
+		t.Fatalf("3 rows decoded to %d values", len(dst))
+	}
 	for i := 0; i < 3; i++ {
 		if dst[i] != ax[2+i] {
 			t.Fatalf("candidate %d decoded to %v, want %v", 2+i, dst[i], ax[2+i])

@@ -29,7 +29,8 @@ import (
 // shards from a shared atomic cursor and scoring them serially (through
 // gp.Model.PredictInto — the lanes *are* the parallelism) into its own
 // feature slab, score buffers and bounded heap. A lane gathers a claimed
-// shard's rows from the CandidateSource itself, in one pass. The shortlist
+// shard's rows from the CandidateSource itself, in one pass, and predicts
+// a DenseSource's rows in place when they are one run. The shortlist
 // is independent of scheduling at every worker count: the top-k under the
 // strict total order (σ desc, id asc) is a unique set, each candidate's
 // scores are computed in full by exactly one lane (memory: by the one
@@ -43,10 +44,12 @@ import (
 // last time it was scored, +Inf until then — and inside every claimed shard
 // generates and predicts only the live candidates whose bound is not
 // strictly below the prune threshold; a shard with no such candidate is
-// skipped whole. The survivors are gathered from the source into the front
-// of the lane's slab in id order, and per-row prediction arithmetic does not
-// depend on row position, so their scores are bitwise what a full-shard pass
-// gives. A candidate's posterior σ never rises while observations are
+// skipped whole. The survivors are gathered from the source in id order —
+// borrowed in place when they are the whole window of a DenseSource (every
+// full pass), copied into the front of the lane's slab otherwise — and
+// per-row prediction arithmetic does not depend on row position or
+// address, so their scores are bitwise what a full-shard pass gives. A
+// candidate's posterior σ never rises while observations are
 // appended under fixed hyperparameters, so a stale bound is a true upper
 // bound, and the threshold is a shared monotone lower bound on the final
 // k-th σ: seeded before the lanes start by re-scoring the previous Select's
@@ -61,17 +64,18 @@ import (
 // bound precisely.
 
 // CandidateSource yields candidate feature rows on demand, so a pool can
-// exist without ever materializing m×d storage. Fill must be safe for
-// concurrent use with distinct dst buffers: the parallel Select's lanes
-// call it directly (both built-in sources are read-only during Fill).
+// exist without ever materializing m×d storage. Rows must be safe for
+// concurrent use with distinct buffers: the parallel Select's lanes call it
+// directly (both built-in sources are read-only during Rows).
 type CandidateSource interface {
 	// Len is the total number of candidates.
 	Len() int
 	// Dim is the feature dimensionality.
 	Dim() int
-	// Fill writes rows [lo, hi), row-major, into the first (hi-lo)·Dim()
-	// values of dst.
-	Fill(lo, hi int, dst []float64)
+	// Rows returns rows [lo, hi), row-major, as (hi-lo)·Dim() values: the
+	// source's own storage, which the caller must not write, or the first
+	// (hi-lo)·Dim() values of buf, written by the call.
+	Rows(lo, hi int, buf []float64) []float64
 }
 
 // DenseSource adapts an already-materialized feature matrix (e.g. the
@@ -84,15 +88,14 @@ func (s DenseSource) Len() int { return s.X.Rows() }
 // Dim implements CandidateSource.
 func (s DenseSource) Dim() int { return s.X.Cols() }
 
-// Fill implements CandidateSource. Rows [lo, hi) of a row-major matrix are
-// one contiguous run, so the range is a single copy.
-func (s DenseSource) Fill(lo, hi int, dst []float64) {
+// Rows implements CandidateSource. Rows [lo, hi) of a row-major matrix are
+// one contiguous run, so it lends them in place and never touches buf.
+func (s DenseSource) Rows(lo, hi int, _ []float64) []float64 {
 	d := s.X.Cols()
-	if lo < 0 || hi > s.X.Rows() || (hi-lo)*d > len(dst) {
-		panic(fmt.Sprintf("engine: DenseSource.Fill rows [%d, %d) of %dx%d into %d values",
-			lo, hi, s.X.Rows(), d, len(dst)))
+	if lo < 0 || hi > s.X.Rows() || lo > hi {
+		panic(fmt.Sprintf("engine: DenseSource.Rows [%d, %d) of %dx%d", lo, hi, s.X.Rows(), d))
 	}
-	copy(dst, s.X.RawData()[lo*d:hi*d])
+	return s.X.RawData()[lo*d : hi*d : hi*d]
 }
 
 // GridSource is the lazy Cartesian grid: candidate i decodes mixed-radix
@@ -112,9 +115,11 @@ func (s GridSource) Len() int {
 // Dim implements CandidateSource.
 func (s GridSource) Dim() int { return len(s.Axes) }
 
-// Fill implements CandidateSource. The last axis varies fastest.
-func (s GridSource) Fill(lo, hi int, dst []float64) {
+// Rows implements CandidateSource: it decodes the rows into buf. The last
+// axis varies fastest.
+func (s GridSource) Rows(lo, hi int, buf []float64) []float64 {
 	d := len(s.Axes)
+	dst := buf[:(hi-lo)*d]
 	for i := lo; i < hi; i++ {
 		row := dst[(i-lo)*d : (i-lo+1)*d]
 		rem := i
@@ -124,6 +129,7 @@ func (s GridSource) Fill(lo, hi int, dst []float64) {
 			rem /= len(ax)
 		}
 	}
+	return dst
 }
 
 // StreamConfig tunes StreamState; the zero value gets defaults.
@@ -364,18 +370,26 @@ func countLive(bounds []float64) int64 {
 	return n
 }
 
-// gather writes the feature rows of ids into dst, row-major and in the
-// order given, with one Fill per maximal run of consecutive ids.
-func (st *StreamState) gather(ids []int, dst []float64) {
+// gather returns the feature rows of ids, row-major and in the order
+// given, with one Rows call per maximal run of consecutive ids. When the
+// ids are one run — a full pass over a shard — the result is what Rows
+// returned, for a DenseSource its own rows; otherwise each run is copied
+// into buf.
+func (st *StreamState) gather(ids []int, buf []float64) []float64 {
 	dim := st.src.Dim()
 	for i := 0; i < len(ids); {
 		j := i + 1
 		for j < len(ids) && ids[j] == ids[j-1]+1 {
 			j++
 		}
-		st.src.Fill(ids[i], ids[j-1]+1, dst[i*dim:])
+		if i == 0 && j == len(ids) {
+			return st.src.Rows(ids[0], ids[j-1]+1, buf)
+		}
+		dst := buf[i*dim : j*dim]
+		copy(dst, st.src.Rows(ids[i], ids[j-1]+1, dst))
 		i = j
 	}
+	return buf[:len(ids)*dim]
 }
 
 // scoreShard gathers the shard's surviving candidates — live, with a bound
@@ -405,11 +419,9 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *kthBound) {
 		w.pruned++
 		return
 	}
-	dim := st.src.Dim()
-	st.gather(w.ids, w.xs)
+	xs := mat.NewDense(rows, st.src.Dim(), st.gather(w.ids, w.xs))
 	obs.PoolShardsInflight.Add(1)
 	sp := obs.SpanShardScore.Start()
-	xs := mat.NewDense(rows, dim, w.xs[:rows*dim])
 	mu, sigma := w.mu[:rows], w.sigma[:rows]
 	st.cost.PredictInto(xs, mu, sigma)
 	k := st.cfg.TopK
@@ -568,10 +580,12 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	return c, ids
 }
 
-// fillRows generates the feature rows of the given source ids, in order.
+// fillRows copies the feature rows of the given source ids, in order, into
+// a matrix of its own: the shortlist outlives the Select that made it. (When
+// gather wrote into that matrix, the copy moves its rows onto themselves.)
 func (st *StreamState) fillRows(ids []int) *mat.Dense {
 	xs := mat.NewDense(len(ids), st.src.Dim(), nil)
-	st.gather(ids, xs.RawData())
+	copy(xs.RawData(), st.gather(ids, xs.RawData()))
 	return xs
 }
 

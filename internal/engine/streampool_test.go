@@ -140,7 +140,7 @@ func TestStreamPruningExactAcrossAppends(t *testing.T) {
 // TestGridSourceDecode: mixed-radix decoding against an explicitly
 // materialized Cartesian product, last axis fastest, in unaligned chunks
 // written at a zero and a nonzero offset into a larger slab whose other
-// values Fill leaves alone.
+// values Rows leaves alone, and returned as that slab's front.
 func TestGridSourceDecode(t *testing.T) {
 	src := GridSource{Axes: [][]float64{{1, 2}, {10, 20, 30}, {0.5}}}
 	if src.Len() != 6 || src.Dim() != 3 {
@@ -158,7 +158,10 @@ func TestGridSourceDecode(t *testing.T) {
 			for i := range slab {
 				slab[i] = -1
 			}
-			src.Fill(r[0], r[1], slab[off*3:])
+			rows := src.Rows(r[0], r[1], slab[off*3:])
+			if len(rows) != (r[1]-r[0])*3 || (len(rows) > 0 && &rows[0] != &slab[off*3]) {
+				t.Fatalf("rows [%d, %d) at offset %d: %d values, not the front of the buffer", r[0], r[1], off, len(rows))
+			}
 			for i, got := range slab {
 				w := -1.0
 				if v := i - off*3; v >= 0 && v < (r[1]-r[0])*3 {

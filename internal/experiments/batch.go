@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 
 	"alamr/internal/dataset"
@@ -77,7 +76,7 @@ func RunBatch(ds *dataset.Dataset, cfg BatchConfig) (map[string][]*engine.Trajec
 		for _, spec := range cfg.Specs {
 			part, ok := parts[spec.NInit]
 			if !ok {
-				rng := rand.New(rand.NewSource(stats.SplitSeed(cfg.Seed, pi*1000+spec.NInit)))
+				rng := stats.NewRand(stats.SplitSeed(cfg.Seed, pi*1000+spec.NInit))
 				var err error
 				part, err = dataset.Split(ds, spec.NInit, cfg.NTest, rng)
 				if err != nil {

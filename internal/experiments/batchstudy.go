@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"alamr/internal/cluster"
 	"alamr/internal/dataset"
@@ -46,7 +45,7 @@ func BatchSizeStudy(opts Options, qs []int, queueNodes int) ([]BatchSizeRow, err
 	var items []engine.SweepItem
 	for _, q := range qs {
 		for pi := 0; pi < opts.Partitions; pi++ {
-			rng := rand.New(rand.NewSource(stats.SplitSeed(opts.Seed+9, pi*100+q)))
+			rng := stats.NewRand(stats.SplitSeed(opts.Seed+9, pi*100+q))
 			part, err := dataset.Split(opts.Dataset, nInit, opts.NTest, rng)
 			if err != nil {
 				return nil, err

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
@@ -49,7 +48,7 @@ func WeightedErrorStudy(opts Options) ([]WeightedErrorRow, error) {
 	parts := make([]dataset.Partition, opts.Partitions)
 	seeds := make([]int64, opts.Partitions)
 	for pi := range parts {
-		rng := rand.New(rand.NewSource(stats.SplitSeed(opts.Seed+11, pi*10)))
+		rng := stats.NewRand(stats.SplitSeed(opts.Seed+11, pi*10))
 		part, err := dataset.Split(opts.Dataset, nInit, opts.NTest, rng)
 		if err != nil {
 			return nil, err

@@ -352,3 +352,25 @@ func TestLabConfigValidate(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultDrawsAllocateNothing: an attempt's fault draws and a retry's
+// backoff jitter come from pooled generators, so a fault-free attempt and
+// a backoff allocate nothing.
+func TestFaultDrawsAllocateNothing(t *testing.T) {
+	lab := MustFaultyLab(newAnalyticLab(), LabConfig{
+		Seed:       3,
+		PTransient: math.SmallestNonzeroFloat64,
+		PCorrupt:   math.SmallestNonzeroFloat64,
+	})
+	c := lab.Candidates()[7]
+	if _, err := lab.Run(c); err != nil { // the attempt counter's map entry
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { lab.Run(c) }); allocs != 0 {
+		t.Fatalf("FaultyLab.Run allocated %v times per attempt", allocs)
+	}
+	p := RetryPolicy{Seed: 5}
+	if allocs := testing.AllocsPerRun(200, func() { p.Backoff(c, 2) }); allocs != 0 {
+		t.Fatalf("Backoff allocated %v times per call", allocs)
+	}
+}

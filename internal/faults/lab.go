@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 
 	"alamr/internal/dataset"
+	"alamr/internal/stats"
 )
 
 // Lab is the experiment-execution seam the injector wraps. It is
@@ -147,7 +147,8 @@ func (l *FaultyLab) Run(c dataset.Combo) (dataset.Job, error) {
 	l.attempts[c]++
 	attempt := l.attempts[c]
 	l.mu.Unlock()
-	rng := rand.New(rand.NewSource(attemptSeed(l.cfg.Seed, c, attempt)))
+	rng := stats.SeededRand(attemptSeed(l.cfg.Seed, c, attempt))
+	defer stats.PutRand(rng)
 
 	job, err := l.inner.Run(c)
 	if err != nil {

@@ -2,10 +2,10 @@ package faults
 
 import (
 	"math"
-	"math/rand"
 
 	"alamr/internal/dataset"
 	"alamr/internal/obs"
+	"alamr/internal/stats"
 )
 
 // RetryPolicy bounds and paces repeated attempts on one configuration.
@@ -49,8 +49,10 @@ func (p RetryPolicy) Backoff(c dataset.Combo, attempt int) float64 {
 	}
 	// Deterministic jitter in [0.5, 1.5): decorrelates fleets of retrying
 	// jobs without sacrificing reproducibility.
-	jrng := rand.New(rand.NewSource(attemptSeed(p.Seed^0x6a09e667f3bcc908, c, attempt)))
-	return d * (0.5 + jrng.Float64())
+	jrng := stats.SeededRand(attemptSeed(p.Seed^0x6a09e667f3bcc908, c, attempt))
+	d *= 0.5 + jrng.Float64()
+	stats.PutRand(jrng)
+	return d
 }
 
 // Outcome is the bookkeeping of one job executed through the retry layer.

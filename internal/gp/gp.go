@@ -21,12 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"alamr/internal/kernel"
 	"alamr/internal/mat"
 	"alamr/internal/obs"
 	"alamr/internal/optimize"
+	"alamr/internal/stats"
 )
 
 // Config controls fitting.
@@ -242,13 +242,14 @@ func (g *GP) optimizeHyperparams() {
 		lower[i] = g.cfg.LowerBound
 		upper[i] = g.cfg.UpperBound
 	}
-	rng := rand.New(rand.NewSource(g.cfg.Seed))
+	rng := stats.SeededRand(g.cfg.Seed)
 	res := optimize.MultiStart(g.nlmlObjective(), [][]float64{warm}, optimize.MultiStartConfig{
 		Restarts: g.cfg.Restarts,
 		Lower:    lower,
 		Upper:    upper,
 		LBFGS:    optimize.LBFGSConfig{MaxIter: g.cfg.MaxIter, GradTol: 1e-5},
 	}, rng)
+	stats.PutRand(rng)
 	if res.X != nil && mat.AllFinite(res.X) && !math.IsInf(res.F, 0) {
 		g.kern.SetParams(res.X[:nk])
 		if !g.cfg.FixedNoise {

@@ -79,15 +79,3 @@ func (g *GP) Refit() error {
 	}
 	return g.precompute()
 }
-
-// TrainingData returns copies of the design matrix and (uncentred) targets.
-func (g *GP) TrainingData() (*mat.Dense, []float64) {
-	if g.x == nil {
-		return nil, nil
-	}
-	y := make([]float64, len(g.y))
-	for i, v := range g.y {
-		y[i] = v + g.yMean
-	}
-	return g.x.Clone(), y
-}

@@ -130,6 +130,18 @@ func TestRefitAfterAppendImprovesHyperparams(t *testing.T) {
 	}
 }
 
+// TrainingData returns copies of the design matrix and (uncentred) targets.
+func (g *GP) TrainingData() (*mat.Dense, []float64) {
+	if g.x == nil {
+		return nil, nil
+	}
+	y := make([]float64, len(g.y))
+	for i, v := range g.y {
+		y[i] = v + g.yMean
+	}
+	return g.x.Clone(), y
+}
+
 func TestTrainingData(t *testing.T) {
 	g := New(kernel.NewRBF(1, 1), Config{NormalizeY: true, NoOptimize: true})
 	if x, y := g.TrainingData(); x != nil || y != nil {

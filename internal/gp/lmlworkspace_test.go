@@ -28,7 +28,7 @@ func oracleLML(k kernel.Kernel, logNoise float64, x *mat.Dense, y []float64, wit
 	}
 	alpha := ch.SolveVec(y)
 	lml := -0.5*mat.Dot(y, alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
-	kinv := ch.Inverse()
+	kinv := ch.InverseTo(mat.NewDense(n, n, nil), mat.NewDense(n, n, nil))
 	np := k.NumParams()
 	dim := np
 	if withNoise {

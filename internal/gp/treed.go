@@ -22,7 +22,8 @@ type Model interface {
 	// PredictInto is Predict writing into caller-owned buffers of
 	// xs.Rows() entries, on the calling goroutine, with bitwise-equal
 	// output: the streamed pool's lanes are the parallelism, so each calls
-	// it once per shard. It reads model state only, so any number of calls
+	// it once per shard. It reads model state only, and never writes xs
+	// (the pool may lend rows of a shared matrix), so any number of calls
 	// may run at once on a fitted model (Fit, Append and Refit must not
 	// overlap them).
 	PredictInto(xs *mat.Dense, mean, std []float64)

@@ -414,19 +414,15 @@ func (c *Cholesky) Solve(b *Dense) *Dense {
 	return x
 }
 
-// Inverse returns A⁻¹ from the factorization as L⁻ᵀL⁻¹: first U = L⁻ᵀ is
-// built one row at a time (row j of U is the forward solve of e_j, a
-// contiguous write), then A⁻¹_ij = U_i·U_j over the shared tail. Both
-// passes are row-parallel with contiguous access, roughly 6x less work
-// than solving for each unit vector through both triangles.
-func (c *Cholesky) Inverse() *Dense {
-	return c.InverseTo(NewDense(c.n, c.n, nil), NewDense(c.n, c.n, nil))
-}
-
-// InverseTo is Inverse writing into caller-owned n×n matrices: u holds
-// U = L⁻ᵀ as scratch and dst receives A⁻¹, which it returns. Every element
-// Inverse reads is written first, so the buffers may hold anything on
-// entry; a hyperparameter search reuses one pair across its evaluations.
+// InverseTo returns A⁻¹ from the factorization as L⁻ᵀL⁻¹, in caller-owned
+// n×n matrices: u holds U = L⁻ᵀ as scratch and dst receives A⁻¹, which it
+// returns. First U is built one row at a time (row j of U is the forward
+// solve of e_j, a contiguous write), then A⁻¹_ij = U_i·U_j over the shared
+// tail. Both passes are row-parallel with contiguous access, roughly 6x
+// less work than solving for each unit vector through both triangles.
+// Every element the second pass reads is written first, so the buffers may
+// hold anything on entry; a hyperparameter search reuses one pair across
+// its evaluations.
 func (c *Cholesky) InverseTo(u, dst *Dense) *Dense {
 	n := c.n
 	if u.rows != n || u.cols != n || dst.rows != n || dst.cols != n {

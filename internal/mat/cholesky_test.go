@@ -102,6 +102,11 @@ func TestCholeskySolveMatrix(t *testing.T) {
 	}
 }
 
+// Inverse is InverseTo into fresh matrices.
+func (c *Cholesky) Inverse() *Dense {
+	return c.InverseTo(NewDense(c.n, c.n, nil), NewDense(c.n, c.n, nil))
+}
+
 func TestCholeskyInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomSPD(rng, 4)

@@ -10,7 +10,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -247,17 +246,6 @@ func (m *Dense) Trace() float64 {
 		t += m.data[i*m.cols+i]
 	}
 	return t
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Symmetrize replaces m with (m+mᵀ)/2, removing numerical asymmetry.

@@ -98,21 +98,6 @@ func AddVec(a, b []float64) []float64 {
 	return out
 }
 
-// Outer returns the outer product a bᵀ.
-func Outer(a, b []float64) *Dense {
-	m := NewDense(len(a), len(b), nil)
-	for i, av := range a {
-		if av == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, bv := range b {
-			row[j] = av * bv
-		}
-	}
-	return m
-}
-
 // MaxVec returns the maximum element of x and its index. It panics on an
 // empty slice.
 func MaxVec(x []float64) (float64, int) {

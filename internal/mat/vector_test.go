@@ -84,17 +84,6 @@ func TestScaleCopySubAdd(t *testing.T) {
 	}
 }
 
-func TestOuter(t *testing.T) {
-	m := Outer([]float64{1, 2}, []float64{3, 4, 5})
-	r, c := m.Dims()
-	if r != 2 || c != 3 {
-		t.Fatalf("Outer dims %dx%d", r, c)
-	}
-	if m.At(1, 2) != 10 {
-		t.Fatalf("Outer(1,2) = %g want 10", m.At(1, 2))
-	}
-}
-
 func TestMinMaxVec(t *testing.T) {
 	v := []float64{3, -1, 7, 2}
 	if mx, i := MaxVec(v); mx != 7 || i != 2 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -150,8 +149,9 @@ func (w *worker) serve(m message) error {
 		// run — the same rule (and the same censoring: MaxRSS >= limit) as
 		// faults.FaultyLab, derived from the job's own seed so a
 		// re-executed job reports the identical kill on any worker.
-		rng := rand.New(rand.NewSource(stats.SplitSeed(m.Seed, 1)))
+		rng := stats.SeededRand(stats.SplitSeed(m.Seed, 1))
 		frac := 0.25 + 0.75*rng.Float64()
+		stats.PutRand(rng)
 		final.MemMB = m.RSSLimitMB
 		final.WallSec *= frac
 		final.CostNH *= frac

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"alamr/internal/engine"
-	"alamr/internal/online"
 )
 
 // FidelityTable renders the per-rung breakdown of a multi-fidelity campaign:
@@ -54,9 +53,4 @@ func FidelityTable(ladder []int, levels []int, costs []float64, violations []boo
 // FidelityTrajectoryTable is FidelityTable over a replay trajectory.
 func FidelityTrajectoryTable(ladder []int, tr *engine.Trajectory) (*Table, error) {
 	return FidelityTable(ladder, tr.SelectedLevel, tr.SelectedCost, tr.Violation)
-}
-
-// FidelityResultTable is FidelityTable over an online campaign result.
-func FidelityResultTable(ladder []int, res *online.Result) (*Table, error) {
-	return FidelityTable(ladder, res.SelectedLevel, res.ActualCost, res.Violation)
 }

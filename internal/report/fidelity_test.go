@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"alamr/internal/engine"
-	"alamr/internal/online"
 )
 
 func TestFidelityTable(t *testing.T) {
@@ -59,14 +58,6 @@ func TestFidelityTableWrappers(t *testing.T) {
 		Violation:     []bool{false, true},
 	}
 	if _, err := FidelityTrajectoryTable(ladder, tr); err != nil {
-		t.Fatal(err)
-	}
-	res := &online.Result{
-		SelectedLevel: []int{1, 0},
-		ActualCost:    []float64{8, 1},
-		Violation:     []bool{false, false},
-	}
-	if _, err := FidelityResultTable(ladder, res); err != nil {
 		t.Fatal(err)
 	}
 }

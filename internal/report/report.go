@@ -227,9 +227,3 @@ func WriteCSVSeries(w io.Writer, names []string, series [][]float64) error {
 	}
 	return nil
 }
-
-// BandSeries flattens a stats.Band into named series for charts/CSV.
-func BandSeries(prefix string, b stats.Band) ([]string, [][]float64) {
-	return []string{prefix + "-q25", prefix + "-median", prefix + "-q75"},
-		[][]float64{b.Lo, b.Mid, b.Hi}
-}

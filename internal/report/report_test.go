@@ -107,14 +107,3 @@ func TestWriteCSVSeries(t *testing.T) {
 		t.Fatal("mismatch accepted")
 	}
 }
-
-func TestBandSeries(t *testing.T) {
-	b := stats.Band{Lo: []float64{1}, Mid: []float64{2}, Hi: []float64{3}}
-	names, series := BandSeries("cr", b)
-	if len(names) != 3 || names[1] != "cr-median" {
-		t.Fatalf("names = %v", names)
-	}
-	if series[2][0] != 3 {
-		t.Fatalf("series = %v", series)
-	}
-}

