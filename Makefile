@@ -47,8 +47,11 @@ test-v3:
 # decoder on arbitrary bytes: no panic, and every rejection wraps exactly
 # one ErrCheckpoint* sentinel. Its seeds are kilobytes long, so new inputs
 # are minimized for at most a second each, leaving the rest of the 5 s to
-# fuzzing. The last target compares stats.Source's stream, re-seeded at an
-# arbitrary draw, with math/rand's for an arbitrary seed and length.
+# fuzzing. The next target compares stats.Source's stream, re-seeded at an
+# arbitrary draw, with math/rand's for an arbitrary seed and length. The
+# last feeds arbitrary bytes to the campaign-spec decoder behind al-serve's
+# submit: no panic, and an accepted spec's canonical form re-parses to the
+# same spec and the same bytes.
 # A crasher is saved under the package's testdata/fuzz and
 # replays as a regression test.
 fuzz-smoke:
@@ -60,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLMLWorkspace$$' -fuzztime 5s ./internal/gp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/online
 	$(GO) test -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 5s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCampaignSpec$$' -fuzztime 5s ./internal/engine
 
 # Race runs use -short: the equivalence tests scale their sizes down so the
 # instrumented binary stays within CI time budgets. faults and online carry

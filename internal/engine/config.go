@@ -49,11 +49,6 @@ type LoopConfig struct {
 	// selections record their ladder level. Nil preserves the
 	// single-fidelity code paths exactly.
 	Fidelity *FidelitySpec
-	// Pool optionally replaces the materialized candidate pool with the
-	// streamed/sharded top-k pool: candidates are scored shard by shard
-	// into a bounded shortlist, so peak pool memory is O(shard + k)
-	// instead of O(m). The streamed pool serves maxsigma only.
-	Pool *PoolSpec
 	// Campaign optionally attaches per-campaign labeled instruments so
 	// concurrent sweeps keep separable metric series; nil records into the
 	// shared campaign gauges only.

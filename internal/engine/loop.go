@@ -149,7 +149,7 @@ func RunLoop(env LoopEnv, p LoopParams) (StopReason, error) {
 
 		for _, pick := range picks {
 			// Picks index the scored set, which a streamed pool keeps to
-			// its shortlist.
+			// its winner.
 			if pick < 0 || pick >= cands.Len() {
 				return StopFault, fmt.Errorf("engine: policy %s returned out-of-range index %d of %d candidates", p.Policy.Name(), pick, cands.Len())
 			}

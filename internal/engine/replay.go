@@ -300,19 +300,16 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 	}
 	memLimitRaw, memLimitLog := memLimits(cfg.MemLimitMB)
 
-	// The scorer owns the pool features for the whole run: candidates are
-	// re-scored each round through the incremental posterior caches (or
-	// the streamed sharded top-k pool, see LoopConfig.Pool), and each
-	// candidate's stable id is its row in part.Active.
+	// The scorer owns the pool features for the whole run, and each
+	// candidate's stable id is its row in part.Active. A sequential maxsigma
+	// campaign over more than one shard streams the pool to its σ_cost
+	// argmax (streampool.go); every other campaign is re-scored each round
+	// through the incremental posterior caches. The check is on the type,
+	// not the name: only the built-in MaxSigma is known to pick the σ
+	// argmax, so any other policy, a wrapper included, is scored in full.
 	var sc scorer
-	if cfg.Pool != nil {
-		if batch {
-			return nil, errors.New("engine: streamed pool and batch selection are mutually exclusive")
-		}
-		if err := checkStreamedPolicy(cfg.Policy.Name()); err != nil {
-			return nil, err
-		}
-		sc = newStreamScorer(gpCost, gpMem, xActive, cfg.Pool)
+	if _, ok := cfg.Policy.(MaxSigma); ok && !batch && len(part.Active) > streamShard {
+		sc = newStreamScorer(gpCost, gpMem, xActive)
 	} else {
 		sc = NewPoolScorer(gpCost, gpMem, xActive)
 	}

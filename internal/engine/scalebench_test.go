@@ -162,19 +162,19 @@ func BenchmarkScaleScoring(b *testing.B) {
 							// Absorbing picks mutates the models: each case
 							// fits its own copies.
 							cost, mem := fitScaleModels(b, model, n)
-							st := NewStreamState(src, cost, mem, StreamConfig{ShardSize: 4096, TopK: 64})
-							_, ids := st.Select() // steady state: bounds primed before timing
+							st := newStreamState(src, cost, mem, streamShard)
+							_, pick := st.Select() // steady state: bounds primed before timing
 							row := make([]float64, scaleDim)
 							b.ReportAllocs()
 							b.ResetTimer()
 							for i := 0; i < b.N; i++ {
 								b.StopTimer()
-								absorbPick(b, st, src, cost, mem, ids[0], row)
+								absorbPick(b, st, src, cost, mem, pick, row)
 								if mode.full {
 									st.invalidateBounds()
 								}
 								b.StartTimer()
-								_, ids = st.Select()
+								_, pick = st.Select()
 							}
 						})
 					}
@@ -199,8 +199,8 @@ func absorbPick(tb testing.TB, st *StreamState, src CandidateSource, cost, mem g
 }
 
 // TestScaleSmoke is the CI-sized twin (n=500, m=10^4): for every surrogate
-// family the streamed shortlist winner must be the materialized argmax, on
-// the full first pass and on the pruned passes after it.
+// family the streamed winner must be the materialized argmax, on the full
+// first pass and on the pruned passes after it.
 func TestScaleSmoke(t *testing.T) {
 	const n, m = 500, 10000
 	src := scaleGrid(m)
@@ -208,15 +208,15 @@ func TestScaleSmoke(t *testing.T) {
 	for _, model := range []string{ModelExact, ModelSparse, ModelTreed} {
 		cost, mem := fitScaleModels(t, model, n)
 		wantID, wantSigma := materializedPass(cost, mem, poolX)
-		st := NewStreamState(src, cost, mem, StreamConfig{ShardSize: 1024, TopK: 16})
+		st := newStreamState(src, cost, mem, 1024)
 		for round := 0; round < 3; round++ { // re-select: exercises prune bounds
-			c, ids := st.Select()
-			if len(ids) != 16 {
-				t.Fatalf("%s: shortlist size %d, want 16", model, len(ids))
+			c, id := st.Select()
+			if c.Len() != 1 {
+				t.Fatalf("%s: %d candidates, want the winner alone", model, c.Len())
 			}
-			if ids[0] != wantID || c.SigmaCost[0] != wantSigma {
-				t.Fatalf("%s round %d: shortlist winner %d (σ %g), materialized argmax %d (σ %g)",
-					model, round, ids[0], c.SigmaCost[0], wantID, wantSigma)
+			if id != wantID || c.SigmaCost[0] != wantSigma {
+				t.Fatalf("%s round %d: streamed winner %d (σ %g), materialized argmax %d (σ %g)",
+					model, round, id, c.SigmaCost[0], wantID, wantSigma)
 			}
 			if scored := laneTotals(st).candScored; (round == 0) != (scored == m) {
 				t.Fatalf("%s round %d: scored %d of %d candidates, want all on the first pass only",

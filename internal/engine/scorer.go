@@ -13,9 +13,9 @@ import (
 // built over — so the environment indexes its own candidate table by id
 // and never mirrors the pool order. The materialized PoolScorer hands the
 // policy the whole remaining pool; the streamScorer (streampool.go) hands
-// it a top-k shortlist.
+// it the pool's σ_cost argmax alone.
 type scorer interface {
-	// Candidates scores the remaining pool (or its shortlist).
+	// Candidates scores the remaining pool (or returns its streamed winner).
 	Candidates(memLimitLog float64) *Candidates
 	// ID maps pick p (a candidates-index) to its stable id.
 	ID(p int) int

@@ -86,19 +86,6 @@ type ReplaySpec struct {
 	PartitionSeed int64             `json:"partition_seed,omitempty"`
 	Stable        *StableStopConfig `json:"stable,omitempty"`
 	Batch         *BatchSelectSpec  `json:"batch,omitempty"`
-	// Pool switches candidate scoring to the streamed/sharded top-k pool
-	// (peak pool memory O(shard + top_k) instead of O(pool)). The streamed
-	// pool serves maxsigma only and excludes a batch section.
-	Pool *PoolSpec `json:"pool,omitempty"`
-}
-
-// PoolSpec configures the streamed candidate pool.
-type PoolSpec struct {
-	// Shard is the number of candidates scored per slab (default 4096);
-	// peak pool memory is proportional to it, plus 8 bytes per candidate.
-	Shard int `json:"shard,omitempty"`
-	// TopK is the shortlist size handed to the policy (default 64).
-	TopK int `json:"top_k,omitempty"`
 }
 
 // BatchSelectSpec enables q-batch selection in replay mode.
@@ -168,17 +155,6 @@ func (s *CampaignSpec) Validate() error {
 				}
 			}
 		}
-		if p := s.Replay.Pool; p != nil {
-			if s.Replay.Batch != nil {
-				return fmt.Errorf("engine: streamed pool and batch selection are mutually exclusive")
-			}
-			if p.Shard < 0 || p.TopK < 0 {
-				return fmt.Errorf("engine: pool spec fields must be >= 0")
-			}
-			if err := checkStreamedPolicy(s.Policy.Name); err != nil {
-				return err
-			}
-		}
 	case ModeOnline:
 		if s.Online == nil {
 			return fmt.Errorf("engine: online spec needs an %q section", "online")
@@ -244,6 +220,14 @@ func ParseCampaignSpec(data []byte) (CampaignSpec, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return CampaignSpec{}, fmt.Errorf("engine: decoding campaign spec: %w", err)
+	}
+	// An empty list means what an omitted one does. Decode it as omitted,
+	// so a spec and its canonical form (which omits it) parse alike.
+	if s.Kernel != nil && len(s.Kernel.LengthScales) == 0 {
+		s.Kernel.LengthScales = nil
+	}
+	if s.Online != nil && len(s.Online.InitDesign) == 0 {
+		s.Online.InitDesign = nil
 	}
 	if err := s.Validate(); err != nil {
 		return CampaignSpec{}, err
@@ -326,7 +310,6 @@ func (s *CampaignSpec) ReplayPlan(ds *dataset.Dataset) (dataset.Partition, LoopC
 		HyperoptEvery: s.HyperoptEvery,
 		Log2P:         s.Log2P,
 		Model:         s.Model,
-		Pool:          r.Pool,
 		Fidelity:      s.Fidelity,
 	}
 	if s.Kernel != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -17,22 +16,21 @@ import (
 // rebalance×leaf_size it re-splits, and its children — fit on fewer rows —
 // can raise σ anywhere the old leaf covered. The re-split moves the model's
 // posterior generation, so the streamed pool must drop its stale bounds;
-// kept, they prune candidates that now belong in the maxsigma shortlist
-// (the first Select after the re-split diverges from the full scan).
+// kept, they prune the candidate that is now the maxsigma winner (the first
+// Select after the re-split diverges from the full scan).
 func TestStreamTreedResplitResetsBounds(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		// Leaf 24, rebalance 2: the single 20-row leaf re-splits on the
 		// append that takes it past 48 rows.
 		cost, mem, pool := streamFamilyFixture(t, "treed", seed, 20, 160)
-		st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 16, TopK: 4})
+		st := newStreamState(DenseSource{X: pool}, cost, mem, 16)
 		removed := map[int]bool{}
 		rng := rand.New(rand.NewSource(seed))
 		leaves, resplits := cost.(*gp.Treed).NumLeaves(), 0
 		for round := 0; round < 34; round++ {
-			c, ids := st.Select()
-			checkShortlist(t, fmt.Sprintf("seed %d round %d (after %d re-splits)", seed, round, resplits),
-				c, ids, bruteTopK(cost, mem, pool, removed, 4))
-			pick := ids[0]
+			c, pick := st.Select()
+			checkWinner(t, fmt.Sprintf("seed %d round %d (after %d re-splits)", seed, round, resplits),
+				c, pick, bruteTopK(cost, mem, pool, removed, 1))
 			st.Remove(pick)
 			removed[pick] = true
 			y := rng.NormFloat64()
@@ -55,14 +53,14 @@ func TestStreamTreedResplitResetsBounds(t *testing.T) {
 
 // TestStreamPerCandidateBoundsExact pins the per-candidate prune bounds
 // against the full scan for every surrogate family at workers {1, 2,
-// GOMAXPROCS}: a schedule of appends, removals (the pick plus one
-// candidate the shortlist never showed), a hyperparameter refit, and — for
-// treed — leaf re-splits must leave every round's shortlist equal to
-// bruteTopK in ids, order, and all four scores, bitwise. The test also
-// requires that pruning actually fired, so a bound that never prunes
-// cannot pass. The one-shard case isolates the seed bound: a lane reads
-// the threshold before it scores a shard, so with the whole pool in one
-// shard every prune there comes from the re-scored previous top k+1.
+// GOMAXPROCS}: a schedule of appends, removals (the pick plus one random
+// non-winner), a hyperparameter refit, and — for treed — leaf re-splits
+// must leave every round's winner equal to the full scan's in id and all
+// four scores, bitwise. The test also requires that pruning actually fired,
+// so a bound that never prunes cannot pass. The one-shard case isolates
+// the seed bound: a lane reads the threshold before it scores a shard, so
+// with the whole pool in one shard every prune there comes from the
+// re-scored previous best two.
 func TestStreamPerCandidateBoundsExact(t *testing.T) {
 	const poolSize = 300
 	type layout struct{ workers, shard int }
@@ -83,20 +81,20 @@ func TestStreamPerCandidateBoundsExact(t *testing.T) {
 					tr.SetRebalance(1)
 					mem.(*gp.Treed).SetRebalance(1)
 				}
-				st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: l.shard, TopK: 6})
+				st := newStreamState(DenseSource{X: pool}, cost, mem, l.shard)
 				removed := map[int]bool{}
 				rng := rand.New(rand.NewSource(92))
 				gen := cost.Generation()
 				var resets, candPruned int64
 				for round := 0; round < 14; round++ {
-					c, ids := st.Select()
-					checkShortlist(t, fmt.Sprintf("round %d", round), c, ids,
-						bruteTopK(cost, mem, pool, removed, 6))
+					c, pick := st.Select()
+					checkWinner(t, fmt.Sprintf("round %d", round), c, pick,
+						bruteTopK(cost, mem, pool, removed, 1))
 					candPruned += laneTotals(st).candPruned
-					drop := []int{ids[0]}
+					drop := []int{pick}
 					for {
 						id := rng.Intn(pool.Rows())
-						if !removed[id] && !slices.Contains(ids, id) {
+						if !removed[id] && id != pick {
 							drop = append(drop, id)
 							break
 						}
@@ -106,10 +104,10 @@ func TestStreamPerCandidateBoundsExact(t *testing.T) {
 						removed[id] = true
 					}
 					y := rng.NormFloat64()
-					if err := cost.Append(pool.Row(ids[0]), y); err != nil {
+					if err := cost.Append(pool.Row(pick), y); err != nil {
 						t.Fatal(err)
 					}
-					if err := mem.Append(pool.Row(ids[0]), 0.5*y); err != nil {
+					if err := mem.Append(pool.Row(pick), 0.5*y); err != nil {
 						t.Fatal(err)
 					}
 					if round == 6 {
@@ -146,14 +144,14 @@ func TestStreamPerCandidateBoundsExact(t *testing.T) {
 // instead of trusting bounds recorded under the old posterior.
 func TestStreamRefitResetsBounds(t *testing.T) {
 	cost, mem, pool := streamFixture(t, 93, 40, 300)
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 32, TopK: 6})
+	st := newStreamState(DenseSource{X: pool}, cost, mem, 32)
 	removed := map[int]bool{}
 	for round := 0; round < 4; round++ {
-		c, ids := st.Select()
-		checkShortlist(t, fmt.Sprintf("round %d", round), c, ids, bruteTopK(cost, mem, pool, removed, 6))
-		st.Remove(ids[0])
-		removed[ids[0]] = true
-		if err := cost.Append(pool.Row(ids[0]), 0.1*float64(round)); err != nil {
+		c, pick := st.Select()
+		checkWinner(t, fmt.Sprintf("round %d", round), c, pick, bruteTopK(cost, mem, pool, removed, 1))
+		st.Remove(pick)
+		removed[pick] = true
+		if err := cost.Append(pool.Row(pick), 0.1*float64(round)); err != nil {
 			t.Fatal(err)
 		}
 		if round == 2 {
@@ -169,7 +167,7 @@ func TestStreamRefitResetsBounds(t *testing.T) {
 }
 
 // countingModel wraps a surrogate and counts the rows it is asked to
-// predict. Predict is the shortlist's entry point; PredictInto is the one
+// predict. Predict is the winner's entry point; PredictInto is the one
 // every lane calls, so each call through it is recorded as a lane call.
 type countingModel struct {
 	gp.Model
@@ -196,11 +194,11 @@ func (m *countingModel) PredictInto(xs *mat.Dense, mean, std []float64) {
 
 // TestStreamMemoryShortlistOnly: the pass ranks through the cost surrogate
 // alone, so across appends, removals and a refit each Select asks the
-// memory surrogate for at most TopK rows, in one call, never from inside a
-// lane — for every surrogate family at workers {1, 2, GOMAXPROCS} — while
-// the shortlist's memory scores stay bitwise those of a full-pool Predict.
+// memory surrogate for the winner's row alone, in one call, never from
+// inside a lane — for every surrogate family at workers {1, 2, GOMAXPROCS}
+// — while the winner's memory scores stay bitwise those of a full-pool
+// Predict. Each round also removes a fixed non-winner.
 func TestStreamMemoryShortlistOnly(t *testing.T) {
-	const topK = 6
 	workers := []int{1, 2}
 	if p := runtime.GOMAXPROCS(0); p > 2 {
 		workers = append(workers, p)
@@ -213,30 +211,30 @@ func TestStreamMemoryShortlistOnly(t *testing.T) {
 				cfg := gp.Config{Noise: 0.1, FixedNoise: true, Restarts: -1}
 				cost, mem, pool := streamFamilyFixtureCfg(t, family, cfg, 94, 40, 300)
 				probe := &countingModel{Model: mem}
-				st := NewStreamState(DenseSource{X: pool}, cost, probe, StreamConfig{ShardSize: 32, TopK: topK})
+				st := newStreamState(DenseSource{X: pool}, cost, probe, 32)
 				removed := map[int]bool{}
 				rng := rand.New(rand.NewSource(95))
 				for round := 0; round < 8; round++ {
 					probe.reset()
-					c, ids := st.Select()
+					c, pick := st.Select()
 					if n := probe.laneCalls.Load(); n != 0 {
 						t.Fatalf("round %d: a lane predicted the memory surrogate %d times", round, n)
 					}
-					if calls, rows := probe.calls.Load(), probe.rows.Load(); calls != 1 || rows > topK {
-						t.Fatalf("round %d: memory surrogate asked for %d rows in %d calls, want <= %d rows in 1",
-							round, rows, calls, topK)
+					if calls, rows := probe.calls.Load(), probe.rows.Load(); calls != 1 || rows != 1 {
+						t.Fatalf("round %d: memory surrogate asked for %d rows in %d calls, want 1 row in 1",
+							round, rows, calls)
 					}
-					checkShortlist(t, fmt.Sprintf("round %d", round), c, ids,
-						bruteTopK(cost, mem, pool, removed, topK))
-					for _, id := range []int{ids[0], ids[len(ids)-1]} {
+					checkWinner(t, fmt.Sprintf("round %d", round), c, pick,
+						bruteTopK(cost, mem, pool, removed, 1))
+					for _, id := range []int{pick, nextLive(removed, pool.Rows(), 37*round, pick)} {
 						st.Remove(id)
 						removed[id] = true
 					}
 					y := rng.NormFloat64()
-					if err := cost.Append(pool.Row(ids[0]), y); err != nil {
+					if err := cost.Append(pool.Row(pick), y); err != nil {
 						t.Fatal(err)
 					}
-					if err := mem.Append(pool.Row(ids[0]), 0.5*y); err != nil {
+					if err := mem.Append(pool.Row(pick), 0.5*y); err != nil {
 						t.Fatal(err)
 					}
 					if round == 3 {
@@ -256,23 +254,23 @@ func TestStreamMemoryShortlistOnly(t *testing.T) {
 // TestStreamMemoryRefitKeepsBounds: the prune bounds are cost σ, so a
 // refit of the memory surrogate alone — which moves only the memory
 // generation — must leave them in force: the next Select still prunes, and
-// its shortlist, memory scores included, equals the full scan bitwise.
+// its winner, memory scores included, equals the full scan bitwise.
 func TestStreamMemoryRefitKeepsBounds(t *testing.T) {
 	for _, family := range []string{"exact", "sparse", "treed"} {
 		t.Run(family, func(t *testing.T) {
 			cfg := gp.Config{Noise: 0.1, FixedNoise: true, Restarts: -1}
 			cost, mem, pool := streamFamilyFixtureCfg(t, family, cfg, 96, 40, 300)
-			st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 32, TopK: 6})
+			st := newStreamState(DenseSource{X: pool}, cost, mem, 32)
 			removed := map[int]bool{}
 			for round := 0; round < 3; round++ {
-				c, ids := st.Select()
-				checkShortlist(t, fmt.Sprintf("round %d", round), c, ids, bruteTopK(cost, mem, pool, removed, 6))
-				st.Remove(ids[0])
-				removed[ids[0]] = true
-				if err := cost.Append(pool.Row(ids[0]), 0.2*float64(round)); err != nil {
+				c, pick := st.Select()
+				checkWinner(t, fmt.Sprintf("round %d", round), c, pick, bruteTopK(cost, mem, pool, removed, 1))
+				st.Remove(pick)
+				removed[pick] = true
+				if err := cost.Append(pool.Row(pick), 0.2*float64(round)); err != nil {
 					t.Fatal(err)
 				}
-				if err := mem.Append(pool.Row(ids[0]), 0.1*float64(round)); err != nil {
+				if err := mem.Append(pool.Row(pick), 0.1*float64(round)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -284,8 +282,8 @@ func TestStreamMemoryRefitKeepsBounds(t *testing.T) {
 				t.Fatalf("memory refit moved generations cost %d→%d, mem %d→%d; want only mem's",
 					costGen, cost.Generation(), memGen, mem.Generation())
 			}
-			c, ids := st.Select()
-			checkShortlist(t, "after memory refit", c, ids, bruteTopK(cost, mem, pool, removed, 6))
+			c, pick := st.Select()
+			checkWinner(t, "after memory refit", c, pick, bruteTopK(cost, mem, pool, removed, 1))
 			if scored := laneTotals(st).candScored; scored >= int64(st.Live()) {
 				t.Fatalf("Select after a memory-only refit scored %d of %d live candidates, want pruning", scored, st.Live())
 			}

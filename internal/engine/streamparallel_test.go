@@ -79,36 +79,22 @@ func streamFamilyFixtureCfg(t testing.TB, family string, cfg gp.Config, seed int
 	return cost, mem, pool
 }
 
-// shortlistRecord snapshots one Select result: ids in order plus all four
-// score fields, the exact surface the acceptance criterion pins.
-func shortlistRecord(c *Candidates, ids []int) []scoredRow {
-	rec := make([]scoredRow, len(ids))
-	for i := range ids {
-		rec[i] = scoredRow{
-			streamEntry: streamEntry{id: ids[i], mu: c.MuCost[i], sigma: c.SigmaCost[i]},
-			muM:         c.MuMem[i], sigM: c.SigmaMem[i],
-		}
-	}
-	return rec
-}
-
 // runStreamScript executes a deterministic multi-round Select / Remove /
 // Append schedule at a given worker count, rebuilding the models from
 // scratch so every run starts from an identical posterior, and returns the
-// per-round shortlist records. Round 2 refits both models; the cost
-// model's moved posterior generation resets the prune bounds.
+// per-round winner records. Round 2 refits both models; the cost model's
+// moved posterior generation resets the prune bounds.
 func runStreamScript(t *testing.T, family string, workers int) [][]scoredRow {
 	t.Helper()
 	prev := mat.SetWorkers(workers)
 	defer mat.SetWorkers(prev)
 	cost, mem, pool := streamFamilyFixture(t, family, 77, 40, 500)
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 64, TopK: 8})
+	st := newStreamState(DenseSource{X: pool}, cost, mem, 64)
 	rng := rand.New(rand.NewSource(99))
 	var script [][]scoredRow
 	for round := 0; round < 5; round++ {
-		c, ids := st.Select()
-		script = append(script, shortlistRecord(c, ids))
-		pick := ids[0]
+		c, pick := st.Select()
+		script = append(script, winnerRecord(c, pick))
 		st.Remove(pick)
 		y := rng.NormFloat64()
 		if err := cost.Append(pool.Row(pick), y); err != nil {
@@ -130,8 +116,8 @@ func runStreamScript(t *testing.T, family string, workers int) [][]scoredRow {
 }
 
 // TestStreamSelectWorkerCountInvariant is the tentpole acceptance pin: for
-// every surrogate family the shortlist — ids, order, and all four score
-// fields, bitwise — is identical at every worker count, across pruned
+// every surrogate family the winner — id and all four score fields,
+// bitwise — is identical at every worker count, across pruned
 // passes and the full pass after a refit. Runs under -race via the race
 // make target, which also makes it the data-race pin for the parallel
 // lanes.
@@ -141,7 +127,7 @@ func TestStreamSelectWorkerCountInvariant(t *testing.T) {
 		want := runStreamScript(t, family, counts[0])
 		for _, w := range counts[1:] {
 			if got := runStreamScript(t, family, w); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: shortlists at %d workers diverge from %d workers", family, w, counts[0])
+				t.Fatalf("%s: winners at %d workers diverge from %d workers", family, w, counts[0])
 			}
 		}
 	}
@@ -156,21 +142,19 @@ func runResumeScript(t *testing.T, workers, rebuildAt int) [][]scoredRow {
 	prev := mat.SetWorkers(workers)
 	defer mat.SetWorkers(prev)
 	cost, mem, pool := streamFamilyFixture(t, "exact", 78, 40, 400)
-	cfg := StreamConfig{ShardSize: 64, TopK: 8}
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, cfg)
+	st := newStreamState(DenseSource{X: pool}, cost, mem, 64)
 	rng := rand.New(rand.NewSource(101))
 	var tombstones []int
 	var script [][]scoredRow
 	for round := 0; round < 6; round++ {
 		if round == rebuildAt {
-			st = NewStreamState(DenseSource{X: pool}, cost, mem, cfg)
+			st = newStreamState(DenseSource{X: pool}, cost, mem, 64)
 			for _, id := range tombstones {
 				st.Remove(id)
 			}
 		}
-		c, ids := st.Select()
-		script = append(script, shortlistRecord(c, ids))
-		pick := ids[0]
+		c, pick := st.Select()
+		script = append(script, winnerRecord(c, pick))
 		st.Remove(pick)
 		tombstones = append(tombstones, pick)
 		y := rng.NormFloat64()
@@ -186,7 +170,7 @@ func runResumeScript(t *testing.T, workers, rebuildAt int) [][]scoredRow {
 
 // TestStreamStateRebuildMatches: a StreamState rebuilt mid-campaign from
 // the tombstone set alone (the checkpoint-resume path — prune bounds and
-// the previous top k+1 are not persisted) continues the identical shortlist
+// the previous best two are not persisted) continues the identical winner
 // sequence, at every worker count, because pruning is exact.
 func TestStreamStateRebuildMatches(t *testing.T) {
 	want := runResumeScript(t, 1, -1)
@@ -198,14 +182,14 @@ func TestStreamStateRebuildMatches(t *testing.T) {
 }
 
 // TestStreamedReplayWorkerCountInvariant runs full streamed replay
-// campaigns — hyperopt refits included (HyperoptEvery 5 over 12
-// iterations) — and requires the whole trajectory to be identical at every
-// worker count. This covers the end-to-end loop: fit, refit with bound
-// invalidation, parallel Select, shortlist translation, feedback.
+// campaigns over a pool just past one shard — hyperopt refits included
+// (HyperoptEvery 5 over 12 iterations) — and requires the whole trajectory
+// to be identical at every worker count. This covers the end-to-end loop:
+// fit, refit with bound invalidation, parallel Select, winner translation,
+// feedback.
 func TestStreamedReplayWorkerCountInvariant(t *testing.T) {
-	ds := synthDS(150, 60)
+	ds := synthDS(4400, 60)
 	spec := replaySpec("wc/maxsigma", "maxsigma", 9, 10, 12)
-	spec.Replay.Pool = &PoolSpec{Shard: 16, TopK: 4}
 
 	var want *Trajectory
 	for i, w := range streamWorkerCounts() {
@@ -288,45 +272,44 @@ func (s *recordingSource) Rows(lo, hi int, buf []float64) []float64 {
 }
 
 // TestStreamGathersOnlySurvivors: a primed Select reads from
-// its source only the rows it predicts. Apart from the seed bound's k rows
-// and the shortlist's rows, it reads as many rows as the lanes scored
-// candidates; it never reads a tombstoned candidate or one whose bound is
-// below the seeded threshold; and the shortlist stays the exact top-k, at
-// every worker count.
+// its source only the rows it predicts. Apart from the seed bound's row and
+// the winner's row, it reads as many rows as the lanes scored candidates;
+// it never reads a tombstoned candidate or one whose bound is below the
+// seeded threshold; and the winner stays the exact argmax, at every worker
+// count.
 func TestStreamGathersOnlySurvivors(t *testing.T) {
-	const k = 8
 	for _, w := range streamWorkerCounts() {
 		tag := fmt.Sprintf("workers=%d", w)
 		prev := mat.SetWorkers(w)
 		cost, mem, pool := streamFixture(t, 64, 40, 700)
 		src := &recordingSource{CandidateSource: DenseSource{X: pool}, reads: map[int]int{}}
-		st := NewStreamState(src, cost, mem, StreamConfig{ShardSize: 64, TopK: k})
-		_, ids := st.Select() // primes the bounds and the seed's top k+1
+		st := newStreamState(src, cost, mem, 64)
+		_, pick := st.Select() // primes the bounds and the seed's best two
 		top := map[int]bool{}
 		for _, id := range st.top {
 			top[id] = true
 		}
-		// Tombstone the winner, which leaves the seed k live candidates, and
-		// every fifth candidate outside the seed set.
+		// Tombstone the winner, which leaves the runner-up to seed the next
+		// bound, and every fifth candidate outside the seed set.
 		removed := map[int]bool{}
 		for id := 0; id < pool.Rows(); id++ {
-			if id == ids[0] || (id%5 == 0 && !top[id]) {
+			if id == pick || (id%5 == 0 && !top[id]) {
 				st.Remove(id)
 				removed[id] = true
 			}
 		}
-		if err := cost.Append(pool.Row(ids[0]), 0.3); err != nil {
+		if err := cost.Append(pool.Row(pick), 0.3); err != nil {
 			t.Fatal(err)
 		}
-		if err := mem.Append(pool.Row(ids[0]), 0.1); err != nil {
+		if err := mem.Append(pool.Row(pick), 0.1); err != nil {
 			t.Fatal(err)
 		}
 		th := st.seedBound() // the threshold the next Select starts from
 		bounds := append([]float64(nil), st.bounds...)
 		src.reads = map[int]int{}
-		c, ids := st.Select()
+		c, id := st.Select()
 		mat.SetWorkers(prev)
-		checkShortlist(t, tag, c, ids, bruteTopK(cost, mem, pool, removed, k))
+		checkWinner(t, tag, c, id, bruteTopK(cost, mem, pool, removed, 1))
 
 		var rows int64
 		for id, n := range src.reads {
@@ -343,9 +326,8 @@ func TestStreamGathersOnlySurvivors(t *testing.T) {
 		if tot.candPruned == 0 {
 			t.Fatalf("%s: the pass pruned no candidate on its bound", tag)
 		}
-		if want := tot.candScored + k + int64(len(ids)); rows != want {
-			t.Fatalf("%s: %d rows read, want %d scored + %d seed + %d shortlist",
-				tag, rows, tot.candScored, k, len(ids))
+		if want := tot.candScored + 1 + 1; rows != want {
+			t.Fatalf("%s: %d rows read, want %d scored + 1 seed + 1 winner", tag, rows, tot.candScored)
 		}
 	}
 }
@@ -375,7 +357,7 @@ func TestStreamFullPassLendsDenseRows(t *testing.T) {
 		prev := mat.SetWorkers(w)
 		cost, mem, pool := streamFixture(t, 64, 40, 300)
 		rec := &rowRecorder{Model: cost}
-		st := NewStreamState(DenseSource{X: pool}, rec, mem, StreamConfig{ShardSize: shard, TopK: 8})
+		st := newStreamState(DenseSource{X: pool}, rec, mem, shard)
 		want := map[*float64]bool{}
 		for lo := 0; lo < pool.Rows(); lo += shard {
 			want[&pool.RawData()[lo*pool.Cols()]] = true
@@ -420,37 +402,37 @@ func TestGridSourceSingleAxis(t *testing.T) {
 
 // TestStreamShardBoundaryAlignment: a pool whose size is an exact multiple
 // of the shard size (no tail shard) and one with a single-candidate tail
-// shard both produce the exact top-k, serial and parallel.
+// shard both produce the exact argmax, serial and parallel.
 func TestStreamShardBoundaryAlignment(t *testing.T) {
 	for _, m := range []int{256, 257} { // 256: boundary exactly at pool end; 257: 1-row tail
 		cost, mem, pool := streamFixture(t, 61, 40, m)
-		want := bruteTopK(cost, mem, pool, nil, 10)
+		want := bruteTopK(cost, mem, pool, nil, 1)
 		for _, w := range streamWorkerCounts() {
 			prev := mat.SetWorkers(w)
-			st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 64, TopK: 10})
-			c, ids := st.Select()
+			st := newStreamState(DenseSource{X: pool}, cost, mem, 64)
+			c, id := st.Select()
 			mat.SetWorkers(prev)
-			checkShortlist(t, "boundary", c, ids, want)
+			checkWinner(t, "boundary", c, id, want)
 		}
 	}
 }
 
 // TestStreamRemoveLastLiveInShard: tombstoning every candidate of a shard
 // leaves the other bounds valid — the emptied shard is skipped whole from
-// then on, even on a forced full rescore, and the shortlist stays exact.
+// then on, even on a forced full rescore, and the winner stays exact.
 func TestStreamRemoveLastLiveInShard(t *testing.T) {
 	cost, mem, pool := streamFixture(t, 62, 40, 128)
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 32, TopK: 6})
+	st := newStreamState(DenseSource{X: pool}, cost, mem, 32)
 	removed := map[int]bool{}
-	c, ids := st.Select() // primes the bounds
-	checkShortlist(t, "primed", c, ids, bruteTopK(cost, mem, pool, removed, 6))
+	c, id := st.Select() // primes the bounds
+	checkWinner(t, "primed", c, id, bruteTopK(cost, mem, pool, removed, 1))
 	for id := 32; id < 64; id++ { // empty out shard 1 entirely
 		st.Remove(id)
 		removed[id] = true
 	}
 	st.invalidateBounds() // force a full rescore: only the emptied shard may skip
-	c, ids = st.Select()
-	checkShortlist(t, "emptied", c, ids, bruteTopK(cost, mem, pool, removed, 6))
+	c, id = st.Select()
+	checkWinner(t, "emptied", c, id, bruteTopK(cost, mem, pool, removed, 1))
 	for id := 32; id < 64; id++ {
 		if !isTombstone(st.bounds[id]) {
 			t.Fatalf("removed candidate %d bound %g, want a tombstone", id, st.bounds[id])
@@ -463,8 +445,8 @@ func TestStreamRemoveLastLiveInShard(t *testing.T) {
 	if st.Live() != 128-32 {
 		t.Fatalf("live %d, want %d", st.Live(), 128-32)
 	}
-	c, ids = st.Select() // the empty shard must skip, not corrupt, the shortlist
-	checkShortlist(t, "pruned", c, ids, bruteTopK(cost, mem, pool, removed, 6))
+	c, id = st.Select() // the empty shard must skip, not corrupt, the winner
+	checkWinner(t, "pruned", c, id, bruteTopK(cost, mem, pool, removed, 1))
 }
 
 // laneTotals sums the lanes' shard and candidate counters of the last

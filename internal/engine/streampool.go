@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -14,31 +13,33 @@ import (
 
 // The streamed candidate pool replaces materialize-everything scoring for
 // pools too large to hold per-candidate state. It serves maxsigma, the
-// paper's MaxSigma step: candidates are generated and ranked shard by shard
-// by the cost surrogate's posterior σ alone, every shard reduces into a
-// bounded top-k heap, and the heaps merge into one exact global top-k
-// shortlist, for whose ≤k rows alone the memory surrogate is then
-// predicted. Peak pool memory is O(workers·shard + k) — per-worker feature
-// slabs, μ/σ score vectors, and partial heaps, plus the shortlist — and 8
-// bytes per candidate for its prune bound, instead of the O(m·n) a
-// ScoringCache pins or the O(m) feature and score arrays a materialized
-// pass allocates.
+// paper's MaxSigma step, which is one argmax of the cost surrogate's
+// posterior σ: candidates are generated and scored shard by shard through
+// the cost surrogate alone, every lane keeps its best two, and the lanes'
+// pairs fold into the pool's winner, for whose row alone the memory
+// surrogate is then predicted. Peak pool memory is O(workers·shard) —
+// per-worker feature slabs and μ/σ score vectors — and 8 bytes per
+// candidate for its prune bound, instead of the O(m·n) a ScoringCache pins
+// or the O(m) feature and score arrays a materialized pass allocates.
+// runReplay streams a sequential maxsigma campaign whose active pool is
+// larger than one shard (streamShard); every other campaign scores through
+// PoolScorer.
 //
 // Shard scoring is parallel: Select dispatches W = min(mat.Workers(),
 // shards) worker lanes over the internal/mat pool, each lane claiming
 // shards from a shared atomic cursor and scoring them serially (through
 // gp.Model.PredictInto — the lanes *are* the parallelism) into its own
-// feature slab, score buffers and bounded heap. A lane gathers a claimed
+// feature slab, score buffers and best pair. A lane gathers a claimed
 // shard's rows from the CandidateSource itself, in one pass, and predicts
-// a DenseSource's rows in place when they are one run. The shortlist
-// is independent of scheduling at every worker count: the top-k under the
-// strict total order (σ desc, id asc) is a unique set, each candidate's
+// a DenseSource's rows in place when they are one run. The winner is
+// independent of scheduling at every worker count: the best candidate under
+// the strict total order (σ desc, id asc) is unique, each candidate's
 // scores are computed in full by exactly one lane (memory: by the one
 // post-merge Predict) with a floating-point evaluation order that depends on
-// neither the lane nor the row's position in the batch, and the final merge
-// sorts the union of the lanes' heaps under that same order — so which lane
-// scored which shard cannot change the result. mat.SetWorkers(1) degrades to
-// the fully serial reference path.
+// neither the lane nor the row's position in the batch, and the merge folds
+// the lanes' pairs under that same order — so which lane scored which shard
+// cannot change the result. mat.SetWorkers(1) degrades to the fully serial
+// reference path.
 //
 // Every Select prunes. The pool keeps one bound per candidate — its σ the
 // last time it was scored, +Inf until then — and inside every claimed shard
@@ -52,16 +53,16 @@ import (
 // candidate's posterior σ never rises while observations are
 // appended under fixed hyperparameters, so a stale bound is a true upper
 // bound, and the threshold is a shared monotone lower bound on the final
-// k-th σ: seeded before the lanes start by re-scoring the previous Select's
-// top k+1 survivors (k+1 so that one pick still leaves k), then raised by
-// any lane whose local heap holds k entries, via an atomic CAS-max. A stale
-// read of the bound is always a smaller value, so racing lanes can only
-// prune less, never more — pruning stays exact under any interleaving, even
-// though *which* candidates get pruned may vary with the schedule. Bounds
-// reset whenever the cost model's posterior generation moves
-// (gp.Model.Generation: a refit, a sparse re-projection, a treed re-split),
-// the only events that can raise σ. DESIGN.md §Surrogate scaling states the
-// bound precisely.
+// best σ: seeded before the lanes start by re-scoring the previous Select's
+// best two that are still live (two so that one pick still leaves one),
+// then raised to its best σ by every lane that has scored a candidate, via
+// an atomic CAS-max. A stale read of the bound is always a smaller value,
+// so racing lanes can only prune less, never more — pruning stays exact
+// under any interleaving, even though *which* candidates get pruned may
+// vary with the schedule. Bounds reset whenever the cost model's posterior
+// generation moves (gp.Model.Generation: a refit, a sparse re-projection, a
+// treed re-split), the only events that can raise σ. DESIGN.md §Surrogate
+// scaling states the bound precisely.
 
 // CandidateSource yields candidate feature rows on demand, so a pool can
 // exist without ever materializing m×d storage. Rows must be safe for
@@ -132,20 +133,10 @@ func (s GridSource) Rows(lo, hi int, buf []float64) []float64 {
 	return dst
 }
 
-// StreamConfig tunes StreamState; the zero value gets defaults.
-type StreamConfig struct {
-	ShardSize int // candidates per slab (default 4096)
-	TopK      int // shortlist size (default 64)
-}
-
-func (c *StreamConfig) setDefaults() {
-	if c.ShardSize <= 0 {
-		c.ShardSize = 4096
-	}
-	if c.TopK <= 0 {
-		c.TopK = 64
-	}
-}
+// streamShard is the streamed pool's shard size — candidates per slab —
+// and the active-pool size above which runReplay streams a maxsigma
+// campaign.
+const streamShard = 4096
 
 // streamEntry is one candidate's source id and cost posterior.
 type streamEntry struct {
@@ -162,37 +153,57 @@ func (e streamEntry) better(o streamEntry) bool {
 	return e.id < o.id
 }
 
+// bestTwo holds the best two entries seen under better, best first; n
+// counts the valid ones.
+type bestTwo struct {
+	e [2]streamEntry
+	n int
+}
+
+func (p *bestTwo) push(e streamEntry) {
+	switch {
+	case p.n == 0:
+		p.e[0], p.n = e, 1
+	case e.better(p.e[0]):
+		p.e[0], p.e[1], p.n = e, p.e[0], 2
+	case p.n == 1 || e.better(p.e[1]):
+		p.e[1], p.n = e, 2
+	}
+}
+
 // streamWorker is one scoring lane's private state, reused across Select
 // calls: a one-shard feature slab, cost μ/σ buffers, the source ids of the
-// rows gathered into the slab, a bounded partial heap, and the lane's shard
-// and candidate counters (aggregated into the obs totals after the merge).
+// rows gathered into the slab, the lane's best two candidates, and the
+// lane's shard and candidate counters (aggregated into the obs totals after
+// the merge).
 type streamWorker struct {
 	xs        []float64
 	mu, sigma []float64
 	ids       []int
-	heap      []streamEntry
+	best      bestTwo
 
 	scored, pruned         int64 // shards
 	candScored, candPruned int64 // live candidates
 }
 
-// kthBound is the shared monotone lower bound on the final k-th shortlist
-// σ, published across lanes with a CAS-max. Any lane whose local heap holds
-// k entries knows the merged top-k reaches at least its k-th best σ, so
-// raising the bound to that value is always sound; a stale (lower) read by
+// bestBound is the shared monotone lower bound on the winner's σ,
+// published across lanes with a CAS-max. Any lane that has scored a
+// candidate knows the winner reaches at least that candidate's σ, so
+// raising the bound to its best σ is always sound; a stale (lower) read by
 // another lane only prunes less.
-type kthBound struct{ bits atomic.Uint64 }
+type bestBound struct{ bits atomic.Uint64 }
 
-func (b *kthBound) store(v float64) { b.bits.Store(math.Float64bits(v)) }
+func (b *bestBound) store(v float64) { b.bits.Store(math.Float64bits(v)) }
 
-func (b *kthBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
+func (b *bestBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
 
 // raise lifts the bound to v if v is higher; concurrent raises keep the
-// maximum. Comparison is on float values, not bit patterns.
-func (b *kthBound) raise(v float64) {
+// maximum. Comparison is on float values, not bit patterns, and a NaN never
+// raises it.
+func (b *bestBound) raise(v float64) {
 	for {
 		old := b.bits.Load()
-		if math.Float64frombits(old) >= v {
+		if !(v > math.Float64frombits(old)) {
 			return
 		}
 		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
@@ -209,34 +220,34 @@ func isTombstone(b float64) bool { return b != b }
 
 // StreamState is a streamed candidate pool usable across AL iterations: it
 // keeps one prune bound per candidate (tombstones included) and produces
-// one exact top-k shortlist per Select call.
+// the exact σ argmax of the live candidates per Select call.
 // Select and Remove must not overlap (one selection loop owns the state);
 // Select parallelizes internally.
 type StreamState struct {
 	src       CandidateSource
 	cost, mem gp.Model
-	cfg       StreamConfig
+	shard     int // candidates per slab
 
 	// bounds[id] is candidate id's last scored σ: +Inf until scored,
 	// tombstone once removed. 8 bytes per candidate.
 	bounds []float64
 	live   int
 	gen    uint64 // cost posterior generation the bounds hold under
-	top    []int  // previous Select's top k+1 ids (seed bound)
+	top    []int  // previous Select's best two ids (seed bound)
 
 	workers []*streamWorker
 }
 
-// NewStreamState builds a streamed pool over src ranked by the fitted cost
-// surrogate's σ, with mem predicted for the shortlist.
-func NewStreamState(src CandidateSource, cost, mem gp.Model, cfg StreamConfig) *StreamState {
-	cfg.setDefaults()
+// newStreamState builds a streamed pool over src, in shards of shard
+// candidates, ranked by the fitted cost surrogate's σ, with mem predicted
+// for the winner.
+func newStreamState(src CandidateSource, cost, mem gp.Model, shard int) *StreamState {
 	n := src.Len()
 	st := &StreamState{
 		src:    src,
 		cost:   cost,
 		mem:    mem,
-		cfg:    cfg,
+		shard:  shard,
 		bounds: make([]float64, n),
 		live:   n,
 		gen:    cost.Generation(),
@@ -251,7 +262,7 @@ func NewStreamState(src CandidateSource, cost, mem gp.Model, cfg StreamConfig) *
 func (st *StreamState) Live() int { return st.live }
 
 // Remove tombstones candidate id (a source index). Removal only shrinks
-// the set a shortlist is drawn from, so the other candidates' bounds stay
+// the set the winner is drawn from, so the other candidates' bounds stay
 // valid; a shard whose last live candidate goes is skipped from then on.
 func (st *StreamState) Remove(id int) {
 	if !isTombstone(st.bounds[id]) {
@@ -272,83 +283,27 @@ func (st *StreamState) invalidateBounds() {
 	}
 }
 
-// pushBounded maintains a bounded worst-at-root heap of the best k entries.
-func pushBounded(h []streamEntry, e streamEntry, k int) []streamEntry {
-	if len(h) < k {
-		h = append(h, e)
-		// Sift up: parent must be worse than child (root = worst).
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if h[i].better(h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-		return h
-	}
-	if !e.better(h[0]) {
-		return h
-	}
-	h[0] = e
-	// Sift down: push the new root toward the leaves past any worse child.
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < len(h) && h[i].better(h[l]) && h[worst].better(h[l]) {
-			worst = l
-		}
-		if r < len(h) && h[i].better(h[r]) && h[worst].better(h[r]) {
-			worst = r
-		}
-		if worst == i {
-			break
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
-	}
-	return h
-}
-
-// heapKth returns the k-th best σ held in a lane heap of capacity k+1, or
-// false while it holds fewer than k entries. A full heap's root is its
-// (k+1)-th best, so the k-th is the worse of the root's children.
-func heapKth(h []streamEntry, k int) (float64, bool) {
-	switch {
-	case len(h) < k:
-		return 0, false
-	case len(h) == k:
-		return h[0].sigma, true
-	}
-	c := h[1]
-	if len(h) > 2 && c.better(h[2]) {
-		c = h[2]
-	}
-	return c.sigma, true
-}
-
 // ensureWorkers sizes the lane pool to at least w, allocating each lane's
 // slab and buffers once and reusing them across Select calls.
 func (st *StreamState) ensureWorkers(w int) {
-	shard := st.cfg.ShardSize
 	for len(st.workers) < w {
 		st.workers = append(st.workers, &streamWorker{
-			xs:    make([]float64, shard*st.src.Dim()),
-			mu:    make([]float64, shard),
-			sigma: make([]float64, shard),
-			ids:   make([]int, 0, shard),
+			xs:    make([]float64, st.shard*st.src.Dim()),
+			mu:    make([]float64, st.shard),
+			sigma: make([]float64, st.shard),
+			ids:   make([]int, 0, st.shard),
 		})
 	}
 }
 
 // shardRange is shard s's source-id window [lo, hi).
 func (st *StreamState) shardRange(s int) (lo, hi int) {
-	lo = s * st.cfg.ShardSize
-	return lo, min(lo+st.cfg.ShardSize, st.src.Len())
+	lo = s * st.shard
+	return lo, min(lo+st.shard, st.src.Len())
 }
 
 // survives reports whether any bound reaches lim: some live candidate of
-// the window may still enter the shortlist. Strict <: ties are never
+// the window may still be the winner. Strict <: ties are never
 // pruned, preserving first-max order.
 func survives(bounds []float64, lim float64) bool {
 	for _, b := range bounds {
@@ -394,12 +349,12 @@ func (st *StreamState) gather(ids []int, buf []float64) []float64 {
 
 // scoreShard gathers the shard's surviving candidates — live, with a bound
 // not strictly below the current threshold — into the lane's slab in id
-// order, predicts them through the cost surrogate, reduces them into the
-// lane's bounded heap, records their σ as their new bounds, and raises the
-// shared threshold once the lane's heap holds k entries. Writes touch
-// lane-private state plus bounds[lo:hi], which only this lane (the shard's
-// claimant) reads or writes during the call.
-func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *kthBound) {
+// order, predicts them through the cost surrogate, folds them into the
+// lane's best two, records their σ as their new bounds, and raises the
+// shared threshold to the lane's best σ. Writes touch lane-private state
+// plus bounds[lo:hi], which only this lane (the shard's claimant) reads or
+// writes during the call.
+func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *bestBound) {
 	th := lim.load()
 	w.ids = w.ids[:0]
 	for i, b := range st.bounds[lo:hi] {
@@ -424,19 +379,16 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *kthBound) {
 	sp := obs.SpanShardScore.Start()
 	mu, sigma := w.mu[:rows], w.sigma[:rows]
 	st.cost.PredictInto(xs, mu, sigma)
-	k := st.cfg.TopK
 	for i, id := range w.ids {
 		st.bounds[id] = sigma[i]
 		if math.IsNaN(sigma[i]) {
 			st.bounds[id] = math.Inf(1) // a NaN σ must not read as a tombstone
 		}
-		w.heap = pushBounded(w.heap, streamEntry{id: id, mu: mu[i], sigma: sigma[i]}, k+1)
+		w.best.push(streamEntry{id: id, mu: mu[i], sigma: sigma[i]})
 	}
 	w.scored++
 	w.candScored += int64(rows)
-	if kth, ok := heapKth(w.heap, k); ok {
-		lim.raise(kth)
-	}
+	lim.raise(w.best.e[0].sigma)
 	sp.End()
 	obs.PoolShardsInflight.Add(-1)
 }
@@ -444,7 +396,7 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *kthBound) {
 // scoreLoop is one lane's Select body: claim shards off the shared cursor,
 // skip (ungathered) every shard none of whose live candidates reaches the
 // prune threshold, and score the rest.
-func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *kthBound, nShards int) {
+func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *bestBound, nShards int) {
 	for {
 		s := int(next.Add(1)) - 1
 		if s >= nShards {
@@ -460,43 +412,44 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *kthBo
 	}
 }
 
-// seedBound re-scores the previous Select's top k+1 candidates that are
-// still live and returns the k-th best of their current σ: k live
-// candidates reach at least that σ, so the final k-th does too, whatever
-// the posterior did since. Holding k+1 lets one pick still leave k. -Inf
-// (never prunes) when fewer than k survive.
+// seedBound re-scores the previous Select's best two candidates that are
+// still live and returns the maximum of their current σ: a live candidate
+// reaches it, so the winner does too, whatever the posterior did since.
+// Holding two lets one pick still leave one. -Inf (never prunes) when none
+// survives.
 func (st *StreamState) seedBound() float64 {
-	k := st.cfg.TopK
 	var ids []int
 	for _, id := range st.top {
 		if !isTombstone(st.bounds[id]) {
 			ids = append(ids, id)
 		}
 	}
-	if len(ids) < k {
-		return math.Inf(-1)
+	seed := math.Inf(-1)
+	if len(ids) == 0 {
+		return seed
 	}
 	_, sigma := st.cost.Predict(st.fillRows(ids))
-	sort.Sort(sort.Reverse(sort.Float64Slice(sigma)))
-	return sigma[k-1]
+	for _, s := range sigma {
+		if s > seed {
+			seed = s
+		}
+	}
+	return seed
 }
 
-// Select ranks the pool by cost σ shard by shard — fanned out over
+// Select scores the pool by cost σ shard by shard — fanned out over
 // min(Workers, shards) lanes, see the package comment for the determinism
-// argument — and returns the top-k shortlist as a Candidates block plus the
-// shortlist's source ids, both ordered by (σ desc, id asc) so a first-max
-// maxsigma scan picks the same candidate a full-pool scan would. The
-// Candidates' slices are freshly allocated (size k); the X matrix holds the
-// shortlist rows only, nil when no candidate is live.
-func (st *StreamState) Select() (*Candidates, []int) {
+// argument — and returns the winner, the live candidate a first-max
+// maxsigma scan of the whole pool picks, as a one-row Candidates block
+// (freshly allocated, memory predicted for that row alone) plus its source
+// id. With no live candidate the block is empty, X is nil, and the id is -1.
+func (st *StreamState) Select() (*Candidates, int) {
 	n := st.src.Len()
-	shard := st.cfg.ShardSize
-	k := st.cfg.TopK
-	nShards := (n + shard - 1) / shard
+	nShards := (n + st.shard - 1) / st.shard
 
 	// -Inf never prunes (strict <). Reset bounds are all +Inf, so after a
 	// generation move a seed could prune nothing.
-	var lim kthBound
+	var lim bestBound
 	if g := st.cost.Generation(); g != st.gen {
 		st.invalidateBounds()
 		st.gen = g
@@ -514,7 +467,7 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	}
 	st.ensureWorkers(w)
 	for _, sw := range st.workers[:w] {
-		sw.heap = sw.heap[:0]
+		sw.best = bestTwo{}
 		sw.scored, sw.pruned = 0, 0
 		sw.candScored, sw.candPruned = 0, 0
 	}
@@ -544,44 +497,35 @@ func (st *StreamState) Select() (*Candidates, []int) {
 		}
 	}
 
-	// Merge: the union of the lanes' bounded heaps contains the global
-	// top-k (each lane kept the best k+1 of its own survivors), and
-	// sorting under the strict total order recovers it independent of
-	// which lane held what. The (k+1)-th entry may depend on the schedule
-	// (pruning only guarantees the top k), so it feeds the next seed
-	// bound, never the output.
-	var out []streamEntry
+	// Merge: every lane holds the best two of its own survivors, and the
+	// winner survives every prune, so folding the pairs under the strict
+	// total order yields it independent of which lane held what. The
+	// runner-up may depend on the schedule (pruning only guarantees the
+	// winner), so it feeds the next seed bound, never the output.
+	var best bestTwo
 	for _, sw := range st.workers[:w] {
-		out = append(out, sw.heap...)
+		for _, e := range sw.best.e[:sw.best.n] {
+			best.push(e)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].better(out[j]) })
 	st.top = st.top[:0]
-	for _, e := range out[:min(len(out), k+1)] {
+	for _, e := range best.e[:best.n] {
 		st.top = append(st.top, e.id)
 	}
-	if len(out) > k {
-		out = out[:k]
-	}
 
-	ids := make([]int, len(out))
-	c := &Candidates{
-		MuCost:      make([]float64, len(out)),
-		SigmaCost:   make([]float64, len(out)),
-		MemLimitLog: math.Inf(1),
+	c := &Candidates{MemLimitLog: math.Inf(1)}
+	if best.n == 0 {
+		return c, -1
 	}
-	for i, e := range out {
-		ids[i] = e.id
-		c.MuCost[i], c.SigmaCost[i] = e.mu, e.sigma
-	}
-	if len(ids) > 0 {
-		c.X = st.fillRows(ids)
-		c.MuMem, c.SigmaMem = st.mem.Predict(c.X)
-	}
-	return c, ids
+	e := best.e[0]
+	c.X = st.fillRows([]int{e.id})
+	c.MuCost, c.SigmaCost = []float64{e.mu}, []float64{e.sigma}
+	c.MuMem, c.SigmaMem = st.mem.Predict(c.X)
+	return c, e.id
 }
 
 // fillRows copies the feature rows of the given source ids, in order, into
-// a matrix of its own: the shortlist outlives the Select that made it. (When
+// a matrix of its own: the winner's row outlives the Select that made it. (When
 // gather wrote into that matrix, the copy moves its rows onto themselves.)
 func (st *StreamState) fillRows(ids []int) *mat.Dense {
 	xs := mat.NewDense(len(ids), st.src.Dim(), nil)
@@ -590,47 +534,33 @@ func (st *StreamState) fillRows(ids []int) *mat.Dense {
 }
 
 // streamScorer adapts a StreamState to the scorer surface: the policy sees
-// the shortlist as its candidate set, and a candidate's stable id is its
+// the winner as its one-candidate set, and a candidate's stable id is its
 // source id.
 type streamScorer struct {
 	st *StreamState
 
-	shortIDs []int      // shortlist position → source id, from the last Select
-	shortX   *mat.Dense // shortlist feature rows, from the last Select
+	id int        // the last Select's winner, as a source id
+	x  *mat.Dense // its feature row
 }
 
-func newStreamScorer(cost, mem gp.Model, x *mat.Dense, spec *PoolSpec) *streamScorer {
-	var cfg StreamConfig
-	if spec != nil {
-		cfg = StreamConfig{ShardSize: spec.Shard, TopK: spec.TopK}
-	}
-	return &streamScorer{st: NewStreamState(DenseSource{X: x}, cost, mem, cfg)}
-}
-
-// checkStreamedPolicy rejects every policy but maxsigma for the streamed
-// pool, whose shortlist is the top k by cost σ: only a pure σ argmax picks
-// the same candidate from it as from the whole pool. The check is by name.
-func checkStreamedPolicy(name string) error {
-	if normName(name) != "maxsigma" {
-		return fmt.Errorf("engine: the streamed pool serves maxsigma only, got policy %q", name)
-	}
-	return nil
+func newStreamScorer(cost, mem gp.Model, x *mat.Dense) *streamScorer {
+	return &streamScorer{st: newStreamState(DenseSource{X: x}, cost, mem, streamShard)}
 }
 
 func (s *streamScorer) Candidates(memLimitLog float64) *Candidates {
-	c, ids := s.st.Select()
+	c, id := s.st.Select()
 	c.MemLimitLog = memLimitLog
-	s.shortIDs = ids
-	s.shortX = c.X
+	s.id, s.x = id, c.X
 	return c
 }
 
-// row returns the features of shortlist pick p (valid until the next
-// Candidates call, matching the loop's consume-before-Remove contract).
-func (s *streamScorer) row(p int) []float64 { return s.shortX.Row(p) }
+// row returns the winner's features (valid until the next Candidates
+// call, matching the loop's consume-before-Remove contract); p is 0.
+func (s *streamScorer) row(p int) []float64 { return s.x.Row(p) }
 
-// ID maps shortlist pick p to its source id.
-func (s *streamScorer) ID(p int) int { return s.shortIDs[p] }
+// ID maps pick p, which indexes the one-candidate set, to the winner's
+// source id.
+func (s *streamScorer) ID(int) int { return s.id }
 
 // Remove tombstones source id in the stream state.
 func (s *streamScorer) Remove(id int) { s.st.Remove(id) }
@@ -638,8 +568,8 @@ func (s *streamScorer) Remove(id int) { s.st.Remove(id) }
 // Len reports the live candidate count.
 func (s *streamScorer) Len() int { return s.st.Live() }
 
-// FidelityGains is unavailable on the shortlist path: the streamed pool
-// serves maxsigma only, which consumes no gains.
+// FidelityGains is unavailable on the streamed pool: it serves maxsigma
+// only, which consumes no gains.
 func (s *streamScorer) FidelityGains() []float64 { return nil }
 
 func (s *streamScorer) Close() {}

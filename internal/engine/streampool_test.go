@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"alamr/internal/dataset"
 	"alamr/internal/gp"
 	"alamr/internal/kernel"
 	"alamr/internal/mat"
@@ -46,8 +48,8 @@ func streamFixture(t testing.TB, seed int64, n, m int) (cost, mem gp.Model, pool
 	return gc, gm, pool
 }
 
-// scoredRow is one shortlist row as the tests record it: the streamed
-// entry (id, cost posterior) plus the memory posterior.
+// scoredRow is one winner as the tests record it: the streamed entry (id,
+// cost posterior) plus the memory posterior.
 type scoredRow struct {
 	streamEntry
 	muM, sigM float64
@@ -76,33 +78,53 @@ func bruteTopK(cost, mem gp.Model, pool *mat.Dense, removed map[int]bool, k int)
 	return all
 }
 
-func checkShortlist(t *testing.T, tag string, c *Candidates, ids []int, want []scoredRow) {
+// checkWinner requires Select's winner to be the full scan's: want is
+// bruteTopK(…, 1), and the id and all four scores must match bitwise.
+func checkWinner(t *testing.T, tag string, c *Candidates, id int, want []scoredRow) {
 	t.Helper()
-	if len(ids) != len(want) {
-		t.Fatalf("%s: shortlist has %d entries, want %d", tag, len(ids), len(want))
+	if got := winnerRecord(c, id); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: winner %+v, full-pool scan %+v", tag, got, want)
 	}
-	for i, w := range want {
-		if ids[i] != w.id {
-			t.Fatalf("%s: shortlist[%d] = id %d, want %d", tag, i, ids[i], w.id)
-		}
-		if c.MuCost[i] != w.mu || c.SigmaCost[i] != w.sigma || c.MuMem[i] != w.muM || c.SigmaMem[i] != w.sigM {
-			t.Fatalf("%s: shortlist[%d] scores diverge from full-pool Predict", tag, i)
+}
+
+// winnerRecord snapshots one Select result: the winner's id plus all four
+// score fields, or nothing for an empty pool.
+func winnerRecord(c *Candidates, id int) []scoredRow {
+	if id < 0 {
+		return nil
+	}
+	return []scoredRow{{
+		streamEntry: streamEntry{id: id, mu: c.MuCost[0], sigma: c.SigmaCost[0]},
+		muM:         c.MuMem[0], sigM: c.SigmaMem[0],
+	}}
+}
+
+// nextLive returns the first live candidate at or after from (cyclically)
+// other than skip: a fixed non-winner for a test to remove.
+func nextLive(removed map[int]bool, n, from, skip int) int {
+	for i := 0; ; i++ {
+		if id := (from + i) % n; !removed[id] && id != skip {
+			return id
 		}
 	}
 }
 
-// TestStreamSelectExactTopK: the sharded heap-merge shortlist is the exact
-// top-k a full materialized scan would produce — same ids, same order,
-// bitwise-same scores — across removals and shard-boundary sizes.
+// TestStreamSelectExactTopK: the sharded best-two merge returns the exact
+// argmax a full materialized scan would produce — same id, bitwise-same
+// scores, and a one-row candidate set — across removals of the winner and
+// of a fixed non-winner, and a partial tail shard.
 func TestStreamSelectExactTopK(t *testing.T) {
 	cost, mem, pool := streamFixture(t, 21, 40, 501) // 501: a partial tail shard
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 64, TopK: 10})
+	st := newStreamState(DenseSource{X: pool}, cost, mem, 64)
 	removed := map[int]bool{}
 	for round := 0; round < 4; round++ {
-		c, ids := st.Select()
-		checkShortlist(t, "round", c, ids, bruteTopK(cost, mem, pool, removed, 10))
-		// Remove the winner plus an arbitrary mid candidate, as a loop would.
-		for _, id := range []int{ids[0], ids[len(ids)/2]} {
+		c, id := st.Select()
+		checkWinner(t, "round", c, id, bruteTopK(cost, mem, pool, removed, 1))
+		if c.Len() != 1 || c.X.Rows() != 1 {
+			t.Fatalf("round %d: %d candidates over %d rows, want the winner alone", round, c.Len(), c.X.Rows())
+		}
+		// Remove the winner plus a fixed live candidate, as a loop would.
+		for _, id := range []int{id, nextLive(removed, pool.Rows(), 100*round, id)} {
 			st.Remove(id)
 			removed[id] = true
 		}
@@ -114,17 +136,16 @@ func TestStreamSelectExactTopK(t *testing.T) {
 
 // TestStreamPruningExactAcrossAppends: each candidate's last σ is a true
 // upper bound (posterior σ never increases as observations are appended),
-// so pruning still returns the exact top-k across a schedule of appends and
-// removals.
+// so pruning still returns the exact argmax across a schedule of appends
+// and removals.
 func TestStreamPruningExactAcrossAppends(t *testing.T) {
 	cost, mem, pool := streamFixture(t, 22, 40, 640)
-	st := NewStreamState(DenseSource{X: pool}, cost, mem, StreamConfig{ShardSize: 64, TopK: 8})
+	st := newStreamState(DenseSource{X: pool}, cost, mem, 64)
 	rng := rand.New(rand.NewSource(23))
 	removed := map[int]bool{}
 	for round := 0; round < 8; round++ {
-		c, ids := st.Select()
-		checkShortlist(t, "round", c, ids, bruteTopK(cost, mem, pool, removed, 8))
-		pick := ids[0]
+		c, pick := st.Select()
+		checkWinner(t, "round", c, pick, bruteTopK(cost, mem, pool, removed, 1))
 		st.Remove(pick)
 		removed[pick] = true
 		// Absorb the pick as a new observation; sigma shrinks pool-wide.
@@ -175,46 +196,49 @@ func TestGridSourceDecode(t *testing.T) {
 	}
 }
 
-// TestStreamedReplayMatchesMaterialized: a streamed-pool replay campaign
-// must produce the identical trajectory to the default materialized pool —
-// the shortlist argmax is the pool argmax.
-func TestStreamedReplayMatchesMaterialized(t *testing.T) {
-	ds := synthDS(150, 55)
-	base := replaySpec("mat/maxsigma", "maxsigma", 5, 10, 6)
-	streamed := replaySpec("stream/maxsigma", "maxsigma", 5, 10, 6)
-	streamed.Replay.Pool = &PoolSpec{Shard: 32, TopK: 8}
+// streamedAndMaterialized runs a maxsigma replay spec twice over the same
+// plan: as the spec says, which streams a pool larger than one shard, and
+// with the policy wrapped so the type check sends it to the materialized
+// full scan — the oracle. The wrapper keeps MaxSigma's name, so the two
+// trajectories compare whole.
+func streamedAndMaterialized(t *testing.T, ds *dataset.Dataset, spec CampaignSpec) (streamed, materialized *Trajectory) {
+	t.Helper()
+	part, cfg, err := spec.ReplayPlan(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(part.Active) <= streamShard {
+		t.Fatalf("active pool %d fits one shard: the campaign would not stream", len(part.Active))
+	}
+	if streamed, err = RunReplay(ds, part, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Policy = struct{ MaxSigma }{}
+	if materialized, err = RunReplay(ds, part, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return streamed, materialized
+}
 
-	want, err := RunReplaySpec(ds, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunReplaySpec(ds, streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestStreamedReplayMatchesMaterialized: a streamed replay campaign (an
+// exact GP over a pool just past one shard) must produce the identical
+// trajectory to the materialized pool — the streamed winner is the pool
+// argmax.
+func TestStreamedReplayMatchesMaterialized(t *testing.T) {
+	got, want := streamedAndMaterialized(t, synthDS(4400, 55), replaySpec("stream/maxsigma", "maxsigma", 5, 10, 6))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("streamed trajectory differs from materialized")
 	}
 }
 
 // TestStreamedReplayApproxMatchesMaterialized: the pruned pass (the
-// "approx" of the scale benchmark's pool=streamed-approx tag) keeps the
-// trajectory exact with small shards and a short shortlist, where most
-// candidates are skipped on their bounds.
+// "approx" of the scale benchmark's pool=streamed-approx tag), where most
+// candidates are skipped on their bounds, keeps a treed campaign's
+// trajectory exact.
 func TestStreamedReplayApproxMatchesMaterialized(t *testing.T) {
-	ds := synthDS(150, 56)
-	base := replaySpec("mat/approx", "maxsigma", 6, 10, 8)
-	streamed := replaySpec("stream/approx", "maxsigma", 6, 10, 8)
-	streamed.Replay.Pool = &PoolSpec{Shard: 16, TopK: 4}
-
-	want, err := RunReplaySpec(ds, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunReplaySpec(ds, streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := replaySpec("stream/approx", "maxsigma", 6, 10, 8)
+	spec.Model = &ModelSpec{Name: ModelTreed, LeafSize: 24}
+	got, want := streamedAndMaterialized(t, synthDS(4400, 56), spec)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("pruned streamed trajectory differs from materialized")
 	}
@@ -226,19 +250,7 @@ func TestStreamedReplayApproxMatchesMaterialized(t *testing.T) {
 // 12 iterations) rests entirely on the loop invalidating the bounds after
 // each refit.
 func TestStreamedReplayPruningSurvivesHyperopt(t *testing.T) {
-	ds := synthDS(150, 58)
-	base := replaySpec("mat/hyper", "maxsigma", 9, 10, 12)
-	streamed := replaySpec("stream/hyper", "maxsigma", 9, 10, 12)
-	streamed.Replay.Pool = &PoolSpec{Shard: 16, TopK: 4}
-
-	want, err := RunReplaySpec(ds, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunReplaySpec(ds, streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, want := streamedAndMaterialized(t, synthDS(4400, 58), replaySpec("stream/hyper", "maxsigma", 9, 10, 12))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("pruned streamed trajectory drifted from materialized across hyperopt refits")
 	}
@@ -249,7 +261,7 @@ func TestStreamedReplayPruningSurvivesHyperopt(t *testing.T) {
 // is +Inf again, so the next Select rescores the whole pool.
 func TestInvalidateBoundsForcesRescore(t *testing.T) {
 	cost, mem, x := streamFixture(t, 59, 40, 200)
-	st := NewStreamState(DenseSource{X: x}, cost, mem, StreamConfig{ShardSize: 32, TopK: 4})
+	st := newStreamState(DenseSource{X: x}, cost, mem, 32)
 	st.Select() // primes the per-candidate bounds
 	for id, b := range st.bounds {
 		if math.IsInf(b, 1) {
@@ -275,13 +287,12 @@ func TestInvalidateBoundsForcesRescore(t *testing.T) {
 	}
 }
 
-// TestSparseModelReplayRuns: a sparse-surrogate streamed campaign runs end
-// to end through the spec layer and yields a full trajectory.
+// TestSparseModelReplayRuns: sparse- and treed-surrogate streamed campaigns
+// run end to end through the spec layer and yield full trajectories.
 func TestSparseModelReplayRuns(t *testing.T) {
-	ds := synthDS(200, 57)
+	ds := synthDS(4400, 57)
 	spec := replaySpec("sparse/stream", "maxsigma", 7, 30, 5)
 	spec.Model = &ModelSpec{Name: ModelSparse, Inducing: 16}
-	spec.Replay.Pool = &PoolSpec{Shard: 32, TopK: 8}
 	tr, err := RunReplaySpec(ds, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +302,6 @@ func TestSparseModelReplayRuns(t *testing.T) {
 	}
 	treed := replaySpec("treed/stream", "maxsigma", 7, 30, 5)
 	treed.Model = &ModelSpec{Name: ModelTreed, LeafSize: 24}
-	treed.Replay.Pool = &PoolSpec{Shard: 32, TopK: 8}
 	tr, err = RunReplaySpec(ds, treed)
 	if err != nil {
 		t.Fatal(err)
@@ -301,29 +311,56 @@ func TestSparseModelReplayRuns(t *testing.T) {
 	}
 }
 
-// TestPoolSpecValidation: the streamed pool serves maxsigma only and never
-// composes with batch selection.
-func TestPoolSpecValidation(t *testing.T) {
-	s := replaySpec("bad/batch", "maxsigma", 1, 5, 3)
-	s.Replay.Pool = &PoolSpec{}
-	s.Replay.Batch = &BatchSelectSpec{Q: 2}
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("pool+batch: got %v", err)
+// shardsScored runs one replay campaign with obs enabled and reports how
+// many streamed-pool shards it scored: zero exactly when it did not stream.
+func shardsScored(t *testing.T, run func() (*Trajectory, error)) int64 {
+	t.Helper()
+	obs.Disable()
+	reg := obs.NewRegistry()
+	obs.Enable(reg, nil)
+	defer obs.Disable()
+	if _, err := run(); err != nil {
+		t.Fatal(err)
 	}
+	n, _ := reg.CounterValue(obs.MetricPoolShardsScored)
+	return n
+}
 
-	for _, policy := range []string{"rgma", "minpred"} {
-		s = replaySpec("bad/policy", policy, 1, 5, 3)
-		s.Replay.Pool = &PoolSpec{}
-		err := s.Validate()
-		if err == nil || !strings.Contains(err.Error(), "maxsigma") || !strings.Contains(err.Error(), policy) {
-			t.Fatalf("policy %s on the streamed pool: got %v, want an error naming maxsigma and %s", policy, err, policy)
+// TestStreamRule pins when runReplay streams: a sequential campaign of the
+// built-in MaxSigma over an active pool larger than one shard. One
+// candidate fewer, any other policy, a batch campaign even at q = 1, and a
+// policy that only wraps MaxSigma all score the materialized pool.
+func TestStreamRule(t *testing.T) {
+	const nInit, nTest = 8, 10
+	run := func(active int, cfg LoopConfig, batch bool) func() (*Trajectory, error) {
+		ds := synthDS(nInit+active+nTest, 73)
+		part := smallPartition(t, ds, nInit, nTest, 74)
+		cfg.MaxIterations, cfg.Seed = 1, 5
+		if batch {
+			return func() (*Trajectory, error) { return RunReplayBatch(ds, part, cfg, 1, BatchIndependent) }
 		}
+		return func() (*Trajectory, error) { return RunReplay(ds, part, cfg) }
 	}
-
-	s = replaySpec("bad/neg", "maxsigma", 1, 5, 3)
-	s.Replay.Pool = &PoolSpec{TopK: -1}
-	if err := s.Validate(); err == nil {
-		t.Fatal("negative top_k accepted")
+	if n := shardsScored(t, run(streamShard, LoopConfig{Policy: MaxSigma{}}, false)); n != 0 {
+		t.Fatalf("maxsigma over exactly one shard streamed (%d shards scored)", n)
+	}
+	if n := shardsScored(t, run(streamShard+1, LoopConfig{Policy: MaxSigma{}}, false)); n != 2 {
+		t.Fatalf("maxsigma over one shard and one candidate scored %d shards, want 2", n)
+	}
+	for _, c := range []struct {
+		name  string
+		cfg   LoopConfig
+		batch bool
+	}{
+		{"rgma", LoopConfig{Policy: RGMA{}, MemLimitMB: 1e9}, false},
+		{"minpred", LoopConfig{Policy: MinPred{}}, false},
+		{"randuniform", LoopConfig{Policy: RandUniform{}}, false},
+		{"batch q=1", LoopConfig{Policy: MaxSigma{}}, true},
+		{"wrapped maxsigma", LoopConfig{Policy: struct{ MaxSigma }{}}, false},
+	} {
+		if n := shardsScored(t, run(streamShard+1, c.cfg, c.batch)); n != 0 {
+			t.Fatalf("%s over one shard and one candidate streamed (%d shards scored)", c.name, n)
+		}
 	}
 }
 
@@ -337,18 +374,18 @@ func TestStreamObsReconciles(t *testing.T) {
 	obs.Enable(reg, nil)
 	defer obs.Disable()
 
-	ds := synthDS(200, 58)
+	const jobs = 4400
+	ds := synthDS(jobs, 58)
 	spec := replaySpec("obs/stream", "maxsigma", 9, 20, 6)
 	spec.Model = &ModelSpec{Name: ModelSparse, Inducing: 16}
-	spec.Replay.Pool = &PoolSpec{Shard: 32, TopK: 8}
 	if _, err := RunReplaySpec(ds, spec); err != nil {
 		t.Fatal(err)
 	}
 
 	scored, _ := reg.CounterValue(obs.MetricPoolShardsScored)
 	pruned, _ := reg.CounterValue(obs.MetricPoolShardsPruned)
-	pool := 200 - 30 - 20 // jobs minus test and init partitions
-	nShards := int64((pool + 31) / 32)
+	pool := jobs - 30 - 20 // jobs minus test and init partitions
+	nShards := int64((pool + streamShard - 1) / streamShard)
 	iters := int64(6)
 	if scored+pruned != nShards*iters {
 		t.Fatalf("scored %d + pruned %d != %d shards x %d selects", scored, pruned, nShards, iters)
@@ -378,11 +415,11 @@ func TestStreamObsReconciles(t *testing.T) {
 		t.Fatalf("live gauge %v (ok=%v), want %d", live, ok, pool-int(iters)+1)
 	}
 	// The streamed pool scores through the model directly (no attached
-	// cache); a materialized sparse campaign exercises the cache-op
-	// counters.
+	// cache); a materialized sparse campaign — over a pool within one
+	// shard — exercises the cache-op counters.
 	matSpec := replaySpec("obs/mat", "maxsigma", 9, 20, 6)
 	matSpec.Model = &ModelSpec{Name: ModelSparse, Inducing: 16}
-	if _, err := RunReplaySpec(ds, matSpec); err != nil {
+	if _, err := RunReplaySpec(synthDS(200, 58), matSpec); err != nil {
 		t.Fatal(err)
 	}
 	extends, _ := reg.CounterValue(obs.Labeled(obs.MetricModelCacheOps, "kind", obs.ModelCacheSparseExtend))
@@ -393,30 +430,30 @@ func TestStreamObsReconciles(t *testing.T) {
 }
 
 // TestStreamSelectEmptyPool: once every candidate is removed, Select
-// returns an empty shortlist — without generating rows or asking the
-// memory surrogate for any — and a policy reports the empty candidate set
-// as an error, at every worker count.
+// returns an empty candidate set and id -1 — without generating rows or
+// asking the memory surrogate for any — and a policy reports the empty
+// candidate set as an error, at every worker count.
 func TestStreamSelectEmptyPool(t *testing.T) {
 	cost, mem, pool := streamFixture(t, 63, 20, 10)
 	for _, w := range streamWorkerCounts() {
 		prev := mat.SetWorkers(w)
 		probe := &countingModel{Model: mem}
-		st := NewStreamState(DenseSource{X: pool}, cost, probe, StreamConfig{ShardSize: 4, TopK: 3})
+		st := newStreamState(DenseSource{X: pool}, cost, probe, 4)
 		st.Select()
 		for id := 0; id < pool.Rows(); id++ {
 			st.Remove(id)
 		}
 		probe.reset()
-		c, ids := st.Select()
+		c, id := st.Select()
 		mat.SetWorkers(prev)
-		if len(ids) != 0 || c.Len() != 0 || c.X != nil {
-			t.Fatalf("workers=%d: empty pool gave %d ids, %d candidates, X %v", w, len(ids), c.Len(), c.X)
+		if id != -1 || c.Len() != 0 || c.X != nil {
+			t.Fatalf("workers=%d: empty pool gave id %d, %d candidates, X %v", w, id, c.Len(), c.X)
 		}
 		if n := probe.calls.Load() + probe.laneCalls.Load(); n != 0 {
 			t.Fatalf("workers=%d: empty pool asked the memory surrogate %d times", w, n)
 		}
 		if _, err := (MaxSigma{}).Select(c, rand.New(rand.NewSource(1))); err == nil || !strings.Contains(err.Error(), "empty candidate set") {
-			t.Fatalf("workers=%d: policy on the empty shortlist returned %v", w, err)
+			t.Fatalf("workers=%d: policy on the empty pool returned %v", w, err)
 		}
 	}
 }
@@ -430,8 +467,10 @@ func (oobMaxSigma) Name() string { return "maxsigma" }
 func (oobMaxSigma) Select(c *Candidates, _ *rand.Rand) (int, error) { return c.Len(), nil }
 
 // TestStreamedReplayRejectsOutOfRangePick: a pick is checked against the
-// scored set — on a streamed pool the top-k shortlist, not the pool — so an
-// out-of-range pick ends the campaign with an error instead of a panic.
+// scored set, so an out-of-range pick ends the campaign with an error
+// instead of a panic. The check is the loop's, whatever the scorer; a
+// policy other than the built-in MaxSigma is scored in full, so the pick
+// is reported against the whole active pool.
 func TestStreamedReplayRejectsOutOfRangePick(t *testing.T) {
 	ds := synthDS(200, 71)
 	part := smallPartition(t, ds, 10, 40, 21)
@@ -439,9 +478,9 @@ func TestStreamedReplayRejectsOutOfRangePick(t *testing.T) {
 		Policy:        oobMaxSigma{},
 		MaxIterations: 3,
 		Seed:          5,
-		Pool:          &PoolSpec{TopK: 8},
 	})
-	if err == nil || !strings.Contains(err.Error(), "out-of-range index 8 of 8 candidates") {
-		t.Fatalf("err = %v, want the out-of-range pick reported against 8 candidates", err)
+	want := fmt.Sprintf("out-of-range index %d of %d candidates", len(part.Active), len(part.Active))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want the out-of-range pick reported against %d candidates", err, len(part.Active))
 	}
 }

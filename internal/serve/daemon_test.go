@@ -226,9 +226,9 @@ func TestDaemonRestartResume(t *testing.T) {
 
 // TestDaemonRecoverStaleSpecs: a stored spec the parser does not accept
 // must not keep the daemon down. A terminal campaign keeps its state and
-// its stored bytes; a queued one (here a streamed pool that still carries
-// the removed "approx" switch) finishes failed with the parse error; the
-// rest of the store recovers and runs.
+// its stored bytes; a queued one (here a spec that still carries the
+// removed "pool" section) finishes failed with the parse error; the rest of
+// the store recovers and runs.
 func TestDaemonRecoverStaleSpecs(t *testing.T) {
 	ds := testDataset(90, 52)
 	dir := t.TempDir()
@@ -237,7 +237,7 @@ func TestDaemonRecoverStaleSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	unknown := []byte(`{"version":1,"name":"unknown","mode":"replay","policy":{"name":"maxsigma"},"replay":{"n_init":8,"n_test":20},"retired_option":true}`)
-	stale := []byte(`{"version":1,"name":"stale","mode":"replay","policy":{"name":"maxsigma"},"replay":{"n_init":8,"n_test":20,"pool":{"top_k":8,"approx":true}}}`)
+	stale := []byte(`{"version":1,"name":"stale","mode":"replay","policy":{"name":"maxsigma"},"replay":{"n_init":8,"n_test":20,"pool":{"shard":4096,"top_k":8}}}`)
 	valid := replaySpecJSON("valid", 64, 4)
 	stored := []struct {
 		id    string
@@ -268,7 +268,7 @@ func TestDaemonRecoverStaleSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.State != StateFailed || !strings.Contains(m.Error, `unknown field "approx"`) {
+	if m.State != StateFailed || !strings.Contains(m.Error, `unknown field "pool"`) {
 		t.Fatalf("queued campaign with a stale spec: %s (%q), want failed naming the field", m.State, m.Error)
 	}
 	m, err = client.WaitTerminal("c000003", 120*time.Second)
