@@ -39,11 +39,14 @@ test-v3:
 
 # fuzz-smoke runs each fuzz target briefly: the four-lane exponential on
 # arbitrary bit patterns, the lane pow on an arbitrary base and exponents,
-# the fused RBF kernel row, its candidate-major
+# the strided dot and flat solve of the scoring cache on arbitrary bit
+# patterns (compared with DotBlocked and ForwardSolveFlatTo; a NaN need
+# only be NaN on both paths), the fused RBF kernel row, its candidate-major
 # eight-candidate form and its pool-column form on arbitrary small designs
-# and pools, all compared bitwise with the scalar code, the LML workspace
-# on arbitrary small designs and log-hyperparameters, compared bitwise with
-# the fresh-allocation evaluation it replaced, and the checkpoint journal
+# and pools, all compared bitwise with the scalar code (NaN for NaN), the
+# LML workspace on arbitrary small designs and log-hyperparameters,
+# compared bitwise with the fresh-allocation evaluation it replaced, and
+# the checkpoint journal
 # decoder on arbitrary bytes: no panic, and every rejection wraps exactly
 # one ErrCheckpoint* sentinel. Its seeds are kilobytes long, so new inputs
 # are minimized for at most a second each, leaving the rest of the 5 s to
@@ -57,6 +60,7 @@ test-v3:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpLanes$$' -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzPowLanes$$' -fuzztime 5s ./internal/mat
+	$(GO) test -run '^$$' -fuzz '^FuzzStridedLanes$$' -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFRow$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFLanes$$' -fuzztime 5s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzRBFColumn$$' -fuzztime 5s ./internal/kernel
@@ -220,15 +224,14 @@ bench-scale-full:
 	$(GO) run ./cmd/bench-summary BENCH_al.json
 
 # bench-scale-smoke is the CI-sized correctness twin of bench-scale
-# (n=500, m=1e4): every surrogate family's streamed shortlist winner must
-# equal the materialized argmax on the full first pass and on the pruned
-# passes after it, the
-# parallel Select must reproduce the serial shortlist bit for bit at 1, 2,
-# 4, and GOMAXPROCS worker lanes (the worker-invariance pins), the
-# per-candidate prune bounds must match the full scan bitwise across
-# appends, removals, refits, and treed re-splits, and the memory surrogate
-# must be predicted for the shortlist rows only, its refits leaving the
-# cost-σ bounds in force.
+# (n=500, m=1e4): every surrogate family's streamed winner (Select returns
+# the σ argmax alone) must equal the materialized argmax on the full first
+# pass and on the pruned passes after it, the parallel Select must
+# reproduce the serial winner bit for bit at 1, 2, 4, and GOMAXPROCS
+# worker lanes (the worker-invariance pins), the per-candidate prune
+# bounds must match the full scan bitwise across appends, removals,
+# refits, and treed re-splits, and the memory surrogate must be predicted
+# for the winner's row only, its refits leaving the cost-σ bounds in force.
 bench-scale-smoke:
-	$(GO) test -count=1 -run 'TestScaleSmoke|TestStreamSelectWorkerCountInvariant|TestStreamedReplayWorkerCountInvariant|TestStreamPerCandidateBoundsExact|TestStreamTreedResplitResetsBounds|TestStreamRefitResetsBounds|TestStreamMemoryShortlistOnly|TestStreamMemoryRefitKeepsBounds' \
+	$(GO) test -count=1 -run 'TestScaleSmoke|TestStreamSelectWorkerCountInvariant|TestStreamedReplayWorkerCountInvariant|TestStreamPerCandidateBoundsExact|TestStreamTreedResplitResetsBounds|TestStreamRefitResetsBounds|TestStreamMemoryWinnerOnly|TestStreamMemoryRefitKeepsBounds' \
 		./internal/engine

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -47,31 +48,54 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("al-serve: ")
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	var usage usageError
+	if err := run(os.Args[1:], sig, nil); errors.As(err, &usage) {
+		fmt.Fprintln(os.Stderr, "al-serve:", err)
+		os.Exit(2)
+	} else if err != nil {
+		log.Fatal(err)
+	}
+}
 
-	addr := flag.String("addr", "127.0.0.1:8765", "listen address for the campaign API")
-	store := flag.String("store", "alamr-serve", "campaign store directory (created if absent)")
-	data := flag.String("data", "", "dataset CSV backing replay campaigns and the replay lab (optional)")
-	workers := flag.Int("workers", runtime.NumCPU(), "concurrent campaign workers")
-	queueCap := flag.Int("queue-cap", 256, "queued-campaign bound before submissions get 429 (negative = unbounded)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address")
-	traceOut := flag.String("trace-out", "", "write span trace events as JSONL to this file")
-	flag.Parse()
+// usageError is an invalid flag value; main exits 2 on it, as on a flag
+// parse error.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run is al-serve's body: it parses args, starts the daemon, sends its
+// bound listen address on ready (when ready is not nil), and serves until
+// stop delivers a signal; then it closes the daemon, in-flight campaigns
+// checkpointing and requeueing.
+func run(args []string, stop <-chan os.Signal, ready chan<- string) error {
+	fs := flag.NewFlagSet("al-serve", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:8765", "listen address for the campaign API")
+	store := fs.String("store", "alamr-serve", "campaign store directory (created if absent)")
+	data := fs.String("data", "", "dataset CSV backing replay campaigns and the replay lab (optional)")
+	workers := fs.Int("workers", runtime.NumCPU(), "concurrent campaign workers")
+	queueCap := fs.Int("queue-cap", 256, "queued-campaign bound before submissions get 429 (negative = unbounded)")
+	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address")
+	traceOut := fs.String("trace-out", "", "write span trace events as JSONL to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *workers < 1 {
-		fmt.Fprintln(os.Stderr, "al-serve: -workers must be at least 1")
-		os.Exit(2)
+		return usageError("-workers must be at least 1")
 	}
 
 	bundle, err := obs.Boot(*metricsAddr, *traceOut)
 	if err != nil {
-		log.Fatalf("observability setup: %v", err)
+		return fmt.Errorf("observability setup: %w", err)
 	}
 	defer bundle.Close()
 
 	var ds *dataset.Dataset
 	if *data != "" {
 		if ds, err = dataset.LoadFile(*data); err != nil {
-			log.Fatalf("loading dataset: %v", err)
+			return fmt.Errorf("loading dataset: %w", err)
 		}
 	}
 
@@ -84,17 +108,16 @@ func main() {
 		Logf:     log.Printf,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := d.Start(); err != nil {
-		log.Fatal(err)
+		return err
+	}
+	if ready != nil {
+		ready <- d.Addr()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
+	s := <-stop
 	log.Printf("%s: shutting down (in-flight campaigns checkpoint and requeue)", s)
-	if err := d.Close(); err != nil {
-		log.Fatal(err)
-	}
+	return d.Close()
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"alamr/internal/dataset"
+	"alamr/internal/obs"
 )
 
 // specRunDataset builds a small dataset with well-conditioned responses,
@@ -205,5 +208,37 @@ func TestLabRegistered(t *testing.T) {
 	err := LabRegistered("slurm")
 	if err == nil || !strings.Contains(err.Error(), "registered:") {
 		t.Fatalf("unknown lab error missing alternatives: %v", err)
+	}
+}
+
+// TestCampaignResultObsInvariant: observability only counts; a replay
+// campaign's result bytes are the same with the registry off and on, and
+// the jitter counters are bound while it runs.
+func TestCampaignResultObsInvariant(t *testing.T) {
+	ds := specRunDataset(60, 5)
+	spec := replayRunSpec("obs-invariant", 8)
+	run := func() []byte {
+		v, err := RunCampaignSpec(context.Background(), spec, ds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	off := run()
+	reg := obs.NewRegistry()
+	obs.Enable(reg, nil)
+	defer obs.Disable()
+	on := run()
+	if !bytes.Equal(off, on) {
+		t.Fatal("the campaign's result bytes differ with observability on")
+	}
+	for _, name := range []string{obs.MetricCholJitterSteps, obs.MetricCholJitterFailed} {
+		if _, ok := reg.CounterValue(name); !ok {
+			t.Fatalf("%s is not bound while observability is on", name)
+		}
 	}
 }

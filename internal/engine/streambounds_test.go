@@ -192,13 +192,13 @@ func (m *countingModel) PredictInto(xs *mat.Dense, mean, std []float64) {
 	m.Model.PredictInto(xs, mean, std)
 }
 
-// TestStreamMemoryShortlistOnly: the pass ranks through the cost surrogate
+// TestStreamMemoryWinnerOnly: the pass ranks through the cost surrogate
 // alone, so across appends, removals and a refit each Select asks the
 // memory surrogate for the winner's row alone, in one call, never from
 // inside a lane — for every surrogate family at workers {1, 2, GOMAXPROCS}
 // — while the winner's memory scores stay bitwise those of a full-pool
 // Predict. Each round also removes a fixed non-winner.
-func TestStreamMemoryShortlistOnly(t *testing.T) {
+func TestStreamMemoryWinnerOnly(t *testing.T) {
 	workers := []int{1, 2}
 	if p := runtime.GOMAXPROCS(0); p > 2 {
 		workers = append(workers, p)

@@ -451,6 +451,64 @@ func TestStreamRemoveLastLiveInShard(t *testing.T) {
 
 // laneTotals sums the lanes' shard and candidate counters of the last
 // Select.
+// TestStreamCandidateCountsExact: the per-shard live counts Remove keeps
+// equal a brute-force count of each shard's live bounds, and every Select
+// counts each live candidate exactly once, scored or pruned (a skipped
+// shard adding its live count in O(1)), across appends, removals, a refit
+// and a shard emptied mid-run, serial and parallel.
+func TestStreamCandidateCountsExact(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		prev := mat.SetWorkers(w)
+		cost, mem, pool := streamFixture(t, 64, 40, 300)
+		const shard = 32
+		st := newStreamState(DenseSource{X: pool}, cost, mem, shard)
+		check := func(tag string) {
+			t.Helper()
+			var live int64
+			for s := range st.shardLive {
+				lo, hi := st.shardRange(s)
+				n := 0
+				for _, b := range st.bounds[lo:hi] {
+					if !isTombstone(b) {
+						n++
+					}
+				}
+				if st.shardLive[s] != n {
+					t.Fatalf("workers %d, %s: shard %d live count %d, brute force %d", w, tag, s, st.shardLive[s], n)
+				}
+				live += int64(n)
+			}
+			if tot := laneTotals(st); tot.candScored+tot.candPruned != live {
+				t.Fatalf("workers %d, %s: %d scored + %d pruned candidates, %d live", w, tag, tot.candScored, tot.candPruned, live)
+			}
+		}
+		for round := 0; round < 8; round++ {
+			_, pick := st.Select()
+			check(fmt.Sprintf("round %d", round))
+			st.Remove(pick)
+			if err := cost.Append(pool.Row(pick), 0.1*float64(round)); err != nil {
+				t.Fatal(err)
+			}
+			switch round {
+			case 2:
+				g := cost.(*gp.GP)
+				h := g.Hyperparams()
+				h[0] -= math.Log(3) // RBF log length-scale
+				g.SetHyperparams(h)
+				if err := g.Refit(); err != nil {
+					t.Fatal(err)
+				}
+			case 4:
+				for id := 2 * shard; id < 3*shard; id++ { // empty shard 2
+					st.Remove(id)
+				}
+				st.Remove(2 * shard) // a second removal is a no-op
+			}
+		}
+		mat.SetWorkers(prev)
+	}
+}
+
 func laneTotals(st *StreamState) streamWorker {
 	var tot streamWorker
 	for _, sw := range st.workers {

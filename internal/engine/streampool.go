@@ -230,10 +230,11 @@ type StreamState struct {
 
 	// bounds[id] is candidate id's last scored σ: +Inf until scored,
 	// tombstone once removed. 8 bytes per candidate.
-	bounds []float64
-	live   int
-	gen    uint64 // cost posterior generation the bounds hold under
-	top    []int  // previous Select's best two ids (seed bound)
+	bounds    []float64
+	live      int
+	shardLive []int  // live candidates per shard, kept by Remove
+	gen       uint64 // cost posterior generation the bounds hold under
+	top       []int  // previous Select's best two ids (seed bound)
 
 	workers []*streamWorker
 }
@@ -255,6 +256,11 @@ func newStreamState(src CandidateSource, cost, mem gp.Model, shard int) *StreamS
 	for i := range st.bounds {
 		st.bounds[i] = math.Inf(1) // never prune an unscored candidate
 	}
+	st.shardLive = make([]int, (n+shard-1)/shard)
+	for s := range st.shardLive {
+		lo, hi := st.shardRange(s)
+		st.shardLive[s] = hi - lo
+	}
 	return st
 }
 
@@ -268,6 +274,7 @@ func (st *StreamState) Remove(id int) {
 	if !isTombstone(st.bounds[id]) {
 		st.bounds[id] = tombstone
 		st.live--
+		st.shardLive[id/st.shard]--
 	}
 }
 
@@ -312,17 +319,6 @@ func survives(bounds []float64, lim float64) bool {
 		}
 	}
 	return false
-}
-
-// countLive counts the non-tombstoned bounds of a window.
-func countLive(bounds []float64) int64 {
-	var n int64
-	for _, b := range bounds {
-		if !isTombstone(b) {
-			n++
-		}
-	}
-	return n
 }
 
 // gather returns the feature rows of ids, row-major and in the order
@@ -395,7 +391,8 @@ func (st *StreamState) scoreShard(w *streamWorker, lo, hi int, lim *bestBound) {
 
 // scoreLoop is one lane's Select body: claim shards off the shared cursor,
 // skip (ungathered) every shard none of whose live candidates reaches the
-// prune threshold, and score the rest.
+// prune threshold — one with none left without reading its bounds, its
+// live count added to the pruned candidates in O(1) — and score the rest.
 func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *bestBound, nShards int) {
 	for {
 		s := int(next.Add(1)) - 1
@@ -403,9 +400,9 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, lim *bestB
 			return
 		}
 		lo, hi := st.shardRange(s)
-		if !survives(st.bounds[lo:hi], lim.load()) {
+		if st.shardLive[s] == 0 || !survives(st.bounds[lo:hi], lim.load()) {
 			w.pruned++
-			w.candPruned += countLive(st.bounds[lo:hi])
+			w.candPruned += int64(st.shardLive[s])
 			continue
 		}
 		st.scoreShard(w, lo, hi, lim)

@@ -23,31 +23,39 @@ import (
 // candidate). The cache tracks its GP across the loop's three mutations:
 //
 //   - Append: every kᵢ gains the entry against the new training row and
-//     every vᵢ gains one entry via mat.Cholesky.BorderSolveStep against the
-//     new factor row — O(n) per candidate, in parallel over candidates.
+//     every vᵢ gains one border-solve step (mat.Cholesky.BorderSolveStep's
+//     bits) against the new factor row — O(n) per candidate, in parallel
+//     over candidates.
 //   - Refit / Fit (new hyperparameters): every stored row is wrong; the
 //     cache marks itself stale and the next Scores call rebuilds all
 //     candidates in one parallel batched pass.
 //   - Candidate removal: O(1) swap-delete of the heavy per-candidate state.
 //
-// Layout: kᵢ and vᵢ live in two pointer-free slabs, slot s at
-// [s·stride, s·stride+n). The first stride is n + n/2 + 8; an append that
-// outgrows it doubles it with one copy, and a rebuild reuses the slabs when
-// they fit. For the isotropic RBF kernel the cache also keeps the pool's
-// features column-major with their squared norms, so that an append fills
-// the new kernel column for every candidate in one vector sweep
-// (columnEvaluator) and a rebuild fills all n columns that way. Other
-// kernels evaluate each candidate's entries through the GP's row evaluator.
+// Layout: kᵢ and vᵢ live in two pointer-free slabs stored entry-major:
+// entry j of slot s sits at [j·stride + s], so column j (entry j of every
+// slot) is contiguous and stride, the pool size rounded up to a multiple of
+// eight, never changes. An append writes one new column per slab; the
+// slabs hold room for n + n/2 + 8 entries when first built, and an append
+// that outgrows them doubles the room with one contiguous copy of the
+// columns held; a rebuild reuses them when they fit. For the isotropic RBF
+// kernel the cache also keeps the pool's features column-major with their
+// squared norms, so that an append fills the new kernel column for every
+// candidate in one vector sweep (columnEvaluator), written straight into
+// the slab, and a rebuild fills all n columns that way. Other kernels
+// evaluate each candidate's entries through the GP's row evaluator. Every
+// pass runs eight slots per call of the strided lane kernels
+// (mat.DotStrided, mat.Cholesky.ForwardSolveStrided).
 //
 // Determinism: the rebuild pass solves each vᵢ with the flat substitution
-// (ForwardSolveFlatTo, or ForwardSolveFlatLanes for blocks of eight, which
-// has its bits) whose per-row grouping is bitwise identical to
-// BorderSolveStep, and ‖vᵢ‖² is accumulated in index order in both paths;
-// the column sweep has the row evaluator's bits. A cache freshly built at
-// size n therefore holds bit-for-bit the state of a cache built at size
-// n₀ < n and extended through n−n₀ appends — the property checkpoint resume
-// relies on (the online runtime rebuilds caches after replaying the feed log
-// and must continue the trajectory bitwise).
+// (ForwardSolveStrided from row 0, which has ForwardSolveFlatTo's bits)
+// whose per-row grouping is bitwise identical to BorderSolveStep (the same
+// call from the newest row), and ‖vᵢ‖² is accumulated in index order in
+// both paths; μ has DotBlocked's bits and the column sweep has the row
+// evaluator's. A cache freshly built at size n therefore holds bit-for-bit
+// the state of a cache built at size n₀ < n and extended through n−n₀
+// appends — the property checkpoint resume relies on (the online runtime
+// rebuilds caches after replaying the feed log and must continue the
+// trajectory bitwise).
 //
 // Scores is deliberately not bitwise-equal to Predict: Predict's blocked
 // forward solve and its different mean reduction differ from the cache in
@@ -59,28 +67,28 @@ import (
 type ScoringCache struct {
 	g *GP
 
-	// Candidate features, slot-major: position p of the caller's pool maps
-	// to slot order[p]. Slot s's row is xs[s·d : (s+1)·d]; cols[i][s] is its
-	// feature i and norms[s] its squared norm (kernel.SqNorm), the pool
-	// layout the RBF column sweep reads. Swap-delete moves one slot in
-	// every array; the position→slot indirection keeps Scores in pool
-	// order.
+	// Candidate features, slot-major: slot s holds the candidate at
+	// position pos[s] of the caller's pool. Slot s's row is
+	// xs[s·d : (s+1)·d]; cols[i][s] is its feature i and norms[s] its
+	// squared norm (kernel.SqNorm), the pool layout the RBF column sweep
+	// reads. Swap-delete moves one slot in every array; the slot→position
+	// index keeps Scores in pool order.
 	d     int
 	xs    []float64
 	cols  [][]float64
 	norms []float64
 
-	// Per-candidate state: slot s holds kᵢ = k(xᵢ, X) at
-	// ks[s·stride : s·stride+n] and vᵢ = L⁻¹kᵢ at the same offsets of vs.
-	stride, n int
-	ks, vs    []float64
-	v2        []float64 // running ‖vᵢ‖², extended in index order
-	kss       []float64 // prior variance k(xᵢ, xᵢ)
+	// Per-candidate state, entry-major: entry j of slot s's kᵢ is
+	// ks[j·stride + s] and of its vᵢ vs[j·stride + s], for j < n; the slabs
+	// have room for room entries per slot.
+	stride, n, room int
+	ks, vs          []float64
+	v2              []float64 // running ‖vᵢ‖², extended in index order
+	kss             []float64 // prior variance k(xᵢ, xᵢ)
 
-	col     []float64       // one kernel column, indexed by slot
 	colEval columnEvaluator // the GP's row evaluator's column form, if any
 
-	order []int // pool position → slot
+	pos   []int // slot → pool position
 	stale bool  // hyperparameters changed since the last (re)build
 
 	mu, sigma []float64 // pool-order output buffers, reused across calls
@@ -111,16 +119,16 @@ func NewScoringCache(g *GP, x *mat.Dense) *ScoringCache {
 	}
 	m, d := x.Rows(), x.Cols()
 	c := &ScoringCache{
-		g:     g,
-		d:     d,
-		xs:    append([]float64(nil), x.RawData()[:m*d]...),
-		cols:  make([][]float64, d),
-		norms: make([]float64, m),
-		v2:    make([]float64, m),
-		kss:   make([]float64, m),
-		col:   make([]float64, m),
-		order: make([]int, m),
-		stale: true,
+		g:      g,
+		d:      d,
+		xs:     append([]float64(nil), x.RawData()[:m*d]...),
+		cols:   make([][]float64, d),
+		norms:  make([]float64, m),
+		stride: (m + 7) &^ 7,
+		v2:     make([]float64, m),
+		kss:    make([]float64, m),
+		pos:    make([]int, m),
+		stale:  true,
 	}
 	for i := range c.cols {
 		c.cols[i] = make([]float64, m)
@@ -131,15 +139,15 @@ func NewScoringCache(g *GP, x *mat.Dense) *ScoringCache {
 			c.cols[i][s] = v
 		}
 		c.norms[s] = kernel.SqNorm(row)
-		c.order[s] = s
+		c.pos[s] = s
 	}
-	c.scoreFn, c.extendFn, c.rebuildFn = c.scorePositions, c.extendSlots, c.rebuildBlocks
+	c.scoreFn, c.extendFn, c.rebuildFn = c.scoreBlocks, c.extendBlocks, c.rebuildBlocks
 	g.caches = append(g.caches, c)
 	return c
 }
 
 // Len reports the number of live candidates.
-func (c *ScoringCache) Len() int { return len(c.order) }
+func (c *ScoringCache) Len() int { return len(c.pos) }
 
 // Close detaches the cache from its GP; after Close the GP's appends and
 // refits no longer spend time maintaining it.
@@ -173,86 +181,99 @@ func (c *ScoringCache) Scores() (mu, sigma []float64) {
 	} else {
 		obs.CacheHits.Inc()
 	}
-	m := len(c.order)
+	m := len(c.pos)
 	if cap(c.mu) < m {
 		c.mu = make([]float64, m)
 		c.sigma = make([]float64, m)
 	}
 	c.mu, c.sigma = c.mu[:m], c.sigma[:m]
-	mat.ParallelFor(m, mat.ChunkFor(2*c.n+8), c.scoreFn)
+	mat.ParallelFor((m+7)/8, mat.ChunkFor(8*(2*c.n+8)), c.scoreFn)
 	return c.mu, c.sigma
 }
 
-// scorePositions is Scores' body for pool positions [lo, hi).
-func (c *ScoringCache) scorePositions(lo, hi int) {
-	alpha, yMean := c.g.alpha, c.g.yMean
-	n := len(alpha)
-	for p := lo; p < hi; p++ {
-		s := c.order[p]
-		c.mu[p] = mat.DotBlocked(c.ks[s*c.stride:][:n], alpha) + yMean
-		variance := c.kss[s] - c.v2[s]
-		if variance < 0 {
-			variance = 0
+// blocks maps a pass's blocks of eight slots [lo, hi) to slots.
+func (c *ScoringCache) blocks(lo, hi int) (int, int) {
+	return 8 * lo, min(8*hi, len(c.pos))
+}
+
+// scoreBlocks is Scores' body for the blocks of eight slots [lo, hi): μ
+// (α·kₛ with DotBlocked's bits, plus ȳ) and σ of each slot, written at its
+// pool position.
+func (c *ScoringCache) scoreBlocks(lo, hi int) {
+	lo, hi = c.blocks(lo, hi)
+	yMean := c.g.yMean
+	var dots [64]float64
+	for s0 := lo; s0 < hi; s0 += len(dots) {
+		d := dots[:min(len(dots), hi-s0)]
+		mat.DotStrided(d, c.g.alpha, c.ks[s0:], c.stride)
+		for t, dot := range d {
+			s := s0 + t
+			p := c.pos[s]
+			c.mu[p] = dot + yMean
+			variance := c.kss[s] - c.v2[s]
+			if variance < 0 {
+				variance = 0
+			}
+			c.sigma[p] = math.Sqrt(variance)
 		}
-		c.sigma[p] = math.Sqrt(variance)
 	}
 }
 
 // Remove deletes the candidate at pool position p (the index the caller's
 // pool — and hence Scores — uses). The last slot moves into the freed one
-// in every array, O(n + d); only the machine-word position index shifts,
-// the same cost class as the caller's own pool bookkeeping.
+// in every array, O(n + d) entries; only the machine-word position index
+// is walked in full, the same cost class as the caller's own pool
+// bookkeeping.
 func (c *ScoringCache) Remove(p int) {
-	if p < 0 || p >= len(c.order) {
-		panic(fmt.Sprintf("gp: ScoringCache.Remove position %d out of range %d", p, len(c.order)))
+	if p < 0 || p >= len(c.pos) {
+		panic(fmt.Sprintf("gp: ScoringCache.Remove position %d out of range %d", p, len(c.pos)))
 	}
-	s := c.order[p]
-	c.order = append(c.order[:p], c.order[p+1:]...)
-	last := len(c.order)
+	s, last := 0, len(c.pos)-1
+	for t, q := range c.pos {
+		if q == p {
+			s = t
+		} else if q > p {
+			c.pos[t] = q - 1
+		}
+	}
 	if s != last {
 		copy(c.row(s), c.row(last))
 		for _, col := range c.cols {
 			col[s] = col[last]
 		}
-		copy(c.ks[s*c.stride:][:c.n], c.ks[last*c.stride:][:c.n])
-		copy(c.vs[s*c.stride:][:c.n], c.vs[last*c.stride:][:c.n])
-		c.norms[s], c.v2[s], c.kss[s] = c.norms[last], c.v2[last], c.kss[last]
-		for q, t := range c.order {
-			if t == last {
-				c.order[q] = s
-				break
-			}
+		for j := 0; j < c.n; j++ {
+			e := j * c.stride
+			c.ks[e+s], c.vs[e+s] = c.ks[e+last], c.vs[e+last]
 		}
+		c.norms[s], c.v2[s], c.kss[s], c.pos[s] = c.norms[last], c.v2[last], c.kss[last], c.pos[last]
 	}
 	c.xs = c.xs[:last*c.d]
 	for i, col := range c.cols {
 		c.cols[i] = col[:last]
 	}
-	c.norms, c.v2, c.kss, c.col = c.norms[:last], c.v2[:last], c.kss[:last], c.col[:last]
+	c.norms, c.v2, c.kss, c.pos = c.norms[:last], c.v2[:last], c.kss[:last], c.pos[:last]
 }
 
-// reserve makes room for n entries per slot, keeping each slot's first keep
-// entries. The stride doubles when n outgrows it (n + n/2 + 8 the first
+// reserve makes room for n entries per slot, keeping the first keep
+// columns. The room doubles when n outgrows it (n + n/2 + 8 the first
 // time, or when doubling falls short), so a run of appends copies the slabs
-// a logarithmic number of times.
+// a logarithmic number of times, each one contiguous copy.
 func (c *ScoringCache) reserve(n, keep int) {
-	if n <= c.stride {
+	if n <= c.room {
 		return
 	}
-	stride := 2 * c.stride
-	if stride < n {
-		stride = n + n/2 + 8
+	room := 2 * c.room
+	if room < n {
+		room = n + n/2 + 8
 	}
-	m := len(c.order)
-	ks, vs := make([]float64, m*stride), make([]float64, m*stride)
-	for s := 0; s < m; s++ {
-		copy(ks[s*stride:][:keep], c.ks[s*c.stride:][:keep])
-		copy(vs[s*stride:][:keep], c.vs[s*c.stride:][:keep])
-	}
-	c.ks, c.vs, c.stride = ks, vs, stride
+	ks, vs := make([]float64, room*c.stride), make([]float64, room*c.stride)
+	copy(ks, c.ks[:keep*c.stride])
+	copy(vs, c.vs[:keep*c.stride])
+	c.ks, c.vs, c.room = ks, vs, room
 }
 
-// rebuildScratch recycles the rebuild's interleaved lane-solve buffers.
+// rebuildScratch recycles the per-candidate kernel rows of kernels without
+// a column form.
 var rebuildScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // rebuild recomputes every candidate's cached state against the GP's
@@ -265,55 +286,38 @@ func (c *ScoringCache) rebuild() {
 	c.reserve(n, 0)
 	c.n = n
 	c.colEval, _ = c.g.rowEval.(columnEvaluator)
-	mat.ParallelFor((len(c.order)+7)/8, mat.ChunkFor(8*(n*n/2+32*n+8)), c.rebuildFn)
+	mat.ParallelFor((len(c.pos)+7)/8, mat.ChunkFor(8*(n*n/2+32*n+8)), c.rebuildFn)
 	c.stale = false
 }
 
-// rebuildBlocks is rebuild's body for the blocks of eight slots [lo, hi).
+// rebuildBlocks is rebuild's body for the blocks of eight slots [lo, hi):
+// it fills their n kernel columns, solves them into the v slab in one
+// strided flat solve, and sets their prior variances.
 func (c *ScoringCache) rebuildBlocks(lo, hi int) {
 	g, n, stride := c.g, c.n, c.stride
-	lo, hi = 8*lo, min(8*hi, len(c.order))
+	lo, hi = c.blocks(lo, hi)
 	if c.colEval != nil {
-		col := c.col[lo:hi]
 		for j := 0; j < n; j++ {
-			c.colEval.EvalColumn(col, j, c.xs, c.cols, c.norms, lo)
-			for t, k := range col {
-				c.ks[(lo+t)*stride+j] = k
-			}
+			c.colEval.EvalColumn(c.ks[j*stride+lo:j*stride+hi], j, c.xs, c.cols, c.norms, lo)
 		}
 	} else {
-		for s := lo; s < hi; s++ {
-			g.rowEval.Eval(c.row(s), 0, c.ks[s*stride:][:n])
-		}
-	}
-
-	s := lo
-	if mat.HaveLanes() && hi-lo >= 8 {
 		buf := rebuildScratch.Get().(*[]float64)
-		if cap(*buf) < 8*n {
-			*buf = make([]float64, 8*n)
+		if cap(*buf) < n {
+			*buf = make([]float64, n)
 		}
-		w := (*buf)[:8*n]
-		for ; s+8 <= hi; s += 8 {
-			for l := 0; l < 8; l++ {
-				for j, k := range c.ks[(s+l)*stride:][:n] {
-					w[8*j+l] = k
-				}
-			}
-			ss := g.chol.ForwardSolveFlatLanes(w)
-			for l := 0; l < 8; l++ {
-				v := c.vs[(s+l)*stride:][:n]
-				for j := range v {
-					v[j] = w[8*j+l]
-				}
-				c.v2[s+l] = ss[l]
+		k := (*buf)[:n]
+		for s := lo; s < hi; s++ {
+			g.rowEval.Eval(c.row(s), 0, k)
+			for j, v := range k {
+				c.ks[j*stride+s] = v
 			}
 		}
 		rebuildScratch.Put(buf)
 	}
-	for ; s < hi; s++ {
-		c.v2[s] = g.chol.ForwardSolveFlatTo(c.vs[s*stride:][:n], c.ks[s*stride:][:n])
-	}
+
+	v2 := c.v2[lo:hi]
+	clear(v2)
+	g.chol.ForwardSolveStrided(c.vs[lo:], c.ks[lo:], stride, 0, v2)
 
 	for s := lo; s < hi; s++ {
 		// A finite squared norm means every feature is finite.
@@ -331,7 +335,7 @@ func (c *ScoringCache) rebuildBlocks(lo, hi int) {
 // one border-solve step — O(n) per candidate. A stale cache skips the work;
 // the pending rebuild covers the new row.
 func (c *ScoringCache) extendAppend() {
-	if c.stale || len(c.order) == 0 {
+	if c.stale || len(c.pos) == 0 {
 		return
 	}
 	obs.CacheExtends.Inc()
@@ -339,13 +343,16 @@ func (c *ScoringCache) extendAppend() {
 	c.reserve(n, n-1)
 	c.n = n
 	c.colEval, _ = c.g.rowEval.(columnEvaluator)
-	mat.ParallelFor(len(c.order), mat.ChunkFor(2*n+64), c.extendFn)
+	mat.ParallelFor((len(c.pos)+7)/8, mat.ChunkFor(8*(2*n+64)), c.extendFn)
 }
 
-// extendSlots is extendAppend's body for slots [lo, hi).
-func (c *ScoringCache) extendSlots(lo, hi int) {
+// extendBlocks is extendAppend's body for the blocks of eight slots
+// [lo, hi): it fills their entries of the new column j and takes the border
+// step from row j.
+func (c *ScoringCache) extendBlocks(lo, hi int) {
 	g, j := c.g, c.n-1
-	col := c.col[lo:hi]
+	lo, hi = c.blocks(lo, hi)
+	col := c.ks[j*c.stride+lo : j*c.stride+hi]
 	if c.colEval != nil {
 		c.colEval.EvalColumn(col, j, c.xs, c.cols, c.norms, lo)
 	} else {
@@ -353,11 +360,5 @@ func (c *ScoringCache) extendSlots(lo, hi int) {
 			g.rowEval.Eval(c.row(lo+t), j, col[t:t+1])
 		}
 	}
-	for t, kNew := range col {
-		s := lo + t
-		v := c.vs[s*c.stride:][:j+1]
-		vNew := g.chol.BorderSolveStep(v[:j], kNew)
-		c.ks[s*c.stride+j], v[j] = kNew, vNew
-		c.v2[s] += vNew * vNew
-	}
+	g.chol.ForwardSolveStrided(c.vs[lo:], c.ks[lo:], c.stride, j, c.v2[lo:hi])
 }

@@ -331,10 +331,10 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// The slab layout, the column sweep and the eight-lane rebuild keep every
-// bit of the per-candidate cache. One cost and one memory surrogate, each
-// with a cache, absorb appends (some memory-only, as censored feeds are)
-// across at least three stride growths, removals of slot 0, a middle slot
+// The entry-major slabs, the column sweep and the strided lane kernels keep
+// every bit of the per-candidate cache. One cost and one memory surrogate,
+// each with a cache, absorb appends (some memory-only, as censored feeds
+// are) across at least three slab growths, removals of slot 0, a middle slot
 // and the last slot, and hyperparameter refits. After every step each
 // cache's scores must equal, bit for bit, a fresh cache's and the oracle's,
 // and every stored prior variance must equal kern.Eval(x, x). The RBF
@@ -369,7 +369,7 @@ func TestScoringCacheSlabBitwise(t *testing.T) {
 				defer caches[i].Close()
 				refs[i] = newRefCache(g, pool)
 			}
-			growths, stride := 0, 0
+			growths, room := 0, 0
 			check := func(step int) {
 				t.Helper()
 				for i, g := range gs {
@@ -385,25 +385,22 @@ func TestScoringCacheSlabBitwise(t *testing.T) {
 					if !sameBits(mu, fMu) || !sameBits(sigma, fSigma) {
 						t.Fatalf("step %d, surrogate %d: scores differ from a fresh cache", step, i)
 					}
-					for s := range c.order {
+					for s := range c.pos {
 						if want := g.kern.Eval(c.row(s), c.row(s)); math.Float64bits(c.kss[s]) != math.Float64bits(want) {
 							t.Fatalf("step %d, surrogate %d, slot %d: prior variance %v, kern.Eval(x, x) %v", step, i, s, c.kss[s], want)
 						}
 					}
 				}
-				if caches[0].stride != stride {
+				if caches[0].room != room {
 					growths++
-					stride = caches[0].stride
+					room = caches[0].room
 				}
 			}
 			check(-1)
 			removeSlot := func(slot int) {
-				p := 0
-				for caches[0].order[p] != slot {
-					p++
-				}
+				p := caches[0].pos[slot]
 				for i := range gs {
-					if caches[i].order[p] != slot {
+					if caches[i].pos[slot] != p {
 						t.Fatalf("the two caches disagree on position %d's slot", p)
 					}
 					caches[i].Remove(p)
@@ -447,14 +444,14 @@ func TestScoringCacheSlabBitwise(t *testing.T) {
 				check(step)
 			}
 			if growths < 4 {
-				t.Fatalf("the cost cache's stride changed %d times (first build included), want at least 3 growths", growths)
+				t.Fatalf("the cost cache's room changed %d times (first build included), want at least 3 growths", growths)
 			}
 		})
 	}
 }
 
 // After warm-up the cache's own work allocates nothing: the extend step for
-// an append that fits the stride, and a Scores call on a current cache. The
+// an append that fits the slabs' room, and a Scores call on a current cache. The
 // pass runs inline (one worker); a dispatched pass pays the worker pool's
 // own synchronization.
 func TestScoringCacheSlabAllocs(t *testing.T) {
@@ -478,8 +475,8 @@ func TestScoringCacheSlabAllocs(t *testing.T) {
 			if err := g.Append([]float64{1.5, 2.5}, 0.3); err != nil {
 				t.Fatal(err)
 			}
-			if g.x.Rows() > c.stride {
-				t.Fatalf("append outgrew the stride %d; the pin needs one that fits", c.stride)
+			if g.x.Rows() > c.room {
+				t.Fatalf("append outgrew the room %d; the pin needs one that fits", c.room)
 			}
 			v2 := append([]float64(nil), c.v2...)
 			n := c.n
@@ -489,7 +486,7 @@ func TestScoringCacheSlabAllocs(t *testing.T) {
 				c.extendAppend()
 			}
 			if a := testing.AllocsPerRun(10, extend); a != 0 {
-				t.Fatalf("%v: extending for an append that fits the stride allocates %.1f times, want 0", k, a)
+				t.Fatalf("%v: extending for an append that fits the room allocates %.1f times, want 0", k, a)
 			}
 			// The replayed step left the state one append makes.
 			mu, sigma := c.Scores()

@@ -134,7 +134,10 @@ func (e *rbfRowEval) EvalLanes(xs *mat.Dense, lo int, w, xt, beta []float64) (mu
 // each product commutes and the dot runs in the same index order, and the
 // fused row writes only groups whose exponent arguments lie in its finite
 // fast range, so the two agree bit for bit. The candidates it leaves take
-// Eval's own expression.
+// Eval's own expression. The contract covers every non-NaN value; a NaN
+// (from NaN features) is NaN on both paths, but its payload is unspecified,
+// since it follows the compiler's operand order for the commutative SSE
+// additions and products, which the two operand orders above leave free.
 func (e *rbfRowEval) EvalColumn(out []float64, j int, rows []float64, cols [][]float64, norms []float64, off int) {
 	z, nz := e.xs.Row(j), e.norms[j]
 	d := len(z)

@@ -50,35 +50,35 @@ func (c *Cholesky) ForwardSolveFlatTo(dst, b []float64) float64 {
 	return sum
 }
 
-// ForwardSolveFlatLanes is ForwardSolveFlatTo for eight right-hand sides
-// stored interleaved as ForwardSolveLanes stores them (y[8j+c] holds element
-// j of lane c, len(y) = 8·Size): it solves every lane in place and returns
-// ss[c], lane c's running Σ y_c[j]². Lane c ends with exactly the bits
-// ForwardSolveFlatTo gives for b_c, and ss[c] with those of its sum.
+// ForwardSolveStrided runs ForwardSolveFlatTo's rows from..Size−1 for
+// len(ss) right-hand sides stored entry-major: element i of vector t is
+// b[i·stride+t] and of its solution y[i·stride+t] (stride ≥ len(ss); y may
+// be b). For each t and row i it sets
 //
-// Up to cholBlock rows the blocked sweep is a single block, whose rows are
-// the flat solve's full-prefix adot rows, and ForwardSolveLanes sums Σy² in
-// index order like the flat running sum; so the one-call lane sweep runs
-// there. Larger systems solve each lane flat.
-func (c *Cholesky) ForwardSolveFlatLanes(y []float64) (ss [8]float64) {
-	n := c.n
-	if len(y) != 8*n {
-		panic(fmt.Sprintf("mat: ForwardSolveFlatLanes length %d for size %d", len(y), n))
+//	y_t[i] = (b_t[i] − adot(L_i[:i], y_t[:i])) / L_ii,   ss[t] += y_t[i]²
+//
+// reading y_t's first from entries as already solved. With from = 0 and
+// ss[t] = 0 that is ForwardSolveFlatTo(y_t, b_t) and its returned sum; with
+// from = Size−1 it is BorderSolveStep and the running-norm update after it,
+// bit for bit either way. Blocks of eight vectors run in the strided lane
+// kernel; the len(ss) mod 8 tail, and every vector on CPUs without
+// AVX2+FMA, replay adot in place.
+func (c *Cholesky) ForwardSolveStrided(y, b []float64, stride, from int, ss []float64) {
+	n, m := c.n, len(ss)
+	if from < 0 || m > stride || (from < n && m > 0 && (len(y) < (n-1)*stride+m || len(b) < (n-1)*stride+m)) {
+		panic(fmt.Sprintf("mat: ForwardSolveStrided of %d vectors, stride %d, from row %d of %d, over %d and %d values", m, stride, from, n, len(y), len(b)))
 	}
-	if n <= cholBlock {
-		return c.ForwardSolveLanes(y)
+	if from >= n || m == 0 {
+		return
 	}
-	lane := make([]float64, n)
-	for l := range ss {
-		for j := range lane {
-			lane[j] = y[8*j+l]
+	for t := solveStridedBlocks(c.data, from, n, y, b, stride, ss); t < m; t++ {
+		for i := from; i < n; i++ {
+			ri := c.row(i)
+			yi := (b[i*stride+t] - adotStrided(ri[:i], y[t:], stride)) / ri[i]
+			y[i*stride+t] = yi
+			ss[t] += yi * yi
 		}
-		ss[l] = c.ForwardSolveFlatTo(lane, lane)
-		for j, v := range lane {
-			y[8*j+l] = v
-		}
 	}
-	return ss
 }
 
 // BorderSolveStep extends a forward-solve vector by one entry after the

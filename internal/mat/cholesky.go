@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"alamr/internal/obs"
 )
 
 // ErrNotPositiveDefinite is returned when a Cholesky factorization encounters
@@ -52,18 +54,22 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 // (starting at start, multiplied by 10 each retry, up to max) whenever a
 // pivot is non-positive. This is the standard defence for Gram matrices with
 // duplicated rows, which are a normal condition in active learning datasets
-// containing repeated measurements.
+// containing repeated measurements. Each escalation step tried counts once
+// in alamr_mat_chol_jitter_steps_total, and giving up at max once in
+// alamr_mat_chol_jitter_failed_total.
 func NewCholeskyJitter(a *Dense, start, max float64) (*Cholesky, error) {
 	ch, err := newCholesky(a, 0)
 	if err == nil {
 		return ch, nil
 	}
 	for j := start; j <= max; j *= 10 {
+		obs.CholJitterSteps.Inc()
 		ch, err = newCholesky(a, j)
 		if err == nil {
 			return ch, nil
 		}
 	}
+	obs.CholJitterFailed.Inc()
 	return nil, fmt.Errorf("%w (after jitter up to %g)", ErrNotPositiveDefinite, max)
 }
 

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"alamr/internal/obs"
 )
 
 func TestCholeskyKnown(t *testing.T) {
@@ -367,5 +369,66 @@ func TestCholeskyInverseToDirtyBuffers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// NewCholeskyJitter counts each escalation step it tries and each final
+// failure: none for a positive definite matrix, the steps up to the first
+// jitter that factors a rank-deficient Gram matrix, and every step plus one
+// failure for a matrix no jitter up to max rescues. The expected step
+// counts replay the escalation with newCholesky.
+func TestCholeskyJitterCounters(t *testing.T) {
+	defer obs.Disable()
+	reg := obs.NewRegistry()
+	obs.Enable(reg, nil)
+	count := func(name string) int64 {
+		v, _ := reg.CounterValue(name)
+		return v
+	}
+	// A rank-one Gram matrix of four duplicated feature rows, and the
+	// negated identity.
+	gram := NewDense(4, 4, nil)
+	neg := NewDense(4, 4, nil)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			gram.Set(i, j, 2.5)
+		}
+		neg.Set(i, i, -1)
+	}
+	const start, max = 1e-12, 1e-2
+	steps := func(a *Dense) (n int64, ok bool) {
+		for j := start; j <= max; j *= 10 {
+			n++
+			if _, err := newCholesky(a, j); err == nil {
+				return n, true
+			}
+		}
+		return n, false
+	}
+	var wantSteps, wantFailed int64
+	for _, c := range []struct {
+		name string
+		a    *Dense
+	}{{"identity", Eye(4)}, {"rank-deficient", gram}, {"negative definite", neg}} {
+		_, err := NewCholeskyJitter(c.a, start, max)
+		if _, perr := newCholesky(c.a, 0); perr != nil {
+			n, ok := steps(c.a)
+			wantSteps += n
+			if !ok {
+				wantFailed++
+			}
+		}
+		if (err != nil) != (c.name == "negative definite") {
+			t.Fatalf("%s: NewCholeskyJitter error %v", c.name, err)
+		}
+		if got := count(obs.MetricCholJitterSteps); got != wantSteps {
+			t.Fatalf("after the %s matrix: %d jitter steps counted, want %d", c.name, got, wantSteps)
+		}
+		if got := count(obs.MetricCholJitterFailed); got != wantFailed {
+			t.Fatalf("after the %s matrix: %d failures counted, want %d", c.name, got, wantFailed)
+		}
+	}
+	if wantSteps < 2 || wantFailed != 1 {
+		t.Fatalf("the matrices exercised %d steps and %d failures, want a rescue after at least one step and one failure", wantSteps, wantFailed)
 	}
 }

@@ -44,6 +44,39 @@ func adot(a, b []float64) float64 {
 	return dot4(a, b)
 }
 
+// adotStrided is adot(a, v) for the vector v[j] = y[j·stride], replayed in
+// place: dot4's order below asmDotMin, dotAsm's above it, so every value
+// has adot's bits. It is the scalar form of the strided lane kernels.
+func adotStrided(a, y []float64, stride int) float64 {
+	if haveFMA && len(a) >= asmDotMin {
+		return dotFMAStrided(a, y, stride)
+	}
+	return dot4Strided(a, y, stride)
+}
+
+// dotFMAStrided replays dotAsm: sixteen fused residue classes over the
+// leading multiple of 16, folded as (c_l + c_l+4) + (c_l+8 + c_l+12) for
+// l = 0..3, then (t0+t2)+(t1+t3), then the tail fused in ascending order.
+func dotFMAStrided(a, y []float64, stride int) float64 {
+	n := len(a)
+	q := n &^ 15
+	var c [16]float64
+	for i := 0; i < q; i += 16 {
+		for r := range c {
+			c[r] = math.FMA(a[i+r], y[(i+r)*stride], c[r])
+		}
+	}
+	var t [4]float64
+	for l := range t {
+		t[l] = (c[l] + c[l+4]) + (c[l+8] + c[l+12])
+	}
+	s := (t[0] + t[2]) + (t[1] + t[3])
+	for i := q; i < n; i++ {
+		s = math.FMA(a[i], y[i*stride], s)
+	}
+	return s
+}
+
 // axpy computes y[i] += alpha*x[i]. On the FMA path every element —
 // including the tail, via math.FMA — uses fused rounding, so the result
 // does not depend on where the vector kernel stops.

@@ -8,6 +8,8 @@ const haveFMA = false
 
 func adot(a, b []float64) float64 { return dot4(a, b) }
 
+func adotStrided(a, y []float64, stride int) float64 { return dot4Strided(a, y, stride) }
+
 func axpy(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	for i, v := range x {

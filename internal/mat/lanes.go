@@ -87,6 +87,26 @@ func RBFLanes(w, x, xt, z, norms, beta []float64, from int, inv2l2, amp2 float64
 	return rbfLaneRows(w, x, xt, z, norms, beta, from, inv2l2, amp2, mu)
 }
 
+// DotStrided sets out[t] = DotBlocked(a, y_t) for t in [0, len(out)), where
+// y_t is the vector stored entry-major at stride: y_t[j] = y[j·stride+t]
+// (stride ≥ len(out)). Blocks of eight vectors run in the strided lane
+// kernel, lane t replaying adot's order for len(a); the len(out) mod 8
+// tail, and every vector on CPUs without AVX2+FMA, replay adot in place.
+// Every value has DotBlocked's bits.
+func DotStrided(out, a, y []float64, stride int) {
+	n, m := len(a), len(out)
+	if m > stride || (n > 0 && m > 0 && len(y) < (n-1)*stride+m) {
+		panic(fmt.Sprintf("mat: DotStrided of %d vectors of length %d, stride %d, over %d values", m, n, stride, len(y)))
+	}
+	if n == 0 {
+		clear(out) // adot of empty vectors is +0
+		return
+	}
+	for t := dotStridedBlocks(out, a, y, stride); t < m; t++ {
+		out[t] = adotStrided(a, y[t:], stride)
+	}
+}
+
 // ForwardSolveLanes solves L y_c = b_c in place for eight right-hand sides
 // stored interleaved, y[8j+c] holding element j of lane c (len(y) =
 // 8·Size), and returns ss[c] = Σ_j y_c[j]², summed in index order as Dot

@@ -60,3 +60,33 @@ func forwardSweepLanes(l []float64, n int, y []float64, ss *[8]float64) bool {
 	fwdSweepAsm(&l[0], n, &y[0], ss)
 	return true
 }
+
+//go:noescape
+func dotLanesAsm(a *float64, n int, y *float64, stride int, out *float64, blocks int)
+
+//go:noescape
+func solveLanesAsm(l *float64, from, to int, b, y *float64, stride int, ss *float64, blocks int)
+
+// dotStridedBlocks is DotStrided's vector part over the leading blocks of
+// eight; it returns how many values it wrote. Its caller has checked the
+// shapes and that a is not empty.
+func dotStridedBlocks(out, a, y []float64, stride int) int {
+	blocks := len(out) / 8
+	if !haveFMA || blocks == 0 {
+		return 0
+	}
+	dotLanesAsm(&a[0], len(a), &y[0], stride, &out[0], blocks)
+	return 8 * blocks
+}
+
+// solveStridedBlocks is ForwardSolveStrided's vector part over the leading
+// blocks of eight; it returns how many vectors it solved. Its caller has
+// checked the shapes and that rows from..n−1 remain.
+func solveStridedBlocks(l []float64, from, n int, y, b []float64, stride int, ss []float64) int {
+	blocks := len(ss) / 8
+	if !haveFMA || blocks == 0 {
+		return 0
+	}
+	solveLanesAsm(&l[0], from, n, &b[0], &y[0], stride, &ss[0], blocks)
+	return 8 * blocks
+}

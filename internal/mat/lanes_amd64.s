@@ -10,7 +10,10 @@
 //     unfused RBF row expression, and rbfLanesAsm's running sum against
 //     beta is Dot's;
 //   - fwdSweepAsm's dots are dotAsm (length >= 16) or dot4 (length < 16) per
-//     lane, and its sums of squares are Dot's.
+//     lane, and its sums of squares are Dot's;
+//   - dotLanesAsm and solveLanesAsm run the same per-lane dots over vectors
+//     stored at a runtime stride, and solveLanesAsm's rows are
+//     ForwardSolveFlatTo's (its running sum included).
 //
 // Callers reach these only when haveFMA holds. A group of four whose
 // exponent arguments leave the fast range stops the kernel, and the Go
@@ -615,5 +618,255 @@ sweepnext:
 	MOVQ R10, R9
 	JMP  sweepblock
 sweepdone:
+	VZEROUPPER
+	RET
+
+// Strided lanes (dotLanesAsm, solveLanesAsm): eight vectors stored
+// entry-major, entry j of lane c at y + j·S + 8c for a byte stride S (R8),
+// lanes 0..3 forming group A and 4..7 group B. R9 holds 4S and R10 12S.
+//
+// SLDOT(labels...) sets Y0 (A) and Y4 (B) to each lane's dot of the row at
+// BX with its vector over the first DX entries, from the block at DI, as
+// adot orders it for length DX: below 16 dot4's four unfused sums (the
+// length mod 4 tail into the first) and (s0+s1)+(s2+s3); from 16 dotAsm's
+// sixteen fused residue classes, in four passes p = 0..3 over classes p,
+// p+4, p+8 and p+12, each folded to t_p = (c_p + c_p+4) + (c_p+8 + c_p+12)
+// as fwdSweepAsm folds them, then (t0+t2)+(t1+t3) and the length mod 16
+// tail fused in ascending order. Clobbers R11..R13 and Y1..Y3, Y5..Y15.
+#define SLPASS16 \
+	VBROADCASTSD 0(R11), Y8; \
+	VFMADD231PD  0(R12), Y8, Y0; \
+	VFMADD231PD  32(R12), Y8, Y4; \
+	VBROADCASTSD 32(R11), Y9; \
+	VFMADD231PD  (R12)(R9*1), Y9, Y1; \
+	VFMADD231PD  32(R12)(R9*1), Y9, Y5; \
+	VBROADCASTSD 64(R11), Y10; \
+	VFMADD231PD  (R12)(R9*2), Y10, Y2; \
+	VFMADD231PD  32(R12)(R9*2), Y10, Y6; \
+	VBROADCASTSD 96(R11), Y11; \
+	VFMADD231PD  (R12)(R10*1), Y11, Y3; \
+	VFMADD231PD  32(R12)(R10*1), Y11, Y7; \
+	ADDQ         $128, R11; \
+	LEAQ         (R12)(R9*4), R12; \
+	DECQ         R13
+
+#define SLZERO \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+#define SLDOT(lshort, lshort4, lshorttail, lshorttail1, lshortsum, lp0, lp1, lp2, lp3, ltail, ldone) \
+	SLZERO; \
+	CMPQ         DX, $16; \
+	JLT          lshort; \
+	MOVQ         BX, R11; \
+	MOVQ         DI, R12; \
+	MOVQ         DX, R13; \
+	SHRQ         $4, R13; \
+lp0: \
+	SLPASS16; \
+	JNZ          lp0; \
+	FWDT; \
+	VMOVAPD      Y0, Y12; \
+	VMOVAPD      Y4, Y13; \
+	SLZERO; \
+	LEAQ         8(BX), R11; \
+	LEAQ         (DI)(R8*1), R12; \
+	MOVQ         DX, R13; \
+	SHRQ         $4, R13; \
+lp1: \
+	SLPASS16; \
+	JNZ          lp1; \
+	FWDT; \
+	VMOVAPD      Y0, Y14; \
+	VMOVAPD      Y4, Y15; \
+	SLZERO; \
+	LEAQ         16(BX), R11; \
+	LEAQ         (DI)(R8*2), R12; \
+	MOVQ         DX, R13; \
+	SHRQ         $4, R13; \
+lp2: \
+	SLPASS16; \
+	JNZ          lp2; \
+	FWDT; \
+	VADDPD       Y0, Y12, Y12; \
+	VADDPD       Y4, Y13, Y13; \
+	SLZERO; \
+	LEAQ         24(BX), R11; \
+	LEAQ         (DI)(R8*2), R12; \
+	ADDQ         R8, R12; \
+	MOVQ         DX, R13; \
+	SHRQ         $4, R13; \
+lp3: \
+	SLPASS16; \
+	JNZ          lp3; \
+	FWDT; \
+	VADDPD       Y0, Y14, Y14; \
+	VADDPD       Y4, Y15, Y15; \
+	VADDPD       Y14, Y12, Y0; \
+	VADDPD       Y15, Y13, Y4; \
+	SUBQ         $24, R11; \
+	LEAQ         (R8)(R8*2), R13; \
+	SUBQ         R13, R12; \
+	MOVQ         DX, R13; \
+	ANDQ         $15, R13; \
+	JZ           ldone; \
+ltail: \
+	VBROADCASTSD (R11), Y8; \
+	VFMADD231PD  0(R12), Y8, Y0; \
+	VFMADD231PD  32(R12), Y8, Y4; \
+	ADDQ         $8, R11; \
+	ADDQ         R8, R12; \
+	DECQ         R13; \
+	JNZ          ltail; \
+	JMP          ldone; \
+lshort: \
+	MOVQ         BX, R11; \
+	MOVQ         DI, R12; \
+	MOVQ         DX, R13; \
+	SHRQ         $2, R13; \
+	JZ           lshorttail; \
+lshort4: \
+	VBROADCASTSD 0(R11), Y8; \
+	VMULPD       0(R12), Y8, Y10; \
+	VADDPD       Y10, Y0, Y0; \
+	VMULPD       32(R12), Y8, Y11; \
+	VADDPD       Y11, Y4, Y4; \
+	ADDQ         R8, R12; \
+	VBROADCASTSD 8(R11), Y9; \
+	VMULPD       0(R12), Y9, Y12; \
+	VADDPD       Y12, Y1, Y1; \
+	VMULPD       32(R12), Y9, Y13; \
+	VADDPD       Y13, Y5, Y5; \
+	ADDQ         R8, R12; \
+	VBROADCASTSD 16(R11), Y8; \
+	VMULPD       0(R12), Y8, Y10; \
+	VADDPD       Y10, Y2, Y2; \
+	VMULPD       32(R12), Y8, Y11; \
+	VADDPD       Y11, Y6, Y6; \
+	ADDQ         R8, R12; \
+	VBROADCASTSD 24(R11), Y9; \
+	VMULPD       0(R12), Y9, Y12; \
+	VADDPD       Y12, Y3, Y3; \
+	VMULPD       32(R12), Y9, Y13; \
+	VADDPD       Y13, Y7, Y7; \
+	ADDQ         R8, R12; \
+	ADDQ         $32, R11; \
+	DECQ         R13; \
+	JNZ          lshort4; \
+lshorttail: \
+	MOVQ         DX, R13; \
+	ANDQ         $3, R13; \
+	JZ           lshortsum; \
+lshorttail1: \
+	VBROADCASTSD (R11), Y8; \
+	VMULPD       0(R12), Y8, Y10; \
+	VADDPD       Y10, Y0, Y0; \
+	VMULPD       32(R12), Y8, Y11; \
+	VADDPD       Y11, Y4, Y4; \
+	ADDQ         $8, R11; \
+	ADDQ         R8, R12; \
+	DECQ         R13; \
+	JNZ          lshorttail1; \
+lshortsum: \
+	VADDPD       Y1, Y0, Y0; \
+	VADDPD       Y3, Y2, Y2; \
+	VADDPD       Y2, Y0, Y0; \
+	VADDPD       Y5, Y4, Y4; \
+	VADDPD       Y7, Y6, Y6; \
+	VADDPD       Y6, Y4, Y4; \
+ldone:
+
+// STRIDES loads R8 = S, the byte stride of the element stride arg, R9 = 4S
+// and R10 = 12S.
+#define STRIDES(arg) \
+	MOVQ arg, R8; \
+	SHLQ $3, R8; \
+	MOVQ R8, R9; \
+	SHLQ $2, R9; \
+	LEAQ (R9)(R9*2), R10
+
+// func dotLanesAsm(a *float64, n int, y *float64, stride int, out *float64, blocks int)
+// For blocks >= 1 blocks of eight lanes, block b's lane c being the vector
+// at y + 8(8b+c) with entries stride elements apart, out[8b+c] = SLDOT of
+// a[0:n] with it: adot(a[:n], ·) for that lane, bit for bit.
+TEXT ·dotLanesAsm(SB), NOSPLIT, $0-48
+	MOVQ a+0(FP), BX
+	MOVQ n+8(FP), DX
+	MOVQ y+16(FP), DI
+	STRIDES(stride+24(FP))
+	MOVQ out+32(FP), CX
+	MOVQ blocks+40(FP), AX
+dlblock:
+	SLDOT(dlshort, dlshort4, dlshorttail, dlshorttail1, dlshortsum, dlp0, dlp1, dlp2, dlp3, dltail, dldone)
+	VMOVUPD Y0, 0(CX)
+	VMOVUPD Y4, 32(CX)
+	ADDQ    $64, CX
+	ADDQ    $64, DI
+	DECQ    AX
+	JNZ     dlblock
+	VZEROUPPER
+	RET
+
+// func solveLanesAsm(l *float64, from, to int, b, y *float64, stride int, ss *float64, blocks int)
+// ForwardSolveFlatTo's rows from..to−1 for blocks >= 1 blocks of eight
+// lanes laid out as dotLanesAsm's (b and y share the stride, and ss holds
+// eight sums a block): per lane, row i of the packed factor l (at
+// l[i(i+1)/2]) takes y_i = (b_i − SLDOT of l_i with y over i entries)/l_ii
+// and ss += y_i·y_i, unfused. With from = to−1 that is BorderSolveStep and
+// the running-norm update after it; with from = 0 and ss zero, the whole
+// flat solve and its running sum.
+TEXT ·solveLanesAsm(SB), NOSPLIT, $0-64
+	STRIDES(stride+40(FP))
+	MOVQ y+32(FP), DI
+	MOVQ b+24(FP), SI
+	SUBQ DI, SI               // SI = b − y, fixed as both advance per block
+	MOVQ ss+48(FP), CX
+	SUBQ DI, CX               // CX = ss − y, likewise
+slblock:
+	MOVQ  from+8(FP), AX      // row i
+	LEAQ  1(AX), BX
+	IMULQ AX, BX
+	SHRQ  $1, BX
+	SHLQ  $3, BX
+	ADDQ  l+0(FP), BX         // BX = packed row i
+	MOVQ  AX, R14
+	IMULQ R8, R14
+	ADDQ  DI, R14             // R14 = entry i of the block's y
+slrow:
+	CMPQ AX, to+16(FP)
+	JGE  slnext
+	MOVQ AX, DX
+	SLDOT(slshort, slshort4, slshorttail, slshorttail1, slshortsum, slp0, slp1, slp2, slp3, sltail, sldone)
+	VMOVUPD      (R14)(SI*1), Y1
+	VSUBPD       Y0, Y1, Y1
+	VMOVUPD      32(R14)(SI*1), Y5
+	VSUBPD       Y4, Y5, Y5
+	VBROADCASTSD (BX)(AX*8), Y2
+	VDIVPD       Y2, Y1, Y1
+	VDIVPD       Y2, Y5, Y5
+	VMOVUPD      Y1, 0(R14)
+	VMOVUPD      Y5, 32(R14)
+	VMULPD       Y1, Y1, Y3
+	VMOVUPD      (DI)(CX*1), Y6
+	VADDPD       Y3, Y6, Y6
+	VMOVUPD      Y6, (DI)(CX*1)
+	VMULPD       Y5, Y5, Y7
+	VMOVUPD      32(DI)(CX*1), Y8
+	VADDPD       Y7, Y8, Y8
+	VMOVUPD      Y8, 32(DI)(CX*1)
+	LEAQ         8(BX)(AX*8), BX  // packed row i+1
+	ADDQ         R8, R14
+	INCQ         AX
+	JMP          slrow
+slnext:
+	ADDQ $64, DI
+	DECQ blocks+56(FP)
+	JNZ  slblock
 	VZEROUPPER
 	RET

@@ -19,8 +19,10 @@ func TestForwardSolveLanesBitwiseScalarDispatch(t *testing.T) {
 	withoutFMA(t, testForwardSolveLanes)
 }
 
-func TestForwardSolveFlatLanesBitwiseScalarDispatch(t *testing.T) {
-	withoutFMA(t, testForwardSolveFlatLanes)
+func TestDotStridedBitwiseScalarDispatch(t *testing.T) { withoutFMA(t, testDotStrided) }
+
+func TestForwardSolveStridedBitwiseScalarDispatch(t *testing.T) {
+	withoutFMA(t, testForwardSolveStrided)
 }
 
 func TestPowLanesMatchesPowScalarDispatch(t *testing.T) { withoutFMA(t, testPowLanes) }

@@ -16,3 +16,9 @@ func rbfLaneRows(w, x, xt, z, norms, beta []float64, from int, inv2l2, amp2 floa
 }
 
 func forwardSweepLanes(l []float64, n int, y []float64, ss *[8]float64) bool { return false }
+
+func dotStridedBlocks(out, a, y []float64, stride int) int { return 0 }
+
+func solveStridedBlocks(l []float64, from, n int, y, b []float64, stride int, ss []float64) int {
+	return 0
+}

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,46 +157,171 @@ func FuzzExpLanes(f *testing.F) {
 	})
 }
 
-// testForwardSolveFlatLanes checks the eight-lane flat solve and its sums
-// of squares against ForwardSolveFlatTo, lane by lane, on both sides of
-// cholBlock (where it switches from the one-call sweep to per-lane solves)
-// and of asmDotMin.
-func testForwardSolveFlatLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	for _, n := range []int{1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128} {
-		for trial := 0; trial < 3; trial++ {
-			ch, err := NewCholesky(randSPD(n, rng))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := make([][]float64, 8)
-			y := make([]float64, 8*n)
-			for c := range b {
-				b[c] = randomVec(rng, n)
-				if trial == 2 {
-					for j := range b[c] {
-						b[c][j] *= math.Pow(10, float64(rng.Intn(16)-8))
-					}
-				}
-				for j, v := range b[c] {
-					y[8*j+c] = v
-				}
-			}
-			ss := ch.ForwardSolveFlatLanes(y)
-			want := make([]float64, n)
-			for c := range b {
-				sum := ch.ForwardSolveFlatTo(want, b[c])
-				for j, w := range want {
-					if math.Float64bits(y[8*j+c]) != math.Float64bits(w) {
-						t.Fatalf("n=%d trial %d lane %d: y[%d] = %.17g, ForwardSolveFlatTo = %.17g", n, trial, c, j, y[8*j+c], w)
-					}
-				}
-				if math.Float64bits(ss[c]) != math.Float64bits(sum) {
-					t.Fatalf("n=%d trial %d lane %d: sum of squares %.17g, flat running sum %.17g", n, trial, c, ss[c], sum)
+// stridedVectors lays m vectors of length n out entry-major at stride
+// (element j of vector t at y[j·stride+t]), with magnitudes spread so that
+// every summation order rounds differently, and returns the layout and the
+// vectors gathered. The slack between m and stride holds NaNs, which no
+// result may read.
+func stridedVectors(rng *rand.Rand, n, m, stride int) (y []float64, vecs [][]float64) {
+	y = make([]float64, n*stride)
+	for i := range y {
+		y[i] = math.NaN()
+	}
+	vecs = make([][]float64, m)
+	for t := range vecs {
+		vecs[t] = make([]float64, n)
+		for j := range vecs[t] {
+			v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)-8))
+			vecs[t][j], y[j*stride+t] = v, v
+		}
+	}
+	return y, vecs
+}
+
+// sameBitsOrNaN is the strided kernels' bitwise contract: every non-NaN
+// result has the scalar code's bits, and a NaN result is NaN on both paths
+// (its payload follows the operand order of commutative SSE operations,
+// which neither path pins).
+func sameBitsOrNaN(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// testDotStrided checks DotStrided against DotBlocked of each gathered
+// vector for every length 0..40 (both sides of adot's switch at 16) and
+// every vector count 0..17 (every count mod 8, the tail included).
+func testDotStrided(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for n := 0; n <= 40; n++ {
+		for m := 0; m <= 17; m++ {
+			stride := m + rng.Intn(3)
+			a := randomVec(rng, n)
+			y, vecs := stridedVectors(rng, n, m, stride)
+			out := make([]float64, m)
+			DotStrided(out, a, y, stride)
+			for c, v := range vecs {
+				if want := DotBlocked(v, a); math.Float64bits(out[c]) != math.Float64bits(want) {
+					t.Fatalf("n=%d, %d vectors, stride %d, vector %d: %.17g, DotBlocked %.17g", n, m, stride, c, out[c], want)
 				}
 			}
 		}
 	}
 }
 
-func TestForwardSolveFlatLanesBitwise(t *testing.T) { testForwardSolveFlatLanes(t) }
+func TestDotStridedBitwise(t *testing.T) { testDotStrided(t) }
+
+// testForwardSolveStrided checks the strided solve against the scalar
+// code, for factor sizes 1..40 and vector counts 0..17: the whole flat
+// solve out of place against ForwardSolveFlatTo (values and running sums),
+// and the last row alone, in place over arbitrary solved prefixes, against
+// BorderSolveStep and the running-norm update after it.
+func testForwardSolveStrided(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for n := 1; n <= 40; n++ {
+		ch, err := NewCholesky(randSPD(n, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, n)
+		for m := 0; m <= 17; m++ {
+			stride := m + rng.Intn(3)
+			b, vecs := stridedVectors(rng, n, m, stride)
+			y := make([]float64, len(b))
+			ss := make([]float64, m)
+			ch.ForwardSolveStrided(y, b, stride, 0, ss)
+			for c, v := range vecs {
+				sum := ch.ForwardSolveFlatTo(want, v)
+				for j, w := range want {
+					if got := y[j*stride+c]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("n=%d, %d vectors, vector %d: y[%d] = %.17g, ForwardSolveFlatTo %.17g", n, m, c, j, got, w)
+					}
+				}
+				if math.Float64bits(ss[c]) != math.Float64bits(sum) {
+					t.Fatalf("n=%d, %d vectors, vector %d: sum of squares %.17g, flat running sum %.17g", n, m, c, ss[c], sum)
+				}
+			}
+
+			for c := range ss {
+				ss[c] = rng.Float64()
+			}
+			prev := append([]float64(nil), ss...)
+			ch.ForwardSolveStrided(b, b, stride, n-1, ss)
+			for c, v := range vecs {
+				vNew := ch.BorderSolveStep(v[:n-1], v[n-1])
+				if got := b[(n-1)*stride+c]; math.Float64bits(got) != math.Float64bits(vNew) {
+					t.Fatalf("n=%d, %d vectors, vector %d: border entry %.17g, BorderSolveStep %.17g", n, m, c, got, vNew)
+				}
+				if w := prev[c] + vNew*vNew; math.Float64bits(ss[c]) != math.Float64bits(w) {
+					t.Fatalf("n=%d, %d vectors, vector %d: running norm %.17g, want %.17g", n, m, c, ss[c], w)
+				}
+			}
+		}
+	}
+}
+
+func TestForwardSolveStridedBitwise(t *testing.T) { testForwardSolveStrided(t) }
+
+// FuzzStridedLanes drives DotStrided and the strided solve with arbitrary
+// bit patterns, non-finite ones included, on a fixed factor per size:
+// every result must be the scalar code's under sameBitsOrNaN.
+func FuzzStridedLanes(f *testing.F) {
+	seed := func(n, m uint8, vals ...float64) {
+		buf := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		f.Add(buf, n, m)
+	}
+	ramp := func(k int, scale float64) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			v[i] = scale * float64(i%7-3)
+		}
+		return v
+	}
+	seed(3, 9, ramp(60, 0.5)...)
+	seed(17, 8, ramp(200, 1e-3)...)
+	seed(20, 11, append(ramp(300, 1e8), 1e300, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1))...)
+	f.Fuzz(func(t *testing.T, data []byte, nb, mb uint8) {
+		n, m := 1+int(nb%40), int(mb%18)
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		if len(vals) < n*(m+1) {
+			return
+		}
+		a, b := vals[:n], vals[n:n*(m+1)]
+		ch, err := NewCholesky(randSPD(n, rand.New(rand.NewSource(int64(n)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec := func(t int) []float64 {
+			v := make([]float64, n)
+			for j := range v {
+				v[j] = b[j*m+t]
+			}
+			return v
+		}
+		out := make([]float64, m)
+		DotStrided(out, a, b, m)
+		y := make([]float64, len(b))
+		ss := make([]float64, m)
+		ch.ForwardSolveStrided(y, b, m, 0, ss)
+		want := make([]float64, n)
+		for c := 0; c < m; c++ {
+			v := vec(c)
+			if w := DotBlocked(v, a); !sameBitsOrNaN(out[c], w) {
+				t.Fatalf("n=%d, %d vectors, vector %d: dot %v, DotBlocked %v", n, m, c, out[c], w)
+			}
+			sum := ch.ForwardSolveFlatTo(want, v)
+			for j, w := range want {
+				if !sameBitsOrNaN(y[j*m+c], w) {
+					t.Fatalf("n=%d, %d vectors, vector %d: y[%d] = %v, ForwardSolveFlatTo %v", n, m, c, j, y[j*m+c], w)
+				}
+			}
+			if !sameBitsOrNaN(ss[c], sum) {
+				t.Fatalf("n=%d, %d vectors, vector %d: sum of squares %v, flat running sum %v", n, m, c, ss[c], sum)
+			}
+		}
+	})
+}

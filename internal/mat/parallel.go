@@ -269,6 +269,24 @@ func dot4(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// dot4Strided is dot4(a, v) for the vector v[j] = y[j·stride], with
+// dot4's operations in dot4's order.
+func dot4Strided(a, y []float64, stride int) float64 {
+	n := len(a)
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0 += a[i] * y[i*stride]
+		s1 += a[i+1] * y[(i+1)*stride]
+		s2 += a[i+2] * y[(i+2)*stride]
+		s3 += a[i+3] * y[(i+3)*stride]
+	}
+	for ; i < n; i++ {
+		s0 += a[i] * y[i*stride]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
 // DotBlocked is the exported form of the dispatching deterministic inner
 // product. Unlike Dot it does not promise the naive left-to-right summation
 // order; it promises a fixed order for a given length (and, across machines,

@@ -172,6 +172,10 @@ var (
 	MatInline   CounterHandle
 	MatWorkers  GaugeHandle
 
+	// Cholesky jitter escalation.
+	CholJitterSteps  CounterHandle
+	CholJitterFailed CounterHandle
+
 	// Faults runtime.
 	FaultAttempts CounterHandle
 	FaultRetries  CounterHandle
@@ -280,6 +284,9 @@ func bindHandles(r *Registry) {
 	MatInline.p.Store(r.Counter(MetricMatInline, "ParallelFor calls run inline (serial fast path)"))
 	MatWorkers.p.Store(r.Gauge(MetricMatWorkers, "worker-pool size at last dispatch"))
 
+	CholJitterSteps.p.Store(r.Counter(MetricCholJitterSteps, "Cholesky factorizations retried with a jitter on the diagonal, one per escalation step"))
+	CholJitterFailed.p.Store(r.Counter(MetricCholJitterFailed, "Cholesky factorizations not positive definite at the largest jitter"))
+
 	FaultAttempts.p.Store(r.Counter(MetricFaultAttempts, "experiment attempts (including retries)"))
 	FaultRetries.p.Store(r.Counter(MetricFaultRetries, "attempts that faulted and were retried"))
 	FaultSuccess.p.Store(r.Counter(MetricFaultSuccesses, "experiments that ended in success"))
@@ -337,7 +344,7 @@ func unbindHandles() {
 		&GPRebuilds, &GPExtends,
 		&CacheHits, &CacheRebuilds, &CacheInvalidations, &CacheExtends,
 		&PoolShardsScored, &PoolShardsPruned, &PoolCandidatesScored, &PoolCandidatesPruned,
-		&MatDispatch, &MatInline,
+		&MatDispatch, &MatInline, &CholJitterSteps, &CholJitterFailed,
 		&FaultAttempts, &FaultRetries, &FaultSuccess, &FaultCensored, &FaultFatal,
 		&SimReferenceRuns, &SimReferenceShared, &SimEmulations, &SimEmulationsShared,
 		&CheckpointWrites, &CheckpointRestores,

@@ -64,6 +64,10 @@ const (
 	MetricMatInline   = "alamr_mat_inline_total"
 	MetricMatWorkers  = "alamr_mat_workers"
 
+	// Cholesky jitter escalation (mat.NewCholeskyJitter).
+	MetricCholJitterSteps  = "alamr_mat_chol_jitter_steps_total"
+	MetricCholJitterFailed = "alamr_mat_chol_jitter_failed_total"
+
 	// Faults runtime.
 	MetricFaultAttempts       = "alamr_faults_attempts_total"
 	MetricFaultRetries        = "alamr_faults_retries_total"
@@ -227,6 +231,8 @@ var AllMetricNames = []string{
 	MetricMatDispatch,
 	MetricMatInline,
 	MetricMatWorkers,
+	MetricCholJitterSteps,
+	MetricCholJitterFailed,
 	MetricFaultAttempts,
 	MetricFaultRetries,
 	MetricFaultSuccesses,
