@@ -39,9 +39,10 @@ test-v3:
 
 # fuzz-smoke runs each fuzz target briefly: the four-lane exponential on
 # arbitrary bit patterns, the lane pow on an arbitrary base and exponents,
-# the strided dot and flat solve of the scoring cache on arbitrary bit
-# patterns (compared with DotBlocked and ForwardSolveFlatTo; a NaN need
-# only be NaN on both paths), the fused RBF kernel row, its candidate-major
+# the strided dot and forward solve of the scoring cache on arbitrary bit
+# patterns up to 140 rows, across both panel boundaries (compared with
+# DotBlocked, ForwardSolveVecTo and Dot; a NaN need only be NaN on both
+# paths), the fused RBF kernel row, its candidate-major
 # eight-candidate form and its pool-column form on arbitrary small designs
 # and pools, all compared bitwise with the scalar code (NaN for NaN), the
 # LML workspace on arbitrary small designs and log-hyperparameters,

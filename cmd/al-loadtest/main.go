@@ -23,8 +23,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -39,30 +41,46 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("al-loadtest: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	addr := flag.String("addr", "", "daemon address to load-test; empty starts an embedded daemon")
-	data := flag.String("data", "dataset.csv", "dataset CSV backing the submitted replay campaigns")
-	campaigns := flag.Int("campaigns", 32, "total campaigns to submit")
-	submitters := flag.Int("submitters", 4, "concurrent submitting clients")
-	pollers := flag.Int("pollers", 4, "concurrent status-polling clients")
-	tenants := flag.String("tenants", "acme,globex", "comma-separated tenants to cycle across submissions")
-	iters := flag.Int("iters", 3, "AL iterations per submitted campaign (small: queue dynamics, not GP math)")
-	p99Submit := flag.Float64("p99-submit-ms", 250, "p99 submit latency gate in ms (0 disables)")
-	p99Poll := flag.Float64("p99-poll-ms", 100, "p99 status-poll latency gate in ms (0 disables)")
-	workers := flag.Int("workers", runtime.NumCPU(), "campaign workers for the embedded daemon")
-	out := flag.String("out", "BENCH_serve.json", "write the JSON latency report here (empty skips)")
-	flag.Parse()
+// errNotPassed is run's error when a latency gate was violated or a
+// campaign did not finish in state done; the details are already printed.
+var errNotPassed = errors.New("load test did not pass")
+
+// run is al-loadtest's body: it parses args, starts the embedded daemon
+// unless -addr names one, runs the load, writes the report to -out and the
+// latency table and gate lines to stdout. Its error is non-nil when the
+// load could not run or did not pass.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("al-loadtest", flag.ExitOnError)
+	addr := fs.String("addr", "", "daemon address to load-test; empty starts an embedded daemon")
+	data := fs.String("data", "dataset.csv", "dataset CSV backing the submitted replay campaigns")
+	campaigns := fs.Int("campaigns", 32, "total campaigns to submit")
+	submitters := fs.Int("submitters", 4, "concurrent submitting clients")
+	pollers := fs.Int("pollers", 4, "concurrent status-polling clients")
+	tenants := fs.String("tenants", "acme,globex", "comma-separated tenants to cycle across submissions")
+	iters := fs.Int("iters", 3, "AL iterations per submitted campaign (small: queue dynamics, not GP math)")
+	p99Submit := fs.Float64("p99-submit-ms", 250, "p99 submit latency gate in ms (0 disables)")
+	p99Poll := fs.Float64("p99-poll-ms", 100, "p99 status-poll latency gate in ms (0 disables)")
+	workers := fs.Int("workers", runtime.NumCPU(), "campaign workers for the embedded daemon")
+	out := fs.String("out", "BENCH_serve.json", "write the JSON latency report here (empty skips)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	ds, err := dataset.LoadFile(*data)
 	if err != nil {
-		log.Fatalf("loading dataset: %v (generate one with amr-gen)", err)
+		return fmt.Errorf("loading dataset: %w (generate one with amr-gen)", err)
 	}
 
 	target := *addr
 	if target == "" {
 		storeDir, err := os.MkdirTemp("", "al-loadtest-store-")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer os.RemoveAll(storeDir)
 		d, err := serve.New(serve.Config{
@@ -72,10 +90,10 @@ func main() {
 			Logf:     func(string, ...any) {}, // keep daemon chatter out of the report
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := d.Start(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer d.Close()
 		target = d.Addr()
@@ -103,33 +121,34 @@ func main() {
 		Logf:         log.Printf,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("report written to %s", *out)
 	}
-	if err := rep.Table().Write(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := rep.Table().Write(stdout); err != nil {
+		return err
 	}
 	for _, g := range rep.Gates {
 		verdict := "ok"
 		if !g.Passed {
 			verdict = "VIOLATED"
 		}
-		fmt.Printf("gate %-12s limit %8.1fms  actual %8.2fms  %s\n", g.Name, g.LimitMs, g.ActualMs, verdict)
+		fmt.Fprintf(stdout, "gate %-12s limit %8.1fms  actual %8.2fms  %s\n", g.Name, g.LimitMs, g.ActualMs, verdict)
 	}
 	if rep.Failed > 0 {
 		log.Printf("%d campaigns did not finish in state done", rep.Failed)
 	}
 	if !rep.Passed {
-		os.Exit(1)
+		return errNotPassed
 	}
+	return nil
 }

@@ -188,7 +188,7 @@ func TestSparseCacheRemove(t *testing.T) {
 
 // TestTreedCacheMatchesPredict: the per-leaf-routed cache reproduces
 // Treed.Predict over the pool within the exact-cache tolerance (per-leaf
-// ScoringCaches group the flat solve differently from PredictOne).
+// ScoringCaches sum the mean with DotBlocked, PredictOne with Dot).
 func TestTreedCacheMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	x, y := scaleTrainingSet(rng, 120)

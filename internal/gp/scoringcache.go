@@ -23,9 +23,9 @@ import (
 // candidate). The cache tracks its GP across the loop's three mutations:
 //
 //   - Append: every kᵢ gains the entry against the new training row and
-//     every vᵢ gains one border-solve step (mat.Cholesky.BorderSolveStep's
-//     bits) against the new factor row — O(n) per candidate, in parallel
-//     over candidates.
+//     every vᵢ gains one border-solve step against the new factor row
+//     (mat.Cholesky.ForwardSolveStrided from that row) — O(n) per
+//     candidate, in parallel over candidates.
 //   - Refit / Fit (new hyperparameters): every stored row is wrong; the
 //     cache marks itself stale and the next Scores call rebuilds all
 //     candidates in one parallel batched pass.
@@ -46,21 +46,21 @@ import (
 // pass runs eight slots per call of the strided lane kernels
 // (mat.DotStrided, mat.Cholesky.ForwardSolveStrided).
 //
-// Determinism: the rebuild pass solves each vᵢ with the flat substitution
-// (ForwardSolveStrided from row 0, which has ForwardSolveFlatTo's bits)
-// whose per-row grouping is bitwise identical to BorderSolveStep (the same
-// call from the newest row), and ‖vᵢ‖² is accumulated in index order in
-// both paths; μ has DotBlocked's bits and the column sweep has the row
+// Determinism: the rebuild pass solves each vᵢ with ForwardSolveStrided
+// from row 0, which has ForwardSolveVecTo's bits, and an append's border
+// step is the same call from the newest row, which yields the last entry
+// of that solve; ‖vᵢ‖² is accumulated in index order in both paths, Dot's
+// order. μ has DotBlocked's bits and the column sweep has the row
 // evaluator's. A cache freshly built at size n therefore holds bit-for-bit
 // the state of a cache built at size n₀ < n and extended through n−n₀
 // appends — the property checkpoint resume relies on (the online runtime
 // rebuilds caches after replaying the feed log and must continue the
 // trajectory bitwise).
 //
-// Scores is deliberately not bitwise-equal to Predict: Predict's blocked
-// forward solve and its different mean reduction differ from the cache in
-// the last ulps. Equivalence tests pin the agreement to ≤1e-12 and the
-// policy selections to exact equality on fixed seeds.
+// σ is bitwise Predict's: Predict solves with ForwardSolveVecTo and sums
+// ‖vᵢ‖² with Dot. μ is not: Predict sums α·kᵢ with Dot, so the two means
+// differ in the last ulps. Equivalence tests pin σ bit for bit, μ to
+// ≤1e-12, and the policy selections to exact equality on fixed seeds.
 //
 // A ScoringCache is not safe for concurrent use, matching the sequential
 // structure of the AL loop; distinct (GP, cache) pairs are independent.
@@ -278,8 +278,8 @@ var rebuildScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // rebuild recomputes every candidate's cached state against the GP's
 // current hyperparameters and factor, in parallel over blocks of eight
-// candidates. The flat forward solves keep rebuilt state bitwise identical
-// to incrementally extended state (see the type comment).
+// candidates. The forward solves keep rebuilt state bitwise identical to
+// incrementally extended state (see the type comment).
 func (c *ScoringCache) rebuild() {
 	obs.CacheRebuilds.Inc()
 	n := c.g.x.Rows()
@@ -292,7 +292,7 @@ func (c *ScoringCache) rebuild() {
 
 // rebuildBlocks is rebuild's body for the blocks of eight slots [lo, hi):
 // it fills their n kernel columns, solves them into the v slab in one
-// strided flat solve, and sets their prior variances.
+// strided forward solve, and sets their prior variances.
 func (c *ScoringCache) rebuildBlocks(lo, hi int) {
 	g, n, stride := c.g, c.n, c.stride
 	lo, hi = c.blocks(lo, hi)

@@ -9,10 +9,21 @@ import (
 	"alamr/internal/mat"
 )
 
-// scoringTol is the pinned agreement between cached scores and direct
-// Predict (the two paths group floating-point operations differently, so
-// they are close, not bitwise-equal).
+// scoringTol is the pinned agreement between cached means and direct
+// Predict: the cache sums α·kᵢ with DotBlocked and Predict with Dot, so the
+// two are close, not bitwise-equal. Cached σ is bitwise Predict's.
 const scoringTol = 1e-12
+
+// cacheKernels are the kernels the cache tests drive: the RBF takes the
+// column sweep, ARD and Matérn the per-candidate rows.
+var cacheKernels = []struct {
+	name string
+	k    kernel.Kernel
+}{
+	{"rbf", kernel.NewRBF(0.8, 1.2)},
+	{"ard", kernel.NewARDRBF([]float64{0.7, 1.3}, 1.1)},
+	{"matern", kernel.NewMatern(2.5, 0.9, 1.0)},
+}
 
 func poolRows(rng *rand.Rand, m, d int) [][]float64 {
 	rows := make([][]float64, m)
@@ -48,8 +59,8 @@ func checkAgainstPredict(t *testing.T, tag string, g *GP, c *ScoringCache, pool 
 		if math.Abs(mu[i]-wantMu[i]) > scoringTol {
 			t.Fatalf("%s: candidate %d: cached mu %.17g, Predict %.17g", tag, i, mu[i], wantMu[i])
 		}
-		if math.Abs(sigma[i]-wantSigma[i]) > scoringTol {
-			t.Fatalf("%s: candidate %d: cached sigma %.17g, Predict %.17g", tag, i, sigma[i], wantSigma[i])
+		if math.Float64bits(sigma[i]) != math.Float64bits(wantSigma[i]) {
+			t.Fatalf("%s: candidate %d: cached sigma %.17g, Predict %.17g (must be bitwise equal)", tag, i, sigma[i], wantSigma[i])
 		}
 	}
 }
@@ -65,45 +76,58 @@ func fitTestGP(t *testing.T, rng *rand.Rand, n int) *GP {
 }
 
 // The core equivalence property: over a randomized schedule of appends,
-// removals, and hyperparameter refits, cached scores track direct Predict
-// within 1e-12 for every live candidate.
+// removals, and hyperparameter refits, cached σ equals direct Predict's bit
+// for bit and cached μ tracks it within 1e-12, for every live candidate and
+// each kernel. The training set grows from 14 rows past both forward-solve
+// panel boundaries, 64 and 128 (in -short mode to 30 operations only).
 func TestScoringCacheMatchesPredict(t *testing.T) {
-	ops := 80
+	ops := 200
 	if testing.Short() {
 		ops = 30
 	}
-	rng := rand.New(rand.NewSource(11))
-	g := fitTestGP(t, rng, 14)
-	pool := poolRows(rng, 32, 2)
-	c := NewScoringCache(g, denseOf(pool))
-	defer c.Close()
-	checkAgainstPredict(t, "initial", g, c, pool)
+	for _, kc := range cacheKernels {
+		t.Run(kc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			x, y := eqTrainingSet(rng, 14)
+			g := New(kc.k, Config{Noise: 0.05, NoOptimize: true})
+			if err := g.Fit(x, y); err != nil {
+				t.Fatal(err)
+			}
+			pool := poolRows(rng, 32, 2)
+			c := NewScoringCache(g, denseOf(pool))
+			defer c.Close()
+			checkAgainstPredict(t, "initial", g, c, pool)
 
-	for op := 0; op < ops; op++ {
-		switch {
-		case op%9 == 8:
-			// Perturb hyperparameters and refit: every cached row is wrong
-			// until the rebuild pass runs.
-			hp := g.Hyperparams()
-			for i := range hp {
-				hp[i] += 0.05 * rng.NormFloat64()
+			for op := 0; op < ops; op++ {
+				switch {
+				case op%9 == 8:
+					// Perturb hyperparameters and refit: every cached row
+					// is wrong until the rebuild pass runs.
+					hp := g.Hyperparams()
+					for i := range hp {
+						hp[i] += 0.05 * rng.NormFloat64()
+					}
+					g.SetHyperparams(hp)
+					if err := g.Refit(); err != nil {
+						t.Fatalf("op %d: Refit: %v", op, err)
+					}
+				case op%3 == 1 && len(pool) > 4:
+					p := rng.Intn(len(pool))
+					pool = append(pool[:p], pool[p+1:]...)
+					c.Remove(p)
+				default:
+					x := []float64{rng.Float64() * 4, rng.Float64() * 4}
+					y := math.Sin(x[0]) * math.Cos(x[1])
+					if err := g.Append(x, y); err != nil {
+						t.Fatalf("op %d: Append: %v", op, err)
+					}
+				}
+				checkAgainstPredict(t, "after op", g, c, pool)
 			}
-			g.SetHyperparams(hp)
-			if err := g.Refit(); err != nil {
-				t.Fatalf("op %d: Refit: %v", op, err)
+			if n := g.x.Rows(); !testing.Short() && n <= 128 {
+				t.Fatalf("the schedule ended at n = %d; it must cross 128", n)
 			}
-		case op%3 == 1 && len(pool) > 4:
-			p := rng.Intn(len(pool))
-			pool = append(pool[:p], pool[p+1:]...)
-			c.Remove(p)
-		default:
-			x := []float64{rng.Float64() * 4, rng.Float64() * 4}
-			y := math.Sin(x[0]) * math.Cos(x[1])
-			if err := g.Append(x, y); err != nil {
-				t.Fatalf("op %d: Append: %v", op, err)
-			}
-		}
-		checkAgainstPredict(t, "after op", g, c, pool)
+		})
 	}
 }
 
@@ -236,10 +260,11 @@ func TestScoringCacheClose(t *testing.T) {
 }
 
 // refCache is the per-candidate scoring cache the slab layout replaced,
-// kept as the oracle: one slice per candidate for kᵢ and vᵢ, grown by
-// append, every kernel entry through the GP's row evaluator and every prior
-// variance through kern.Eval. It is not registered with its GP; the test
-// extends it after each Append and invalidates it after each Refit.
+// kept as the oracle: one slice per candidate for kᵢ and vᵢ, every kernel
+// entry through the GP's row evaluator, every vᵢ solved whole by
+// ForwardSolveVecTo with ‖vᵢ‖² by Dot (Predict's arithmetic), and every
+// prior variance through kern.Eval. It is not registered with its GP; the
+// test extends it after each Append and invalidates it after each Refit.
 type refCache struct {
 	g          *GP
 	xs, ks, vs [][]float64
@@ -269,7 +294,8 @@ func (c *refCache) scores() (mu, sigma []float64) {
 			c.ks[s] = growVec(c.ks[s], n)
 			c.vs[s] = growVec(c.vs[s], n)
 			g.rowEval.Eval(c.xs[s], 0, c.ks[s])
-			c.v2[s] = g.chol.ForwardSolveFlatTo(c.vs[s], c.ks[s])
+			g.chol.ForwardSolveVecTo(c.vs[s], c.ks[s])
+			c.v2[s] = mat.Dot(c.vs[s], c.vs[s])
 			c.kss[s] = g.kern.Eval(c.xs[s], c.xs[s])
 		}
 		c.stale = false
@@ -294,10 +320,10 @@ func (c *refCache) extend() {
 	var kNew [1]float64
 	for s := range c.xs {
 		g.rowEval.Eval(c.xs[s], n-1, kNew[:])
-		vNew := g.chol.BorderSolveStep(c.vs[s], kNew[0])
 		c.ks[s] = append(c.ks[s], kNew[0])
-		c.vs[s] = append(c.vs[s], vNew)
-		c.v2[s] += vNew * vNew
+		c.vs[s] = growVec(c.vs[s], n)
+		g.chol.ForwardSolveVecTo(c.vs[s], c.ks[s])
+		c.v2[s] = mat.Dot(c.vs[s], c.vs[s])
 	}
 }
 
@@ -341,15 +367,7 @@ func sameBits(a, b []float64) bool {
 // kernel takes the column sweep; ARD and Matérn the per-candidate rows.
 // The pool holds a row with an infinite feature.
 func TestScoringCacheSlabBitwise(t *testing.T) {
-	kernels := []struct {
-		name string
-		k    kernel.Kernel
-	}{
-		{"rbf", kernel.NewRBF(0.8, 1.2)},
-		{"ard", kernel.NewARDRBF([]float64{0.7, 1.3}, 1.1)},
-		{"matern", kernel.NewMatern(2.5, 0.9, 1.0)},
-	}
-	for _, kc := range kernels {
+	for _, kc := range cacheKernels {
 		t.Run(kc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(43))
 			x, y := eqTrainingSet(rng, 2)

@@ -256,12 +256,12 @@ var predictScratch = sync.Pool{New: func() any { return new([]float64) }}
 // Where the lane kernels run (mat.HaveLanes), rows go in blocks of eight:
 // their kernel rows fill w candidate-major (w[8j+c] = k_m[j] of row c),
 // with μ summed alongside by the RBF kernel's fused form (laneEvaluator)
-// or per row for the other kernels, and one ForwardSolveLanes call solves
-// the block and returns each row's Σw². Every lane replays the per-row
-// arithmetic, so a row's μ and σ do not depend on its block or position;
-// the streamed pool's compaction relies on that. The remaining rows, and
-// every row without the lane kernels, take the per-row path: the scalar
-// reference.
+// or per row for the other kernels, and one ForwardSolveStrided call at
+// stride 8 solves the block in place, in ForwardSolveVecTo's panel order,
+// and sums each row's Σw². Every lane replays the per-row arithmetic, so a
+// row's μ and σ do not depend on its block or position; the streamed
+// pool's compaction relies on that. The remaining rows, and every row
+// without the lane kernels, take the per-row path: the scalar reference.
 func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	m, d := s.z.Rows(), xs.Cols()
 	buf := predictScratch.Get().(*[]float64)
@@ -284,7 +284,8 @@ func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 				}
 			}
 		}
-		ss := s.aChol.ForwardSolveLanes(w)
+		var ss [8]float64
+		s.aChol.ForwardSolveStrided(w, w, 8, 0, ss[:])
 		for c, v := range ss {
 			mean[i+c] = mu[c] + s.yMean
 			std[i+c] = math.Sqrt(max0(v))

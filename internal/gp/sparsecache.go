@@ -10,19 +10,20 @@ import (
 
 // SparseScoringCache is the ScoringCache analogue for the SoR surrogate:
 // for every live candidate i it stores the inducing-kernel row
-// kᵢ = k(xᵢ, Z), the A-solve vector wᵢ = A⁻¹kᵢ, and the SoR variance
-// vᵢ = kᵢ·wᵢ, so re-scoring m candidates costs O(m·k) per AL iteration
-// (one dot against β per candidate) instead of the O(m·k²) of solving each
-// candidate afresh through Predict.
+// kᵢ = k(xᵢ, Z) and the SoR variance vᵢ = kᵢᵀA⁻¹kᵢ, so re-scoring m
+// candidates costs O(m·k) per AL iteration (one dot against β per
+// candidate) instead of the O(m·k²) of solving each candidate afresh
+// through Predict.
 //
 // The cache tracks its Sparse model across the loop's mutations:
 //
 //   - Append: A gains the rank-1 term u uᵀ (u = k_m/σ), so by
 //     Sherman-Morrison A_new⁻¹ = A⁻¹ − z zᵀ/denom with z = A⁻¹u and
-//     denom = 1 + uᵀz. Each stored wᵢ and vᵢ updates from the single
-//     shared z in O(k): wᵢ ← wᵢ − z·(gᵢ/denom), vᵢ ← vᵢ − gᵢ²/denom with
-//     gᵢ = z·kᵢ. That is the O(m·k) extend; the model computes z against
-//     the pre-update factor and hands it over before running cholupdate.
+//     denom = 1 + uᵀz. kᵢ does not change (the inducing set did not move)
+//     and only vᵢ updates, from the single shared z in O(k):
+//     vᵢ ← vᵢ − gᵢ²/denom with gᵢ = z·kᵢ. That is the O(m·k) extend; the
+//     model computes z against the pre-update factor and hands it over
+//     before running cholupdate.
 //   - Refit / project (new hyperparameters or inducing set): every stored
 //     row is wrong; the cache marks itself stale and the next Scores call
 //     rebuilds all candidates in one parallel batched pass.
@@ -30,7 +31,7 @@ import (
 //
 // Determinism contract (mirrors ScoringCache, with one honest difference):
 // the rebuild pass computes each candidate with exactly Predict's
-// arithmetic (zEval row, Dot against β, serial scratch solve, Dot for the
+// arithmetic (zEval row, Dot against β, ForwardSolveVecTo, Dot for the
 // variance), so a freshly rebuilt cache agrees with Sparse.Predict
 // bitwise. Sherman-Morrison-extended state is NOT bitwise against a fresh
 // solve — the update is algebraically exact but rounds differently — so
@@ -44,8 +45,7 @@ type SparseScoringCache struct {
 	// removal swap-deletes the O(k) payload (see ScoringCache).
 	xs [][]float64 // candidate features (private copies)
 	km [][]float64 // kᵢ = k(xᵢ, Z)
-	w  [][]float64 // wᵢ = A⁻¹kᵢ
-	v  []float64   // vᵢ = kᵢ·wᵢ (SoR variance)
+	v  []float64   // vᵢ = kᵢᵀA⁻¹kᵢ (SoR variance)
 
 	order []int
 	stale bool
@@ -66,7 +66,6 @@ func NewSparseScoringCache(s *Sparse, x *mat.Dense) *SparseScoringCache {
 		s:     s,
 		xs:    make([][]float64, m),
 		km:    make([][]float64, m),
-		w:     make([][]float64, m),
 		v:     make([]float64, m),
 		order: make([]int, m),
 		stale: true,
@@ -140,7 +139,7 @@ func (c *SparseScoringCache) Remove(p int) {
 	c.order = append(c.order[:p], c.order[p+1:]...)
 	last := len(c.xs) - 1
 	if s != last {
-		c.xs[s], c.km[s], c.w[s] = c.xs[last], c.km[last], c.w[last]
+		c.xs[s], c.km[s] = c.xs[last], c.km[last]
 		c.v[s] = c.v[last]
 		for q, t := range c.order {
 			if t == last {
@@ -149,7 +148,7 @@ func (c *SparseScoringCache) Remove(p int) {
 			}
 		}
 	}
-	c.xs, c.km, c.w = c.xs[:last], c.km[:last], c.w[:last]
+	c.xs, c.km = c.xs[:last], c.km[:last]
 	c.v = c.v[:last]
 }
 
@@ -165,14 +164,11 @@ func (c *SparseScoringCache) rebuild() {
 		fwd := make([]float64, k)
 		for i := lo; i < hi; i++ {
 			c.km[i] = growVec(c.km[i], k)
-			c.w[i] = growVec(c.w[i], k)
 			s.zEval(c.xs[i], 0, c.km[i])
 			// Variance through Predict's forward half-solve (bitwise
-			// contract); the full solve vector is kept separately because
-			// the Sherman-Morrison extend updates it in O(k).
+			// contract).
 			s.aChol.ForwardSolveVecTo(fwd, c.km[i])
 			c.v[i] = mat.Dot(fwd, fwd)
-			s.aChol.SolveVecToSerial(c.w[i], c.km[i])
 		}
 	})
 	c.stale = false
@@ -180,8 +176,8 @@ func (c *SparseScoringCache) rebuild() {
 
 // extendAppend absorbs one model Append via Sherman-Morrison: z = A⁻¹u
 // against the pre-update factor and denom = 1 + uᵀz are shared across all
-// candidates, so each slot updates in O(k). kᵢ is unchanged (the inducing
-// set did not move). A stale cache skips the work.
+// candidates, so each slot's vᵢ updates in O(k). A stale cache skips the
+// work.
 func (c *SparseScoringCache) extendAppend(z []float64, denom float64) {
 	if c.stale || len(c.xs) == 0 {
 		return
@@ -192,12 +188,7 @@ func (c *SparseScoringCache) extendAppend(z []float64, denom float64) {
 	mat.ParallelFor(len(c.xs), mat.ChunkFor(2*k+16), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := mat.Dot(z, c.km[i][:k])
-			scale := g / denom
-			w := c.w[i]
-			for j := range w {
-				w[j] -= scale * z[j]
-			}
-			c.v[i] -= g * scale
+			c.v[i] -= g * (g / denom)
 		}
 	})
 }

@@ -97,7 +97,7 @@ func (e *rbfRowEval) Eval(x []float64, from int, out []float64) {
 
 // EvalLanes is Eval for the block of eight candidates xs.Row(lo..lo+7)
 // against the whole design, candidate-major: it sets w[8j+c] = k(x_c, z_j),
-// the interleaved layout mat.Cholesky.ForwardSolveLanes solves, and returns
+// the stride-8 layout mat.Cholesky.ForwardSolveStrided solves, and returns
 // mu[c] = mat.Dot of candidate c's kernel row with beta. xt is scratch of
 // 8·xs.Cols() values. mat.RBFLanes replays Eval's scalar expression per
 // lane, so every value has the bits Eval and mat.Dot give; a design row

@@ -159,13 +159,14 @@ func BenchmarkCholInverse(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardSolveLanes times one forward solve of eight right-hand
-// sides against the inducing-set factor sizes of the sparse surrogate:
-// "lanes" is one ForwardSolveLanes call (solve plus the eight sums of
-// squares), "rows" the eight ForwardSolveVecTo and Dot calls it
-// replaces.
-func BenchmarkForwardSolveLanes(b *testing.B) {
-	for _, n := range []int{50, 60, 64, 128} {
+// BenchmarkForwardSolveStrided times one forward solve of eight right-hand
+// sides in place at stride 8, the sparse surrogate's prediction block, at
+// its inducing-set sizes (50, 60 in pool-1e5's passes; 128 the canonical
+// spec's cap) and at panel boundaries: "lanes" is one ForwardSolveStrided
+// call (solve plus the eight sums of squares), "rows" the eight
+// ForwardSolveVecTo and Dot calls it replaces.
+func BenchmarkForwardSolveStrided(b *testing.B) {
+	for _, n := range []int{50, 60, 64, 128, 200} {
 		rng := rand.New(rand.NewSource(7))
 		ch, err := NewCholesky(randomSPD(rng, n))
 		if err != nil {
@@ -174,9 +175,11 @@ func BenchmarkForwardSolveLanes(b *testing.B) {
 		rhs := randomVec(rng, 8*n)
 		y := make([]float64, 8*n)
 		b.Run(itoa(n)+"/lanes", func(b *testing.B) {
+			var ss [8]float64
 			for i := 0; i < b.N; i++ {
 				copy(y, rhs)
-				ss := ch.ForwardSolveLanes(y)
+				ss = [8]float64{}
+				ch.ForwardSolveStrided(y, y, 8, 0, ss[:])
 				sinkFloat += ss[0]
 			}
 		})

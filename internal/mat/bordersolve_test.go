@@ -56,42 +56,13 @@ func TestForwardSolveVecToMatchesForwardSolveVec(t *testing.T) {
 	}
 }
 
-// The flat solve must (a) actually solve L y = b and (b) return Σ y² in
-// index order.
-func TestForwardSolveFlatTo(t *testing.T) {
-	for _, n := range []int{1, 9, 64, 100} {
-		rng := rand.New(rand.NewSource(int64(n) + 7))
-		ch, err := NewCholesky(randSPD(n, rng))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		want := ch.ForwardSolveVec(b)
-		y := make([]float64, n)
-		sum := ch.ForwardSolveFlatTo(y, b)
-		for i := range want {
-			if math.Abs(y[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-				t.Fatalf("n=%d: flat solve[%d] = %g, blocked = %g", n, i, y[i], want[i])
-			}
-		}
-		var wantSum float64
-		for _, v := range y {
-			wantSum += v * v
-		}
-		if sum != wantSum {
-			t.Fatalf("n=%d: running sum %g, index-order recompute %g", n, sum, wantSum)
-		}
-	}
-}
-
-// The bitwise-replay contract behind gp.ScoringCache: flat-solving against
-// the extended factor reproduces, bit for bit, the prefix solve plus one
-// BorderSolveStep per appended row — and the running norms agree exactly.
-func TestBorderSolveStepMatchesFlatSolveBitwise(t *testing.T) {
-	const n0, appends = 50, 20
+// The append contract behind gp.ScoringCache: solving each newly bordered
+// row (ForwardSolveStrided from row Size−1, after Extend) reproduces, bit
+// for bit, a solve from row 0 against the grown factor and
+// ForwardSolveVecTo, and the running norm is Dot's. The factor grows from
+// 50 rows past both panel boundaries, 64 and 128.
+func TestForwardSolveStridedAppendMatchesRebuildBitwise(t *testing.T) {
+	const n0, appends = 50, 90
 	n := n0 + appends
 	rng := rand.New(rand.NewSource(3))
 	a := randSPD(n, rng)
@@ -110,10 +81,11 @@ func TestBorderSolveStepMatchesFlatSolveBitwise(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 
-	// Incremental: solve the prefix flat, then extend the factor row by row
-	// and apply one border step per row.
-	v := make([]float64, n0, n)
-	sum := ch.ForwardSolveFlatTo(v, b[:n0])
+	// Incremental: solve the prefix, then extend the factor row by row and
+	// solve each new row alone.
+	v := append(make([]float64, 0, n), b[:n0]...)
+	var sum [1]float64
+	ch.ForwardSolveStrided(v, v, 1, 0, sum[:])
 	for m := n0; m < n; m++ {
 		k := make([]float64, m)
 		for j := 0; j < m; j++ {
@@ -122,21 +94,23 @@ func TestBorderSolveStepMatchesFlatSolveBitwise(t *testing.T) {
 		l := ch.ForwardSolveVec(k)
 		d := math.Sqrt(a.At(m, m) - Dot(l, l))
 		ch.Extend(l, d)
-		vNew := ch.BorderSolveStep(v, b[m])
-		v = append(v, vNew)
-		sum += vNew * vNew
+		v = append(v, b[m])
+		ch.ForwardSolveStrided(v, v, 1, m, sum[:])
 	}
 
-	// Rebuild: one flat solve against the final (extended) factor.
-	flat := make([]float64, n)
-	flatSum := ch.ForwardSolveFlatTo(flat, b)
-	for i := range flat {
-		if flat[i] != v[i] {
-			t.Fatalf("flat[%d] = %g, incremental = %g (must be bitwise equal)", i, flat[i], v[i])
+	// Rebuild: one solve from row 0 against the final (extended) factor.
+	rebuilt := make([]float64, n)
+	var rebuiltSum [1]float64
+	ch.ForwardSolveStrided(rebuilt, b, 1, 0, rebuiltSum[:])
+	want := make([]float64, n)
+	ch.ForwardSolveVecTo(want, b)
+	for i := range want {
+		if math.Float64bits(v[i]) != math.Float64bits(want[i]) || math.Float64bits(rebuilt[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("entry %d: incremental %.17g, rebuilt %.17g, ForwardSolveVecTo %.17g (must be bitwise equal)", i, v[i], rebuilt[i], want[i])
 		}
 	}
-	if flatSum != sum {
-		t.Fatalf("flat running norm %g, incremental %g (must be bitwise equal)", flatSum, sum)
+	if w := Dot(want, want); math.Float64bits(sum[0]) != math.Float64bits(w) || math.Float64bits(rebuiltSum[0]) != math.Float64bits(w) {
+		t.Fatalf("running norms: incremental %.17g, rebuilt %.17g, Dot %.17g (must be bitwise equal)", sum[0], rebuiltSum[0], w)
 	}
 }
 

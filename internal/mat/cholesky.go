@@ -164,22 +164,6 @@ func (c *Cholesky) factor() error {
 	return nil
 }
 
-// CholeskyFromFactor wraps an existing lower-triangular factor L (so that
-// A = L Lᵀ) without refactorizing. The caller asserts that l is lower
-// triangular with positive diagonal. The factor is packed into private
-// storage; l is not retained.
-func CholeskyFromFactor(l *Dense, jitter float64) *Cholesky {
-	if l.rows != l.cols {
-		panic("mat: CholeskyFromFactor of non-square factor")
-	}
-	n := l.rows
-	c := &Cholesky{n: n, data: make([]float64, n*(n+1)/2), jitter: jitter}
-	for i := 0; i < n; i++ {
-		copy(c.row(i), l.data[i*l.cols:i*l.cols+i+1])
-	}
-	return c
-}
-
 // Extend grows the factorization of an n×n matrix A to n+1 by a bordered
 // row: given the solved border l = L⁻¹k and the new pivot d (so that the
 // extended matrix is [[A, k],[kᵀ, lᵀl+d²]]), it appends one packed row in
@@ -222,55 +206,6 @@ func (c *Cholesky) SolveVec(b []float64) []float64 {
 	c.forwardInPlace(x)
 	c.backwardInPlace(x)
 	return x
-}
-
-// SolveVecToSerial solves A x = b into dst on the calling goroutine, the
-// scratch-buffer form of SolveVec for per-candidate solves that already run
-// inside an outer parallel section (the sparse scoring paths). Both
-// triangular sweeps use the same blocked groupings as SolveVec, so the
-// result is bitwise identical. dst may alias b.
-func (c *Cholesky) SolveVecToSerial(dst, b []float64) {
-	if len(b) != c.n || len(dst) != c.n {
-		panic(fmt.Sprintf("mat: SolveVecToSerial lengths %d/%d do not match size %d", len(dst), len(b), c.n))
-	}
-	copy(dst, b)
-	c.forwardBlocked(dst, false)
-	c.backwardSerial(dst)
-}
-
-// backwardSerial solves Lᵀ x = x without dispatching to the worker pool. It
-// applies the same per-element groupings as backwardInPlace's in-block
-// substitution (a strict top-down scalar recurrence per element), so serial
-// and pooled backward solves agree bitwise.
-func (c *Cholesky) backwardSerial(x []float64) {
-	n := c.n
-	if n == 0 {
-		return
-	}
-	kbStart := ((n - 1) / cholBlock) * cholBlock
-	for kb := kbStart; kb >= 0; kb -= cholBlock {
-		kend := kb + cholBlock
-		if kend > n {
-			kend = n
-		}
-		for i := kend - 1; i >= kb; i-- {
-			s := x[i]
-			for k := i + 1; k < kend; k++ {
-				s -= c.row(k)[i] * x[k]
-			}
-			x[i] = s / c.row(i)[i]
-		}
-		if kb == 0 {
-			break
-		}
-		for k := kb; k < kend; k++ {
-			rk := c.row(k)[:kb]
-			xk := x[k]
-			for j, v := range rk {
-				x[j] -= xk * v
-			}
-		}
-	}
 }
 
 // Rank1Update replaces the factorization of A with that of A + u uᵀ in
@@ -396,30 +331,6 @@ func (c *Cholesky) backwardInPlace(x []float64) {
 	}
 }
 
-// Solve solves A X = B column by column, returning X. Columns are
-// independent and solved in parallel.
-func (c *Cholesky) Solve(b *Dense) *Dense {
-	n := c.n
-	if b.rows != n {
-		panic(fmt.Sprintf("mat: Solve rows %d does not match size %d", b.rows, n))
-	}
-	x := NewDense(n, b.cols, nil)
-	ParallelFor(b.cols, ChunkFor(2*n*n), func(lo, hi int) {
-		col := make([]float64, n)
-		for j := lo; j < hi; j++ {
-			for i := 0; i < n; i++ {
-				col[i] = b.data[i*b.cols+j]
-			}
-			c.forwardInPlace(col)
-			c.backwardInPlace(col)
-			for i := 0; i < n; i++ {
-				x.data[i*x.cols+j] = col[i]
-			}
-		}
-	})
-	return x
-}
-
 // InverseTo returns A⁻¹ from the factorization as L⁻ᵀL⁻¹, in caller-owned
 // n×n matrices: u holds U = L⁻ᵀ as scratch and dst receives A⁻¹, which it
 // returns. First U is built one row at a time (row j of U is the forward
@@ -471,36 +382,4 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.row(i)[i])
 	}
 	return 2 * s
-}
-
-// SolveLowerVec solves L y = b for a general lower-triangular dense l.
-func SolveLowerVec(l *Dense, b []float64) []float64 {
-	n := l.rows
-	if len(b) != n {
-		panic(fmt.Sprintf("mat: SolveLowerVec length %d does not match size %d", len(b), n))
-	}
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		li := l.data[i*l.cols : i*l.cols+i]
-		y[i] = (b[i] - adot(li, y[:i])) / l.data[i*l.cols+i]
-	}
-	return y
-}
-
-// SolveUpperTransposedVec solves Lᵀ x = y given a lower-triangular dense L.
-func SolveUpperTransposedVec(l *Dense, y []float64) []float64 {
-	n := l.rows
-	if len(y) != n {
-		panic(fmt.Sprintf("mat: SolveUpperTransposedVec length %d does not match size %d", len(y), n))
-	}
-	x := make([]float64, n)
-	copy(x, y)
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.data[k*l.cols+i] * x[k]
-		}
-		x[i] = s / l.data[i*l.cols+i]
-	}
-	return x
 }

@@ -85,25 +85,6 @@ func TestCholeskySolveVec(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randomSPD(rng, 5)
-	xTrue := randomDense(rng, 5, 3)
-	b := Mul(a, xTrue)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ch.Solve(b)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEqual(x.At(i, j), xTrue.At(i, j), 1e-8) {
-				t.Fatalf("X[%d,%d] = %g want %g", i, j, x.At(i, j), xTrue.At(i, j))
-			}
-		}
-	}
-}
-
 // Inverse is InverseTo into fresh matrices.
 func (c *Cholesky) Inverse() *Dense {
 	return c.InverseTo(NewDense(c.n, c.n, nil), NewDense(c.n, c.n, nil))
@@ -153,32 +134,6 @@ func TestCholeskyLogDetDiagonal(t *testing.T) {
 	}
 }
 
-func TestSolveTriangularHelpers(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randomSPD(rng, 5)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randomVec(rng, 5)
-	y := SolveLowerVec(ch.L(), b)
-	// L y should reproduce b.
-	ly := ch.L().MulVec(y)
-	for i := range b {
-		if !almostEqual(ly[i], b[i], 1e-10) {
-			t.Fatalf("L y != b at %d: %g vs %g", i, ly[i], b[i])
-		}
-	}
-	x := SolveUpperTransposedVec(ch.L(), y)
-	ax := a.MulVec(x)
-	for i := range b {
-		if !almostEqual(ax[i], b[i], 1e-7) {
-			t.Fatalf("A x != b at %d: %g vs %g", i, ax[i], b[i])
-		}
-	}
-}
-
-// Property: L Lᵀ reconstructs A for random SPD matrices.
 func TestCholeskyReconstructionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -313,30 +268,6 @@ func TestCholeskyRank1Update(t *testing.T) {
 				if !almostEqual(ch.L().At(i, j), want.L().At(i, j), 1e-8) {
 					t.Fatalf("n=%d: L[%d,%d] = %g want %g", n, i, j, ch.L().At(i, j), want.L().At(i, j))
 				}
-			}
-		}
-	}
-}
-
-// SolveVecToSerial must agree bitwise with the pooled SolveVec: the sparse
-// scoring cache rebuilds through the serial path inside an outer ParallelFor
-// while direct predictions may run pooled, and both must see identical
-// posterior state.
-func TestSolveVecToSerialBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{1, 5, 64, 65, 130, 200} {
-		a := randomSPD(rng, n)
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := randomVec(rng, n)
-		want := ch.SolveVec(b)
-		got := make([]float64, n)
-		ch.SolveVecToSerial(got, b)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: serial solve diverges at %d: %g vs %g", n, i, got[i], want[i])
 			}
 		}
 	}

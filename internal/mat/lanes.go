@@ -58,10 +58,11 @@ func RBFRows(out, x []float64, cols [][]float64, off int, norms []float64, nx, i
 }
 
 // RBFLanes is the candidate-major fused isotropic RBF kernel for a block of
-// eight candidates, written in the layout ForwardSolveLanes solves. x holds
-// the candidates' rows back to back (8·d values), z the design rows
-// row-major (len(norms)·d values). For design rows j = from, from+1, ... it
-// sets, for each candidate c,
+// eight candidates, written entry-major at stride 8, the layout
+// ForwardSolveStrided(w, w, 8, 0, ss) solves in place. x holds the
+// candidates' rows back to back (8·d values), z the design rows row-major
+// (len(norms)·d values). For design rows j = from, from+1, ... it sets, for
+// each candidate c,
 //
 //	w[8j+c] = amp2 · exp(−max0((nx_c + norms[j]) − 2⟨x_c, z_j⟩) · inv2l2)
 //	mu[c]  += w[8j+c] · beta[j]
@@ -105,35 +106,4 @@ func DotStrided(out, a, y []float64, stride int) {
 	for t := dotStridedBlocks(out, a, y, stride); t < m; t++ {
 		out[t] = adotStrided(a, y[t:], stride)
 	}
-}
-
-// ForwardSolveLanes solves L y_c = b_c in place for eight right-hand sides
-// stored interleaved, y[8j+c] holding element j of lane c (len(y) =
-// 8·Size), and returns ss[c] = Σ_j y_c[j]², summed in index order as Dot
-// sums. With the vector kernels the whole cholBlock-blocked sweep is one
-// call: lanes 0–3 and 4–7 run as two four-lane groups that share each load
-// of L, and every per-lane dot replays adot's order for its length.
-// Without them each lane runs ForwardSolveVecTo's sweep. Either way
-// lane c ends with exactly the bits ForwardSolveVecTo gives for b_c,
-// and ss[c] with those of Dot(y_c, y_c).
-func (c *Cholesky) ForwardSolveLanes(y []float64) (ss [8]float64) {
-	n := c.n
-	if len(y) != 8*n {
-		panic(fmt.Sprintf("mat: ForwardSolveLanes length %d for size %d", len(y), n))
-	}
-	if n == 0 || forwardSweepLanes(c.data, n, y, &ss) {
-		return ss
-	}
-	lane := make([]float64, n)
-	for l := range ss {
-		for j := range lane {
-			lane[j] = y[8*j+l]
-		}
-		c.forwardBlocked(lane, false)
-		ss[l] = Dot(lane, lane)
-		for j, v := range lane {
-			y[8*j+l] = v
-		}
-	}
-	return ss
 }

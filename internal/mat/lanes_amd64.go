@@ -10,9 +10,6 @@ func rbfRowsAsm(out, x *float64, d int, cols *[]float64, off int, norms *float64
 //go:noescape
 func rbfLanesAsm(w, x, xt *float64, d int, z, norms, beta *float64, j, m int, inv2l2, amp2 float64, mu *[8]float64) int
 
-//go:noescape
-func fwdSweepAsm(l *float64, n int, y *float64, ss *[8]float64)
-
 // expGroups writes dst[i] = math.Exp(x[i]) for leading groups of four and
 // returns how many it wrote (see lanes_amd64.s).
 func expGroups(dst, x []float64) int {
@@ -49,16 +46,6 @@ func rbfLaneRows(w, x, xt, z, norms, beta []float64, from int, inv2l2, amp2 floa
 		xp, xtp, zp = &x[0], &xt[0], &z[0]
 	}
 	return rbfLanesAsm(&w[0], xp, xtp, d, zp, &norms[0], &beta[0], from, len(norms), inv2l2, amp2, mu)
-}
-
-// forwardSweepLanes runs ForwardSolveLanes's vector sweep and reports
-// whether it did; its caller has checked the shapes and that n > 0.
-func forwardSweepLanes(l []float64, n int, y []float64, ss *[8]float64) bool {
-	if !haveFMA {
-		return false
-	}
-	fwdSweepAsm(&l[0], n, &y[0], ss)
-	return true
 }
 
 //go:noescape

@@ -9,11 +9,10 @@
 //     (eight candidates, one design row at a time) are the kernel package's
 //     unfused RBF row expression, and rbfLanesAsm's running sum against
 //     beta is Dot's;
-//   - fwdSweepAsm's dots are dotAsm (length >= 16) or dot4 (length < 16) per
-//     lane, and its sums of squares are Dot's;
-//   - dotLanesAsm and solveLanesAsm run the same per-lane dots over vectors
-//     stored at a runtime stride, and solveLanesAsm's rows are
-//     ForwardSolveFlatTo's (its running sum included).
+//   - dotLanesAsm's and solveLanesAsm's dots, over eight vectors stored at
+//     a runtime stride, are dotAsm (length >= 16) or dot4 (length < 16) per
+//     lane; solveLanesAsm's rows are forwardBlocked's, their dots split at
+//     the cholBlock column panels, and its sums of squares are Dot's.
 //
 // Callers reach these only when haveFMA holds. A group of four whose
 // exponent arguments leave the fast range stops the kernel, and the Go
@@ -389,43 +388,21 @@ lanesdone:
 	VZEROUPPER
 	RET
 
-// FWD4(ao, yo) starts one dotAsm pass over residue classes p, p+4, p+8
-// and p+12 (mod 16), ao = 8p and yo = 64p: it zeroes the accumulators, Y0..Y3
-// for group A and Y4..Y7 for group B, points R11 at element p of the row and
-// R12 at element p of the interleaved right-hand sides, and sets R13 to the
-// number of 16-element chunks.
-#define FWD4(ao, yo) \
-	LEAQ   ao(BX)(R9*8), R11; \
-	LEAQ   yo(R14), R12; \
-	MOVQ   DX, R13; \
-	SHRQ   $4, R13; \
-	VXORPD Y0, Y0, Y0; \
-	VXORPD Y1, Y1, Y1; \
-	VXORPD Y2, Y2, Y2; \
-	VXORPD Y3, Y3, Y3; \
-	VXORPD Y4, Y4, Y4; \
-	VXORPD Y5, Y5, Y5; \
-	VXORPD Y6, Y6, Y6; \
-	VXORPD Y7, Y7, Y7
-
-// FWD16 is one 16-element chunk of a pass: each of the four row elements is
-// broadcast once and fused into both groups' accumulators.
-#define FWD16 \
-	VBROADCASTSD 0(R11), Y8; \
-	VFMADD231PD  0(R12), Y8, Y0; \
-	VFMADD231PD  32(R12), Y8, Y4; \
-	VBROADCASTSD 32(R11), Y9; \
-	VFMADD231PD  256(R12), Y9, Y1; \
-	VFMADD231PD  288(R12), Y9, Y5; \
-	VBROADCASTSD 64(R11), Y10; \
-	VFMADD231PD  512(R12), Y10, Y2; \
-	VFMADD231PD  544(R12), Y10, Y6; \
-	VBROADCASTSD 96(R11), Y11; \
-	VFMADD231PD  768(R12), Y11, Y3; \
-	VFMADD231PD  800(R12), Y11, Y7; \
-	ADDQ         $128, R11; \
-	ADDQ         $1024, R12; \
-	DECQ         R13
+// Strided lanes (dotLanesAsm, solveLanesAsm): eight vectors stored
+// entry-major, entry j of lane c at y + j·S + 8c for a byte stride S (R8),
+// lanes 0..3 forming group A and 4..7 group B. R9 holds 16S.
+//
+// SLDOT(labels...) sets Y0 (A) and Y4 (B) to each lane's dot of the row at
+// BX with its vector over the first DX entries, from the block at DI, as
+// adot orders it for length DX: below 16 dot4's four unfused sums (the
+// length mod 4 tail into the first) and (s0+s1)+(s2+s3); from 16 dotAsm's
+// sixteen fused residue classes, in four passes p = 0..3 over classes p,
+// p+4, p+8 and p+12, each folded by FWDT, then (t0+t2)+(t1+t3) and the
+// length mod 16 tail fused in ascending order. A pass walks each of its
+// four classes with its own pointer (R12, R10, SI, CX), so that every
+// fused load has a base-plus-displacement address: an indexed one would
+// cost the multiply-add a second micro-op. Clobbers R10..R13, SI, CX and
+// Y1..Y3, Y5..Y15.
 
 // FWDT folds a pass's classes as dotAsm's vertical combine does:
 // t = (c_p + c_p+4) + (c_p+8 + c_p+12), into Y0 (A) and Y4 (B).
@@ -437,220 +414,15 @@ lanesdone:
 	VADDPD Y7, Y6, Y6; \
 	VADDPD Y6, Y4, Y4
 
-// func fwdSweepAsm(l *float64, n int, y *float64, ss *[8]float64)
-// The whole blocked forward substitution L y_c = b_c for eight interleaved
-// right-hand sides (y[8j+c] is element j of lane c), as forwardBlocked runs
-// it serially: for each cholBlock-wide block [kb, kend), rows i in the block
-// take y_i = (y_i − s)/L_ii and rows below it y_i −= s, where s is the dot
-// of row i's elements kb..min(i, kend)−1 with y over the same range. Lanes
-// 0..3 (group A) and 4..7 (group B) share every broadcast of L, and a row of
-// B overlaps A's divide. ss[c] (zero on entry) gains y_c[i]² as each y_i
-// becomes final, in index order and unfused, as Dot sums.
-//
-// A dot of length >= 16 replays dotAsm per lane: residue class r (mod 16)
-// accumulates with fused steps, in four passes of four classes each
-// (p, p+4, p+8, p+12, for p = 0, 2, 1, 3), each folded to
-// t_p = (c_p + c_p+4) + (c_p+8 + c_p+12); then (t0+t2)+(t1+t3), and the
-// length mod 16 tail fused in ascending order. A shorter dot replays dot4:
-// four unfused accumulators, the length mod 4 tail into the first, and
-// (s0+s1)+(s2+s3). The packed row i starts at l[i(i+1)/2].
-TEXT ·fwdSweepAsm(SB), NOSPLIT, $0-32
-	MOVQ l+0(FP), R8
-	MOVQ n+8(FP), CX
-	MOVQ y+16(FP), DI
-	MOVQ ss+24(FP), SI
-	XORQ R9, R9               // kb
-sweepblock:
-	CMPQ    R9, CX
-	JGE     sweepdone
-	LEAQ    64(R9), R10
-	CMPQ    R10, CX
-	CMOVQGT CX, R10           // kend = min(kb+cholBlock, n)
-	LEAQ    1(R9), BX
-	IMULQ   R9, BX
-	SHRQ    $1, BX
-	LEAQ    (R8)(BX*8), BX    // BX = packed row kb
-	MOVQ    R9, R14
-	SHLQ    $6, R14
-	ADDQ    DI, R14           // R14 = element kb of y
-	MOVQ    R9, AX            // i
-sweeprow:
-	CMPQ    AX, CX
-	JGE     sweepnext
-	MOVQ    AX, DX
-	CMPQ    DX, R10
-	CMOVQGT R10, DX
-	SUBQ    R9, DX            // DX = dot length min(i, kend) − kb
-	CMPQ    DX, $16
-	JLT     sweepshort
-	FWD4(0, 0)
-sweepp0:
-	FWD16
-	JNZ sweepp0
-	FWDT
-	VMOVAPD Y0, Y12
-	VMOVAPD Y4, Y13
-	FWD4(16, 128)
-sweepp2:
-	FWD16
-	JNZ sweepp2
-	FWDT
-	VADDPD Y0, Y12, Y12       // t0 + t2
-	VADDPD Y4, Y13, Y13
-	FWD4(8, 64)
-sweepp1:
-	FWD16
-	JNZ sweepp1
-	FWDT
-	VMOVAPD Y0, Y14
-	VMOVAPD Y4, Y15
-	FWD4(24, 192)
-sweepp3:
-	FWD16
-	JNZ sweepp3
-	FWDT
-	VADDPD Y0, Y14, Y14       // t1 + t3
-	VADDPD Y4, Y15, Y15
-	VADDPD Y14, Y12, Y0
-	VADDPD Y15, Y13, Y4
-	SUBQ   $24, R11           // the pass-3 walkers stop 3 elements past
-	SUBQ   $192, R12          // the tail's first
-	MOVQ   DX, R13
-	ANDQ   $15, R13
-	JZ     sweepupdate
-sweeptail:
-	VBROADCASTSD (R11), Y8
-	VFMADD231PD  0(R12), Y8, Y0
-	VFMADD231PD  32(R12), Y8, Y4
-	ADDQ         $8, R11
-	ADDQ         $64, R12
-	DECQ         R13
-	JNZ          sweeptail
-	JMP          sweepupdate
-sweepshort:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	LEAQ   (BX)(R9*8), R11
-	MOVQ   R14, R12
-	MOVQ   DX, R13
-	SHRQ   $2, R13
-	JZ     sweepshorttail
-sweepshort4:
-	VBROADCASTSD 0(R11), Y8
-	VMULPD       0(R12), Y8, Y10
-	VADDPD       Y10, Y0, Y0
-	VMULPD       32(R12), Y8, Y11
-	VADDPD       Y11, Y4, Y4
-	VBROADCASTSD 8(R11), Y9
-	VMULPD       64(R12), Y9, Y12
-	VADDPD       Y12, Y1, Y1
-	VMULPD       96(R12), Y9, Y13
-	VADDPD       Y13, Y5, Y5
-	VBROADCASTSD 16(R11), Y8
-	VMULPD       128(R12), Y8, Y10
-	VADDPD       Y10, Y2, Y2
-	VMULPD       160(R12), Y8, Y11
-	VADDPD       Y11, Y6, Y6
-	VBROADCASTSD 24(R11), Y9
-	VMULPD       192(R12), Y9, Y12
-	VADDPD       Y12, Y3, Y3
-	VMULPD       224(R12), Y9, Y13
-	VADDPD       Y13, Y7, Y7
-	ADDQ         $32, R11
-	ADDQ         $256, R12
-	DECQ         R13
-	JNZ          sweepshort4
-sweepshorttail:
-	MOVQ DX, R13
-	ANDQ $3, R13
-	JZ   sweepshortsum
-sweepshorttail1:
-	VBROADCASTSD (R11), Y8
-	VMULPD       0(R12), Y8, Y10
-	VADDPD       Y10, Y0, Y0
-	VMULPD       32(R12), Y8, Y11
-	VADDPD       Y11, Y4, Y4
-	ADDQ         $8, R11
-	ADDQ         $64, R12
-	DECQ         R13
-	JNZ          sweepshorttail1
-sweepshortsum:
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	VADDPD Y5, Y4, Y4
-	VADDPD Y7, Y6, Y6
-	VADDPD Y6, Y4, Y4
-sweepupdate:
-	MOVQ    AX, R13
-	SHLQ    $6, R13
-	ADDQ    DI, R13           // element i of y
-	VMOVUPD 0(R13), Y1
-	VSUBPD  Y0, Y1, Y1
-	VMOVUPD 32(R13), Y5
-	VSUBPD  Y4, Y5, Y5
-	CMPQ    AX, R10
-	JGE     sweepstore
-	VBROADCASTSD (BX)(AX*8), Y2
-	VDIVPD  Y2, Y1, Y1
-	VDIVPD  Y2, Y5, Y5
-	VMULPD  Y1, Y1, Y3
-	VMOVUPD 0(SI), Y6
-	VADDPD  Y3, Y6, Y6
-	VMOVUPD Y6, 0(SI)
-	VMULPD  Y5, Y5, Y7
-	VMOVUPD 32(SI), Y8
-	VADDPD  Y7, Y8, Y8
-	VMOVUPD Y8, 32(SI)
-sweepstore:
-	VMOVUPD Y1, 0(R13)
-	VMOVUPD Y5, 32(R13)
-	LEAQ    8(BX)(AX*8), BX   // packed row i+1
-	INCQ    AX
-	JMP     sweeprow
-sweepnext:
-	MOVQ R10, R9
-	JMP  sweepblock
-sweepdone:
-	VZEROUPPER
-	RET
-
-// Strided lanes (dotLanesAsm, solveLanesAsm): eight vectors stored
-// entry-major, entry j of lane c at y + j·S + 8c for a byte stride S (R8),
-// lanes 0..3 forming group A and 4..7 group B. R9 holds 4S and R10 12S.
-//
-// SLDOT(labels...) sets Y0 (A) and Y4 (B) to each lane's dot of the row at
-// BX with its vector over the first DX entries, from the block at DI, as
-// adot orders it for length DX: below 16 dot4's four unfused sums (the
-// length mod 4 tail into the first) and (s0+s1)+(s2+s3); from 16 dotAsm's
-// sixteen fused residue classes, in four passes p = 0..3 over classes p,
-// p+4, p+8 and p+12, each folded to t_p = (c_p + c_p+4) + (c_p+8 + c_p+12)
-// as fwdSweepAsm folds them, then (t0+t2)+(t1+t3) and the length mod 16
-// tail fused in ascending order. Clobbers R11..R13 and Y1..Y3, Y5..Y15.
-#define SLPASS16 \
-	VBROADCASTSD 0(R11), Y8; \
-	VFMADD231PD  0(R12), Y8, Y0; \
-	VFMADD231PD  32(R12), Y8, Y4; \
-	VBROADCASTSD 32(R11), Y9; \
-	VFMADD231PD  (R12)(R9*1), Y9, Y1; \
-	VFMADD231PD  32(R12)(R9*1), Y9, Y5; \
-	VBROADCASTSD 64(R11), Y10; \
-	VFMADD231PD  (R12)(R9*2), Y10, Y2; \
-	VFMADD231PD  32(R12)(R9*2), Y10, Y6; \
-	VBROADCASTSD 96(R11), Y11; \
-	VFMADD231PD  (R12)(R10*1), Y11, Y3; \
-	VFMADD231PD  32(R12)(R10*1), Y11, Y7; \
-	ADDQ         $128, R11; \
-	LEAQ         (R12)(R9*4), R12; \
-	DECQ         R13
-
-#define SLZERO \
+// SLPASS points R10, SI and CX 4S, 8S and 12S past the pass's first class
+// at R12, zeroes the accumulators and sets R13 to the number of 16-entry
+// chunks.
+#define SLPASS \
+	LEAQ   (R12)(R8*4), R10; \
+	LEAQ   (R12)(R8*8), SI; \
+	LEAQ   (SI)(R8*4), CX; \
+	MOVQ   DX, R13; \
+	SHRQ   $4, R13; \
 	VXORPD Y0, Y0, Y0; \
 	VXORPD Y1, Y1, Y1; \
 	VXORPD Y2, Y2, Y2; \
@@ -660,48 +432,62 @@ sweepdone:
 	VXORPD Y6, Y6, Y6; \
 	VXORPD Y7, Y7, Y7
 
+// SLPASS16 is one 16-entry chunk of a pass: each of the four row elements
+// is broadcast once and fused into both groups' accumulators.
+#define SLPASS16 \
+	VBROADCASTSD 0(R11), Y8; \
+	VFMADD231PD  0(R12), Y8, Y0; \
+	VFMADD231PD  32(R12), Y8, Y4; \
+	VBROADCASTSD 32(R11), Y9; \
+	VFMADD231PD  0(R10), Y9, Y1; \
+	VFMADD231PD  32(R10), Y9, Y5; \
+	VBROADCASTSD 64(R11), Y10; \
+	VFMADD231PD  0(SI), Y10, Y2; \
+	VFMADD231PD  32(SI), Y10, Y6; \
+	VBROADCASTSD 96(R11), Y11; \
+	VFMADD231PD  0(CX), Y11, Y3; \
+	VFMADD231PD  32(CX), Y11, Y7; \
+	ADDQ         $128, R11; \
+	ADDQ         R9, R12; \
+	ADDQ         R9, R10; \
+	ADDQ         R9, SI; \
+	ADDQ         R9, CX; \
+	DECQ         R13
+
 #define SLDOT(lshort, lshort4, lshorttail, lshorttail1, lshortsum, lp0, lp1, lp2, lp3, ltail, ldone) \
-	SLZERO; \
 	CMPQ         DX, $16; \
 	JLT          lshort; \
 	MOVQ         BX, R11; \
 	MOVQ         DI, R12; \
-	MOVQ         DX, R13; \
-	SHRQ         $4, R13; \
+	SLPASS; \
 lp0: \
 	SLPASS16; \
 	JNZ          lp0; \
 	FWDT; \
 	VMOVAPD      Y0, Y12; \
 	VMOVAPD      Y4, Y13; \
-	SLZERO; \
 	LEAQ         8(BX), R11; \
 	LEAQ         (DI)(R8*1), R12; \
-	MOVQ         DX, R13; \
-	SHRQ         $4, R13; \
+	SLPASS; \
 lp1: \
 	SLPASS16; \
 	JNZ          lp1; \
 	FWDT; \
 	VMOVAPD      Y0, Y14; \
 	VMOVAPD      Y4, Y15; \
-	SLZERO; \
 	LEAQ         16(BX), R11; \
 	LEAQ         (DI)(R8*2), R12; \
-	MOVQ         DX, R13; \
-	SHRQ         $4, R13; \
+	SLPASS; \
 lp2: \
 	SLPASS16; \
 	JNZ          lp2; \
 	FWDT; \
 	VADDPD       Y0, Y12, Y12; \
 	VADDPD       Y4, Y13, Y13; \
-	SLZERO; \
 	LEAQ         24(BX), R11; \
 	LEAQ         (DI)(R8*2), R12; \
 	ADDQ         R8, R12; \
-	MOVQ         DX, R13; \
-	SHRQ         $4, R13; \
+	SLPASS; \
 lp3: \
 	SLPASS16; \
 	JNZ          lp3; \
@@ -726,6 +512,14 @@ ltail: \
 	JNZ          ltail; \
 	JMP          ldone; \
 lshort: \
+	VXORPD       Y0, Y0, Y0; \
+	VXORPD       Y1, Y1, Y1; \
+	VXORPD       Y2, Y2, Y2; \
+	VXORPD       Y3, Y3, Y3; \
+	VXORPD       Y4, Y4, Y4; \
+	VXORPD       Y5, Y5, Y5; \
+	VXORPD       Y6, Y6, Y6; \
+	VXORPD       Y7, Y7, Y7; \
 	MOVQ         BX, R11; \
 	MOVQ         DI, R12; \
 	MOVQ         DX, R13; \
@@ -782,14 +576,13 @@ lshortsum: \
 	VADDPD       Y6, Y4, Y4; \
 ldone:
 
-// STRIDES loads R8 = S, the byte stride of the element stride arg, R9 = 4S
-// and R10 = 12S.
+// STRIDES loads R8 = S, the byte stride of the element stride arg, and
+// R9 = 16S.
 #define STRIDES(arg) \
 	MOVQ arg, R8; \
 	SHLQ $3, R8; \
 	MOVQ R8, R9; \
-	SHLQ $2, R9; \
-	LEAQ (R9)(R9*2), R10
+	SHLQ $4, R9
 
 // func dotLanesAsm(a *float64, n int, y *float64, stride int, out *float64, blocks int)
 // For blocks >= 1 blocks of eight lanes, block b's lane c being the vector
@@ -800,13 +593,13 @@ TEXT ·dotLanesAsm(SB), NOSPLIT, $0-48
 	MOVQ n+8(FP), DX
 	MOVQ y+16(FP), DI
 	STRIDES(stride+24(FP))
-	MOVQ out+32(FP), CX
+	MOVQ out+32(FP), R14
 	MOVQ blocks+40(FP), AX
 dlblock:
 	SLDOT(dlshort, dlshort4, dlshorttail, dlshorttail1, dlshortsum, dlp0, dlp1, dlp2, dlp3, dltail, dldone)
-	VMOVUPD Y0, 0(CX)
-	VMOVUPD Y4, 32(CX)
-	ADDQ    $64, CX
+	VMOVUPD Y0, 0(R14)
+	VMOVUPD Y4, 32(R14)
+	ADDQ    $64, R14
 	ADDQ    $64, DI
 	DECQ    AX
 	JNZ     dlblock
@@ -814,20 +607,25 @@ dlblock:
 	RET
 
 // func solveLanesAsm(l *float64, from, to int, b, y *float64, stride int, ss *float64, blocks int)
-// ForwardSolveFlatTo's rows from..to−1 for blocks >= 1 blocks of eight
+// ForwardSolveStrided's rows from..to−1 for blocks >= 1 blocks of eight
 // lanes laid out as dotLanesAsm's (b and y share the stride, and ss holds
 // eight sums a block): per lane, row i of the packed factor l (at
-// l[i(i+1)/2]) takes y_i = (b_i − SLDOT of l_i with y over i entries)/l_ii
-// and ss += y_i·y_i, unfused. With from = to−1 that is BorderSolveStep and
-// the running-norm update after it; with from = 0 and ss zero, the whole
-// flat solve and its running sum.
-TEXT ·solveLanesAsm(SB), NOSPLIT, $0-64
+// l[i(i+1)/2]) takes y_i = ((b_i − d_0) − d_1 − …)/l_ii, where d_p is SLDOT
+// of l_i with y over cholBlock panel p's columns below i (64p up to
+// min(64p+64, i)), and ss += y_i·y_i, unfused. Panel 0 runs from
+// registers; a row that reaches past column 64 parks its running
+// difference in y_i between the later panels, since SLDOT clobbers every
+// other vector register. The frame holds b − y and ss − y, fixed as both
+// advance per block, and a long row's own pointers across its panels.
+TEXT ·solveLanesAsm(SB), NOSPLIT, $32-64
 	STRIDES(stride+40(FP))
 	MOVQ y+32(FP), DI
-	MOVQ b+24(FP), SI
-	SUBQ DI, SI               // SI = b − y, fixed as both advance per block
-	MOVQ ss+48(FP), CX
-	SUBQ DI, CX               // CX = ss − y, likewise
+	MOVQ b+24(FP), R11
+	SUBQ DI, R11
+	MOVQ R11, bmy-8(SP)       // b − y
+	MOVQ ss+48(FP), R11
+	SUBQ DI, R11
+	MOVQ R11, ssmy-16(SP)     // ss − y
 slblock:
 	MOVQ  from+8(FP), AX      // row i
 	LEAQ  1(AX), BX
@@ -839,27 +637,56 @@ slblock:
 	IMULQ R8, R14
 	ADDQ  DI, R14             // R14 = entry i of the block's y
 slrow:
-	CMPQ AX, to+16(FP)
-	JGE  slnext
-	MOVQ AX, DX
+	CMPQ    AX, to+16(FP)
+	JGE     slnext
+	MOVQ    AX, R15
+	MOVQ    $64, DX
+	CMPQ    R15, DX
+	CMOVQLT R15, DX           // DX = panel 0's length, min(i, 64)
+	SUBQ    DX, R15           // R15 = columns left after it
 	SLDOT(slshort, slshort4, slshorttail, slshorttail1, slshortsum, slp0, slp1, slp2, slp3, sltail, sldone)
-	VMOVUPD      (R14)(SI*1), Y1
-	VSUBPD       Y0, Y1, Y1
-	VMOVUPD      32(R14)(SI*1), Y5
-	VSUBPD       Y4, Y5, Y5
+	MOVQ    bmy-8(SP), R11
+	VMOVUPD (R14)(R11*1), Y1
+	VSUBPD  Y0, Y1, Y1
+	VMOVUPD 32(R14)(R11*1), Y5
+	VSUBPD  Y4, Y5, Y5
+	TESTQ   R15, R15
+	JZ      sldiv
+	MOVQ    BX, row-24(SP)
+	MOVQ    DI, blk-32(SP)
+slpanel:
+	VMOVUPD Y1, 0(R14)
+	VMOVUPD Y5, 32(R14)
+	ADDQ    $512, BX          // the next panel's 64 columns
+	LEAQ    (DI)(R9*4), DI    // and its 64 entries, 64S bytes on
+	MOVQ    $64, DX
+	CMPQ    R15, DX
+	CMOVQLT R15, DX
+	SUBQ    DX, R15
+	SLDOT(spshort, spshort4, spshorttail, spshorttail1, spshortsum, spp0, spp1, spp2, spp3, sptail, spdone)
+	VMOVUPD 0(R14), Y1
+	VSUBPD  Y0, Y1, Y1
+	VMOVUPD 32(R14), Y5
+	VSUBPD  Y4, Y5, Y5
+	TESTQ   R15, R15
+	JNZ     slpanel
+	MOVQ    row-24(SP), BX
+	MOVQ    blk-32(SP), DI
+sldiv:
 	VBROADCASTSD (BX)(AX*8), Y2
 	VDIVPD       Y2, Y1, Y1
 	VDIVPD       Y2, Y5, Y5
 	VMOVUPD      Y1, 0(R14)
 	VMOVUPD      Y5, 32(R14)
+	MOVQ         ssmy-16(SP), R11
 	VMULPD       Y1, Y1, Y3
-	VMOVUPD      (DI)(CX*1), Y6
+	VMOVUPD      (DI)(R11*1), Y6
 	VADDPD       Y3, Y6, Y6
-	VMOVUPD      Y6, (DI)(CX*1)
+	VMOVUPD      Y6, (DI)(R11*1)
 	VMULPD       Y5, Y5, Y7
-	VMOVUPD      32(DI)(CX*1), Y8
+	VMOVUPD      32(DI)(R11*1), Y8
 	VADDPD       Y7, Y8, Y8
-	VMOVUPD      Y8, 32(DI)(CX*1)
+	VMOVUPD      Y8, 32(DI)(R11*1)
 	LEAQ         8(BX)(AX*8), BX  // packed row i+1
 	ADDQ         R8, R14
 	INCQ         AX

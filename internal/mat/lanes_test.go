@@ -84,66 +84,6 @@ func testExpLanes(t *testing.T) {
 
 func TestExpLanesBitwise(t *testing.T) { testExpLanes(t) }
 
-// lanesSizes cross asmDotMin (16) and cholBlock (64).
-var lanesSizes = []int{1, 2, 3, 15, 16, 17, 31, 32, 33, 50, 60, 63, 64, 65, 128, 129, 200}
-
-// testForwardSolveLanes checks the eight-lane sweep and its sums of squares
-// against ForwardSolveVecTo and Dot, lane by lane.
-func testForwardSolveLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for _, n := range lanesSizes {
-		for trial := 0; trial < 3; trial++ {
-			ch, err := NewCholesky(randSPD(n, rng))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := make([][]float64, 8)
-			y := make([]float64, 8*n)
-			for c := range b {
-				b[c] = randomVec(rng, n)
-				if trial == 2 {
-					// Mixed magnitudes make every summation order
-					// round differently.
-					for j := range b[c] {
-						b[c][j] *= math.Pow(10, float64(rng.Intn(16)-8))
-					}
-				}
-				for j, v := range b[c] {
-					y[8*j+c] = v
-				}
-			}
-			ss := ch.ForwardSolveLanes(y)
-			want := make([]float64, n)
-			for c := range b {
-				ch.ForwardSolveVecTo(want, b[c])
-				for j, w := range want {
-					if math.Float64bits(y[8*j+c]) != math.Float64bits(w) {
-						t.Fatalf("n=%d trial %d lane %d: y[%d] = %.17g, ForwardSolveVecTo = %.17g", n, trial, c, j, y[8*j+c], w)
-					}
-				}
-				if w := Dot(want, want); math.Float64bits(ss[c]) != math.Float64bits(w) {
-					t.Fatalf("n=%d trial %d lane %d: sum of squares %.17g, Dot = %.17g", n, trial, c, ss[c], w)
-				}
-			}
-		}
-	}
-}
-
-func TestForwardSolveLanesBitwise(t *testing.T) { testForwardSolveLanes(t) }
-
-func TestForwardSolveLanesLengthPanics(t *testing.T) {
-	ch, err := NewCholesky(randSPD(3, rand.New(rand.NewSource(1))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ForwardSolveLanes accepted 12 values for a 3x3 factor")
-		}
-	}()
-	ch.ForwardSolveLanes(make([]float64, 4*3))
-}
-
 // FuzzExpLanes feeds arbitrary bit patterns through every lane of a group
 // and the scalar tail.
 func FuzzExpLanes(f *testing.F) {
@@ -209,14 +149,20 @@ func testDotStrided(t *testing.T) {
 
 func TestDotStridedBitwise(t *testing.T) { testDotStrided(t) }
 
-// testForwardSolveStrided checks the strided solve against the scalar
-// code, for factor sizes 1..40 and vector counts 0..17: the whole flat
-// solve out of place against ForwardSolveFlatTo (values and running sums),
-// and the last row alone, in place over arbitrary solved prefixes, against
-// BorderSolveStep and the running-norm update after it.
+// lanesSizes cross asmDotMin (16) and the cholBlock panel boundaries (64,
+// 128).
+var lanesSizes = []int{1, 2, 3, 15, 16, 17, 31, 32, 33, 50, 60, 63, 64, 65, 127, 128, 129, 140, 200}
+
+// testForwardSolveStrided checks the strided solve against the scalar code
+// for every size in lanesSizes and vector counts 0..17 (every count mod 8,
+// the tail included): the whole solve from row 0, eight vectors in place
+// at stride 8 (the sparse surrogate's layout) and every other count out of
+// place, against ForwardSolveVecTo and Dot per vector; then the last row
+// alone, in place over the solved prefix, against the last entry of that
+// solve and the running-norm update after it.
 func testForwardSolveStrided(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for n := 1; n <= 40; n++ {
+	for _, n := range lanesSizes {
 		ch, err := NewCholesky(randSPD(n, rng))
 		if err != nil {
 			t.Fatal(err)
@@ -224,33 +170,41 @@ func testForwardSolveStrided(t *testing.T) {
 		want := make([]float64, n)
 		for m := 0; m <= 17; m++ {
 			stride := m + rng.Intn(3)
+			if m == 8 {
+				stride = 8
+			}
 			b, vecs := stridedVectors(rng, n, m, stride)
 			y := make([]float64, len(b))
+			if m == 8 {
+				copy(y, b)
+				b = y
+			}
 			ss := make([]float64, m)
 			ch.ForwardSolveStrided(y, b, stride, 0, ss)
 			for c, v := range vecs {
-				sum := ch.ForwardSolveFlatTo(want, v)
+				ch.ForwardSolveVecTo(want, v)
 				for j, w := range want {
 					if got := y[j*stride+c]; math.Float64bits(got) != math.Float64bits(w) {
-						t.Fatalf("n=%d, %d vectors, vector %d: y[%d] = %.17g, ForwardSolveFlatTo %.17g", n, m, c, j, got, w)
+						t.Fatalf("n=%d, %d vectors, vector %d: y[%d] = %.17g, ForwardSolveVecTo %.17g", n, m, c, j, got, w)
 					}
 				}
-				if math.Float64bits(ss[c]) != math.Float64bits(sum) {
-					t.Fatalf("n=%d, %d vectors, vector %d: sum of squares %.17g, flat running sum %.17g", n, m, c, ss[c], sum)
+				if w := Dot(want, want); math.Float64bits(ss[c]) != math.Float64bits(w) {
+					t.Fatalf("n=%d, %d vectors, vector %d: sum of squares %.17g, Dot %.17g", n, m, c, ss[c], w)
 				}
 			}
 
-			for c := range ss {
+			for c, v := range vecs {
+				y[(n-1)*stride+c] = v[n-1]
 				ss[c] = rng.Float64()
 			}
 			prev := append([]float64(nil), ss...)
-			ch.ForwardSolveStrided(b, b, stride, n-1, ss)
+			ch.ForwardSolveStrided(y, y, stride, n-1, ss)
 			for c, v := range vecs {
-				vNew := ch.BorderSolveStep(v[:n-1], v[n-1])
-				if got := b[(n-1)*stride+c]; math.Float64bits(got) != math.Float64bits(vNew) {
-					t.Fatalf("n=%d, %d vectors, vector %d: border entry %.17g, BorderSolveStep %.17g", n, m, c, got, vNew)
+				ch.ForwardSolveVecTo(want, v)
+				if got := y[(n-1)*stride+c]; math.Float64bits(got) != math.Float64bits(want[n-1]) {
+					t.Fatalf("n=%d, %d vectors, vector %d: last row %.17g, ForwardSolveVecTo %.17g", n, m, c, got, want[n-1])
 				}
-				if w := prev[c] + vNew*vNew; math.Float64bits(ss[c]) != math.Float64bits(w) {
+				if w := prev[c] + want[n-1]*want[n-1]; math.Float64bits(ss[c]) != math.Float64bits(w) {
 					t.Fatalf("n=%d, %d vectors, vector %d: running norm %.17g, want %.17g", n, m, c, ss[c], w)
 				}
 			}
@@ -259,6 +213,67 @@ func testForwardSolveStrided(t *testing.T) {
 }
 
 func TestForwardSolveStridedBitwise(t *testing.T) { testForwardSolveStrided(t) }
+
+// testForwardSolveLanes checks the eight-lane layout the sparse surrogate
+// solves in (eight vectors entry-major at stride 8, solved in place from
+// row 0) and its sums of squares against ForwardSolveVecTo and Dot, lane by
+// lane, three factors per size, the last with mixed magnitudes.
+func testForwardSolveLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, n := range lanesSizes {
+		for trial := 0; trial < 3; trial++ {
+			ch, err := NewCholesky(randSPD(n, rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([][]float64, 8)
+			y := make([]float64, 8*n)
+			for c := range b {
+				b[c] = randomVec(rng, n)
+				if trial == 2 {
+					// Mixed magnitudes make every summation order
+					// round differently.
+					for j := range b[c] {
+						b[c][j] *= math.Pow(10, float64(rng.Intn(16)-8))
+					}
+				}
+				for j, v := range b[c] {
+					y[8*j+c] = v
+				}
+			}
+			ss := make([]float64, 8)
+			ch.ForwardSolveStrided(y, y, 8, 0, ss)
+			want := make([]float64, n)
+			for c := range b {
+				ch.ForwardSolveVecTo(want, b[c])
+				for j, w := range want {
+					if math.Float64bits(y[8*j+c]) != math.Float64bits(w) {
+						t.Fatalf("n=%d trial %d lane %d: y[%d] = %.17g, ForwardSolveVecTo = %.17g", n, trial, c, j, y[8*j+c], w)
+					}
+				}
+				if w := Dot(want, want); math.Float64bits(ss[c]) != math.Float64bits(w) {
+					t.Fatalf("n=%d trial %d lane %d: sum of squares %.17g, Dot = %.17g", n, trial, c, ss[c], w)
+				}
+			}
+		}
+	}
+}
+
+func TestForwardSolveLanesBitwise(t *testing.T) { testForwardSolveLanes(t) }
+
+func TestForwardSolveStridedShapePanics(t *testing.T) {
+	ch, err := NewCholesky(randSPD(3, rand.New(rand.NewSource(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ForwardSolveStrided accepted 12 values for eight vectors over a 3x3 factor")
+		}
+	}()
+	y := make([]float64, 4*3)
+	ch.ForwardSolveStrided(y, y, 8, 0, make([]float64, 8))
+}
 
 // FuzzStridedLanes drives DotStrided and the strided solve with arbitrary
 // bit patterns, non-finite ones included, on a fixed factor per size:
@@ -281,8 +296,15 @@ func FuzzStridedLanes(f *testing.F) {
 	seed(3, 9, ramp(60, 0.5)...)
 	seed(17, 8, ramp(200, 1e-3)...)
 	seed(20, 11, append(ramp(300, 1e8), 1e300, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1))...)
+	long := ramp(1400, 0.25) // n = 140: rows in all three panels
+	long[700], long[1390] = math.NaN(), math.Inf(-1)
+	seed(139, 9, long...)
+	// The factor depends on n alone; building it is O(n³), so each fuzzing
+	// process keeps the ones it has built (the target runs sequentially
+	// within a process).
+	factors := map[int]*Cholesky{}
 	f.Fuzz(func(t *testing.T, data []byte, nb, mb uint8) {
-		n, m := 1+int(nb%40), int(mb%18)
+		n, m := 1+int(nb%140), int(mb%18)
 		vals := make([]float64, len(data)/8)
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
@@ -291,9 +313,13 @@ func FuzzStridedLanes(f *testing.F) {
 			return
 		}
 		a, b := vals[:n], vals[n:n*(m+1)]
-		ch, err := NewCholesky(randSPD(n, rand.New(rand.NewSource(int64(n)))))
-		if err != nil {
-			t.Fatal(err)
+		ch := factors[n]
+		if ch == nil {
+			var err error
+			if ch, err = NewCholesky(randSPD(n, rand.New(rand.NewSource(int64(n))))); err != nil {
+				t.Fatal(err)
+			}
+			factors[n] = ch
 		}
 		vec := func(t int) []float64 {
 			v := make([]float64, n)
@@ -313,14 +339,14 @@ func FuzzStridedLanes(f *testing.F) {
 			if w := DotBlocked(v, a); !sameBitsOrNaN(out[c], w) {
 				t.Fatalf("n=%d, %d vectors, vector %d: dot %v, DotBlocked %v", n, m, c, out[c], w)
 			}
-			sum := ch.ForwardSolveFlatTo(want, v)
+			ch.ForwardSolveVecTo(want, v)
 			for j, w := range want {
 				if !sameBitsOrNaN(y[j*m+c], w) {
-					t.Fatalf("n=%d, %d vectors, vector %d: y[%d] = %v, ForwardSolveFlatTo %v", n, m, c, j, y[j*m+c], w)
+					t.Fatalf("n=%d, %d vectors, vector %d: y[%d] = %v, ForwardSolveVecTo %v", n, m, c, j, y[j*m+c], w)
 				}
 			}
-			if !sameBitsOrNaN(ss[c], sum) {
-				t.Fatalf("n=%d, %d vectors, vector %d: sum of squares %v, flat running sum %v", n, m, c, ss[c], sum)
+			if w := Dot(want, want); !sameBitsOrNaN(ss[c], w) {
+				t.Fatalf("n=%d, %d vectors, vector %d: sum of squares %v, Dot %v", n, m, c, ss[c], w)
 			}
 		}
 	})

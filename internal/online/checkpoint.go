@@ -406,10 +406,10 @@ func resumeCampaign(lab engine.Lab, cfg Config, ck *checkpointFile) (*campaign, 
 	c.src.Skip(ck.RNGDraws)
 	c.rng = rand.New(c.src)
 
-	// Freshly built caches rebuild through the flat solve path, which is
-	// bitwise identical to the incremental extension an uninterrupted run
-	// performed — the resumed trajectory's scores, and hence selections,
-	// match exactly.
+	// Freshly built caches rebuild through the forward solve from row 0,
+	// which is bitwise identical to the incremental extension an
+	// uninterrupted run performed — the resumed trajectory's scores, and
+	// hence selections, match exactly.
 	c.buildScorer()
 	obs.CheckpointRestores.Inc()
 	return c, nil

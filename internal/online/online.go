@@ -415,9 +415,10 @@ type campaign struct {
 	// so each selection re-scores the pool in O(m·n) — or O(m·k) sparse,
 	// O(m·leaf) treed — instead of re-solving per candidate. Exact and
 	// treed caches built after a checkpoint resume rebuild through the
-	// flat solve path and therefore agree bitwise with caches maintained
-	// across an uninterrupted run; the sparse cache resynchronizes exactly
-	// at every refit cadence (see gp.SparseScoringCache).
+	// forward solve from row 0 and therefore agree bitwise with caches
+	// maintained across an uninterrupted run; the sparse cache
+	// resynchronizes exactly at every refit cadence (see
+	// gp.SparseScoringCache).
 	pool   []dataset.Combo
 	scorer *engine.PoolScorer
 
